@@ -36,7 +36,7 @@ ROOT_ZTOL = 1e-12
 DEDUP_TOL = 1e-8
 AMBIGUITY_TOL = 1e-6
 ADMISSIBLE_LO = 0.0
-ADMISSIBLE_HI = 2.0 * np.pi
+BRILLOUIN_TOL = 1e-8
 POLISH_DPS = 30
 POLISH_MAX_ITER = 40
 POLISH_ZTOL = 1e-9
@@ -250,12 +250,18 @@ def solve_root(
 
     Multistart Newton (with a Muller fallback per start) produces candidate
     roots; candidates are folded to nonnegative imaginary part,
-    deduplicated, restricted to real part in (0, 2*pi), and the one closest
-    to ``zeta`` wins.  Every surviving candidate is re-polished with the
-    determinant evaluated in extended precision, which recovers the root
-    position lost to rounding in the nearly-double-root regime of the
-    weakly dissipative methods and costs two evaluations when the double
-    result was already converged.  A second admissible root at nearly the
+    deduplicated, restricted to the first Brillouin zone (Re z > 0 and
+    max(|Re z cos theta|, |Re z sin theta|) <= pi, to BRILLOUIN_TOL), and
+    the one closest to ``zeta`` wins.  det F is unchanged by a lattice
+    shift k -> k + 2*pi*(m, n) of the wave vector, so a root outside the
+    zone is an alias: for the bilinear fem at pi < zeta < sqrt(12) the
+    alias 2*pi - z lies nearer zeta than the root z.  When every candidate
+    lies outside the zone (zeta well above pi), Newton restarts from each
+    one mirrored about the zone edge along the ray.  Every surviving
+    candidate is re-polished with the determinant evaluated in extended
+    precision, which recovers the root position lost to rounding in the
+    nearly-double-root regime of the weakly dissipative methods and costs
+    two evaluations when the double result was already converged.  A second admissible root at nearly the
     same distance triggers a BranchAmbiguity warning.  Raises NoRootFound
     if every start fails in both arithmetics.
     """
@@ -294,9 +300,19 @@ def solve_root(
             z, it, _ = _polish(sym, p)
             if z is not None:
                 found.append((z, it))
-    admissible = [
-        (z, it) for z, it in found if ADMISSIBLE_LO < z.real < ADMISSIBLE_HI
-    ]
+    edge = np.pi / max(abs(np.cos(theta)), abs(np.sin(theta)))
+
+    def in_zone(z):
+        return ADMISSIBLE_LO < z.real <= edge + BRILLOUIN_TOL
+
+    admissible = [(z, it) for z, it in found if in_zone(z)]
+    if not admissible:
+        # on the axes and diagonals the mirror image 2*edge - conj(z) is
+        # itself a root, the alias of z; elsewhere it is a start in the zone
+        for z, it in found:
+            zm, itm = _newton(sym, complex(2 * edge - z.real, abs(z.imag)), scale)
+            if zm is not None and in_zone(zm):
+                admissible.append((zm if zm.imag >= 0 else zm.conjugate(), it + itm))
     if not admissible:
         raise NoRootFound(
             f"no admissible dispersion root near zeta={zeta!r} for "

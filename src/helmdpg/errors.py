@@ -55,6 +55,10 @@ class MissingValue(HelmDpgError):
     """A grid function lacks a value required by the stencil support."""
 
 
+class OutsideEnvelope(HelmDpgError):
+    """Element parameters whose test Gram matrix no supported arithmetic resolves."""
+
+
 class IllConditioned(UserWarning):
     """Condition estimate of a factorized matrix exceeds the working threshold."""
 

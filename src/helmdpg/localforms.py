@@ -16,22 +16,41 @@ with the complex conjugate on the second slot.  The trial-to-test solve
 element matrix ``B = Bb^H X = Bb^H G^{-1} Bb`` is Hermitian positive
 semidefinite by construction.
 
-Precision policy: with ``params.precision = None`` the element is computed
-in double and recomputed in 30-digit extended arithmetic when
-``eps_n < 1e-3`` up front or when the Gram condition estimate exceeds 1e12.
-``eps_n = 0`` is supported only in extended precision; the factorization's
-pivot check is the required positive-definiteness guard.
+Precision policy.  :func:`element_kit`, the element behind the stencil,
+dispersion and mesh drivers, solves the Riesz problem in complex128 by QR
+of the weighted stack K with ``G = K^H K`` (Golub & Van Loan, Matrix
+Computations, sec. 5.3) and never forms G.  Its route follows the 1-norm
+estimate ``cond(R)^2`` of G's condition: double up to 1e16, the 30-digit
+:func:`dpg_element` above it, and :class:`~helmdpg.errors.OutsideEnvelope`
+above 1e30, raised before any 30-digit work.  ``cond(G)`` does not grow
+like ``1/eps_n^2``: at r = 3, ``omega_n = pi/4`` it levels off at about
+7.2e11 as ``eps_n -> 0``, so ``eps_n = 0`` runs in double there, while
+small ``omega_n`` at ``eps_n = 0`` (r = 3 at ``2*pi/64``: 6.6e22) needs
+30 digits and r = 5 at ``2*pi/64`` (6.6e36) is rejected.  The kernel uses
+``numpy.linalg`` only: scipy ships its own OpenBLAS thread pool, and on two
+cores a ``scipy.linalg`` kernel made a resonance sweep of 122 n = 16 solves
+take 1.7x the wall time and twice the CPU.
+
+:func:`dpg_element` keeps the normal equations ``G X = Bb`` and its own
+policy: with ``params.precision = None`` it runs in double and recomputes
+in 30-digit extended arithmetic when ``eps_n < 1e-3`` up front or when the
+Gram condition exceeds 1e12; ``eps_n = 0`` is supported only in extended
+precision, where the factorization's pivot check is the required
+positive-definiteness guard.  It stays because its residual
+``|G X - Bb| / |Bb|`` is what acceptance ``test_02`` bounds by 1e-10, and
+at r = 2, ``omega_n = 0.3``, ``eps_n = 1e-6`` the QR X leaves 1.2e-10;
+even the exact 30-digit X rounded to complex128 leaves 3.6e-11 there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import refelem
-from .errors import DimensionMismatch, InteriorBlockSingular, NotPositiveDefinite
+from .errors import DimensionMismatch, InteriorBlockSingular, NotPositiveDefinite, OutsideEnvelope
 from .numkit import (
     DOUBLE,
     ILL_CONDITION_LIMIT,
@@ -44,8 +63,19 @@ from .numkit import (
 )
 from .refelem import EDGE_SIGNS, TRACE_EDGES, TRIAL_DIM
 
-#: eps_n below which the element is assembled in extended precision
+#: eps_n below which :func:`dpg_element` assembles in extended precision
 EXTENDED_EPS_THRESHOLD = 1e-3
+
+#: Gram condition estimate cond(R)^2 up to which the double QR Riesz solve
+#: is used: cond(R) up to 1e8, the square root of 1/u for the unit roundoff
+#: u of double.  Inside it B, S and X^H match the 30-digit element to 1e-10
+#: (worst 4.3e-11, X^H at r = 4, omega_n = pi/4, eps_n = 1e-6)
+DOUBLE_COND_LIMIT = 1e16
+
+#: Gram condition estimate above which no element is built, 1/u for 30
+#: digits: at r = 4, omega_n = 2*pi/128, eps_n = 0 (estimate 7.9e33) the
+#: 30-digit B differs from a 50-digit one by 4.9e-3
+ENVELOPE_COND_LIMIT = 1e30
 
 
 @dataclass(frozen=True)
@@ -100,7 +130,8 @@ class DpgElementMatrices:
     cond: float
 
 
-def _assemble_dpg(params: NormalizedParams, precision: Precision):
+def _riesz_data(params: NormalizedParams, precision: Precision):
+    """Quadrature rule, test tabulation, A-images (a1, a2, a3) and ``Bb``."""
     with working_context(precision):
         basis = refelem.build_test_basis(params.r)
         rule = refelem.default_rule(params.r, precision)
@@ -108,22 +139,9 @@ def _assemble_dpg(params: NormalizedParams, precision: Precision):
         hats = refelem.tabulate_trial_edges(rule)
         w = rule.weights
         w1 = rule.weights_1d
-        iw = precision.cplx(0, precision.real(params.omega_n))
-        eps = precision.real(params.eps_n)
+        a1, a2, a3 = conforming_a_images(tab, params.omega_n, precision)
 
-        a1 = iw * tab.vx + tab.eta_x
-        a2 = iw * tab.vy + tab.eta_y
-        a3 = iw * tab.eta + tab.div
-
-        dim = basis.dim
-        G = None
-        for ac in (a1, a2, a3):
-            term = (ac.conj() * w[None, :]) @ ac.T
-            G = term if G is None else G + term
-        for vc in (tab.vx, tab.vy, tab.eta):
-            G = G + (eps * eps) * ((vc * w[None, :]) @ vc.T)
-
-        Bb = precision.zeros(dim, TRIAL_DIM)
+        Bb = precision.zeros(basis.dim, TRIAL_DIM)
         Bb[:, 0] = -(a1.conj() @ w)
         Bb[:, 1] = -(a2.conj() @ w)
         Bb[:, 2] = -(a3.conj() @ w)
@@ -136,20 +154,34 @@ def _assemble_dpg(params: NormalizedParams, precision: Precision):
         for t, e in enumerate(TRACE_EDGES):
             Bb[:, 7 + t] = precision.real(EDGE_SIGNS[e]) * (tab.edge_eta[e] @ w1)
 
-    return G, Bb, rule, tab
+    return rule, tab, (a1, a2, a3), Bb
+
+
+def _assemble_dpg(params: NormalizedParams, precision: Precision):
+    rule, tab, images, Bb = _riesz_data(params, precision)
+    with working_context(precision):
+        w = rule.weights
+        eps = precision.real(params.eps_n)
+        G = None
+        for ac in images:
+            term = (ac.conj() * w[None, :]) @ ac.T
+            G = term if G is None else G + term
+        for vc in (tab.vx, tab.vy, tab.eta):
+            G = G + (eps * eps) * ((vc * w[None, :]) @ vc.T)
+    return G, Bb
 
 
 def dpg_element(params: NormalizedParams) -> DpgElementMatrices:
     """Assemble G, Bb and solve for X and B under the precision policy."""
     precision = params.resolve_precision()
-    G, Bb, _, _ = _assemble_dpg(params, precision)
+    G, Bb = _assemble_dpg(params, precision)
     x, cond = hermitian_solve(
         G, Bb, precision,
         warn_limit=np.inf if params.precision is None else ILL_CONDITION_LIMIT,
     )
     if params.precision is None and not precision.is_extended and cond > ILL_CONDITION_LIMIT:
         precision = Precision.extended(30)
-        G, Bb, _, _ = _assemble_dpg(params, precision)
+        G, Bb = _assemble_dpg(params, precision)
         x, cond = hermitian_solve(G, Bb, precision)
     with working_context(precision):
         B = Bb.conj().T @ x
@@ -223,8 +255,12 @@ def condense(b: np.ndarray, precision: Precision | None = None) -> CondensedElem
 # ---------------------------------------------------------------------------
 
 
-def conforming_a_images(tab: refelem.ConformingTabulation, omega_n: float, precision: Precision = DOUBLE):
-    """A-operator images (a1, a2, a3) of the 8 conforming basis functions."""
+def conforming_a_images(tab, omega_n: float, precision: Precision = DOUBLE):
+    """A-operator images (a1, a2, a3) of a tabulated basis.
+
+    ``tab`` is a conforming or a test-space tabulation; both carry the
+    value, gradient and divergence tables used here.
+    """
     iw = precision.cplx(0, precision.real(omega_n))
     a1 = iw * tab.vx + tab.eta_x
     a2 = iw * tab.vy + tab.eta_y
@@ -293,12 +329,20 @@ def fem_element(omega_n: float, n_quad: int = 3):
 class ElementKit:
     """Downcast, reusable per-parameter element data for meshes and stencils.
 
-    All arrays are complex128/float64 regardless of the assembly precision;
-    the accuracy of ``S`` is inherited from the (possibly extended)
-    element computation.  ``xh = X^H`` maps moment vectors of f against the
-    test basis to the 11 trial load entries.  ``S_exact`` carries the
-    full-precision Schur complement when the element was assembled in
-    extended arithmetic, and is None otherwise.
+    All arrays are complex128/float64.  With ``params.precision = None``
+    the route follows the Gram condition estimate, the 1-norm ``cond(R)^2``
+    of the QR factor of K (``G = K^H K``): up to ``DOUBLE_COND_LIMIT`` the
+    element is the double QR Riesz solve and ``cond`` is that estimate;
+    above it the element is the 30-digit :func:`dpg_element`; above
+    ``ENVELOPE_COND_LIMIT`` :class:`OutsideEnvelope` is raised before any
+    30-digit work.  An explicit ``params.precision`` pins the arithmetic to
+    :func:`dpg_element` in that precision.  Elements from
+    :func:`dpg_element` report its exact 1-norm ``cond(G)``.  The accuracy
+    of ``S`` is inherited from the element computation.  ``xh = X^H`` maps
+    moment vectors of f against the test basis to the 11 trial load
+    entries.  ``S_exact`` carries the full-precision Schur complement when
+    the element was assembled in extended arithmetic, and is None
+    otherwise.
     """
 
     params: NormalizedParams
@@ -317,23 +361,61 @@ class ElementKit:
     S_exact: np.ndarray | None = None
 
 
+def _qr_riesz(params: NormalizedParams):
+    """Double Riesz solve by QR: ``(rule, tab, B, X, cond)``.
+
+    With K the quadrature-weighted stack of the test basis' A-images and
+    eps_n-scaled values, G = K^H K = R^H R, so solving ``R^H Y = Bb`` gives
+    ``B = Y^H Y`` and ``X = R^{-1} Y`` without forming G, whose condition
+    is the square of R's.  ``cond`` is the 1-norm ``cond(R)^2``; above
+    ``DOUBLE_COND_LIMIT`` B and X are None, above ``ENVELOPE_COND_LIMIT``
+    the element is rejected.
+    """
+    rule, tab, images, Bb = _riesz_data(params, DOUBLE)
+    sw = np.sqrt(rule.weights)[:, None]
+    K = np.concatenate(
+        [sw * ac.T for ac in images]
+        + [(params.eps_n * sw) * vc.T for vc in (tab.vx, tab.vy, tab.eta)]
+    )
+    R = np.linalg.qr(K, mode="r")
+    cond = float(np.linalg.cond(R, 1)) ** 2
+    if not cond <= ENVELOPE_COND_LIMIT:
+        raise OutsideEnvelope(
+            f"r={params.r}, omega_n={params.omega_n!r}, eps_n={params.eps_n!r}: "
+            f"Gram condition estimate {cond:.2e} exceeds {ENVELOPE_COND_LIMIT:.0e}, "
+            "beyond what 30-digit arithmetic resolves; raise eps_n or lower r"
+        )
+    if cond > DOUBLE_COND_LIMIT:
+        return rule, tab, None, None, cond
+    Y = np.linalg.solve(R.conj().T, Bb)
+    return rule, tab, Y.conj().T @ Y, np.linalg.solve(R, Y), cond
+
+
 @lru_cache(maxsize=64)
 def element_kit(params: NormalizedParams) -> ElementKit:
     """Cached DPG element + condensation, downcast for double-precision use."""
-    elem = dpg_element(params)
-    cond_elem = condense(elem.B, elem.precision_used)
-    basis = refelem.build_test_basis(params.r)
-    rule = refelem.default_rule(params.r, DOUBLE)
-    tab = refelem.tabulate_test_basis(basis, rule)
+    pinned = params.precision
+    if pinned is None:
+        rule, tab, B, X, cond = _qr_riesz(params)
+        if B is None:
+            pinned = Precision.extended(30)
+    else:
+        rule = refelem.default_rule(params.r, DOUBLE)
+        tab = refelem.tabulate_test_basis(refelem.build_test_basis(params.r), rule)
+    if pinned is not None:
+        elem = dpg_element(replace(params, precision=pinned))
+        B, X, cond = elem.B, elem.X, elem.cond
+    precision_used = pinned or DOUBLE
+    cond_elem = condense(B, precision_used)
     return ElementKit(
         params=params,
-        precision_used=elem.precision_used,
-        cond=elem.cond,
-        B=as_complex128(elem.B),
+        precision_used=precision_used,
+        cond=cond,
+        B=as_complex128(B),
         S=cond_elem.S,
         recovery=cond_elem.recovery,
         interior_inv=cond_elem.interior_inv,
-        xh=as_complex128(elem.X).conj().T,
+        xh=as_complex128(X).conj().T,
         test_vx=tab.vx,
         test_vy=tab.vy,
         test_eta=tab.eta,

@@ -50,6 +50,44 @@ def test_fem_closed_form_above_cutoff(zeta):
     assert res.z.imag > 0
 
 
+def fem_root_closed_form(zeta, theta):
+    # bilinear dispersion relation s(kx)/m(kx) + s(ky)/m(ky) = zeta^2 with
+    # s(x) = 2(1 - cos x), m(x) = (2 + cos x)/3, solved on the ray inside
+    # the first Brillouin zone, where its left side increases with z
+    from scipy.optimize import brentq
+
+    def lhs(x):
+        return 6.0 * (1.0 - np.cos(x)) / (2.0 + np.cos(x))
+
+    c, s = abs(np.cos(theta)), abs(np.sin(theta))
+    return brentq(
+        lambda z: lhs(z * c) + lhs(z * s) - zeta**2,
+        1e-3, np.pi / max(c, s), xtol=1e-15, rtol=4 * np.finfo(float).eps,
+    )
+
+
+@pytest.mark.parametrize("zeta,theta", [(3.15, 0.0), (3.4, 0.0), (3.4, 0.3)])
+def test_fem_root_inside_brillouin_zone(zeta, theta):
+    # between pi and the cutoff sqrt(12) the alias 2*pi - z of the root z
+    # lies nearer zeta; only the root inside the zone is admissible
+    st = stencil.extract_stencils("fem", zeta, normalize=False)
+    res = dispersion.solve_root(st, theta, zeta)
+    assert res.z.real == pytest.approx(fem_root_closed_form(zeta, theta), abs=1e-10)
+    assert abs(res.z.imag) <= 1e-12
+
+
+def test_root_above_zone_edge_is_alias_inside_zone():
+    # at zeta = 4 every fosls start converges outside the zone; the root
+    # reported is the in-zone alias, whose mirror 2*pi - conj(z) is a root
+    zeta = 4.0
+    st = stencil.extract_stencils("fosls", zeta, normalize=False)
+    res = dispersion.solve_root(st, 0.0, zeta)
+    assert 0.0 < res.z.real <= np.pi
+    assert res.det_abs <= 1e-10 * res.scale
+    sym = dispersion.SymbolMatrix(st, 0.0)
+    assert abs(sym.det(2 * np.pi - res.z.conjugate())) <= 1e-10 * res.scale
+
+
 def test_symbol_derivative_matches_finite_difference():
     st = stencil.extract_stencils("dpg", 0.8, 0.5, 2, normalize=False)
     sym = dispersion.SymbolMatrix(st, 0.35)
@@ -96,11 +134,13 @@ def test_normalization_leaves_root_invariant():
 
 
 def test_branch_ambiguity_warns():
-    weights = {(VERTEX, VERTEX): {(0, 0): 0.0, (2, 0): 1.0, (-2, 0): 1.0}}
-    st = StencilSet("custom", np.pi, None, None, (VERTEX,), weights)
+    # symbol 2 cos(2z): roots pi/4 and 3*pi/4 inside the zone, equidistant
+    # from zeta = pi/2
+    weights = {(VERTEX, VERTEX): {(0, 0): 0.0, (4, 0): 1.0, (-4, 0): 1.0}}
+    st = StencilSet("custom", np.pi / 2, None, None, (VERTEX,), weights)
     with pytest.warns(BranchAmbiguity):
-        res = dispersion.solve_root(st, 0.0, np.pi)
-    assert min(abs(res.z - np.pi / 2), abs(res.z - 3 * np.pi / 2)) < 1e-10
+        res = dispersion.solve_root(st, 0.0, np.pi / 2)
+    assert min(abs(res.z - np.pi / 4), abs(res.z - 3 * np.pi / 4)) < 1e-10
 
 
 def test_no_root_found():

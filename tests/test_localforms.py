@@ -1,11 +1,14 @@
 """Tests for element matrices: DPG, condensation, and the two baselines."""
 
+import time
+
 import numpy as np
 import pytest
 
+from helmdpg import dispersion, stencil
 from helmdpg import localforms as lf
 from helmdpg import numkit, refelem
-from helmdpg.errors import DimensionMismatch, InteriorBlockSingular
+from helmdpg.errors import DimensionMismatch, InteriorBlockSingular, OutsideEnvelope
 from helmdpg.localforms import NormalizedParams
 from helmdpg.numkit import Precision, as_complex128, working_context
 
@@ -275,3 +278,55 @@ def test_element_kit_cached_and_downcast():
     assert k1 is k2
     assert k1.S.dtype == complex and k1.S.shape == (8, 8)
     assert k1.xh.shape == (11, 21)
+
+
+# ------------------------------------------------------- kit against 30 digits
+
+KIT_GRID = [
+    (r, omega_n, eps_n)
+    for r in (2, 3)
+    for omega_n in (np.pi / 4, 2 * np.pi / 64)
+    for eps_n in (1e-2, 1e-4, 1e-6, 0.0)
+] + [(4, np.pi / 4, 1e-6)]
+
+#: the grid points whose Gram condition estimate exceeds the double limit
+KIT_EXTENDED = {(3, 2 * np.pi / 64, 0.0)}
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("r,omega_n,eps_n", KIT_GRID)
+def test_element_kit_matches_30_digit_element(r, omega_n, eps_n):
+    kit = lf.element_kit(NormalizedParams(omega_n, eps_n, r))
+    extended = (r, omega_n, eps_n) in KIT_EXTENDED
+    assert kit.precision_used.is_extended == extended
+    assert (kit.cond > lf.DOUBLE_COND_LIMIT) == extended
+    ref = lf.dpg_element(NormalizedParams(omega_n, eps_n, r, precision=EXT30))
+    assert _rel(kit.B, as_complex128(ref.B)) <= 1e-10
+    assert _rel(kit.S, lf.condense(ref.B, EXT30).S) <= 1e-10
+    assert _rel(kit.xh, as_complex128(ref.X).conj().T) <= 1e-10
+
+
+def test_element_kit_sweep_roots_match_30_digit_kits():
+    zeta = 2 * np.pi / 8
+    roots = [
+        dispersion.theta_sweep(
+            stencil.extract_stencils("dpg", zeta, 1e-6, 3, precision=prec, normalize=False),
+            13,
+        ).z
+        for prec in (None, EXT30)
+    ]
+    assert np.max(np.abs(roots[0] - roots[1])) <= 1e-10
+
+
+def test_element_kit_rejects_outside_envelope():
+    # the 30-digit route spends seconds here before a pivot fails; the
+    # envelope check must answer first.  The eps_n = 1e-2 element loads the
+    # r = 5 tables and LAPACK code once, so the timing sees only the check.
+    assert not lf.element_kit(NormalizedParams(2 * np.pi / 64, 1e-2, 5)).precision_used.is_extended
+    t0 = time.perf_counter()
+    with pytest.raises(OutsideEnvelope, match="exceeds 1e"):
+        lf.element_kit(NormalizedParams(2 * np.pi / 64, 0.0, 5))
+    assert time.perf_counter() - t0 < 1.0
