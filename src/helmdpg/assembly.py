@@ -1,27 +1,29 @@
 """Global solves on uniform square meshes of the unit square.
 
 Every element contributes the same condensed matrix, scaled by the mesh
-size, so global assembly is a scatter of one dense block over a frozen
-lattice numbering: vertices first, then horizontal-edge midpoints, then
-vertical-edge midpoints.  Dirichlet data constrains boundary vertex values
-only; edge fluxes stay unknowns everywhere.  After the trace solve the
-element interiors are recovered from the stored Schur data, and errors are
-measured by quadrature against a supplied exact solution.
+size, so global assembly is a scatter of one dense block over the lattice
+numbering of :func:`helmdpg.stencil.lattice`, the one numbering the
+stencil patches use too: vertices first, then horizontal-edge midpoints,
+then vertical-edge midpoints.  Its ``(n*n, 8)`` element table drives
+assembly, the load scatter and the recovery as array operations.
+Dirichlet data constrains boundary vertex values only; edge fluxes stay
+unknowns everywhere.  After the trace solve the element interiors are
+recovered from the stored Schur data, and errors are measured by
+quadrature against a supplied exact solution.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import localforms, refelem
-from .dispersion import worker_count
+from . import localforms, refelem, stencil
 from .errors import BCInconsistent, MeshTooSmall, SolveFailure
 from .localforms import NormalizedParams
 from .numkit import DOUBLE, Precision, tensor_rule
@@ -67,37 +69,21 @@ class Mesh:
     def n_dofs(self) -> int:
         return self.n_vertices + self.n_hedges + self.n_vedges
 
+    @cached_property
+    def dofs(self) -> np.ndarray:
+        """Trace DOFs of element e = ey*n + ex in row e, condensed order."""
+        return stencil.lattice(self.n)[1]
+
     def vertex_id(self, i: int, j: int) -> int:
         return j * (self.n + 1) + i
 
-    def hedge_id(self, i: int, j: int) -> int:
-        return self.n_vertices + j * self.n + i
-
-    def vedge_id(self, i: int, j: int) -> int:
-        return self.n_vertices + self.n_hedges + j * (self.n + 1) + i
-
     def element_trace_dofs(self, ex: int, ey: int) -> list[int]:
         """Global ids of one element's 8 trace DOFs in the condensed order."""
-        return [
-            self.vertex_id(ex, ey),
-            self.vertex_id(ex + 1, ey),
-            self.vertex_id(ex + 1, ey + 1),
-            self.vertex_id(ex, ey + 1),
-            self.hedge_id(ex, ey),
-            self.hedge_id(ex, ey + 1),
-            self.vedge_id(ex, ey),
-            self.vedge_id(ex + 1, ey),
-        ]
+        return self.dofs[ey * self.n + ex].tolist()
 
     def boundary_vertex_ids(self) -> np.ndarray:
-        n = self.n
-        ids = [
-            self.vertex_id(i, j)
-            for j in range(n + 1)
-            for i in range(n + 1)
-            if i == 0 or j == 0 or i == n or j == n
-        ]
-        return np.array(sorted(ids), dtype=int)
+        edge = np.isin(np.arange(self.n + 1), (0, self.n))
+        return np.flatnonzero(edge[:, None] | edge[None, :])
 
     def vertex_coords(self) -> np.ndarray:
         n = self.n
@@ -223,16 +209,24 @@ def homogeneous_dirichlet(mesh: Mesh) -> np.ndarray:
 
 
 def _assemble_global(mesh: Mesh, element: np.ndarray) -> sp.csr_matrix:
-    n = mesh.n
-    dofs = np.empty((n * n, 8), dtype=int)
-    for ey in range(n):
-        for ex in range(n):
-            dofs[ey * n + ex] = mesh.element_trace_dofs(ex, ey)
+    dofs = mesh.dofs
     rows = np.repeat(dofs, 8, axis=1).ravel()
     cols = np.tile(dofs, (1, 8)).ravel()
-    vals = np.tile(element.ravel(), n * n)
+    vals = np.tile(element.ravel(), len(dofs))
     a = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs))
     return a.tocsr()
+
+
+def _scatter(mesh: Mesh, loads: np.ndarray) -> np.ndarray:
+    """Sum the per-element rows of ``loads`` into a global vector.
+
+    ``np.bincount`` adds in element order, as a per-element ``np.add.at``
+    would, on the real and the imaginary parts separately.
+    """
+    idx = mesh.dofs.ravel()
+    b = np.bincount(idx, loads.real.ravel(), mesh.n_dofs).astype(complex)
+    b.imag = np.bincount(idx, loads.imag.ravel(), mesh.n_dofs)
+    return b
 
 
 def _element_quad_points(mesh: Mesh, points: np.ndarray):
@@ -392,26 +386,17 @@ def solve_dpg(
     load_interior = loads[:, :3]
     load_trace = loads[:, 3:] + load_interior @ kit.recovery.conj()
 
-    b = np.zeros(mesh.n_dofs, dtype=complex)
-    n = mesh.n
-    for ey in range(n):
-        for ex in range(n):
-            np.add.at(b, mesh.element_trace_dofs(ex, ey), load_trace[ey * n + ex])
+    b = _scatter(mesh, load_trace)
 
     g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
     x, rel = _constrained_solve(a_glob, b, mesh.boundary_vertex_ids(), g)
 
-    fields = np.empty((n * n, 3), dtype=complex)
-    for ey in range(n):
-        for ex in range(n):
-            e = ey * n + ex
-            x_t = x[mesh.element_trace_dofs(ex, ey)]
-            fields[e] = kit.recovery @ x_t + kit.interior_inv @ load_interior[e] / h**2
+    fields = x[mesh.dofs] @ kit.recovery.T + load_interior @ kit.interior_inv.T / h**2
     e_r = _field_error_constants(mesh, exact, fields)
     a = best_approx_error(mesh, exact)
     ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
     return SolveReport(
-        "dpg", n, omega, eps, r, x, fields, e_r, a, ratio, rel,
+        "dpg", mesh.n, omega, eps, r, x, fields, e_r, a, ratio, rel,
         time.perf_counter() - t0,
     )
 
@@ -444,11 +429,7 @@ def solve_fosls(
         + f2 @ (w[:, None] * elem.a2.T.conj())
         + f3 @ (w[:, None] * elem.a3.T.conj())
     )
-    b = np.zeros(mesh.n_dofs, dtype=complex)
-    n = mesh.n
-    for ey in range(n):
-        for ex in range(n):
-            np.add.at(b, mesh.element_trace_dofs(ex, ey), loads[ey * n + ex])
+    b = _scatter(mesh, loads)
 
     g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
     x, rel = _constrained_solve(a_glob, b, mesh.boundary_vertex_ids(), g)
@@ -457,29 +438,18 @@ def solve_fosls(
     etab = refelem.tabulate_conforming_basis(erule)
     ew = erule.weights
     u1e, u2e, phie = _exact_on_elements(mesh, exact, erule.points)
-    total = 0.0
-    fields = np.empty((n * n, 3), dtype=complex)
-    for ey in range(n):
-        for ex in range(n):
-            e = ey * n + ex
-            xe = x[mesh.element_trace_dofs(ex, ey)]
-            phi_h = xe @ etab.eta
-            u1_h = xe @ etab.vx
-            u2_h = xe @ etab.vy
-            total += np.sum(
-                ew
-                * (
-                    np.abs(u1_h - u1e[e]) ** 2
-                    + np.abs(u2_h - u2e[e]) ** 2
-                    + np.abs(phi_h - phie[e]) ** 2
-                )
-            )
-            fields[e] = [u1_h @ ew, u2_h @ ew, phi_h @ ew]
+    xe = x[mesh.dofs]
+    u1_h, u2_h, phi_h = xe @ etab.vx, xe @ etab.vy, xe @ etab.eta
+    total = np.sum(
+        ew
+        * (np.abs(u1_h - u1e) ** 2 + np.abs(u2_h - u2e) ** 2 + np.abs(phi_h - phie) ** 2)
+    )
+    fields = np.column_stack([u1_h @ ew, u2_h @ ew, phi_h @ ew])
     e_r = float(np.sqrt(total * h**2))
     a = best_approx_error(mesh, exact)
     ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
     return SolveReport(
-        "fosls", n, omega, None, None, x, fields, e_r, a, ratio, rel,
+        "fosls", mesh.n, omega, None, None, x, fields, e_r, a, ratio, rel,
         time.perf_counter() - t0,
     )
 
@@ -525,8 +495,7 @@ def default_resonance_grid(step: float = 0.05) -> np.ndarray:
     return grid[np.abs(grid - RESONANCE_OMEGA) >= 1e-3]
 
 
-def _resonance_row(task) -> ResonanceRow:
-    omega, eps, n, r = task
+def _resonance_row(omega: float, eps: float, n: int, r: int) -> ResonanceRow:
     mesh = build_mesh(n)
     exact = manufactured_solution(omega)
     try:
@@ -549,12 +518,9 @@ def resonance_sweep(
     """
     if omegas is None:
         omegas = default_resonance_grid()
-    tasks = [(float(om), float(eps), n, r) for eps in eps_values for om in omegas]
-    nw = worker_count()
-    if nw > 1:
-        with ProcessPoolExecutor(max_workers=nw) as pool:
-            return list(pool.map(_resonance_row, tasks))
-    return [_resonance_row(t) for t in tasks]
+    return [
+        _resonance_row(float(om), float(eps), n, r) for eps in eps_values for om in omegas
+    ]
 
 
 @dataclass(frozen=True)

@@ -473,8 +473,15 @@ def convergence_study(
     and, for the eps-scaled method, the normalized dissipation eps*h shrink
     with it.  The slope is the least-squares fit of log|z - zeta| against
     log(zeta) restricted to levels 3..7 (the asymptotic range); coarser
-    levels are reported but not fitted.
+    levels are reported but not fitted.  ``levels`` must hold at least two
+    distinct fitted levels, else ValueError is raised before any solve.
     """
+    fitted = set(levels) & set(ConvergenceStudy.FIT_LEVELS)
+    if len(fitted) < 2:
+        raise ValueError(
+            f"levels {tuple(levels)} hold {len(fitted)} of the fitted levels "
+            f"FIT_LEVELS = {ConvergenceStudy.FIT_LEVELS}; the slope needs two"
+        )
     zetas, roots = [], []
     for level in levels:
         h = 2.0 * np.pi / 2.0**level

@@ -22,11 +22,11 @@ of the weighted stack K with ``G = K^H K`` (Golub & Van Loan, Matrix
 Computations, sec. 5.3) and never forms G.  Its route follows the 1-norm
 estimate ``cond(R)^2`` of G's condition: double up to 1e16, the 30-digit
 :func:`dpg_element` above it, and :class:`~helmdpg.errors.OutsideEnvelope`
-above 1e30, raised before any 30-digit work.  ``cond(G)`` does not grow
+above 1e27, raised before any 30-digit work.  ``cond(G)`` does not grow
 like ``1/eps_n^2``: at r = 3, ``omega_n = pi/4`` it levels off at about
 7.2e11 as ``eps_n -> 0``, so ``eps_n = 0`` runs in double there, while
 small ``omega_n`` at ``eps_n = 0`` (r = 3 at ``2*pi/64``: 6.6e22) needs
-30 digits and r = 5 at ``2*pi/64`` (6.6e36) is rejected.  The kernel uses
+30 digits and r = 4 at ``2*pi/64`` (4.9e29) is rejected.  The kernel uses
 ``numpy.linalg`` only: scipy ships its own OpenBLAS thread pool, and on two
 cores a ``scipy.linalg`` kernel made a resonance sweep of 122 n = 16 solves
 take 1.7x the wall time and twice the CPU.
@@ -72,10 +72,11 @@ EXTENDED_EPS_THRESHOLD = 1e-3
 #: (worst 4.3e-11, X^H at r = 4, omega_n = pi/4, eps_n = 1e-6)
 DOUBLE_COND_LIMIT = 1e16
 
-#: Gram condition estimate above which no element is built, 1/u for 30
-#: digits: at r = 4, omega_n = 2*pi/128, eps_n = 0 (estimate 7.9e33) the
-#: 30-digit B differs from a 50-digit one by 4.9e-3
-ENVELOPE_COND_LIMIT = 1e30
+#: Gram condition estimate above which no element is built.  At eps_n = 0
+#: the 30-digit B differs from a 50-digit one by 4.8e-10 at r = 3,
+#: omega_n = 2*pi/128 (estimate 2.55e26, admitted), by 2.5e-6 at r = 4,
+#: 2*pi/64 (4.94e29) and by 4.9e-3 at r = 4, 2*pi/128 (7.9e33)
+ENVELOPE_COND_LIMIT = 1e27
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ On a uniform mesh every element contributes the same condensed matrix, so
 the assembled interface operator acts by convolution on three interleaved
 lattices of unknowns: scalar values at vertices, normal fluxes at
 horizontal-edge midpoints, and normal fluxes at vertical-edge midpoints.
-This module extracts the convolution weights by assembling a small patch
-of elements (large enough that the center rows are complete) and reading
-those rows off, tagged by neighbour type and lattice offset.
+This module owns the numbering of that lattice (:func:`lattice`), which
+the mesh solves in :mod:`helmdpg.assembly` use too.  It extracts the
+convolution weights by assembling a small patch of elements (large enough
+that the center rows are complete) and reading those rows off, tagged by
+neighbour type and lattice offset.
 
 Offsets are stored as integer pairs ``(two_lx, two_ly)`` equal to twice the
 displacement in units of the mesh size, since edge midpoints sit at
@@ -35,6 +37,12 @@ TYPE_NAMES = {VERTEX: "vertex", HEDGE: "hedge", VEDGE: "vedge"}
 DEGENERATE_RTOL = 1e-10
 
 _PATCH = 3  # elements per side; center rows are complete for any 8-dof trace element
+
+# one element's 8 trace slots in the condensed order: vertices counter-
+# clockwise from (ex, ey), bottom and top horizontal edges, left and right
+# vertical edges; their types and doubled offsets from vertex (ex, ey)
+TRACE_TYPES = np.array([VERTEX] * 4 + [HEDGE] * 2 + [VEDGE] * 2)
+TRACE_POS2 = np.array([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 2), (0, 1), (2, 1)])
 
 
 @dataclass(frozen=True)
@@ -80,54 +88,28 @@ class StencilSet:
         return max(vals) if vals else 0.0
 
 
-def _patch_dofs(n: int):
-    """DOF ids, types and doubled positions for an n x n element patch.
+def lattice(n: int):
+    """The trace lattice of an n x n element mesh: ``(ndof, dofs, pos2)``.
 
     Vertices come first, then horizontal-edge midpoints, then vertical-edge
-    midpoints; positions are doubled so they stay integers.
+    midpoints, each numbered row by row.  Row ``e = ey*n + ex`` of the
+    ``(n*n, 8)`` table ``dofs`` holds the element's trace ids in the
+    condensed order, so ``dof_type[dofs] = TRACE_TYPES``;  ``pos2`` gives
+    each id's position doubled so it stays an integer,
+    ``pos2[dofs] = 2*(ex, ey) + TRACE_POS2``.
     """
     nv = (n + 1) * (n + 1)
     nhe = n * (n + 1)
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    def hid(i, j):
-        return nv + j * n + i
-
-    def wid(i, j):
-        return nv + nhe + j * (n + 1) + i
-
-    ndof = nv + nhe + (n + 1) * n
-    dof_type = np.empty(ndof, dtype=int)
+    e = np.arange(n * n)
+    ex, ey = e % n, e // n
+    v = ey * (n + 1) + ex
+    he = nv + ey * n + ex
+    ve = nv + nhe + ey * (n + 1) + ex
+    dofs = np.column_stack([v, v + 1, v + n + 2, v + n + 1, he, he + n, ve, ve + 1])
+    ndof = nv + 2 * nhe
     pos2 = np.empty((ndof, 2), dtype=int)
-    for j in range(n + 1):
-        for i in range(n + 1):
-            dof_type[vid(i, j)] = VERTEX
-            pos2[vid(i, j)] = (2 * i, 2 * j)
-    for j in range(n + 1):
-        for i in range(n):
-            dof_type[hid(i, j)] = HEDGE
-            pos2[hid(i, j)] = (2 * i + 1, 2 * j)
-    for j in range(n):
-        for i in range(n + 1):
-            dof_type[wid(i, j)] = VEDGE
-            pos2[wid(i, j)] = (2 * i, 2 * j + 1)
-    return ndof, dof_type, pos2, vid, hid, wid
-
-
-def element_trace_dofs(vid, hid, wid, ex: int, ey: int) -> list[int]:
-    """Global DOF ids of one element's traces in the condensed ordering."""
-    return [
-        vid(ex, ey),
-        vid(ex + 1, ey),
-        vid(ex + 1, ey + 1),
-        vid(ex, ey + 1),
-        hid(ex, ey),
-        hid(ex, ey + 1),
-        wid(ex, ey),
-        wid(ex + 1, ey),
-    ]
+    pos2[dofs] = 2 * np.column_stack([ex, ey])[:, None, :] + TRACE_POS2
+    return ndof, dofs, pos2
 
 
 def assemble_patch(element: np.ndarray, n: int = _PATCH):
@@ -138,24 +120,20 @@ def assemble_patch(element: np.ndarray, n: int = _PATCH):
     keyed by type.  Works for the 8-dof interface element and, by restricting
     to a 4x4 element, for the vertex-only FEM element.
     """
-    ndof, dof_type, pos2, vid, hid, wid = _patch_dofs(n)
-    vertex_only = element.shape[0] == 4
+    ndof, dofs, pos2 = lattice(n)
+    dof_type = np.empty(ndof, dtype=int)
+    dof_type[dofs] = TRACE_TYPES
+    dofs = dofs[:, : element.shape[0]]
     dtype = object if element.dtype == object else complex
     a = np.zeros((ndof, ndof), dtype=dtype)
     touched = np.zeros((ndof, ndof), dtype=bool)
-    for ey in range(n):
-        for ex in range(n):
-            gd = element_trace_dofs(vid, hid, wid, ex, ey)
-            if vertex_only:
-                gd = gd[:4]
-            idx = np.asarray(gd)
-            a[np.ix_(idx, idx)] += element
-            touched[np.ix_(idx, idx)] = True
-    c = n // 2
-    centers = {VERTEX: vid(c, c)}
-    if not vertex_only:
-        centers[HEDGE] = hid(c, c)
-        centers[VEDGE] = wid(c, c)
+    rows, cols = dofs[:, :, None], dofs[:, None, :]
+    np.add.at(a, (rows, cols), element)
+    touched[rows, cols] = True
+    center = dofs[(n // 2) * (n + 1)]  # row of element (n//2, n//2)
+    centers = {VERTEX: int(center[0])}
+    if len(center) == 8:
+        centers[HEDGE], centers[VEDGE] = int(center[4]), int(center[6])
     return a, touched, dof_type, pos2, centers
 
 

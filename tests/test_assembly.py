@@ -8,7 +8,7 @@ reimplementation, and exactness of boundary traces on imposed vertices.
 import numpy as np
 import pytest
 
-from helmdpg import assembly, localforms
+from helmdpg import assembly, localforms, stencil
 from helmdpg.errors import BCInconsistent, MeshTooSmall
 from helmdpg.numkit import DOUBLE, tensor_rule
 
@@ -38,6 +38,28 @@ def test_element_trace_dofs_frozen():
     m = assembly.build_mesh(2)
     assert m.element_trace_dofs(0, 0) == [0, 1, 4, 3, 9, 11, 15, 16]
     assert m.element_trace_dofs(1, 1) == [4, 5, 8, 7, 12, 14, 19, 20]
+
+
+@pytest.mark.parametrize("method", ["dpg", "fosls"])
+def test_patch_and_mesh_share_one_lattice(method):
+    # the stencil patch and the mesh solve number the same lattice, so one
+    # element assembles to the same matrix on a 3 x 3 patch and a 3 x 3 mesh
+    if method == "dpg":
+        element = localforms.element_kit(localforms.NormalizedParams(0.8, 0.5, 2)).S
+    else:
+        element = localforms.fosls_element(0.9).M
+    patch = stencil.assemble_patch(element, 3)[0]
+    glob = assembly._assemble_global(assembly.build_mesh(3), element).toarray()
+    np.testing.assert_allclose(glob, patch, rtol=0, atol=1e-15 * np.max(np.abs(patch)))
+
+
+def test_lattice_positions_are_vertex_coords():
+    m = assembly.build_mesh(4)
+    ndof, dofs, pos2 = stencil.lattice(4)
+    assert ndof == m.n_dofs
+    np.testing.assert_array_equal(dofs, m.dofs)
+    xy = pos2[dofs[:, :4]] * m.h / 2
+    np.testing.assert_array_equal(xy, m.vertex_coords()[dofs[:, :4]])
 
 
 def test_boundary_vertices():

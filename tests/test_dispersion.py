@@ -182,6 +182,16 @@ def test_convergence_study_fem_slope():
         assert z == pytest.approx(fem_axis_root(zeta), abs=1e-10)
 
 
+@pytest.mark.parametrize("levels", [(1, 2), (2, 3), (3, 3)])
+def test_convergence_study_needs_two_fitted_levels(levels, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before checking the levels")
+
+    monkeypatch.setattr(dispersion, "_method_stencils", no_solve)
+    with pytest.raises(ValueError, match="FIT_LEVELS"):
+        dispersion.convergence_study("fem", levels=levels)
+
+
 def test_band_diagram_fem_cutoff():
     band = dispersion.band_diagram("fem", zeta_max=4.5, zeta_step=0.25)
     below = band.zetas < 3.0

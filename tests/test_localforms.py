@@ -321,6 +321,12 @@ def test_element_kit_sweep_roots_match_30_digit_kits():
     assert np.max(np.abs(roots[0] - roots[1])) <= 1e-10
 
 
+def test_element_kit_rejects_envelope_edge():
+    # estimate 4.9e29: the 30-digit B would differ from a 50-digit one by 2.5e-6
+    with pytest.raises(OutsideEnvelope, match=r"exceeds 1e\+27"):
+        lf.element_kit(NormalizedParams(2 * np.pi / 64, 0.0, 4))
+
+
 def test_element_kit_rejects_outside_envelope():
     # the 30-digit route spends seconds here before a pivot fails; the
     # envelope check must answer first.  The eps_n = 1e-2 element loads the

@@ -68,6 +68,23 @@ def test_support_offsets_geometry():
     assert set(s.weights[(HEDGE, VEDGE)]) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
+def test_lattice_numbering():
+    # vertices, then horizontal-edge midpoints, then vertical-edge
+    # midpoints, each row by row; every id belongs to some element
+    n = 3
+    ndof, dofs, pos2 = stencil.lattice(n)
+    want = (
+        [(2 * i, 2 * j) for j in range(n + 1) for i in range(n + 1)]
+        + [(2 * i + 1, 2 * j) for j in range(n + 1) for i in range(n)]
+        + [(2 * i, 2 * j + 1) for j in range(n) for i in range(n + 1)]
+    )
+    assert [tuple(p) for p in pos2.tolist()] == want
+    assert np.array_equal(np.unique(dofs), np.arange(ndof))
+    # element (1, 2): vertices CCW, bottom/top edges, left/right edges
+    corner = np.array([2, 4])
+    assert np.array_equal(pos2[dofs[2 * n + 1]], corner + stencil.TRACE_POS2)
+
+
 def test_no_coupling_outside_patch_support():
     # Entries of the assembled patch outside the structural support must
     # vanish identically for every center row.
