@@ -199,10 +199,6 @@ def dirichlet_values(mesh: Mesh, exact: ExactSolution) -> np.ndarray:
     return np.asarray(exact.phi(xy[:, 0], xy[:, 1]), dtype=complex)
 
 
-def homogeneous_dirichlet(mesh: Mesh) -> np.ndarray:
-    return np.zeros(len(mesh.boundary_vertex_ids()), dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # global assembly and the constrained solve
 # ---------------------------------------------------------------------------

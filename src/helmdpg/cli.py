@@ -15,8 +15,7 @@ Output is CSV with '#'-prefixed metadata lines (fully determined by the
 configuration, so identical invocations produce byte-identical files).
 Floats are written with repr, the shortest round-trip form.  Options may
 come from a flat key=value file via --config; explicit flags win over the
-file, the file wins over built-in defaults.  HELM_DPG_THREADS caps worker
-processes in eps-r-sweep.
+file, the file wins over built-in defaults.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """

@@ -5,9 +5,10 @@ stencil row into one row of a small symbol matrix F(z), where ``z`` is the
 discrete frequency-step product and the entries are finite exponential sums
 over the lattice offsets.  Nontrivial amplitudes require ``det F(z) = 0``;
 the solver tracks the root nearest the continuous value ``zeta`` with a
-Newton iteration (derivative by the adjugate formula) and a Muller
-fallback, then certifies the result by re-evaluating the determinant and
-the ansatz residual.
+Newton iteration from several starts at once (derivative by the adjugate
+formula, steps capped at a fraction of ``zeta``), then certifies each
+candidate by re-solving in extended precision; the ansatz residual gives an
+independent check.
 
 Roots of conjugate-symmetric stencils come in conjugate pairs; the solver
 reports the representative with nonnegative imaginary part.
@@ -15,9 +16,7 @@ reports the representative with nonnegative imaginary part.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -29,7 +28,7 @@ from .numkit import Precision, adjugate_small, det_small
 from .stencil import StencilSet, extract_stencils
 
 NEWTON_MAX_ITER = 100
-MULLER_MAX_ITER = 80
+STEP_CAP = 0.05  # longest double Newton step, as a fraction of zeta
 ROOT_GTOL = 1e-12
 ROOT_GTOL_FLOOR = 1e-10
 ROOT_ZTOL = 1e-12
@@ -45,68 +44,66 @@ DEFAULT_N_THETA = 181
 
 
 class SymbolMatrix:
-    """F(z) and dF/dz for one stencil set and one propagation direction."""
+    """F(z) and dF/dz for one stencil set and one propagation direction.
+
+    Entry (t, s) of F is the exponential sum ``sum_k c_k exp(i z d_k)`` over
+    the (t, s) stencil offsets, ``d_k`` the offset projected on the
+    direction.  The sums are stored as ``(n, n, K)`` coefficient and
+    projected-offset arrays, padded with zero coefficients to the longest
+    row, so one ``np.exp`` evaluates F at any array of z.
+    """
 
     def __init__(self, stencils: StencilSet, theta: float):
         self.types = stencils.types
         self.theta = float(theta)
         k = np.array([np.cos(theta), np.sin(theta)])
         n = len(self.types)
-        self._dots = [[None] * n for _ in range(n)]
-        self._coefs = [[None] * n for _ in range(n)]
-        self._coefs_exact = [[None] * n for _ in range(n)]
-        for ti, t in enumerate(self.types):
-            for si, s in enumerate(self.types):
-                row = stencils.weights.get((t, s))
-                if not row:
-                    continue
-                offs = np.array(list(row), dtype=float) / 2.0
-                self._dots[ti][si] = offs @ k
-                self._coefs[ti][si] = np.array([row[o] for o in row], dtype=complex)
-                if stencils.exact is not None:
-                    erow = stencils.exact[(t, s)]
-                    self._coefs_exact[ti][si] = [erow[o] for o in row]
+        rows = {
+            (ti, si): stencils.weights.get((t, s)) or {}
+            for ti, t in enumerate(self.types)
+            for si, s in enumerate(self.types)
+        }
+        width = max(len(row) for row in rows.values())
+        self._terms = np.zeros((n, n), dtype=int)
+        self._dots = np.zeros((n, n, width))
+        self._coefs = np.zeros((n, n, width), dtype=complex)
+        self._coefs_exact = None
+        if stencils.exact is not None:
+            self._coefs_exact = np.empty((n, n, width), dtype=object)
+        for (ti, si), row in rows.items():
+            m = self._terms[ti, si] = len(row)
+            if not m:
+                continue
+            self._dots[ti, si, :m] = np.array(list(row), dtype=float) / 2.0 @ k
+            self._coefs[ti, si, :m] = list(row.values())
+            if self._coefs_exact is not None:
+                erow = stencils.exact[(self.types[ti], self.types[si])]
+                self._coefs_exact[ti, si, :m] = [erow[o] for o in row]
+        self._dcoefs = 1j * self._dots * self._coefs
 
-    def value(self, z: complex) -> np.ndarray:
-        n = len(self.types)
-        f = np.zeros((n, n), dtype=complex)
+    def value_and_derivative(self, z):
+        """F(z) and dF/dz, each of shape ``np.shape(z) + (n, n)``."""
+        z = np.asarray(z, dtype=complex)[..., None, None, None]
         # iterates far from the root can push exp(1j*z*dots) past the float
         # range; the callers test for non-finite results, so the overflow
         # itself is expected and the warning suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            for ti in range(n):
-                for si in range(n):
-                    dots = self._dots[ti][si]
-                    if dots is None:
-                        continue
-                    f[ti, si] = self._coefs[ti][si] @ np.exp(1j * z * dots)
-        return f
+            phase = np.exp(1j * z * self._dots)
+            return (self._coefs * phase).sum(-1), (self._dcoefs * phase).sum(-1)
 
-    def value_and_derivative(self, z: complex):
-        n = len(self.types)
-        f = np.zeros((n, n), dtype=complex)
-        df = np.zeros((n, n), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for ti in range(n):
-                for si in range(n):
-                    dots = self._dots[ti][si]
-                    if dots is None:
-                        continue
-                    phase = np.exp(1j * z * dots)
-                    f[ti, si] = self._coefs[ti][si] @ phase
-                    df[ti, si] = self._coefs[ti][si] @ (1j * dots * phase)
-        return f, df
+    def value(self, z) -> np.ndarray:
+        return self.value_and_derivative(z)[0]
 
-    def det(self, z: complex) -> complex:
+    def det(self, z):
         with np.errstate(over="ignore", invalid="ignore"):
             return det_small(self.value(z))
 
-    def det_and_derivative(self, z: complex):
+    def det_and_derivative(self, z):
+        """det F(z) and its z-derivative (Jacobi's formula), for any array z."""
         with np.errstate(over="ignore", invalid="ignore"):
             f, df = self.value_and_derivative(z)
-            g = det_small(f)
-            gp = np.trace(adjugate_small(f) @ df)
-            return g, gp
+            gp = np.trace(adjugate_small(f) @ df, axis1=-2, axis2=-1)
+            return det_small(f), gp
 
     def det_and_derivative_exact(self, z):
         """det F and d(det F)/dz in the ambient mpmath precision.
@@ -123,17 +120,14 @@ class SymbolMatrix:
         iz = mp.mpc(0, 1) * z
         for ti in range(n):
             for si in range(n):
-                dots = self._dots[ti][si]
-                if dots is None:
-                    f[ti, si] = mp.mpc(0)
-                    df[ti, si] = mp.mpc(0)
-                    continue
-                coefs = self._coefs_exact[ti][si]
-                if coefs is None:
-                    coefs = [mp.mpc(complex(c)) for c in self._coefs[ti][si]]
+                m = self._terms[ti, si]
+                if self._coefs_exact is not None:
+                    coefs = self._coefs_exact[ti, si, :m]
+                else:
+                    coefs = [mp.mpc(complex(c)) for c in self._coefs[ti, si, :m]]
                 acc = mp.mpc(0)
                 dacc = mp.mpc(0)
-                for c, d in zip(coefs, dots):
+                for c, d in zip(coefs, self._dots[ti, si, :m]):
                     dm = mp.mpf(float(d))
                     term = c * mp.exp(iz * dm)
                     acc += term
@@ -158,35 +152,52 @@ class RootResult:
     scale: float
 
 
-def _newton(sym: SymbolMatrix, z0: complex, scale: float):
-    """Newton iteration on det F with a noise-floor fallback.
+def _newton(sym: SymbolMatrix, starts, scale: float, cap: float):
+    """Newton iteration on det F from every start at once.
 
-    Simple roots satisfy the strict test (determinant below 1e-12 of the
-    multistart scale with a stagnant step).  Nearly double roots, which the
-    weakly dissipative methods produce, bottom out on the rounding floor of
-    the determinant evaluation instead; the best visited point is then
+    Each start runs its own iteration; one batched symbol evaluation serves
+    all starts still active.  A step longer than ``cap`` is shortened to
+    ``cap`` along its direction: where d(det F)/dz nearly vanishes the full
+    step would throw the start far from the region the starts cover, onto
+    another branch or an alias.  Simple roots
+    satisfy the strict test (determinant below 1e-12 of the multistart
+    scale with a stagnant step).  Nearly double roots, which the weakly
+    dissipative methods produce, bottom out on the rounding floor of the
+    determinant evaluation instead; the best visited point is then
     accepted when its determinant still clears the certificate level
-    ROOT_GTOL_FLOOR * scale.
+    ROOT_GTOL_FLOOR * scale.  Returns ``(z, iters, ok)`` arrays, one entry
+    per start; ``ok`` marks the starts that passed either test.
     """
-    gtol = ROOT_GTOL * scale
-    floor_tol = ROOT_GTOL_FLOOR * scale
-    z = complex(z0)
-    prev_dz = np.inf
-    best_g, best_z = np.inf, None
+    z = np.array(starts, dtype=complex).ravel()
+    best_z = z.copy()
+    best_g = np.full(z.shape, np.inf)
+    prev_dz = np.full(z.shape, np.inf)
+    iters = np.full(z.shape, NEWTON_MAX_ITER)
+    strict = np.zeros(z.shape, dtype=bool)
+    active = np.arange(z.size)
     for it in range(NEWTON_MAX_ITER):
-        g, gp = sym.det_and_derivative(z)
-        if abs(g) < best_g:
-            best_g, best_z = abs(g), z
-        if abs(g) <= gtol and prev_dz <= ROOT_ZTOL * max(1.0, abs(z)):
-            return z, it
-        if gp == 0 or not np.isfinite(gp) or not np.isfinite(g):
+        if not active.size:
             break
-        dz = -g / gp
-        z = z + dz
-        prev_dz = abs(dz)
-    if best_z is not None and best_g <= floor_tol:
-        return best_z, NEWTON_MAX_ITER
-    return None, NEWTON_MAX_ITER
+        za = z[active]
+        g, gp = sym.det_and_derivative(za)
+        ag = np.abs(g)
+        better = ag < best_g[active]
+        best_g[active[better]] = ag[better]
+        best_z[active[better]] = za[better]
+        conv = (ag <= ROOT_GTOL * scale) & (
+            prev_dz[active] <= ROOT_ZTOL * np.maximum(1.0, np.abs(za))
+        )
+        strict[active[conv]] = True
+        iters[active[conv]] = it
+        go = ~conv & (gp != 0) & np.isfinite(gp) & np.isfinite(g)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            dz = -g[go] / gp[go]
+            dz *= np.minimum(1.0, cap / np.abs(dz))
+        active = active[go]
+        z[active] += dz
+        prev_dz[active] = np.abs(dz)
+    ok = strict | (best_g <= ROOT_GTOL_FLOOR * scale)
+    return np.where(strict, z, best_z), iters, ok
 
 
 def _polish(sym: SymbolMatrix, z0: complex):
@@ -214,30 +225,33 @@ def _polish(sym: SymbolMatrix, z0: complex):
     return None, POLISH_MAX_ITER, None
 
 
-def _muller(sym: SymbolMatrix, z0: complex, gtol: float):
-    d = 1e-3 * max(1.0, abs(z0))
-    za, zb, zc = z0 - d, z0 + d, complex(z0)
-    fa, fb, fc = sym.det(za), sym.det(zb), sym.det(zc)
-    for it in range(MULLER_MAX_ITER):
-        if zc == zb or zb == za:
-            return None, it
-        q = (zc - zb) / (zb - za)
-        a = q * fc - q * (1 + q) * fb + q * q * fa
-        b = (2 * q + 1) * fc - (1 + q) ** 2 * fb + q * q * fa
-        c = (1 + q) * fc
-        disc = np.sqrt(b * b - 4 * a * c)
-        den1, den2 = b + disc, b - disc
-        den = den1 if abs(den1) >= abs(den2) else den2
-        if den == 0:
-            return None, it
-        dz = -(zc - zb) * 2 * c / den
-        zn = zc + dz
-        fn = sym.det(zn)
-        if abs(fn) <= gtol and abs(dz) <= ROOT_ZTOL * max(1.0, abs(zn)):
-            return zn, it
-        za, zb, zc = zb, zc, zn
-        fa, fb, fc = fb, fc, fn
-    return None, MULLER_MAX_ITER
+def _distinct(zs) -> list[int]:
+    """Indices of the first of each group of roots equal to DEDUP_TOL."""
+    keep: list[int] = []
+    for i, z in enumerate(zs):
+        if all(abs(z - zs[j]) > DEDUP_TOL * max(1.0, abs(z)) for j in keep):
+            keep.append(i)
+    return keep
+
+
+def _certify(sym: SymbolMatrix, zs, iters, in_zone):
+    """Polish each distinct candidate; keep the confirmed ones in the zone.
+
+    A candidate the extended polish does not confirm is dropped: the double
+    determinant near a nearly double root is rounding noise, so the double
+    tests alone certify nothing there.  Confirmed roots are folded to
+    Im z >= 0, which is exact because the weights pair Hermitianly.
+    Returns rows ``(z, iters, |det F(z)|)``.
+    """
+    rows = []
+    for i in _distinct(zs):
+        zp, itp, g = _polish(sym, zs[i])
+        if zp is None:
+            continue
+        zp = zp if zp.imag >= 0 else zp.conjugate()
+        if in_zone(zp):
+            rows.append((zp, int(iters[i]) + itp, g))
+    return [rows[i] for i in _distinct([row[0] for row in rows])]
 
 
 def solve_root(
@@ -248,99 +262,63 @@ def solve_root(
 ) -> RootResult:
     """Locate the dispersion root nearest ``zeta`` for direction ``theta``.
 
-    Multistart Newton (with a Muller fallback per start) produces candidate
-    roots; candidates are folded to nonnegative imaginary part,
-    deduplicated, restricted to the first Brillouin zone (Re z > 0 and
-    max(|Re z cos theta|, |Re z sin theta|) <= pi, to BRILLOUIN_TOL), and
-    the one closest to ``zeta`` wins.  det F is unchanged by a lattice
-    shift k -> k + 2*pi*(m, n) of the wave vector, so a root outside the
-    zone is an alias: for the bilinear fem at pi < zeta < sqrt(12) the
-    alias 2*pi - z lies nearer zeta than the root z.  When every candidate
-    lies outside the zone (zeta well above pi), Newton restarts from each
-    one mirrored about the zone edge along the ray.  Every surviving
-    candidate is re-polished with the determinant evaluated in extended
-    precision, which recovers the root position lost to rounding in the
-    nearly-double-root regime of the weakly dissipative methods and costs
-    two evaluations when the double result was already converged.  A second admissible root at nearly the
-    same distance triggers a BranchAmbiguity warning.  Raises NoRootFound
-    if every start fails in both arithmetics.
+    A batched Newton from all starts at once produces candidate roots;
+    candidates are folded to nonnegative imaginary part, restricted to the
+    first Brillouin zone (Re z > 0 and max(|Re z cos theta|,
+    |Re z sin theta|) <= pi, to BRILLOUIN_TOL) and deduplicated.  det F is
+    unchanged by a lattice shift k -> k + 2*pi*(m, n) of the wave vector,
+    so a root outside the zone is an alias: for the bilinear fem at
+    pi < zeta < sqrt(12) the alias 2*pi - z lies nearer zeta than the root
+    z.  When every candidate lies outside the zone (zeta well above pi),
+    Newton restarts from each one mirrored about the zone edge along the
+    ray.  The certificate is the extended polish: every candidate is
+    re-solved with the determinant evaluated in extended precision, which
+    recovers the root position lost to rounding in the nearly-double-root
+    regime of the weakly dissipative methods and costs two evaluations
+    when the double result was already converged; candidates it does not
+    confirm are dropped, and when none is confirmed the polish runs from
+    the starts themselves.  The confirmed root closest to ``zeta`` wins,
+    and a second one at nearly the same distance triggers a
+    BranchAmbiguity warning.  Raises NoRootFound if no root is confirmed
+    in the zone.
     """
     if not zeta > 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
     sym = SymbolMatrix(stencils, theta)
-    starts = [
-        complex(zeta),
-        complex(1.1 * zeta),
-        complex(0.9 * zeta),
-        zeta * (1 + 0.1j),
-        zeta * (1 - 0.1j),
-        complex(1.2 * zeta),
-        complex(0.8 * zeta),
-    ]
+    starts = zeta * np.array([1, 1.1, 0.9, 1 + 0.1j, 1 - 0.1j, 1.2, 0.8])
     if init is not None:
-        starts.insert(0, complex(init))
-    scale = max(abs(sym.det(p)) for p in starts)
-    if scale == 0.0:
-        scale = 1.0
-    found = []
-    for p in starts:
-        z, it = _newton(sym, p, scale)
-        if z is None:
-            z, it2 = _muller(sym, p, ROOT_GTOL * scale)
-            it += it2
-        if z is None:
-            continue
-        if z.imag < 0:
-            zf, itf = _newton(sym, z.conjugate(), scale)
-            if zf is not None:
-                z, it = zf, it + itf
-        found.append((z, it))
-    if not found:
-        for p in starts:
-            z, it, _ = _polish(sym, p)
-            if z is not None:
-                found.append((z, it))
+        starts = np.insert(starts, 0, init)
+    scale = float(np.max(np.abs(sym.det(starts)))) or 1.0
+    cap = STEP_CAP * zeta
     edge = np.pi / max(abs(np.cos(theta)), abs(np.sin(theta)))
 
     def in_zone(z):
-        return ADMISSIBLE_LO < z.real <= edge + BRILLOUIN_TOL
+        return (ADMISSIBLE_LO < z.real) & (z.real <= edge + BRILLOUIN_TOL)
 
-    admissible = [(z, it) for z, it in found if in_zone(z)]
-    if not admissible:
+    z, iters, ok = _newton(sym, starts, scale, cap)
+    z, iters = z[ok], iters[ok]
+    neg = np.flatnonzero(z.imag < 0)
+    zf, itf, okf = _newton(sym, z[neg].conj(), scale, cap)
+    z[neg[okf]] = zf[okf]
+    iters[neg[okf]] += itf[okf]
+    if not in_zone(z).any():
         # on the axes and diagonals the mirror image 2*edge - conj(z) is
         # itself a root, the alias of z; elsewhere it is a start in the zone
-        for z, it in found:
-            zm, itm = _newton(sym, complex(2 * edge - z.real, abs(z.imag)), scale)
-            if zm is not None and in_zone(zm):
-                admissible.append((zm if zm.imag >= 0 else zm.conjugate(), it + itm))
-    if not admissible:
+        zm, itm, okm = _newton(sym, 2 * edge - z.real + 1j * np.abs(z.imag), scale, cap)
+        z = np.where(zm.imag >= 0, zm, zm.conj())[okm]
+        iters = (iters + itm)[okm]
+    # near a double root the double-precision determinant bottoms out in
+    # cancellation noise, so a candidate can pass the float64 tests while
+    # sitting ~sqrt(noise) away from the truth, or be no root at all
+    keep = in_zone(z)
+    final = _certify(sym, z[keep], iters[keep], in_zone)
+    if not final:
+        final = _certify(sym, starts, np.zeros(starts.size, dtype=int), in_zone)
+    if not final:
         raise NoRootFound(
             f"no admissible dispersion root near zeta={zeta!r} for "
             f"theta={theta!r} ({stencils.method})"
         )
-    dedup: list[tuple[complex, int]] = []
-    for z, it in admissible:
-        if all(abs(z - w) > DEDUP_TOL * max(1.0, abs(z)) for w, _ in dedup):
-            dedup.append((z, it))
-    # near a double root the double-precision determinant bottoms out in
-    # cancellation noise, so a candidate can pass the float64 tests while
-    # sitting ~sqrt(noise) away from the truth; pin every candidate in
-    # extended arithmetic (weights held fixed), folding to Im >= 0, which
-    # is exact because the weights pair Hermitianly; for simple roots the
-    # first extended step is already below tolerance and this is cheap
-    certified = []
-    for z, it in dedup:
-        zp, itp, gp = _polish(sym, z)
-        if zp is None:
-            certified.append((z, it, abs(sym.det(z))))
-        else:
-            if zp.imag < 0:
-                zp = zp.conjugate()
-            certified.append((zp, it + itp, gp))
-    final: list[tuple[complex, int, float]] = []
-    for z, it, g in certified:
-        if all(abs(z - w) > DEDUP_TOL * max(1.0, abs(z)) for w, _, _ in final):
-            final.append((z, it, g))
     final.sort(key=lambda row: abs(row[0] - zeta))
     best, iters, det_abs = final[0]
     if len(final) > 1:
@@ -554,19 +532,10 @@ class SweepRow:
     theta_rho: float
 
 
-def _sweep_row(task) -> SweepRow:
-    method, r, eps_n, zeta, n_theta, precision = task
+def _sweep_row(method, r, eps_n, zeta, n_theta, precision) -> SweepRow:
     st = _method_stencils(method, zeta, eps_n, r, precision)
     sweep = theta_sweep(st, n_theta)
     return SweepRow(method, r, eps_n, zeta, sweep.rho, sweep.eta, sweep.theta_rho)
-
-
-def worker_count() -> int:
-    """Process count for sweeps, capped by the HELM_DPG_THREADS variable."""
-    try:
-        return max(1, int(os.environ.get("HELM_DPG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def epsilon_r_sweep(
@@ -578,15 +547,11 @@ def epsilon_r_sweep(
     precision: Precision | None = None,
 ) -> list[SweepRow]:
     """Worst-direction phase and dissipation errors across eps and order."""
-    tasks = []
-    for r in r_values:
-        for eps_n in eps_values:
-            tasks.append(("dpg", r, eps_n, zeta, n_theta, precision))
+    rows = [
+        _sweep_row("dpg", r, eps_n, zeta, n_theta, precision)
+        for r in r_values
+        for eps_n in eps_values
+    ]
     if include_baselines:
-        tasks.append(("fem", None, None, zeta, n_theta, None))
-        tasks.append(("fosls", None, None, zeta, n_theta, None))
-    nw = worker_count()
-    if nw > 1:
-        with ProcessPoolExecutor(max_workers=nw) as pool:
-            return list(pool.map(_sweep_row, tasks))
-    return [_sweep_row(t) for t in tasks]
+        rows += [_sweep_row(m, None, None, zeta, n_theta, None) for m in ("fem", "fosls")]
+    return rows

@@ -125,12 +125,6 @@ def as_complex128(a: np.ndarray) -> np.ndarray:
     return arr.astype(complex)
 
 
-def _sqrt(x, precision: Precision):
-    if precision.is_extended:
-        return mp.sqrt(x)
-    return math.sqrt(x)
-
-
 def _real_part(x):
     # works for float, complex, mpf, mpc
     return x.real if hasattr(x, "real") else x
@@ -344,50 +338,58 @@ def hermitian_solve(
     return x, cond
 
 
+def _require_small(f: np.ndarray, name: str) -> int:
+    if f.ndim < 2 or f.shape[-1] != f.shape[-2] or not 1 <= f.shape[-1] <= 3:
+        raise DimensionMismatch(
+            f"{name} handles (stacks of) square matrices up to 3x3, got {f.shape}"
+        )
+    return f.shape[-1]
+
+
 def det_small(f: np.ndarray):
-    """Determinant by cofactor expansion; matrices up to 3x3 only."""
+    """Determinant by cofactor expansion of an (..., n, n) stack, n <= 3.
+
+    Works elementwise over the leading axes, in either representation; a
+    single matrix gives a scalar.
+    """
     f = np.asarray(f)
-    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] > 3 or f.shape[0] < 1:
-        raise DimensionMismatch(f"det_small handles square matrices up to 3x3, got {f.shape}")
-    n = f.shape[0]
+    n = _require_small(f, "det_small")
     if n == 1:
-        return f[0, 0]
+        return f[..., 0, 0][()]
     if n == 2:
-        return f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
+        return f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0]
     return (
-        f[0, 0] * (f[1, 1] * f[2, 2] - f[1, 2] * f[2, 1])
-        - f[0, 1] * (f[1, 0] * f[2, 2] - f[1, 2] * f[2, 0])
-        + f[0, 2] * (f[1, 0] * f[2, 1] - f[1, 1] * f[2, 0])
+        f[..., 0, 0] * (f[..., 1, 1] * f[..., 2, 2] - f[..., 1, 2] * f[..., 2, 1])
+        - f[..., 0, 1] * (f[..., 1, 0] * f[..., 2, 2] - f[..., 1, 2] * f[..., 2, 0])
+        + f[..., 0, 2] * (f[..., 1, 0] * f[..., 2, 1] - f[..., 1, 1] * f[..., 2, 0])
     )
 
 
+# row/column i of a 3x3 cofactor uses rows/columns i+1 and i+2 (mod 3), an
+# ordering that carries the checkerboard sign
+_NEXT = np.array([1, 2, 0])
+_AFTER = np.array([2, 0, 1])
+
+
 def adjugate_small(f: np.ndarray) -> np.ndarray:
-    """Adjugate (transposed cofactor matrix) for matrices up to 3x3.
+    """Adjugate (transposed cofactor matrix) of an (..., n, n) stack, n <= 3.
 
     Satisfies adj(F) @ F = det(F) * I; used for the analytic derivative of
     det F via Jacobi's formula d(det F) = tr(adj(F) dF).
     """
     f = np.asarray(f)
-    n = f.shape[0]
+    n = _require_small(f, "adjugate_small")
     if n == 1:
-        out = f.copy()
-        out[0, 0] = f[0, 0] * 0 + 1
-        return out
+        return f * 0 + 1
     if n == 2:
-        out = f.copy()
-        out[0, 0], out[1, 1] = f[1, 1], f[0, 0]
-        out[0, 1], out[1, 0] = -f[0, 1], -f[1, 0]
+        out = np.empty_like(f)
+        out[..., 0, 0], out[..., 1, 1] = f[..., 1, 1], f[..., 0, 0]
+        out[..., 0, 1], out[..., 1, 0] = -f[..., 0, 1], -f[..., 1, 0]
         return out
-    if n == 3:
-        out = f.copy()
-        for i in range(3):
-            for j in range(3):
-                r = [k for k in range(3) if k != j]
-                c = [k for k in range(3) if k != i]
-                minor = f[r[0], c[0]] * f[r[1], c[1]] - f[r[0], c[1]] * f[r[1], c[0]]
-                out[i, j] = minor if (i + j) % 2 == 0 else -minor
-        return out
-    raise DimensionMismatch(f"adjugate_small handles up to 3x3, got {f.shape}")
+    a, b = _NEXT[:, None], _AFTER[:, None]
+    ta, tb = _NEXT[None, :], _AFTER[None, :]
+    cof = f[..., a, ta] * f[..., b, tb] - f[..., a, tb] * f[..., b, ta]
+    return np.swapaxes(cof, -1, -2)
 
 
 def min_eigenvalue_bound(h: np.ndarray, precision: Precision = DOUBLE) -> float:

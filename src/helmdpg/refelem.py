@@ -302,10 +302,6 @@ def tabulate_conforming_basis(rule: QuadratureRule) -> ConformingTabulation:
     return ConformingTabulation(rule, vx, vy, eta, eta_x, eta_y, div)
 
 
-def conforming_dim() -> int:
-    return 8
-
-
 def default_rule(r: int, precision: Precision = DOUBLE) -> QuadratureRule:
     """The (r+2)-point-per-direction tensor rule used for element forms."""
     from .numkit import tensor_rule

@@ -91,12 +91,22 @@ def test_root_above_zone_edge_is_alias_inside_zone():
 def test_symbol_derivative_matches_finite_difference():
     st = stencil.extract_stencils("dpg", 0.8, 0.5, 2, normalize=False)
     sym = dispersion.SymbolMatrix(st, 0.35)
-    for z in (0.8 + 0.0j, 0.7 + 0.05j, 1.1 - 0.02j):
+    zs = np.array([0.8 + 0.0j, 0.7 + 0.05j, 1.1 - 0.02j])
+    for z in zs:
         g, gp = sym.det_and_derivative(z)
         assert g == pytest.approx(sym.det(z), rel=1e-13)
         d = 1e-6
         fd = (sym.det(z + d) - sym.det(z - d)) / (2 * d)
         assert gp == pytest.approx(fd, rel=2e-6)
+    # one batched evaluation gives every point's scalar result
+    g, gp = sym.det_and_derivative(zs)
+    f, df = sym.value_and_derivative(zs)
+    assert g.shape == gp.shape == (3,) and f.shape == df.shape == (3, 3, 3)
+    for i, z in enumerate(zs):
+        assert g[i] == sym.det_and_derivative(z)[0]
+        assert gp[i] == sym.det_and_derivative(z)[1]
+        assert g[i] == sym.det(z) == sym.det(zs)[i]
+        assert np.array_equal(f[i], sym.value(z))
 
 
 def test_theta_reflection_symmetry():
@@ -210,6 +220,27 @@ def test_dpg_limit_small_frequency_consistency():
     assert res.det_abs <= 1e-10 * res.scale
 
 
+def test_polish_rejects_double_stage_non_root(monkeypatch):
+    # at eps_n = 0, zeta = 2*pi/128 (the last eps = 0 level of test_06) the
+    # double determinant is rounding noise over a wide valley, so a point
+    # that is no root can pass the double tests; make the double stage
+    # accept one and check that the extended polish, which rejects it,
+    # decides what is reported
+    zeta = 2 * np.pi / 128
+    non_root = 0.04908730300843669
+    st = stencil.extract_stencils("dpg", zeta, 0.0, 3, normalize=False)
+    exact = dispersion.SymbolMatrix.det_and_derivative
+
+    def noisy(self, z):
+        g, gp = exact(self, z)
+        return np.where(z == non_root, 0.0, g), gp
+
+    monkeypatch.setattr(dispersion.SymbolMatrix, "det_and_derivative", noisy)
+    res = dispersion.solve_root(st, 0.0, zeta, init=non_root)
+    assert res.z == pytest.approx(0.04908492133934228 + 3.5919e-8j, rel=1e-10)
+    assert res.z.imag == pytest.approx(3.5919e-8, rel=1e-4)
+
+
 def test_dpg_small_eps_strict_certificate():
     zeta = 2 * np.pi / 16
     st = stencil.extract_stencils("dpg", zeta, 1e-6, 3, normalize=False)
@@ -231,12 +262,3 @@ def test_epsilon_r_sweep_smoke():
         assert row.zeta == pytest.approx(np.pi / 4)
         assert np.isfinite(row.rho) and np.isfinite(row.eta)
         assert row.eta >= 0
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("HELM_DPG_THREADS", raising=False)
-    assert dispersion.worker_count() == 1
-    monkeypatch.setenv("HELM_DPG_THREADS", "4")
-    assert dispersion.worker_count() == 4
-    monkeypatch.setenv("HELM_DPG_THREADS", "junk")
-    assert dispersion.worker_count() == 1

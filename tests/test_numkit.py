@@ -149,10 +149,29 @@ def test_hermitian_solve_shape_check():
 # ------------------------------------------------------------------- determinants
 
 
+def _stacked_3x3(k, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3))
+    obj = np.empty(f.shape, dtype=object)
+    for idx in np.ndindex(f.shape):
+        obj[idx] = mp.mpc(f[idx].real, f[idx].imag)
+    return f, obj
+
+
 def test_det_small_closed_forms():
     f2 = np.array([[1 + 1j, 2.0], [3.0, 4 - 1j]])
     assert numkit.det_small(f2) == (1 + 1j) * (4 - 1j) - 6.0
     assert numkit.det_small(np.array([[5.0 + 0j]])) == 5.0 + 0j
+    # a (k, 3, 3) stack gives each matrix's determinant, in either dtype
+    f, obj = _stacked_3x3(4, 7)
+    dets = numkit.det_small(f)
+    exact = numkit.det_small(obj)
+    assert dets.shape == exact.shape == (4,)
+    for i in range(4):
+        assert dets[i] == pytest.approx(np.linalg.det(f[i]), abs=1e-12)
+        assert exact[i] == numkit.det_small(obj[i])
+        assert isinstance(exact[i], mp.mpc)
+        assert complex(exact[i]) == pytest.approx(dets[i], abs=1e-14)
 
 
 def test_det3_matches_lu_determinant():
@@ -175,6 +194,18 @@ def test_adjugate_identity():
     adj = numkit.adjugate_small(f)
     det = numkit.det_small(f)
     assert np.allclose(adj @ f, det * np.eye(3), atol=1e-12 * abs(det))
+    # stacked input, complex and object dtype: adj(F) F = det(F) I per matrix
+    f, obj = _stacked_3x3(5, 3)
+    adj, dets = numkit.adjugate_small(f), numkit.det_small(f)
+    assert adj.shape == (5, 3, 3)
+    for i in range(5):
+        assert np.allclose(adj[i] @ f[i], dets[i] * np.eye(3), atol=1e-12 * abs(dets[i]))
+        assert np.array_equal(adj[i], numkit.adjugate_small(f[i]))
+    adj_exact = numkit.adjugate_small(obj)
+    assert adj_exact.dtype == object and adj_exact.shape == (5, 3, 3)
+    for i in range(5):
+        resid = adj_exact[i] @ obj[i] - numkit.det_small(obj[i]) * np.eye(3)
+        assert max(abs(v) for v in resid.ravel()) <= 1e-12 * abs(dets[i])
 
 
 # ------------------------------------------------------------ min_eigenvalue_bound
