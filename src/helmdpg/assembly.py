@@ -7,7 +7,10 @@ stencil patches use too: vertices first, then horizontal-edge midpoints,
 then vertical-edge midpoints.  Its ``(n*n, 8)`` element table drives
 assembly, the load scatter and the recovery as array operations.
 Dirichlet data constrains boundary vertex values only; edge fluxes stay
-unknowns everywhere.  After the trace solve the element interiors are
+unknowns everywhere.  The free DOFs are numbered once per mesh size in
+geometric nested-dissection order of that lattice, and SuperLU factors the
+Hermitian positive definite reduced system in symmetric mode in exactly
+that order.  After the trace solve the element interiors are
 recovered from the stored Schur data, and errors are measured by
 quadrature against a supplied exact solution.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -24,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import localforms, refelem, stencil
-from .errors import BCInconsistent, MeshTooSmall, SolveFailure
+from .errors import BCInconsistent, MeshTooSmall, OutsideEnvelope, SolveFailure
 from .localforms import NormalizedParams
 from .numkit import DOUBLE, Precision, tensor_rule
 
@@ -204,13 +207,61 @@ def dirichlet_values(mesh: Mesh, exact: ExactSolution) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _assemble_global(mesh: Mesh, element: np.ndarray) -> sp.csr_matrix:
-    dofs = mesh.dofs
+def _assemble(dofs: np.ndarray, element: np.ndarray, ndof: int) -> sp.csc_matrix:
+    """Sum one dense block per row of the element table ``dofs``."""
     rows = np.repeat(dofs, 8, axis=1).ravel()
     cols = np.tile(dofs, (1, 8)).ravel()
     vals = np.tile(element.ravel(), len(dofs))
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs))
-    return a.tocsr()
+    return sp.csc_matrix((vals, (rows, cols)), shape=(ndof, ndof))
+
+
+def _assemble_global(mesh: Mesh, element: np.ndarray) -> sp.csc_matrix:
+    """The global matrix in the lattice numbering, before any constraint."""
+    return _assemble(mesh.dofs, element, mesh.n_dofs)
+
+
+@lru_cache(maxsize=8)
+def _free_order(n: int) -> np.ndarray:
+    """The free trace DOFs of an n x n mesh in nested-dissection order.
+
+    Geometric nested dissection of the lattice (George, SIAM J. Numer.
+    Anal. 1973), on ``stencil.lattice``'s doubled positions: a box is split
+    along its longer side (x on a tie) by the vertex line nearest its
+    middle, the lower one of two.  The separator holds that line's vertex
+    and edge DOFs; no element straddles a vertex line, so it decouples the
+    two halves.  The lower half comes first, then the upper half, then the
+    separator.  A box with no vertex line strictly inside is a leaf.  Each
+    leaf and each separator is sorted by (y, x).
+
+    Every DOF carries its box's bounds and a base-3 path key (0 lower,
+    1 upper, 2 separator), padded with 0 once it lands in a separator or a
+    leaf, so one sort by (key, y, x) lists the recursion's order.  The
+    result is read-only, as the cache hands it to every caller.
+    """
+    ndof, _, pos2 = stencil.lattice(n)
+    free = np.setdiff1d(np.arange(ndof), Mesh(n).boundary_vertex_ids())
+    xy = pos2[free]
+    rows = np.arange(len(free))
+    lo = np.zeros_like(xy)
+    hi = np.full_like(xy, 2 * n)
+    key = np.zeros(len(free), dtype=np.int64)
+    live = np.ones(len(free), dtype=bool)
+    while live.any():
+        ext = hi - lo
+        axis = (ext[:, 1] > ext[:, 0]).astype(int)
+        a, b = lo[rows, axis], hi[rows, axis]
+        s = a + 2 * ((b - a) // 4)
+        c = xy[rows, axis]
+        split = live & (b - a >= 4)
+        digit = np.where(split, np.where(c < s, 0, np.where(c > s, 1, 2)), 0)
+        key = 3 * key + digit
+        low, up = split & (digit == 0), split & (digit == 1)
+        hi[rows[low], axis[low]] = s[low]
+        lo[rows[up], axis[up]] = s[up]
+        live = low | up
+    order = free[np.lexsort((xy[:, 0], xy[:, 1], key))]
+    order.flags.writeable = False
+    return order
 
 
 def _scatter(mesh: Mesh, loads: np.ndarray) -> np.ndarray:
@@ -239,46 +290,60 @@ def _element_quad_points(mesh: Mesh, points: np.ndarray):
     return xs, ys
 
 
-def _constrained_solve(a: sp.csr_matrix, b: np.ndarray, fixed: np.ndarray,
+def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
                        g: np.ndarray):
-    """Eliminate fixed DOFs, solve, and return the full vector + residual.
+    """Fix the boundary vertex traces to ``g`` and solve for the rest.
 
-    The reduced system is solved by sparse LU; if the relative residual
-    misses the contract, iterative refinement retries a bounded number of
-    times before the solve is declared failed.
+    The free DOFs are numbered in the nested-dissection order of
+    :func:`_free_order`, and the reduced Hermitian positive definite system
+    is assembled straight into that numbering.  SuperLU factors it in
+    symmetric mode, which prefers diagonal pivots, and keeps the column
+    order as given (``NATURAL``), so the dissection sets the fill.  If the
+    relative residual misses the contract, iterative refinement retries a
+    bounded number of times before the solve is declared failed.  Returns
+    the full trace vector, the relative residual, the factor fill and the
+    number of refinement steps taken.  The fill is SuperLU's own count of
+    the entries it stores for L and U (``lu.nnz``): reading ``lu.L`` and
+    ``lu.U`` would copy the whole factor once more.
     """
+    fixed = mesh.boundary_vertex_ids()
     if len(g) != len(fixed):
         raise BCInconsistent(
             f"{len(fixed)} constrained DOFs but {len(g)} boundary values"
         )
     if not np.all(np.isfinite(g)):
         raise BCInconsistent("boundary values contain non-finite entries")
-    ndof = a.shape[0]
-    free = np.setdiff1d(np.arange(ndof), fixed)
-    a_ff = a[free][:, free].tocsc()
-    b_f = b[free] - a[free][:, fixed] @ g
+    order = _free_order(mesh.n)
+    nf = len(order)
+    number = np.empty(mesh.n_dofs, dtype=int)
+    number[order] = np.arange(nf)
+    number[fixed] = nf + np.arange(len(fixed))
+    a = _assemble(number[mesh.dofs], element, mesh.n_dofs)
+    a_ff = a[:nf, :nf]
+    b_f = b[order] - a[:nf, nf:] @ g
+    del a  # only a_ff is needed while the factor is built
     try:
-        lu = spla.splu(a_ff)
+        lu = spla.splu(a_ff, permc_spec="NATURAL", options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolveFailure(f"sparse factorization failed: {exc}") from exc
     x_f = lu.solve(b_f)
     norm_b = np.linalg.norm(b_f)
     resid = np.linalg.norm(b_f - a_ff @ x_f)
-    for _ in range(REFINEMENT_STEPS):
-        if resid <= RESIDUAL_RTOL * max(norm_b, 1e-300):
-            break
+    steps = 0
+    while steps < REFINEMENT_STEPS and resid > RESIDUAL_RTOL * max(norm_b, 1e-300):
         x_f = x_f + lu.solve(b_f - a_ff @ x_f)
         resid = np.linalg.norm(b_f - a_ff @ x_f)
+        steps += 1
     rel = resid / norm_b if norm_b > 0 else resid
     if norm_b > 0 and rel > RESIDUAL_RTOL:
         raise SolveFailure(
             f"linear solve residual {rel:.3e} exceeds contract "
-            f"{RESIDUAL_RTOL:.1e} (system size {len(free)})"
+            f"{RESIDUAL_RTOL:.1e} (system size {nf})"
         )
-    x = np.zeros(ndof, dtype=complex)
-    x[free] = x_f
+    x = np.zeros(mesh.n_dofs, dtype=complex)
+    x[order] = x_f
     x[fixed] = g
-    return x, rel
+    return x, rel, lu.nnz, steps
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +393,13 @@ def _field_error_constants(mesh, exact, fields):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """One mesh solve: traces, recovered fields, errors and the solve path.
+
+    ``fill_nnz`` counts the entries SuperLU stores for the L and U factors
+    of the trace system, and ``refinement_steps`` the iterative-refinement
+    steps the residual contract took.
+    """
+
     method: str
     n: int
     omega: float
@@ -339,6 +411,8 @@ class SolveReport:
     a: float
     ratio: float
     residual_rel: float
+    fill_nnz: int
+    refinement_steps: int
     wall_time: float
 
     def vertex_grid(self, mesh: Mesh) -> np.ndarray:
@@ -368,8 +442,6 @@ def solve_dpg(
     kit = localforms.element_kit(
         NormalizedParams(omega * h, eps * h, r, precision)
     )
-    a_glob = _assemble_global(mesh, h**2 * kit.S)
-
     w = kit.quad_weights
     xs, ys = _element_quad_points(mesh, kit.quad_points)
     f1, f2, f3 = exact.f1(xs, ys), exact.f2(xs, ys), exact.f3(xs, ys)
@@ -385,14 +457,14 @@ def solve_dpg(
     b = _scatter(mesh, load_trace)
 
     g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
-    x, rel = _constrained_solve(a_glob, b, mesh.boundary_vertex_ids(), g)
+    x, rel, fill, steps = _constrained_solve(mesh, h**2 * kit.S, b, g)
 
     fields = x[mesh.dofs] @ kit.recovery.T + load_interior @ kit.interior_inv.T / h**2
     e_r = _field_error_constants(mesh, exact, fields)
     a = best_approx_error(mesh, exact)
     ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
     return SolveReport(
-        "dpg", mesh.n, omega, eps, r, x, fields, e_r, a, ratio, rel,
+        "dpg", mesh.n, omega, eps, r, x, fields, e_r, a, ratio, rel, fill, steps,
         time.perf_counter() - t0,
     )
 
@@ -414,7 +486,6 @@ def solve_fosls(
     t0 = time.perf_counter()
     h = mesh.h
     elem = localforms.fosls_element(omega * h)
-    a_glob = _assemble_global(mesh, elem.M)
 
     rule = elem.tab.rule
     w = rule.weights
@@ -428,7 +499,7 @@ def solve_fosls(
     b = _scatter(mesh, loads)
 
     g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
-    x, rel = _constrained_solve(a_glob, b, mesh.boundary_vertex_ids(), g)
+    x, rel, fill, steps = _constrained_solve(mesh, elem.M, b, g)
 
     erule = _error_rule()
     etab = refelem.tabulate_conforming_basis(erule)
@@ -445,7 +516,7 @@ def solve_fosls(
     a = best_approx_error(mesh, exact)
     ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
     return SolveReport(
-        "fosls", mesh.n, omega, None, None, x, fields, e_r, a, ratio, rel,
+        "fosls", mesh.n, omega, None, None, x, fields, e_r, a, ratio, rel, fill, steps,
         time.perf_counter() - t0,
     )
 
@@ -496,7 +567,7 @@ def _resonance_row(omega: float, eps: float, n: int, r: int) -> ResonanceRow:
     exact = manufactured_solution(omega)
     try:
         rep = solve_dpg(mesh, omega, eps, r, exact)
-    except SolveFailure as exc:
+    except (OutsideEnvelope, SolveFailure) as exc:
         return ResonanceRow(omega, eps, np.nan, np.nan, np.nan, str(exc))
     return ResonanceRow(omega, eps, rep.e_r, rep.a, rep.ratio)
 
@@ -509,8 +580,9 @@ def resonance_sweep(
 ) -> list[ResonanceRow]:
     """Optimality-ratio table over a frequency grid crossing a resonance.
 
-    Rows that fail to solve are reported with their error message instead of
-    aborting the sweep.
+    Rows that fail to solve, or whose element lies outside the supported
+    envelope, are reported with their error message instead of aborting
+    the sweep.
     """
     if omegas is None:
         omegas = default_resonance_grid()

@@ -7,6 +7,7 @@ reimplementation, and exactness of boundary traces on imposed vertices.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from helmdpg import assembly, localforms, stencil
 from helmdpg.errors import BCInconsistent, MeshTooSmall
@@ -205,6 +206,72 @@ def test_global_matrix_hermitian_positive_definite():
     assert eigs[0] > 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_free_order_is_permutation_of_free_dofs(n):
+    m = assembly.build_mesh(n)
+    order = assembly._free_order(n)
+    free = np.setdiff1d(np.arange(m.n_dofs), m.boundary_vertex_ids())
+    np.testing.assert_array_equal(np.sort(order), free)
+    assert len(order) == m.n_dofs - 4 * n
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_free_order_top_separator_decouples(n):
+    # the square top box splits along x at the vertex line nearest its
+    # middle (the lower one for odd n): lower half, upper half, separator
+    m = assembly.build_mesh(n)
+    pos2 = stencil.lattice(n)[2]
+    s = 2 * (n // 2)
+    x = pos2[assembly._free_order(n), 0]
+    n_low, n_sep = np.sum(x < s), np.sum(x == s)
+    assert np.all(x[:n_low] < s)
+    assert np.all(x[n_low:-n_sep] > s)
+    assert np.all(x[-n_sep:] == s)
+    ex = pos2[m.dofs, 0]
+    assert not np.any(np.any(ex < s, axis=1) & np.any(ex > s, axis=1))
+
+
+@pytest.mark.parametrize("method", ["dpg", "fosls"])
+def test_trace_matches_dense_reduced_solve(method):
+    # zero data inside, a plane wave on the boundary vertices: the free
+    # traces solve A_ff x = -A_fc g, done here densely in the lattice order
+    m = assembly.build_mesh(6)
+    omega = 2.5
+    g = assembly.dirichlet_values(m, assembly.plane_wave(omega, 0.3))
+    zero = assembly.zero_solution(omega)
+    if method == "dpg":
+        kit = localforms.element_kit(localforms.NormalizedParams(omega * m.h, 0.1 * m.h, 3))
+        element = m.h**2 * kit.S
+        rep = assembly.solve_dpg(m, omega, 0.1, 3, zero, bc=g)
+    else:
+        element = localforms.fosls_element(omega * m.h).M
+        rep = assembly.solve_fosls(m, omega, zero, bc=g)
+    a = assembly._assemble_global(m, element).toarray()
+    fixed = m.boundary_vertex_ids()
+    free = np.setdiff1d(np.arange(m.n_dofs), fixed)
+    x_f = np.linalg.solve(a[np.ix_(free, free)], -a[np.ix_(free, fixed)] @ g)
+    err = np.linalg.norm(rep.trace[free] - x_f) / np.linalg.norm(x_f)
+    assert err <= 1e-12
+    np.testing.assert_array_equal(rep.trace[fixed], g)
+    assert 0 <= rep.refinement_steps <= assembly.REFINEMENT_STEPS
+
+
+@pytest.mark.parametrize("method", ["dpg", "fosls"])
+def test_nested_dissection_fill_below_default_splu(method):
+    m = assembly.build_mesh(64)
+    omega = 2.0
+    exact = assembly.manufactured_solution(omega)
+    if method == "dpg":
+        kit = localforms.element_kit(localforms.NormalizedParams(omega * m.h, 1.0 * m.h, 3))
+        element = m.h**2 * kit.S
+    else:
+        element = localforms.fosls_element(omega * m.h).M
+    rep = assembly.solve_method(method, m, omega, exact, eps=1.0, r=3)
+    free = np.setdiff1d(np.arange(m.n_dofs), m.boundary_vertex_ids())
+    a_ff = assembly._assemble_global(m, element)[free][:, free].tocsc()
+    assert rep.fill_nnz <= 0.6 * spla.splu(a_ff).nnz
+
+
 def test_zero_data_zero_solution():
     m = assembly.build_mesh(4)
     rep = assembly.solve_dpg(m, 2.0, 1e-2, 2, assembly.zero_solution(2.0))
@@ -305,6 +372,18 @@ def test_resonance_sweep_rows():
     # much less
     assert by_eps[1.0] > 3.0
     assert by_eps[1e-4] < 2.0
+
+
+def test_resonance_sweep_reports_envelope_rows():
+    # eps = 0 at r = 4 and n = 32 lies outside the supported envelope; those
+    # rows carry the message and the eps = 1 rows still solve
+    rows = assembly.resonance_sweep(omegas=[3.0, 3.05], eps_values=(1.0, 0.0), n=32, r=4)
+    assert len(rows) == 4
+    assert all(row.error is None and np.isfinite(row.ratio) for row in rows[:2])
+    for row in rows[2:]:
+        assert row.eps == 0.0
+        assert "Gram condition estimate" in row.error
+        assert np.isnan(row.ratio)
 
 
 def test_amplitude_metric_synthetic():
