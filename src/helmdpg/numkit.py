@@ -7,16 +7,19 @@ Every routine in this module runs in one of two arithmetics:
   object-dtype numpy arrays (default 30 significant digits).
 
 Matrices are plain ``numpy.ndarray`` objects in either representation, so a
-single dtype-generic code path (slicing, ``@``, ``conj``) serves both.  All
-functions are pure: identical inputs give bit-identical outputs.
+single dtype-generic code path (slicing, ``@``, ``conj``) serves both.  The
+linear algebra keeps real input real: ``float64`` stays ``float64`` and an
+object array of ``mpf`` runs in real ``mpf`` arithmetic, not ``mpc``, which
+is how the DPG element solves its realified Gram system.  All functions are
+pure: identical inputs give bit-identical outputs.
 
 The factorization used throughout is an LDL^H decomposition without pivoting,
-appropriate for the Hermitian positive (semi)definite matrices this package
-produces.  ``hermitian_solve`` reports the exact 1-norm condition number of
-the factorized matrix (matrices here are at most ~80x80, so the "estimate"
-is computed exactly from explicit inverse columns) and emits an
-:class:`~helmdpg.errors.IllConditioned` warning above 1e12 in double
-precision.
+appropriate for the Hermitian (or real symmetric) positive (semi)definite
+matrices this package produces.  ``hermitian_solve`` reports the exact
+1-norm condition number of the factorized matrix (matrices here are at
+most ~80x80, so the "estimate" is computed exactly from explicit inverse
+columns) and emits an :class:`~helmdpg.errors.IllConditioned` warning
+above 1e12 in double precision.
 """
 
 from __future__ import annotations
@@ -128,6 +131,14 @@ def as_complex128(a: np.ndarray) -> np.ndarray:
 def _real_part(x):
     # works for float, complex, mpf, mpc
     return x.real if hasattr(x, "real") else x
+
+
+def real_part(a: np.ndarray) -> np.ndarray:
+    """Elementwise real part in either representation (mpc -> mpf)."""
+    a = np.asarray(a)
+    if a.dtype == object:
+        return np.frompyfunc(_real_part, 1, 1)(a)
+    return a.real.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +266,7 @@ def ldlh_factor(a: np.ndarray, precision: Precision = DOUBLE):
     """
     n = a.shape[0]
     with working_context(precision):
-        L = a.astype(object).copy() if a.dtype == object else a.astype(complex).copy()
+        L = a.astype(object) if a.dtype == object else a.astype(np.result_type(a, float))
         d = np.empty(n, dtype=object if a.dtype == object else float)
         maxdiag = max((float(abs(_real_part(a[i, i]))) for i in range(n)), default=0.0)
         tol = PIVOT_RTOL * maxdiag
@@ -390,61 +401,3 @@ def adjugate_small(f: np.ndarray) -> np.ndarray:
     ta, tb = _NEXT[None, :], _AFTER[None, :]
     cof = f[..., a, ta] * f[..., b, tb] - f[..., a, tb] * f[..., b, ta]
     return np.swapaxes(cof, -1, -2)
-
-
-def min_eigenvalue_bound(h: np.ndarray, precision: Precision = DOUBLE) -> float:
-    """Certified lower bound on the minimum eigenvalue of a Hermitian matrix.
-
-    Bisection on the shift sigma: H - sigma*I admitting an all-positive-pivot
-    LDL^H factorization certifies min eig > sigma.  The returned float is the
-    largest certified shift; for PSD matrices it is within ~1e-12*scale of 0
-    from below.
-    """
-    h = np.asarray(h)
-    require_hermitian(h)
-    n = h.shape[0]
-    rowsums = []
-    for i in range(n):
-        off = sum(float(abs(h[i, j])) for j in range(n) if j != i)
-        rowsums.append((float(_real_part(h[i, i])), off))
-    lo = min(c - o for c, o in rowsums)
-    hi = max(c + o for c, o in rowsums)
-    scale = max(abs(lo), abs(hi), 1.0)
-    if _is_pd_shifted(h, hi, precision):
-        return hi
-    lo = lo - scale * 1e-6  # strict lower start
-    if not _is_pd_shifted(h, lo, precision):
-        lo = lo - scale  # pathological roundoff margin
-        if not _is_pd_shifted(h, lo, precision):
-            return lo
-    target = 1e-13 * scale
-    while hi - lo > target:
-        mid = 0.5 * (lo + hi)
-        if _is_pd_shifted(h, mid, precision):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _is_pd_shifted(h: np.ndarray, sigma: float, precision: Precision) -> bool:
-    with working_context(precision):
-        shifted = h.copy()
-        s = precision.real(sigma) if h.dtype == object else sigma
-        for i in range(h.shape[0]):
-            shifted[i, i] = h[i, i] - s
-        # strict positivity of every pivot, no relative tolerance: this is the
-        # certificate, not a solver
-        n = h.shape[0]
-        L = shifted.astype(object).copy() if h.dtype == object else shifted.astype(complex).copy()
-        d = np.empty(n, dtype=object)
-        for j in range(n):
-            s0 = (L[j, :j] * L[j, :j].conj() * d[:j]).sum() if j > 0 else 0
-            piv = _real_part(L[j, j] - s0)
-            if not float(piv) > 0:
-                return False
-            d[j] = piv
-            if j + 1 < n:
-                upd = L[j + 1 :, :j] @ (L[j, :j].conj() * d[:j]) if j > 0 else 0
-                L[j + 1 :, j] = (L[j + 1 :, j] - upd) / piv
-    return True

@@ -23,11 +23,12 @@ supplied (float64 or mpmath objects); every function here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import REnrichmentTooSmall
-from .numkit import DOUBLE, Precision, QuadratureRule
+from .numkit import DOUBLE, Precision, QuadratureRule, gauss_legendre_1d, working_context
 
 # edge ids, in the order used for condensed degrees of freedom
 BOTTOM, TOP, LEFT, RIGHT = 0, 1, 2, 3
@@ -192,9 +193,28 @@ def tabulate_test_basis(basis: TestSpaceBasis, rule: QuadratureRule) -> TestTabu
                           vol["eta_x"], vol["eta_y"], vol["div"], edge_eta, edge_vn)
 
 
-def tabulate_test_at(basis: TestSpaceBasis, points: np.ndarray) -> dict:
-    """Volume-type tables at arbitrary points (for derivative checks)."""
-    return _volume_tables(basis, np.asarray(points))
+@lru_cache(maxsize=None)
+def legendre_integrals(r: int, precision: Precision = DOUBLE) -> np.ndarray:
+    """1D integrals ``T[a, b, i, j]`` of ``d^a P_i * d^b P_j`` over [0, 1].
+
+    ``P_i`` are the shifted Legendre polynomials up to degree r and
+    ``a, b`` in {0, 1} derivative orders.  Every entry of a test-space
+    Gram matrix is a sum of products of an x- and a y-integral from this
+    table.  The (r+2)-point Gauss rule of :func:`default_rule` integrates
+    the degree-2r integrands exactly; the table is mirrored from its upper
+    triangle so that ``T[a, b, i, j] == T[b, a, j, i]`` holds exactly.
+    Cached per (r, precision) and read-only.
+    """
+    x, w = gauss_legendre_1d(r + 2, precision)
+    with working_context(precision):
+        vals, ders = shifted_legendre_table(r, x)
+        f = np.concatenate([vals, ders])
+        m = (f * w) @ f.T
+    upper = np.triu_indices(m.shape[0], 1)
+    m[upper[::-1]] = m[upper]
+    table = m.reshape(2, r + 1, 2, r + 1).transpose(0, 2, 1, 3)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

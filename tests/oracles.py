@@ -1,17 +1,51 @@
-"""Independent assembly routes used as oracles by the test suite.
+"""Independent routes and test-only helpers used as oracles by the test suite.
 
 The physical-element assembly below integrates directly over the square
 [0, h]^2 (physical weights, chain-rule derivatives) instead of going through
 the normalized reference computation, so agreement with
 ``scale_to_physical(dpg_element(...), h)`` genuinely checks the scaling law
-rather than restating it.
+rather than restating it.  :func:`quadrature_gram` is the complex test Gram
+by 2D tensor quadrature, against which the element's real Gram from 1D
+Legendre integrals is checked.  :func:`min_eigenvalue_bound` certifies
+positive semidefiniteness by shifted factorizations, and
+:func:`tabulate_test_at` tabulates the test basis at arbitrary points.
 """
 
 import numpy as np
 
 from helmdpg import refelem
-from helmdpg.numkit import DOUBLE, Precision, as_complex128, hermitian_solve, working_context
+from helmdpg.numkit import (
+    DOUBLE,
+    Precision,
+    as_complex128,
+    hermitian_solve,
+    require_hermitian,
+    working_context,
+)
 from helmdpg.refelem import EDGE_SIGNS, TRACE_EDGES, TRIAL_DIM
+
+
+def quadrature_gram(omega_n: float, eps_n: float, r: int, precision: Precision = DOUBLE):
+    """Complex test Gram ``G[k, l] = (A v_l, A v_k) + eps_n^2 (v_l, v_k)``.
+
+    Integrated by the (r+2)-point tensor Gauss rule over the unit square
+    from the tabulated test basis, in ``precision``.
+    """
+    with working_context(precision):
+        basis = refelem.build_test_basis(r)
+        rule = refelem.default_rule(r, precision)
+        tab = refelem.tabulate_test_basis(basis, rule)
+        w = rule.weights
+        iw = precision.cplx(0, precision.real(omega_n))
+        ee = precision.real(eps_n)
+        images = (iw * tab.vx + tab.eta_x, iw * tab.vy + tab.eta_y, iw * tab.eta + tab.div)
+        G = None
+        for ac in images:
+            term = (ac.conj() * w[None, :]) @ ac.T
+            G = term if G is None else G + term
+        for vc in (tab.vx, tab.vy, tab.eta):
+            G = G + (ee * ee) * ((vc * w[None, :]) @ vc.T)
+    return G
 
 
 def dpg_element_physical(omega: float, eps: float, h: float, r: int, precision: Precision = DOUBLE):
@@ -63,3 +97,70 @@ def dpg_element_physical(omega: float, eps: float, h: float, r: int, precision: 
 def max_abs(a: np.ndarray) -> float:
     """Largest entry magnitude, valid for object-dtype arrays too."""
     return max((float(abs(v)) for v in np.asarray(a).ravel()), default=0.0)
+
+
+def tabulate_test_at(basis: refelem.TestSpaceBasis, points: np.ndarray) -> dict:
+    """Volume-type tables at arbitrary points (for derivative checks)."""
+    return refelem._volume_tables(basis, np.asarray(points))
+
+
+def _real_part(x):
+    return x.real if hasattr(x, "real") else x
+
+
+def min_eigenvalue_bound(h: np.ndarray, precision: Precision = DOUBLE) -> float:
+    """Certified lower bound on the minimum eigenvalue of a Hermitian matrix.
+
+    Bisection on the shift sigma: H - sigma*I admitting an all-positive-pivot
+    LDL^H factorization certifies min eig > sigma.  The returned float is the
+    largest certified shift; for PSD matrices it is within ~1e-12*scale of 0
+    from below.
+    """
+    h = np.asarray(h)
+    require_hermitian(h)
+    n = h.shape[0]
+    rowsums = []
+    for i in range(n):
+        off = sum(float(abs(h[i, j])) for j in range(n) if j != i)
+        rowsums.append((float(_real_part(h[i, i])), off))
+    lo = min(c - o for c, o in rowsums)
+    hi = max(c + o for c, o in rowsums)
+    scale = max(abs(lo), abs(hi), 1.0)
+    if _is_pd_shifted(h, hi, precision):
+        return hi
+    lo = lo - scale * 1e-6  # strict lower start
+    if not _is_pd_shifted(h, lo, precision):
+        lo = lo - scale  # pathological roundoff margin
+        if not _is_pd_shifted(h, lo, precision):
+            return lo
+    target = 1e-13 * scale
+    while hi - lo > target:
+        mid = 0.5 * (lo + hi)
+        if _is_pd_shifted(h, mid, precision):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _is_pd_shifted(h: np.ndarray, sigma: float, precision: Precision) -> bool:
+    with working_context(precision):
+        shifted = h.copy()
+        s = precision.real(sigma) if h.dtype == object else sigma
+        for i in range(h.shape[0]):
+            shifted[i, i] = h[i, i] - s
+        # strict positivity of every pivot, no relative tolerance: this is the
+        # certificate, not a solver
+        n = h.shape[0]
+        L = shifted.astype(object).copy() if h.dtype == object else shifted.astype(complex).copy()
+        d = np.empty(n, dtype=object)
+        for j in range(n):
+            s0 = (L[j, :j] * L[j, :j].conj() * d[:j]).sum() if j > 0 else 0
+            piv = _real_part(L[j, j] - s0)
+            if not float(piv) > 0:
+                return False
+            d[j] = piv
+            if j + 1 < n:
+                upd = L[j + 1 :, :j] @ (L[j, :j].conj() * d[:j]) if j > 0 else 0
+                L[j + 1 :, j] = (L[j + 1 :, j] - upd) / piv
+    return True

