@@ -292,7 +292,7 @@ def _cmd_dispersion(cfg: dict, out: _CsvOut):
     zeta = cfg["omega"] * h
     eps_n = cfg["eps"] * h if method == "dpg" else None
     r = cfg["r"] if method == "dpg" else None
-    st = dispersion._method_stencils(method, zeta, eps_n, r, None)
+    st = dispersion._method_stencils(method, zeta, eps_n, r)
     out.header("method,r,eps,omega,h,theta,re_wh,im_wh,abs_detF,iters")
     if cfg["n_theta"] > 1:
         sweep = dispersion.theta_sweep(st, cfg["n_theta"])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import stencil as stencil_mod
 from .errors import BranchAmbiguity, NoRootFound
-from .numkit import Precision, adjugate_small, det_small
+from .numkit import adjugate_small, det_small
 from .stencil import StencilSet, extract_stencils
 
 NEWTON_MAX_ITER = 100
@@ -360,11 +360,9 @@ def ansatz_residual(stencils: StencilSet, theta: float, z: complex):
 # ---------------------------------------------------------------------------
 
 
-def _method_stencils(method, zeta, eps_n, r, precision):
+def _method_stencils(method, zeta, eps_n, r):
     if method == "dpg":
-        return extract_stencils(
-            "dpg", zeta, eps_n, r, precision=precision, normalize=False
-        )
+        return extract_stencils("dpg", zeta, eps_n, r, normalize=False)
     return extract_stencils(method, zeta, normalize=False)
 
 
@@ -441,11 +439,9 @@ def convergence_study(
     eps: float | None = None,
     r: int | None = None,
     levels=(1, 2, 3, 4, 5, 6, 7),
-    theta: float = 0.0,
     omega: float = 1.0,
-    precision: Precision | None = None,
 ) -> ConvergenceStudy:
-    """Rate of |z - zeta| along zeta = omega * h, h = 2*pi / 2**level.
+    """Rate of |z - zeta| at theta = 0 along zeta = omega * h, h = 2*pi / 2**level.
 
     The frequency is held fixed while h shrinks, so the normalized frequency
     and, for the eps-scaled method, the normalized dissipation eps*h shrink
@@ -465,8 +461,8 @@ def convergence_study(
         h = 2.0 * np.pi / 2.0**level
         zeta = omega * h
         eps_n = None if eps is None else eps * h
-        st = _method_stencils(method, zeta, eps_n, r, precision)
-        roots.append(solve_root(st, theta, zeta).z)
+        st = _method_stencils(method, zeta, eps_n, r)
+        roots.append(solve_root(st, 0.0, zeta).z)
         zetas.append(zeta)
     zetas = np.asarray(zetas)
     roots = np.asarray(roots)
@@ -495,7 +491,6 @@ def band_diagram(
     theta: float = 0.0,
     zeta_max: float = 6.0,
     zeta_step: float = 0.05,
-    precision: Precision | None = None,
 ) -> BandDiagram:
     """Track the root along a normalized frequency grid by continuation.
 
@@ -508,7 +503,7 @@ def band_diagram(
     z = np.empty(len(zetas), dtype=complex)
     prev = None
     for i, zeta in enumerate(zetas):
-        st = _method_stencils(method, zeta, eps_n, r, precision)
+        st = _method_stencils(method, zeta, eps_n, r)
         init = None if prev is None else prev + (zetas[i] - zetas[i - 1])
         try:
             res = solve_root(st, theta, zeta, init=init)
@@ -532,8 +527,8 @@ class SweepRow:
     theta_rho: float
 
 
-def _sweep_row(method, r, eps_n, zeta, n_theta, precision) -> SweepRow:
-    st = _method_stencils(method, zeta, eps_n, r, precision)
+def _sweep_row(method, r, eps_n, zeta, n_theta) -> SweepRow:
+    st = _method_stencils(method, zeta, eps_n, r)
     sweep = theta_sweep(st, n_theta)
     return SweepRow(method, r, eps_n, zeta, sweep.rho, sweep.eta, sweep.theta_rho)
 
@@ -544,14 +539,13 @@ def epsilon_r_sweep(
     r_values=(2, 3, 4),
     include_baselines: bool = True,
     n_theta: int = DEFAULT_N_THETA,
-    precision: Precision | None = None,
 ) -> list[SweepRow]:
     """Worst-direction phase and dissipation errors across eps and order."""
     rows = [
-        _sweep_row("dpg", r, eps_n, zeta, n_theta, precision)
+        _sweep_row("dpg", r, eps_n, zeta, n_theta)
         for r in r_values
         for eps_n in eps_values
     ]
     if include_baselines:
-        rows += [_sweep_row(m, None, None, zeta, n_theta, None) for m in ("fem", "fosls")]
+        rows += [_sweep_row(m, None, None, zeta, n_theta) for m in ("fem", "fosls")]
     return rows

@@ -17,8 +17,9 @@ element matrix ``B = Bb^H X = Bb^H G^{-1} Bb`` is Hermitian positive
 semidefinite by construction.
 
 Precision policy.  :func:`element_kit`, the element behind the stencil,
-dispersion and mesh drivers, solves the Riesz problem in complex128 by QR
-of the weighted stack K with ``G = K^H K`` (Golub & Van Loan, Matrix
+dispersion and mesh drivers, alone picks the element arithmetic; no caller
+above this module sets it.  It solves the Riesz problem in complex128 by QR of
+the weighted stack K with ``G = K^H K`` (Golub & Van Loan, Matrix
 Computations, sec. 5.3) and never forms G.  Its route follows the 1-norm
 estimate ``cond(R)^2`` of G's condition: double up to 1e16, the 30-digit
 :func:`dpg_element` above it, and :class:`~helmdpg.errors.OutsideEnvelope`
@@ -73,6 +74,7 @@ from .numkit import (
     ldlh_factor,
     ldlh_solve,
     real_part,
+    tensor_rule,
     working_context,
 )
 from .refelem import EDGE_SIGNS, TRACE_EDGES, TRIAL_DIM
@@ -103,9 +105,10 @@ TRIAL_PHASES = np.array([-1j, -1j, 1, 1, 1, 1, 1, -1j, -1j, -1j, -1j])
 class NormalizedParams:
     """Normalized element parameters (omega_n = omega*h, eps_n = eps*h).
 
-    ``precision=None`` selects the automatic policy described in the module
-    docstring; an explicit :class:`~helmdpg.numkit.Precision` pins the
-    arithmetic (``eps_n = 0`` demands extended).
+    ``precision`` pins :func:`dpg_element` only: ``None`` selects its
+    automatic policy, an explicit :class:`~helmdpg.numkit.Precision` fixes
+    its arithmetic (``eps_n = 0`` demands extended).  :func:`element_kit`
+    picks its own route and rejects a pinned precision.
     """
 
     omega_n: float
@@ -181,18 +184,9 @@ def _riesz_data(params: NormalizedParams, precision: Precision):
     return rule, tab, (a1, a2, a3), Bb
 
 
-@lru_cache(maxsize=None)
-def _member_layout(r: int):
-    """Kind (0 vx, 1 vy, 2 sc) and Legendre degrees (i, j) of each test member."""
-    members = refelem.build_test_basis(r).members
-    layout = np.array([(("vx", "vy", "sc").index(c), i, j) for c, i, j in members]).T
-    layout.setflags(write=False)
-    return layout
-
-
 def _test_phases(r: int) -> np.ndarray:
     """U: 1 on vector members, i on scalar members."""
-    return np.where(_member_layout(r)[0] == 2, 1j, 1)
+    return np.where(refelem.build_test_basis(r).layout[0] == 2, 1j, 1)
 
 
 def _real_gram(params: NormalizedParams, precision: Precision) -> np.ndarray:
@@ -206,7 +200,7 @@ def _real_gram(params: NormalizedParams, precision: Precision) -> np.ndarray:
     c, and every entry is ``coef_k coef_l`` times an x- and a y-entry of
     :func:`~helmdpg.refelem.legendre_integrals`.
     """
-    kind, deg_x, deg_y = _member_layout(params.r)
+    kind, deg_x, deg_y = refelem.build_test_basis(params.r).layout
     table = refelem.legendre_integrals(params.r, precision)
 
     def integrals(dx, dy):
@@ -289,18 +283,17 @@ class CondensedElement:
     S_exact: np.ndarray | None = None
 
 
-def condense(b: np.ndarray, precision: Precision | None = None) -> CondensedElement:
+def condense(b: np.ndarray) -> CondensedElement:
     """Static condensation of an 11x11 element matrix onto its 8 trace DOFs.
 
-    ``precision`` defaults to 30-digit extended for object-dtype input and
-    double otherwise; pass the element's own precision to preserve a higher
-    digit count.
+    The arithmetic follows ``b.dtype``: 30-digit extended for object-dtype
+    (mpmath) input, the precision of every extended element here, and
+    double otherwise.
     """
     b = np.asarray(b)
     if b.shape != (TRIAL_DIM, TRIAL_DIM):
         raise DimensionMismatch(f"expected an 11x11 element matrix, got {b.shape}")
-    if precision is None:
-        precision = Precision.extended(30) if b.dtype == object else DOUBLE
+    precision = Precision.extended(30) if b.dtype == object else DOUBLE
     with working_context(precision):
         b_ii = b[:3, :3]
         b_it = b[:3, 3:]
@@ -359,13 +352,11 @@ class FoslsElement:
     tab: refelem.ConformingTabulation
 
 
-def fosls_element(omega_n: float, n_quad: int = 4) -> FoslsElement:
+def fosls_element(omega_n: float) -> FoslsElement:
     """First-order-system least-squares element matrix on the unit square."""
     if not omega_n > 0:
         raise ValueError(f"omega_n must be positive, got {omega_n}")
-    from .numkit import tensor_rule
-
-    rule = tensor_rule(n_quad, DOUBLE)
+    rule = tensor_rule(4, DOUBLE)
     tab = refelem.tabulate_conforming_basis(rule)
     a1, a2, a3 = conforming_a_images(tab, omega_n)
     w = rule.weights
@@ -375,15 +366,13 @@ def fosls_element(omega_n: float, n_quad: int = 4) -> FoslsElement:
     return FoslsElement(omega_n, m, a1, a2, a3, tab)
 
 
-def fem_element(omega_n: float, n_quad: int = 3):
+def fem_element(omega_n: float):
     """Bilinear FEM element S - omega_n^2 M on the unit square (4x4 complex).
 
     Vertex order is counterclockwise from the origin corner, matching the
     first four condensed trace DOFs.
     """
-    from .numkit import tensor_rule
-
-    rule = tensor_rule(n_quad, DOUBLE)
+    rule = tensor_rule(3, DOUBLE)
     tab = refelem.tabulate_conforming_basis(rule)
     w = rule.weights
     gx, gy, q = tab.eta_x[:4], tab.eta_y[:4], tab.eta[:4]
@@ -401,15 +390,13 @@ def fem_element(omega_n: float, n_quad: int = 3):
 class ElementKit:
     """Downcast, reusable per-parameter element data for meshes and stencils.
 
-    All arrays are complex128/float64.  With ``params.precision = None``
-    the route follows the Gram condition estimate, the 1-norm ``cond(R)^2``
-    of the QR factor of K (``G = K^H K``): up to ``DOUBLE_COND_LIMIT`` the
-    element is the double QR Riesz solve and ``cond`` is that estimate;
-    above it the element is the 30-digit :func:`dpg_element`; above
-    ``ENVELOPE_COND_LIMIT`` :class:`OutsideEnvelope` is raised before any
-    30-digit work.  An explicit ``params.precision`` pins the arithmetic to
-    :func:`dpg_element` in that precision.  Elements from
-    :func:`dpg_element` report its exact 1-norm ``cond(G)``.  The accuracy
+    All arrays are complex128/float64.  The route follows the Gram
+    condition estimate alone, the 1-norm ``cond(R)^2`` of the QR factor of
+    K (``G = K^H K``): up to ``DOUBLE_COND_LIMIT`` the element is the double
+    QR Riesz solve and ``cond`` is that estimate; above it the element is
+    the 30-digit :func:`dpg_element`, which reports its exact 1-norm
+    ``cond(G)``; above ``ENVELOPE_COND_LIMIT`` :class:`OutsideEnvelope` is
+    raised before any 30-digit work.  The accuracy
     of ``S`` is inherited from the element computation.  ``xh = X^H`` maps
     moment vectors of f against the test basis to the 11 trial load
     entries.  ``S_exact`` carries the full-precision Schur complement when
@@ -465,20 +452,23 @@ def _qr_riesz(params: NormalizedParams):
 
 @lru_cache(maxsize=64)
 def element_kit(params: NormalizedParams) -> ElementKit:
-    """Cached DPG element + condensation, downcast for double-precision use."""
-    pinned = params.precision
-    if pinned is None:
-        rule, tab, B, X, cond = _qr_riesz(params)
-        if B is None:
-            pinned = Precision.extended(30)
-    else:
-        rule = refelem.default_rule(params.r, DOUBLE)
-        tab = refelem.tabulate_test_basis(refelem.build_test_basis(params.r), rule)
-    if pinned is not None:
-        elem = dpg_element(replace(params, precision=pinned))
+    """Cached DPG element + condensation, downcast for double-precision use.
+
+    Raises ValueError for ``params.precision`` set: the kit picks its
+    arithmetic itself, and :func:`dpg_element` serves a pinned precision.
+    """
+    if params.precision is not None:
+        raise ValueError(
+            f"element_kit picks its own arithmetic, got precision={params.precision}; "
+            "call dpg_element for an element in a pinned precision"
+        )
+    rule, tab, B, X, cond = _qr_riesz(params)
+    precision_used = DOUBLE
+    if B is None:
+        precision_used = Precision.extended(30)
+        elem = dpg_element(replace(params, precision=precision_used))
         B, X, cond = elem.B, elem.X, elem.cond
-    precision_used = pinned or DOUBLE
-    cond_elem = condense(B, precision_used)
+    cond_elem = condense(B)
     return ElementKit(
         params=params,
         precision_used=precision_used,

@@ -87,12 +87,6 @@ class Precision:
                 return mp.mpc(re, im)
         return complex(re, im)
 
-    def pi(self) -> object:
-        if self.is_extended:
-            with mp.workdps(self.digits):
-                return +mp.pi
-        return math.pi
-
     def zeros(self, *shape) -> np.ndarray:
         if self.is_extended:
             z = np.empty(shape, dtype=object)
@@ -117,15 +111,12 @@ def working_context(precision: Precision):
 
 
 def as_complex128(a: np.ndarray) -> np.ndarray:
-    """Downcast a matrix from either representation to complex128."""
-    arr = np.asarray(a)
-    if arr.dtype == object:
-        out = np.empty(arr.shape, dtype=complex)
-        flat_in, flat_out = arr.ravel(), out.ravel()
-        for i, v in enumerate(flat_in):
-            flat_out[i] = complex(v)
-        return out
-    return arr.astype(complex)
+    """Downcast a matrix from either representation to complex128.
+
+    numpy converts object entries through their ``__complex__``, which mpf
+    and mpc provide.
+    """
+    return np.asarray(a).astype(complex)
 
 
 def _real_part(x):
@@ -249,12 +240,12 @@ def hermitian_error(a: np.ndarray) -> float:
     return err / scale if scale > 0 else err
 
 
-def require_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> None:
+def require_hermitian(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     err = hermitian_error(a)
-    if err > rtol:
-        raise NotHermitian(f"relative conjugate-symmetry defect {err:.3e} exceeds {rtol:.1e}")
+    if err > HERMITIAN_RTOL:
+        raise NotHermitian(f"relative conjugate-symmetry defect {err:.3e} exceeds {HERMITIAN_RTOL:.1e}")
 
 
 def ldlh_factor(a: np.ndarray, precision: Precision = DOUBLE):

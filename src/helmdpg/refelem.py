@@ -23,7 +23,7 @@ supplied (float64 or mpmath objects); every function here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,13 +32,9 @@ from .numkit import DOUBLE, Precision, QuadratureRule, gauss_legendre_1d, workin
 
 # edge ids, in the order used for condensed degrees of freedom
 BOTTOM, TOP, LEFT, RIGHT = 0, 1, 2, 3
-EDGE_NAMES = ("bottom", "top", "left", "right")
 
 #: sign of the global edge normal relative to the element outward normal
 EDGE_SIGNS = {BOTTOM: -1.0, TOP: 1.0, LEFT: -1.0, RIGHT: 1.0}
-
-#: True for edges whose global normal is (0,1) (horizontal edges)
-EDGE_IS_HORIZONTAL = {BOTTOM: True, TOP: True, LEFT: False, RIGHT: False}
 
 #: reference vertices counterclockwise from the origin corner
 VERTICES_CCW = ((0, 0), (1, 0), (1, 1), (0, 1))
@@ -82,7 +78,15 @@ class TestSpaceBasis:
     def dim(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def layout(self) -> np.ndarray:
+        """Read-only member rows ``(kind, deg_x, deg_y)``, kind 0 vx, 1 vy, 2 sc."""
+        layout = np.array([(("vx", "vy", "sc").index(c), i, j) for c, i, j in self.members]).T
+        layout.setflags(write=False)
+        return layout
 
+
+@lru_cache(maxsize=None)
 def build_test_basis(r: int) -> TestSpaceBasis:
     """Enriched test-space basis; raises below the injectivity threshold r=2."""
     if r < 2:
@@ -125,27 +129,20 @@ class TestTabulation:
 
 
 def _volume_tables(basis: TestSpaceBasis, pts: np.ndarray):
-    r = basis.r
-    px, dpx = shifted_legendre_table(r, pts[:, 0])
-    py, dpy = shifted_legendre_table(r, pts[:, 1])
-    dim, nq = basis.dim, pts.shape[0]
-    obj = pts.dtype == object
-    out = {
-        name: np.zeros((dim, nq)) if not obj else _zeros_obj(dim, nq, pts)
-        for name in ("vx", "vy", "eta", "eta_x", "eta_y", "div")
+    px, dpx = shifted_legendre_table(basis.r, pts[:, 0])
+    py, dpy = shifted_legendre_table(basis.r, pts[:, 1])
+    kind, i, j = basis.layout
+    val, d_x, d_y = px[i] * py[j], dpx[i] * py[j], px[i] * dpy[j]
+    is_vx, is_vy, is_sc = (kind[:, None] == k for k in range(3))
+    zero = pts[0, 0] * 0
+    return {
+        "vx": np.where(is_vx, val, zero),
+        "vy": np.where(is_vy, val, zero),
+        "eta": np.where(is_sc, val, zero),
+        "eta_x": np.where(is_sc, d_x, zero),
+        "eta_y": np.where(is_sc, d_y, zero),
+        "div": np.where(is_vx, d_x, np.where(is_vy, d_y, zero)),
     }
-    for k, (comp, i, j) in enumerate(basis.members):
-        if comp == "vx":
-            out["vx"][k] = px[i] * py[j]
-            out["div"][k] = dpx[i] * py[j]
-        elif comp == "vy":
-            out["vy"][k] = px[i] * py[j]
-            out["div"][k] = px[i] * dpy[j]
-        else:
-            out["eta"][k] = px[i] * py[j]
-            out["eta_x"][k] = dpx[i] * py[j]
-            out["eta_y"][k] = px[i] * dpy[j]
-    return out
 
 
 def _zeros_obj(m, n, like):
@@ -221,11 +218,8 @@ def legendre_integrals(r: int, precision: Precision = DOUBLE) -> np.ndarray:
 # lowest-order trial basis (3 field constants + 8 interface functions)
 # ---------------------------------------------------------------------------
 
-#: index layout of the 11-function trial basis
-FIELD_SLICE = slice(0, 3)          # u1, u2, phi element constants
-VERTEX_SLICE = slice(3, 7)         # vertex trace functions, CCW from origin
-HEDGE_SLICE = slice(7, 9)          # bottom, top horizontal-edge fluxes
-VEDGE_SLICE = slice(9, 11)         # left, right vertical-edge fluxes
+#: size of the 11-function trial basis: u1, u2, phi element constants,
+#: vertex traces CCW from the origin, bottom/top then left/right edge fluxes
 TRIAL_DIM = 11
 
 #: condensed-element edge order: trace index -> reference edge id

@@ -26,7 +26,7 @@ import numpy as np
 from . import localforms
 from .errors import CenterRowDegenerate, MissingValue
 from .localforms import NormalizedParams
-from .numkit import Precision, working_context
+from .numkit import working_context
 
 VERTEX = 1
 HEDGE = 2
@@ -137,12 +137,12 @@ def assemble_patch(element: np.ndarray, n: int = _PATCH):
     return a, touched, dof_type, pos2, centers
 
 
-def _element_matrix(method, omega_n, eps_n, r, precision):
+def _element_matrix(method, omega_n, eps_n, r):
     """Trace element for ``method`` plus its extended copy when one exists."""
     if method == "dpg":
         if eps_n is None or r is None:
             raise ValueError("dpg stencils need eps_n and r")
-        kit = localforms.element_kit(NormalizedParams(omega_n, eps_n, r, precision))
+        kit = localforms.element_kit(NormalizedParams(omega_n, eps_n, r))
         return kit.S, kit.S_exact, kit.precision_used
     if method == "fosls":
         return localforms.fosls_element(omega_n).M, None, None
@@ -156,7 +156,6 @@ def extract_stencils(
     omega_n: float,
     eps_n: float | None = None,
     r: int | None = None,
-    precision: Precision | None = None,
     normalize: bool = True,
 ) -> StencilSet:
     """Extract lattice stencils for ``method`` at normalized frequency omega_n.
@@ -168,9 +167,7 @@ def extract_stencils(
     the element carries an extended-precision copy, the same rows are read
     off a second patch assembled at full digit count and kept alongside.
     """
-    element, element_exact, prec_used = _element_matrix(
-        method, omega_n, eps_n, r, precision
-    )
+    element, element_exact, prec_used = _element_matrix(method, omega_n, eps_n, r)
     a, touched, dof_type, pos2, centers = assemble_patch(element)
     types = tuple(sorted(centers))
     weights: dict[tuple[int, int], dict[tuple[int, int], complex]] = {}

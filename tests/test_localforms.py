@@ -331,20 +331,34 @@ def test_element_kit_matches_30_digit_element(r, omega_n, eps_n):
     assert (kit.cond > lf.DOUBLE_COND_LIMIT) == extended
     ref = lf.dpg_element(NormalizedParams(omega_n, eps_n, r, precision=EXT30))
     assert _rel(kit.B, as_complex128(ref.B)) <= 1e-10
-    assert _rel(kit.S, lf.condense(ref.B, EXT30).S) <= 1e-10
+    assert _rel(kit.S, lf.condense(ref.B).S) <= 1e-10
     assert _rel(kit.xh, as_complex128(ref.X).conj().T) <= 1e-10
 
 
-def test_element_kit_sweep_roots_match_30_digit_kits():
+def test_element_kit_sweep_roots_match_30_digit_kits(monkeypatch):
     zeta = 2 * np.pi / 8
-    roots = [
-        dispersion.theta_sweep(
-            stencil.extract_stencils("dpg", zeta, 1e-6, 3, precision=prec, normalize=False),
-            13,
-        ).z
-        for prec in (None, EXT30)
-    ]
-    assert np.max(np.abs(roots[0] - roots[1])) <= 1e-10
+
+    def sweep():
+        st = stencil.extract_stencils("dpg", zeta, 1e-6, 3, normalize=False)
+        return st, dispersion.theta_sweep(st, 13).z
+
+    st, double = sweep()
+    assert st.exact is None
+    # a zero limit sends every element down the kit's 30-digit fallback
+    monkeypatch.setattr(lf, "DOUBLE_COND_LIMIT", 0.0)
+    lf.element_kit.cache_clear()
+    try:
+        st, extended = sweep()
+    finally:
+        lf.element_kit.cache_clear()
+    assert st.exact is not None
+    assert np.max(np.abs(double - extended)) <= 1e-10
+
+
+def test_element_kit_rejects_pinned_precision():
+    for prec in (EXT30, Precision.double()):
+        with pytest.raises(ValueError, match="dpg_element"):
+            lf.element_kit(NormalizedParams(0.77, 0.4, 2, precision=prec))
 
 
 def test_element_kit_rejects_envelope_edge():

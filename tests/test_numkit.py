@@ -254,6 +254,17 @@ def test_as_complex128_roundtrip():
     out = numkit.as_complex128(a)
     assert out.dtype == complex
     assert out[0, 0] == 1 + 2j and out[0, 1] == 3.0
+    # a random 30-digit matrix, mpf on the diagonal and mpc elsewhere: every
+    # entry must round exactly as complex(v) does
+    vals = np.random.default_rng(11).uniform(-9.0, 9.0, (11, 11, 2))
+    big = np.empty((11, 11), dtype=object)
+    with mp.workdps(30):
+        for i, j in np.ndindex(11, 11):
+            re, im = mp.mpf(vals[i, j, 0]) / 3, mp.mpf(vals[i, j, 1]) / 7
+            big[i, j] = re if i == j else mp.mpc(re, im)
+    out = numkit.as_complex128(big)
+    assert out.dtype == complex and out.shape == (11, 11)
+    assert all(out[i, j] == complex(big[i, j]) for i in range(11) for j in range(11))
 
 
 def test_extended_floor_enforced():

@@ -91,8 +91,6 @@ def test_edge_sign_convention():
     # top/right edges agree with the global normals, bottom/left oppose them
     assert refelem.EDGE_SIGNS[TOP] == 1.0 and refelem.EDGE_SIGNS[RIGHT] == 1.0
     assert refelem.EDGE_SIGNS[BOTTOM] == -1.0 and refelem.EDGE_SIGNS[LEFT] == -1.0
-    assert refelem.EDGE_IS_HORIZONTAL[BOTTOM] and refelem.EDGE_IS_HORIZONTAL[TOP]
-    assert not refelem.EDGE_IS_HORIZONTAL[LEFT]
 
 
 def test_vertex_hats_are_nodal():
@@ -129,6 +127,40 @@ def test_conforming_basis_flux_normalization():
     assert np.allclose(tab.eta[:4].sum(axis=0), 1.0)
     assert np.allclose(tab.eta_x[:4].sum(axis=0), 0.0)
     assert np.allclose(tab.vx[:4], 0.0)
+
+
+def _volume_tables_by_member(basis, pts):
+    """Member-by-member tables: the reference for the array program."""
+    px, dpx = refelem.shifted_legendre_table(basis.r, pts[:, 0])
+    py, dpy = refelem.shifted_legendre_table(basis.r, pts[:, 1])
+    names = ("vx", "vy", "eta", "eta_x", "eta_y", "div")
+    out = {name: np.full((basis.dim, len(pts)), pts[0, 0] * 0, dtype=px.dtype) for name in names}
+    for k, (comp, i, j) in enumerate(basis.members):
+        if comp == "vx":
+            out["vx"][k], out["div"][k] = px[i] * py[j], dpx[i] * py[j]
+        elif comp == "vy":
+            out["vy"][k], out["div"][k] = px[i] * py[j], px[i] * dpy[j]
+        else:
+            out["eta"][k] = px[i] * py[j]
+            out["eta_x"][k], out["eta_y"][k] = dpx[i] * py[j], px[i] * dpy[j]
+    return out
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_volume_tables_match_member_loop(r, extended):
+    basis = refelem.build_test_basis(r)
+    kind, deg_x, deg_y = basis.layout
+    assert not basis.layout.flags.writeable
+    assert [(("vx", "vy", "sc")[k], i, j) for k, i, j in zip(kind, deg_x, deg_y)] == list(basis.members)
+    precision = numkit.Precision.extended(30) if extended else numkit.DOUBLE
+    rule = refelem.default_rule(r, precision)
+    # volume points, and the left edge, where every x is an exact zero
+    for pts in (rule.points, refelem.edge_points(LEFT, rule.nodes_1d)):
+        got = refelem._volume_tables(basis, pts)
+        for name, want in _volume_tables_by_member(basis, pts).items():
+            assert got[name].dtype == want.dtype
+            assert repr(got[name].tolist()) == repr(want.tolist()), name
 
 
 def test_extended_tabulation_matches_double():
