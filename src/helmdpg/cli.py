@@ -195,7 +195,11 @@ def _load_config(path: str, spec: dict, parser: argparse.ArgumentParser) -> dict
 
 
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge flag, config-file, and default values (in that precedence)."""
+    """Merge flag, config-file, and default values (in that precedence).
+
+    A grid step that is not positive and a direction count below one are
+    usage errors.
+    """
     spec = _SPECS[args.command]
     config = _load_config(args.config, spec, parser) if args.config else {}
     out = {}
@@ -207,6 +211,12 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             out[dest] = config[dest]
         else:
             out[dest] = default
+    for dest, value in out.items():
+        flag = "--" + dest.replace("_", "-")
+        if dest.endswith("_step") and not value > 0:
+            parser.error(f"{flag} must be positive, got {value!r}")
+        if dest == "n_theta" and value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import stencil as stencil_mod
 from .errors import BranchAmbiguity, NoRootFound
-from .numkit import adjugate_small, det_small
+from .numkit import EXTENDED, adjugate_small, det_small, working_context
 from .stencil import StencilSet, extract_stencils
 
 NEWTON_MAX_ITER = 100
@@ -36,7 +36,6 @@ DEDUP_TOL = 1e-8
 AMBIGUITY_TOL = 1e-6
 ADMISSIBLE_LO = 0.0
 BRILLOUIN_TOL = 1e-8
-POLISH_DPS = 30
 POLISH_MAX_ITER = 40
 POLISH_ZTOL = 1e-9
 
@@ -48,9 +47,14 @@ class SymbolMatrix:
 
     Entry (t, s) of F is the exponential sum ``sum_k c_k exp(i z d_k)`` over
     the (t, s) stencil offsets, ``d_k`` the offset projected on the
-    direction.  The sums are stored as ``(n, n, K)`` coefficient and
-    projected-offset arrays, padded with zero coefficients to the longest
-    row, so one ``np.exp`` evaluates F at any array of z.
+    direction.  The sums are stored as ``(n, n, K)`` coefficient arrays,
+    padded with zero coefficients to the longest row, once in complex128
+    and once as objects (the stencil set's extended weights when present,
+    the double weights otherwise), with an index into the distinct
+    projected offsets.  Both evaluators take one exponential per distinct
+    offset, gather it into the padded layout and sum over the last axis:
+    ``value_and_derivative`` for any array of z in double,
+    ``det_and_derivative_exact`` for one z in the ambient mpmath precision.
     """
 
     def __init__(self, stencils: StencilSet, theta: float):
@@ -64,79 +68,63 @@ class SymbolMatrix:
             for si, s in enumerate(self.types)
         }
         width = max(len(row) for row in rows.values())
-        self._terms = np.zeros((n, n), dtype=int)
-        self._dots = np.zeros((n, n, width))
-        self._coefs = np.zeros((n, n, width), dtype=complex)
-        self._coefs_exact = None
-        if stencils.exact is not None:
-            self._coefs_exact = np.empty((n, n, width), dtype=object)
+        dots = np.zeros((n, n, width))
+        coefs = np.zeros((n, n, width), dtype=complex)
         for (ti, si), row in rows.items():
-            m = self._terms[ti, si] = len(row)
-            if not m:
-                continue
-            self._dots[ti, si, :m] = np.array(list(row), dtype=float) / 2.0 @ k
-            self._coefs[ti, si, :m] = list(row.values())
-            if self._coefs_exact is not None:
-                erow = stencils.exact[(self.types[ti], self.types[si])]
-                self._coefs_exact[ti, si, :m] = [erow[o] for o in row]
-        self._dcoefs = 1j * self._dots * self._coefs
+            if row:
+                dots[ti, si, : len(row)] = np.array(list(row), dtype=float) / 2.0 @ k
+                coefs[ti, si, : len(row)] = list(row.values())
+        exact = coefs.astype(object)
+        if stencils.exact is not None:
+            for (ti, si), row in rows.items():
+                erow = stencils.exact.get((self.types[ti], self.types[si])) or {}
+                exact[ti, si, : len(row)] = [erow[o] for o in row]
+        self._offsets, at = np.unique(dots, return_inverse=True)
+        self._at = at.reshape(dots.shape)
+        self._coefs = coefs
+        self._dcoefs = 1j * dots * coefs
+        self._offsets_exact = np.array([mp.mpf(d) for d in self._offsets], dtype=object)
+        self._coefs_exact = exact
+        self._idots_exact = (1j * dots).astype(object)
 
     def value_and_derivative(self, z):
         """F(z) and dF/dz, each of shape ``np.shape(z) + (n, n)``."""
-        z = np.asarray(z, dtype=complex)[..., None, None, None]
+        z = np.asarray(z, dtype=complex)[..., None]
         # iterates far from the root can push exp(1j*z*dots) past the float
         # range; the callers test for non-finite results, so the overflow
         # itself is expected and the warning suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.exp(1j * z * self._dots)
+            phase = np.take(np.exp(1j * z * self._offsets), self._at, axis=-1)
             return (self._coefs * phase).sum(-1), (self._dcoefs * phase).sum(-1)
 
     def value(self, z) -> np.ndarray:
         return self.value_and_derivative(z)[0]
+
+    @staticmethod
+    def _jacobi(f, df):
+        """det F and its derivative tr(adj(F) dF) (Jacobi's formula)."""
+        return det_small(f), np.trace(adjugate_small(f) @ df, axis1=-2, axis2=-1)
 
     def det(self, z):
         with np.errstate(over="ignore", invalid="ignore"):
             return det_small(self.value(z))
 
     def det_and_derivative(self, z):
-        """det F(z) and its z-derivative (Jacobi's formula), for any array z."""
+        """det F(z) and its z-derivative, for any array z."""
         with np.errstate(over="ignore", invalid="ignore"):
-            f, df = self.value_and_derivative(z)
-            gp = np.trace(adjugate_small(f) @ df, axis1=-2, axis2=-1)
-            return det_small(f), gp
+            return self._jacobi(*self.value_and_derivative(z))
 
     def det_and_derivative_exact(self, z):
         """det F and d(det F)/dz in the ambient mpmath precision.
 
-        Uses the stencil set's extended-precision weights when present and
-        the double weights as exact inputs otherwise; summing the
-        exponential series and expanding the determinant in extended
-        arithmetic removes the cancellation noise that limits the double
-        evaluation near a nearly double root.  Call inside mp.workdps.
+        Summing the exponential series and expanding the determinant in
+        extended arithmetic removes the cancellation noise that limits the
+        double evaluation near a nearly double root.  Call inside
+        mp.workdps.
         """
-        n = len(self.types)
-        f = np.empty((n, n), dtype=object)
-        df = np.empty((n, n), dtype=object)
-        iz = mp.mpc(0, 1) * z
-        for ti in range(n):
-            for si in range(n):
-                m = self._terms[ti, si]
-                if self._coefs_exact is not None:
-                    coefs = self._coefs_exact[ti, si, :m]
-                else:
-                    coefs = [mp.mpc(complex(c)) for c in self._coefs[ti, si, :m]]
-                acc = mp.mpc(0)
-                dacc = mp.mpc(0)
-                for c, d in zip(coefs, self._dots[ti, si, :m]):
-                    dm = mp.mpf(float(d))
-                    term = c * mp.exp(iz * dm)
-                    acc += term
-                    dacc += mp.mpc(0, 1) * dm * term
-                f[ti, si] = acc
-                df[ti, si] = dacc
-        g = det_small(f)
-        gp = np.trace(adjugate_small(f) @ df)
-        return g, gp
+        exps = np.array([mp.exp(a) for a in self._offsets_exact * (1j * z)], dtype=object)
+        terms = self._coefs_exact * np.take(exps, self._at, axis=-1)
+        return self._jacobi(terms.sum(-1), (self._idots_exact * terms).sum(-1))
 
     def null_vector(self, z: complex) -> np.ndarray:
         """Unit amplitude vector minimizing |F(z) amp| (smallest singular)."""
@@ -211,7 +199,7 @@ def _polish(sym: SymbolMatrix, z0: complex):
     double root) so the step tolerance POLISH_ZTOL bounds the remaining
     position error.  Returns (z, iterations, |det F(z)|) or (None, n, None).
     """
-    with mp.workdps(POLISH_DPS):
+    with working_context(EXTENDED):
         z = mp.mpc(complex(z0))
         for it in range(POLISH_MAX_ITER):
             g, gp = sym.det_and_derivative_exact(z)

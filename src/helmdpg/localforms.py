@@ -35,12 +35,15 @@ take 1.7x the wall time and twice the CPU.
 :func:`dpg_element` keeps the normal equations ``G X = Bb`` and its own
 policy: with ``params.precision = None`` it runs in double and recomputes
 in 30-digit extended arithmetic when ``eps_n < 1e-3`` up front or when the
-Gram condition exceeds 1e12; ``eps_n = 0`` is supported only in extended
-precision, where the factorization's pivot check is the required
-positive-definiteness guard.  It stays because its residual
-``|G X - Bb| / |Bb|`` is what acceptance ``test_02`` bounds by 1e-10, and
-at r = 2, ``omega_n = 0.3``, ``eps_n = 1e-6`` the QR X leaves 1.2e-10;
-even the exact 30-digit X rounded to complex128 leaves 3.6e-11 there.
+1-norm condition of the double Gram matrix exceeds 1e12 (a pinned double
+warns :class:`~helmdpg.errors.IllConditioned` there instead); this is the
+one place a condition number of G is computed and acted on.  ``eps_n = 0``
+is supported only in extended precision, where the factorization's pivot
+check is the required positive-definiteness guard.  It stays because its
+residual ``|G X - Bb| / |Bb|`` is what acceptance ``test_02`` bounds by
+1e-10, and at r = 2, ``omega_n = 0.3``, ``eps_n = 1e-6`` the QR X leaves
+1.2e-10; even the exact 30-digit X rounded to complex128 leaves 3.6e-11
+there.
 
 It solves those equations in real arithmetic, in both precisions.  With
 the scalar test members multiplied by i (``U``) and the trial functions by
@@ -50,7 +53,7 @@ cached 1D shifted-Legendre integrals of
 :func:`~helmdpg.refelem.legendre_integrals` by fancy indexing over the
 tensor test basis, with no 2D quadrature; ``Bb`` still comes from the
 quadrature columns shared with the QR route.  On a 2-core box the
-30-digit element at r = 3, ``eps_n = 0`` takes about 0.5 s this way
+30-digit element at r = 3, ``eps_n = 0`` takes about 0.2 s this way
 against 1.7 s for the complex 2D-quadrature assembly and solve.  The
 phases are 1 and +-i, so mapping back, ``G = U G_R U^H``,
 ``X = U X_R T^H`` and ``B = T B_R T^H``, is exact.
@@ -58,15 +61,23 @@ phases are 1 and +-i, so mapping back, ``G = U G_R U^H``,
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import refelem
-from .errors import DimensionMismatch, InteriorBlockSingular, NotPositiveDefinite, OutsideEnvelope
+from .errors import (
+    DimensionMismatch,
+    IllConditioned,
+    InteriorBlockSingular,
+    NotPositiveDefinite,
+    OutsideEnvelope,
+)
 from .numkit import (
     DOUBLE,
+    EXTENDED,
     ILL_CONDITION_LIMIT,
     Precision,
     as_complex128,
@@ -119,7 +130,7 @@ class NormalizedParams:
     def __post_init__(self):
         if not self.omega_n > 0:
             raise ValueError(f"omega_n must be positive, got {self.omega_n}")
-        if self.eps_n < 0:
+        if not self.eps_n >= 0:
             raise ValueError(f"eps_n must be nonnegative, got {self.eps_n}")
         if self.eps_n == 0 and self.precision is not None and not self.precision.is_extended:
             raise ValueError("eps_n = 0 requires extended precision")
@@ -129,7 +140,7 @@ class NormalizedParams:
         if self.precision is not None:
             return self.precision
         if self.eps_n < EXTENDED_EPS_THRESHOLD:
-            return Precision.extended(30)
+            return EXTENDED
         return DOUBLE
 
 
@@ -144,8 +155,7 @@ class DpgElementMatrices:
     complex, in ``precision_used`` (complex128 or mpmath objects).  They
     are mapped back exactly from the real solve ``G_R X_R = Bb_R``
     described in the module docstring, so ``B`` is ``Bb_R^T X_R`` up to
-    the trial phases; ``cond`` is the 1-norm condition number of G (equal
-    to that of ``G_R``) reported by the solve.
+    the trial phases.
     """
 
     params: NormalizedParams
@@ -154,7 +164,6 @@ class DpgElementMatrices:
     Bb: np.ndarray
     X: np.ndarray
     B: np.ndarray
-    cond: float
 
 
 def _riesz_data(params: NormalizedParams, precision: Precision):
@@ -226,32 +235,40 @@ def _real_gram(params: NormalizedParams, precision: Precision) -> np.ndarray:
         return g + (eps * eps) * values
 
 
-def _real_riesz(params: NormalizedParams, precision: Precision, warn_limit: float):
-    """``(Bb, G_R, Bb_R, X_R, cond)`` of the realified normal equations."""
+def _real_system(params: NormalizedParams, precision: Precision):
+    """``(Bb, G_R, Bb_R)`` of the realified normal equations."""
     _, _, _, Bb = _riesz_data(params, precision)
     u = _test_phases(params.r)
     G_R = _real_gram(params, precision)
     with working_context(precision):
         Bb_R = real_part(u.conj()[:, None] * Bb * TRIAL_PHASES)
-    X_R, cond = hermitian_solve(G_R, Bb_R, precision, warn_limit=warn_limit)
-    return Bb, G_R, Bb_R, X_R, cond
+    return Bb, G_R, Bb_R
 
 
 def dpg_element(params: NormalizedParams) -> DpgElementMatrices:
-    """Assemble and solve the realified element under the precision policy."""
+    """Assemble and solve the realified element under the precision policy.
+
+    A double ``G_R`` whose 1-norm condition exceeds ``ILL_CONDITION_LIMIT``
+    is rebuilt in 30 digits under the automatic policy and warns
+    :class:`~helmdpg.errors.IllConditioned` when double is pinned.
+    """
     precision = params.resolve_precision()
-    warn_limit = np.inf if params.precision is None else ILL_CONDITION_LIMIT
-    Bb, G_R, Bb_R, X_R, cond = _real_riesz(params, precision, warn_limit)
-    if params.precision is None and not precision.is_extended and cond > ILL_CONDITION_LIMIT:
-        precision = Precision.extended(30)
-        Bb, G_R, Bb_R, X_R, cond = _real_riesz(params, precision, ILL_CONDITION_LIMIT)
+    Bb, G_R, Bb_R = _real_system(params, precision)
+    cond = 0.0 if precision.is_extended else np.linalg.cond(G_R, 1)
+    if cond > ILL_CONDITION_LIMIT and params.precision is None:
+        precision = EXTENDED
+        Bb, G_R, Bb_R = _real_system(params, precision)
+    elif cond > ILL_CONDITION_LIMIT:
+        warnings.warn(f"1-norm condition {cond:.3e} of the double Gram matrix exceeds "
+                      f"{ILL_CONDITION_LIMIT:.1e}", IllConditioned, stacklevel=2)
+    X_R = hermitian_solve(G_R, Bb_R, precision)
     u, t = _test_phases(params.r), TRIAL_PHASES
     with working_context(precision):
         B_R = Bb_R.T @ X_R
         G = G_R * np.outer(u, u.conj())
         X = X_R * np.outer(u, t.conj())
         B = B_R * np.outer(t, t.conj())
-    return DpgElementMatrices(params, precision, G, Bb, X, B, float(cond))
+    return DpgElementMatrices(params, precision, G, Bb, X, B)
 
 
 def scale_to_physical(b_ref: np.ndarray, h: float) -> np.ndarray:
@@ -293,7 +310,7 @@ def condense(b: np.ndarray) -> CondensedElement:
     b = np.asarray(b)
     if b.shape != (TRIAL_DIM, TRIAL_DIM):
         raise DimensionMismatch(f"expected an 11x11 element matrix, got {b.shape}")
-    precision = Precision.extended(30) if b.dtype == object else DOUBLE
+    precision = EXTENDED if b.dtype == object else DOUBLE
     with working_context(precision):
         b_ii = b[:3, :3]
         b_it = b[:3, 3:]
@@ -303,10 +320,7 @@ def condense(b: np.ndarray) -> CondensedElement:
             L, d = ldlh_factor(b_ii, precision)
         except NotPositiveDefinite as exc:
             raise InteriorBlockSingular(f"interior 3x3 block not invertible: {exc}") from exc
-        eye = precision.zeros(3, 3)
-        for i in range(3):
-            eye[i, i] = precision.real(1)
-        interior_inv = ldlh_solve(L, d, eye, precision)
+        interior_inv = ldlh_solve(L, d, np.eye(3, dtype=b.dtype), precision)
         recovery = -(interior_inv @ b_it)
         s = b_tt + b_ti @ recovery
     s_exact = np.asarray(s, dtype=object) if b.dtype == object else None
@@ -392,11 +406,10 @@ class ElementKit:
 
     All arrays are complex128/float64.  The route follows the Gram
     condition estimate alone, the 1-norm ``cond(R)^2`` of the QR factor of
-    K (``G = K^H K``): up to ``DOUBLE_COND_LIMIT`` the element is the double
-    QR Riesz solve and ``cond`` is that estimate; above it the element is
-    the 30-digit :func:`dpg_element`, which reports its exact 1-norm
-    ``cond(G)``; above ``ENVELOPE_COND_LIMIT`` :class:`OutsideEnvelope` is
-    raised before any 30-digit work.  The accuracy
+    K (``G = K^H K``), which ``cond`` holds on both routes: up to
+    ``DOUBLE_COND_LIMIT`` the element is the double QR Riesz solve, above
+    it the 30-digit :func:`dpg_element`, and above ``ENVELOPE_COND_LIMIT``
+    :class:`OutsideEnvelope` is raised before any 30-digit work.  The accuracy
     of ``S`` is inherited from the element computation.  ``xh = X^H`` maps
     moment vectors of f against the test basis to the 11 trial load
     entries.  ``S_exact`` carries the full-precision Schur complement when
@@ -465,9 +478,9 @@ def element_kit(params: NormalizedParams) -> ElementKit:
     rule, tab, B, X, cond = _qr_riesz(params)
     precision_used = DOUBLE
     if B is None:
-        precision_used = Precision.extended(30)
+        precision_used = EXTENDED
         elem = dpg_element(replace(params, precision=precision_used))
-        B, X, cond = elem.B, elem.X, elem.cond
+        B, X = elem.B, elem.X
     cond_elem = condense(B)
     return ElementKit(
         params=params,

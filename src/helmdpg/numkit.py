@@ -15,17 +15,13 @@ pure: identical inputs give bit-identical outputs.
 
 The factorization used throughout is an LDL^H decomposition without pivoting,
 appropriate for the Hermitian (or real symmetric) positive (semi)definite
-matrices this package produces.  ``hermitian_solve`` reports the exact
-1-norm condition number of the factorized matrix (matrices here are at
-most ~80x80, so the "estimate" is computed exactly from explicit inverse
-columns) and emits an :class:`~helmdpg.errors.IllConditioned` warning
-above 1e12 in double precision.
+matrices this package produces.  ``hermitian_solve`` only solves: its
+callers that act on a condition number compute it themselves.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,12 +29,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IllConditioned,
-    NotHermitian,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
 
 #: Relative tolerance for the Hermitian symmetry check.
 HERMITIAN_RTOL = 1e-12
@@ -47,8 +38,8 @@ HERMITIAN_RTOL = 1e-12
 #: entry count as a positive-definiteness failure.
 PIVOT_RTOL = 1e-14
 
-#: Double-precision condition threshold that triggers the IllConditioned
-#: warning (and precision escalation in callers that opt into it).
+#: Double-precision condition threshold above which a caller recomputes in
+#: extended arithmetic or warns IllConditioned.
 ILL_CONDITION_LIMIT = 1e12
 
 
@@ -96,6 +87,8 @@ class Precision:
 
 
 DOUBLE = Precision.double()
+#: the one extended arithmetic of the package's 30-digit paths
+EXTENDED = Precision.extended(30)
 
 
 def working_context(precision: Precision):
@@ -212,18 +205,10 @@ def _gl_newton(n, real, pi_val, precision):
 
 
 def tensor_rule(n: int, precision: Precision = DOUBLE) -> QuadratureRule:
-    """n x n tensor Gauss-Legendre rule on the unit square."""
+    """n x n tensor Gauss-Legendre rule on the unit square, x running fastest."""
     x, w = gauss_legendre_1d(n, precision)
-    pts = precision.zeros(n * n, 2).astype(object) if precision.is_extended else np.zeros((n * n, 2))
-    wts = np.empty(n * n, dtype=object if precision.is_extended else float)
-    q = 0
-    for j in range(n):
-        for i in range(n):
-            pts[q, 0] = x[i]
-            pts[q, 1] = x[j]
-            wts[q] = w[i] * w[j]
-            q += 1
-    return QuadratureRule(n, pts, wts, x, w, precision)
+    pts = np.stack([np.tile(x, n), np.repeat(x, n)], axis=1)
+    return QuadratureRule(n, pts, np.outer(w, w).ravel(), x, w, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +284,10 @@ def ldlh_solve(L: np.ndarray, d: np.ndarray, b: np.ndarray, precision: Precision
     return y[:, 0] if one_col else y
 
 
-def _one_norm(a: np.ndarray) -> float:
-    return max(
-        (sum(float(abs(v)) for v in a[:, j]) for j in range(a.shape[1])),
-        default=0.0,
-    )
+def hermitian_solve(a: np.ndarray, b: np.ndarray, precision: Precision = DOUBLE) -> np.ndarray:
+    """Solve the Hermitian positive-definite system A X = B for X.
 
-
-def hermitian_solve(
-    a: np.ndarray,
-    b: np.ndarray,
-    precision: Precision = DOUBLE,
-    warn_limit: float = ILL_CONDITION_LIMIT,
-):
-    """Solve the Hermitian positive-definite system A X = B.
-
-    Returns ``(X, cond)`` where ``cond`` is the exact 1-norm condition
-    number of A computed from the factorization.  Raises
-    :class:`NotHermitian` / :class:`NotPositiveDefinite`; warns
-    :class:`IllConditioned` when ``cond > warn_limit`` in double precision.
+    Raises :class:`NotHermitian` / :class:`NotPositiveDefinite`.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -325,19 +295,7 @@ def hermitian_solve(
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix size {a.shape[0]}")
     L, d = ldlh_factor(a, precision)
-    x = ldlh_solve(L, d, b, precision)
-    eye = precision.zeros(a.shape[0], a.shape[0])
-    for i in range(a.shape[0]):
-        eye[i, i] = precision.real(1)
-    inv = ldlh_solve(L, d, eye, precision)
-    cond = _one_norm(a) * _one_norm(inv)
-    if not precision.is_extended and cond > warn_limit:
-        warnings.warn(
-            f"1-norm condition estimate {cond:.3e} exceeds {warn_limit:.1e}",
-            IllConditioned,
-            stacklevel=2,
-        )
-    return x, cond
+    return ldlh_solve(L, d, b, precision)
 
 
 def _require_small(f: np.ndarray, name: str) -> int:

@@ -49,8 +49,7 @@ def shifted_legendre_table(max_deg: int, x: np.ndarray):
     x = np.asarray(x)
     npts = x.shape[0]
     t = 2 * x - 1
-    obj = x.dtype == object
-    vals = np.empty((max_deg + 1, npts), dtype=object if obj else float)
+    vals = np.empty((max_deg + 1, npts), dtype=np.result_type(x, float))
     ders = np.empty_like(vals)
     one = t * 0 + 1
     vals[0], ders[0] = one, one * 0
@@ -145,12 +144,6 @@ def _volume_tables(basis: TestSpaceBasis, pts: np.ndarray):
     }
 
 
-def _zeros_obj(m, n, like):
-    z = np.empty((m, n), dtype=object)
-    z[...] = like[0, 0] * 0
-    return z
-
-
 def edge_points(edge: int, t: np.ndarray) -> np.ndarray:
     """Map 1D parameter values t in [0,1] to points on a reference edge."""
     zero, one = t * 0, t * 0 + 1
@@ -169,9 +162,7 @@ def tabulate_test_basis(basis: TestSpaceBasis, rule: QuadratureRule) -> TestTabu
     """Tabulate a test basis at a rule's volume points and edge nodes."""
     vol = _volume_tables(basis, rule.points)
     t = rule.nodes_1d
-    dim, ne = basis.dim, len(t)
-    obj = rule.precision.is_extended
-    edge_eta = np.zeros((4, dim, ne)) if not obj else _zeros_obj(4 * dim, ne, rule.points).reshape(4, dim, ne)
+    edge_eta = np.full((4, basis.dim, len(t)), t[0] * 0)
     edge_vn = edge_eta.copy()
     for e in (BOTTOM, TOP, LEFT, RIGHT):
         pts = edge_points(e, t)
@@ -299,9 +290,7 @@ def tabulate_conforming_basis(rule: QuadratureRule) -> ConformingTabulation:
     """
     pts = rule.points
     x, y = pts[:, 0], pts[:, 1]
-    obj = rule.precision.is_extended
-    shape = (8, pts.shape[0])
-    z = _zeros_obj(*shape, like=pts) if obj else np.zeros(shape)
+    z = np.full((8, pts.shape[0]), x[0] * 0)
     vx, vy, eta = z.copy(), z.copy(), z.copy()
     eta_x, eta_y, div = z.copy(), z.copy(), z.copy()
     for a, (va, vb) in enumerate(VERTICES_CCW):

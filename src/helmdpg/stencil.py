@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-import mpmath as mp
 import numpy as np
 
 from . import localforms
 from .errors import CenterRowDegenerate, MissingValue
 from .localforms import NormalizedParams
-from .numkit import working_context
+from .numkit import EXTENDED, working_context
 
 VERTEX = 1
 HEDGE = 2
@@ -143,11 +142,11 @@ def _element_matrix(method, omega_n, eps_n, r):
         if eps_n is None or r is None:
             raise ValueError("dpg stencils need eps_n and r")
         kit = localforms.element_kit(NormalizedParams(omega_n, eps_n, r))
-        return kit.S, kit.S_exact, kit.precision_used
+        return kit.S, kit.S_exact
     if method == "fosls":
-        return localforms.fosls_element(omega_n).M, None, None
+        return localforms.fosls_element(omega_n).M, None
     if method == "fem":
-        return localforms.fem_element(omega_n), None, None
+        return localforms.fem_element(omega_n), None
     raise ValueError(f"unknown method {method!r}; expected dpg, fosls or fem")
 
 
@@ -167,49 +166,42 @@ def extract_stencils(
     the element carries an extended-precision copy, the same rows are read
     off a second patch assembled at full digit count and kept alongside.
     """
-    element, element_exact, prec_used = _element_matrix(method, omega_n, eps_n, r)
+    element, element_exact = _element_matrix(method, omega_n, eps_n, r)
+    weights = _center_rows(element, normalize, method, omega_n)
+    exact = None
+    if element_exact is not None:
+        with working_context(EXTENDED):
+            exact = _center_rows(element_exact, normalize, method, omega_n)
+    types = tuple(sorted({t for t, _ in weights}))
+    return StencilSet(method, omega_n, eps_n, r, types, weights, exact)
+
+
+def _center_rows(element, normalize, method, omega_n):
+    """Assemble a patch of ``element`` and read its center rows.
+
+    Returns ``{(t, s): {offset: value}}`` in the element's arithmetic:
+    Python complex from complex128, mpmath numbers from an object array.
+    """
     a, touched, dof_type, pos2, centers = assemble_patch(element)
-    types = tuple(sorted(centers))
-    weights: dict[tuple[int, int], dict[tuple[int, int], complex]] = {}
+    rows: dict[tuple[int, int], dict[tuple[int, int], object]] = {}
     for t, c in centers.items():
-        row = _center_row(a, touched, dof_type, pos2, c, complex)
+        values = a[c].tolist()
+        row: dict[int, dict[tuple[int, int], object]] = {}
+        for q in np.flatnonzero(touched[c]):
+            off = (int(pos2[q, 0] - pos2[c, 0]), int(pos2[q, 1] - pos2[c, 1]))
+            row.setdefault(int(dof_type[q]), {})[off] = values[q]
         if normalize:
             self_w = row[t][(0, 0)]
             row_max = max(abs(v) for d in row.values() for v in d.values())
             if abs(self_w) <= DEGENERATE_RTOL * row_max:
                 raise CenterRowDegenerate(
                     f"{method} center row for {TYPE_NAMES[t]} has self weight "
-                    f"{abs(self_w):.3e} against row maximum {row_max:.3e} "
+                    f"{float(abs(self_w)):.3e} against row maximum {float(row_max):.3e} "
                     f"at omega_n={omega_n!r}"
                 )
-            for s in row:
-                row[s] = {k: v / self_w for k, v in row[s].items()}
-        for s, d in row.items():
-            weights[(t, s)] = d
-    exact = None
-    if element_exact is not None:
-        exact = {}
-        with working_context(prec_used):
-            ae, *_ = assemble_patch(element_exact)
-            for t, c in centers.items():
-                row = _center_row(ae, touched, dof_type, pos2, c, mp.mpc)
-                if normalize:
-                    self_w = row[t][(0, 0)]
-                    for s in row:
-                        row[s] = {k: v / self_w for k, v in row[s].items()}
-                for s, d in row.items():
-                    exact[(t, s)] = d
-    return StencilSet(method, omega_n, eps_n, r, types, weights, exact)
-
-
-def _center_row(a, touched, dof_type, pos2, c, convert):
-    """Read one assembled center row into {neighbour type: {offset: value}}."""
-    row: dict[int, dict[tuple[int, int], object]] = {}
-    for q in np.flatnonzero(touched[c]):
-        s = int(dof_type[q])
-        off = (int(pos2[q, 0] - pos2[c, 0]), int(pos2[q, 1] - pos2[c, 1]))
-        row.setdefault(s, {})[off] = convert(a[c, q])
-    return row
+            row = {s: {k: v / self_w for k, v in d.items()} for s, d in row.items()}
+        rows.update(((t, s), d) for s, d in row.items())
+    return rows
 
 
 def apply_stencil(

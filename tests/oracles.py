@@ -89,7 +89,7 @@ def dpg_element_physical(omega: float, eps: float, h: float, r: int, precision: 
         for t, e in enumerate(TRACE_EDGES):
             Bb[:, 7 + t] = precision.real(EDGE_SIGNS[e]) * (tab.edge_eta[e] @ w1)
 
-        x, _ = hermitian_solve(G, Bb, precision)
+        x = hermitian_solve(G, Bb, precision)
         B = Bb.conj().T @ x
     return as_complex128(B)
 

@@ -168,6 +168,36 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["resonance-sweep", "--omega-step", "0"], "--omega-step"),
+        (["resonance-sweep", "--omega-step", "-0.05"], "--omega-step"),
+        (["band", "--zeta-step", "0"], "--zeta-step"),
+        (["band", "--zeta-step", "-0.1"], "--zeta-step"),
+        (["band", "--zeta-step", "nan"], "--zeta-step"),
+        (["eps-r-sweep", "--n-theta", "0"], "--n-theta"),
+        (["dispersion", "--n-theta", "-1"], "--n-theta"),
+    ],
+)
+def test_bad_grid_is_usage_error(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_bad_step_from_config_is_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "band.cfg"
+    cfgfile.write_text("zeta_step=0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["band", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert "--zeta-step must be positive" in capsys.readouterr().err
+
+
 def test_numerical_error_exit_1(capsys):
     # the vertex method self-weight vanishes at omega_n = sqrt(6), so
     # normalized extraction must fail cleanly

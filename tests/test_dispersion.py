@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -107,6 +108,45 @@ def test_symbol_derivative_matches_finite_difference():
         assert gp[i] == sym.det_and_derivative(z)[1]
         assert g[i] == sym.det(z) == sym.det(zs)[i]
         assert np.array_equal(f[i], sym.value(z))
+
+
+def _direct_det(st, theta, z):
+    """det F(z) summed term by term from the StencilSet dicts in 30 digits.
+
+    The offsets are projected in double, as ``SymbolMatrix`` documents, so
+    only the weights' arithmetic and the summation differ from it.
+    """
+    k = np.array([np.cos(theta), np.sin(theta)])
+    weights = st.exact if st.exact is not None else st.weights
+    f = mp.matrix(len(st.types), len(st.types))
+    for i, t in enumerate(st.types):
+        for j, s in enumerate(st.types):
+            for off, c in (weights.get((t, s)) or {}).items():
+                d = mp.mpf(float(np.array(off, dtype=float) / 2.0 @ k))
+                f[i, j] += mp.mpc(c) * mp.exp(mp.mpc(0, 1) * z * d)
+    return mp.det(f)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("method", ["dpg", "fosls"])
+def test_exact_symbol_matches_direct_sum(method, theta):
+    if method == "dpg":
+        zeta = 2 * np.pi / 64
+        st = stencil.extract_stencils("dpg", zeta, 0.0, 3, normalize=False)
+        assert st.exact is not None  # the 30-digit route
+    else:
+        zeta = np.pi / 4
+        st = stencil.extract_stencils("fosls", zeta, normalize=False)
+        assert st.exact is None
+    sym = dispersion.SymbolMatrix(st, theta)
+    with mp.workdps(30):
+        h = mp.mpf("1e-10")
+        for z in (mp.mpc(zeta) * mp.mpc(1.05, 0.02), mp.mpc(zeta) * mp.mpc(0.9, -0.01)):
+            g, gp = sym.det_and_derivative_exact(z)
+            want = _direct_det(st, theta, z)
+            fd = (_direct_det(st, theta, z + h) - _direct_det(st, theta, z - h)) / (2 * h)
+            assert abs(g - want) <= mp.mpf("1e-22") * abs(want)
+            assert abs(gp - fd) <= mp.mpf("1e-12") * abs(fd)
 
 
 def test_theta_reflection_symmetry():

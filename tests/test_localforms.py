@@ -9,7 +9,12 @@ import pytest
 from helmdpg import dispersion, stencil
 from helmdpg import localforms as lf
 from helmdpg import numkit, refelem
-from helmdpg.errors import DimensionMismatch, InteriorBlockSingular, OutsideEnvelope
+from helmdpg.errors import (
+    DimensionMismatch,
+    IllConditioned,
+    InteriorBlockSingular,
+    OutsideEnvelope,
+)
 from helmdpg.localforms import NormalizedParams
 from helmdpg.numkit import Precision, as_complex128, working_context
 
@@ -120,6 +125,19 @@ def test_extended_riesz_residual_small_eps():
     e = lf.dpg_element(NormalizedParams(np.pi / 4, 1e-6, 2))
     assert e.precision_used.is_extended
     assert _resid(e) <= 1e-10
+
+
+def test_dpg_element_warns_when_ill_conditioned():
+    # 1-norm cond(G_R) reads 2.537e14 here, above ILL_CONDITION_LIMIT
+    with pytest.warns(IllConditioned, match="2.537e"):
+        e = lf.dpg_element(NormalizedParams(np.pi / 4, 1e-6, 4, precision=Precision.double()))
+    assert not e.precision_used.is_extended
+
+
+@pytest.mark.parametrize("eps_n", [-1e-3, float("nan")])
+def test_normalized_params_rejects_bad_eps(eps_n):
+    with pytest.raises(ValueError, match="eps_n must be nonnegative"):
+        NormalizedParams(1.0, eps_n, 3)
 
 
 @pytest.mark.parametrize("omega_n,eps_n", [(2 * np.pi / 64, 0.0), (1.3, 0.3)])

@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmdpg import numkit
-from helmdpg.errors import (
-    DimensionMismatch,
-    IllConditioned,
-    NotHermitian,
-    NotPositiveDefinite,
-)
+from helmdpg.errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
 from helmdpg.numkit import Precision
 
 from oracles import min_eigenvalue_bound
@@ -95,20 +90,18 @@ def _random_hpd(n, rng, dtype=complex):
 
 def test_hermitian_solve_identity():
     b = np.arange(6, dtype=float).reshape(3, 2) + 0j
-    x, cond = numkit.hermitian_solve(np.eye(3, dtype=complex), b)
+    x = numkit.hermitian_solve(np.eye(3, dtype=complex), b)
     assert np.allclose(x, b, atol=0)
-    assert abs(cond - 1.0) < 1e-12
 
 
 def test_hermitian_solve_matches_lapack():
     rng = np.random.default_rng(7)
     a = _random_hpd(9, rng)
     b = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
-    x, cond = numkit.hermitian_solve(a, b)
+    x = numkit.hermitian_solve(a, b)
     assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-11, atol=1e-11)
     res = np.linalg.norm(a @ x - b)
     assert res <= 1e-10 * np.linalg.norm(b)
-    assert cond >= 1.0
 
 
 def test_hermitian_solve_hilbert8_extended():
@@ -121,9 +114,8 @@ def test_hermitian_solve_hilbert8_extended():
                 h[i, j] = mp.mpf(1) / (i + j + 1)
         ones = np.array([mp.mpf(1)] * n, dtype=object)
         rhs = h @ ones
-        x, cond = numkit.hermitian_solve(h, rhs, EXT30)
+        x = numkit.hermitian_solve(h, rhs, EXT30)
     assert max(abs(float(v - 1)) for v in x) < 1e-6
-    assert cond > 1e8
 
 
 def test_hermitian_solve_rejects_non_hermitian():
@@ -135,12 +127,6 @@ def test_hermitian_solve_rejects_non_hermitian():
 def test_hermitian_solve_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         numkit.hermitian_solve(-np.eye(3, dtype=complex), np.ones(3, dtype=complex))
-
-
-def test_hermitian_solve_warns_when_ill_conditioned():
-    a = np.diag([1.0, 1e-13]).astype(complex)
-    with pytest.warns(IllConditioned):
-        numkit.hermitian_solve(a, np.ones(2, dtype=complex))
 
 
 def test_hermitian_solve_shape_check():
