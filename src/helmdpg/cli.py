@@ -450,6 +450,11 @@ def main(argv=None) -> int:
     except HelmDpgError as exc:
         print(f"helm-dpg: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # the library raises ValueError only for parameters it rejects
+        # (a negative or NaN eps, a non-positive frequency), which the
+        # parser cannot see
+        parser.error(str(exc))
     out.flush(args.output)
     return 0
 

@@ -6,9 +6,13 @@ discrete frequency-step product and the entries are finite exponential sums
 over the lattice offsets.  Nontrivial amplitudes require ``det F(z) = 0``;
 the solver tracks the root nearest the continuous value ``zeta`` with a
 Newton iteration from several starts at once (derivative by the adjugate
-formula, steps capped at a fraction of ``zeta``), then certifies each
-candidate by re-solving in extended precision; the ansatz residual gives an
-independent check.
+formula, steps capped at a fraction of ``zeta``), all of them off the real
+axis, where det F is real and Newton cannot reach a complex root.  A start
+stops at the strict test or, once it has cleared the certificate level, at
+the rounding floor of the double determinant.  Each candidate is then
+certified by re-solving in extended precision to a step tolerance tight
+enough that the polished root does not depend on the start; the ansatz
+residual gives an independent check.
 
 Roots of conjugate-symmetric stencils come in conjugate pairs; the solver
 reports the representative with nonnegative imaginary part.
@@ -18,26 +22,33 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_float
 
 from . import stencil as stencil_mod
 from .errors import BranchAmbiguity, NoRootFound
-from .numkit import EXTENDED, adjugate_small, det_small, working_context
+from .numkit import EXTENDED, adjugate_small, det_small, permanent_small, working_context
 from .stencil import StencilSet, extract_stencils
 
 NEWTON_MAX_ITER = 100
 STEP_CAP = 0.05  # longest double Newton step, as a fraction of zeta
 ROOT_GTOL = 1e-12
 ROOT_GTOL_FLOOR = 1e-10
+# rounding level of det_small(F) in double relative to perm(|F|): 8 unit roundoffs
+FLOOR_ROUNDING = 8 * np.finfo(float).eps / 2
 ROOT_ZTOL = 1e-12
 DEDUP_TOL = 1e-8
 AMBIGUITY_TOL = 1e-6
 ADMISSIBLE_LO = 0.0
 BRILLOUIN_TOL = 1e-8
-POLISH_MAX_ITER = 40
-POLISH_ZTOL = 1e-9
+POLISH_ZTOL = 1e-13
+# 30-digit evaluations per polish.  On a nearly double root Newton halves the
+# error per step, so reaching POLISH_ZTOL takes 14 steps more than reaching
+# 1e-9; 55 confirms every root that 40 steps to 1e-9 would confirm
+POLISH_MAX_ITER = 55
 
 DEFAULT_N_THETA = 181
 
@@ -47,14 +58,15 @@ class SymbolMatrix:
 
     Entry (t, s) of F is the exponential sum ``sum_k c_k exp(i z d_k)`` over
     the (t, s) stencil offsets, ``d_k`` the offset projected on the
-    direction.  The sums are stored as ``(n, n, K)`` coefficient arrays,
-    padded with zero coefficients to the longest row, once in complex128
-    and once as objects (the stencil set's extended weights when present,
-    the double weights otherwise), with an index into the distinct
-    projected offsets.  Both evaluators take one exponential per distinct
-    offset, gather it into the padded layout and sum over the last axis:
-    ``value_and_derivative`` for any array of z in double,
-    ``det_and_derivative_exact`` for one z in the ambient mpmath precision.
+    direction.  Both evaluators take one exponential per distinct projected
+    offset and gather it through an index into those offsets.
+    ``value_and_derivative`` takes any array of z in double and sums
+    complex128 ``(n, n, K)`` coefficient arrays, padded with zeros to the
+    longest row.  ``det_and_derivative_exact`` takes one z in the ambient
+    mpmath precision and sums only each entry's own terms, with the stencil
+    set's extended weights when present and the double weights otherwise.
+    Its object copies are built on its first call, so callers that stay in
+    double never pay for them.
     """
 
     def __init__(self, stencils: StencilSet, theta: float):
@@ -74,18 +86,12 @@ class SymbolMatrix:
             if row:
                 dots[ti, si, : len(row)] = np.array(list(row), dtype=float) / 2.0 @ k
                 coefs[ti, si, : len(row)] = list(row.values())
-        exact = coefs.astype(object)
-        if stencils.exact is not None:
-            for (ti, si), row in rows.items():
-                erow = stencils.exact.get((self.types[ti], self.types[si])) or {}
-                exact[ti, si, : len(row)] = [erow[o] for o in row]
         self._offsets, at = np.unique(dots, return_inverse=True)
         self._at = at.reshape(dots.shape)
         self._coefs = coefs
         self._dcoefs = 1j * dots * coefs
-        self._offsets_exact = np.array([mp.mpf(d) for d in self._offsets], dtype=object)
-        self._coefs_exact = exact
-        self._idots_exact = (1j * dots).astype(object)
+        self._rows = rows
+        self._exact_weights = stencils.exact
 
     def value_and_derivative(self, z):
         """F(z) and dF/dz, each of shape ``np.shape(z) + (n, n)``."""
@@ -114,22 +120,75 @@ class SymbolMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._jacobi(*self.value_and_derivative(z))
 
+    def rounding_floor(self, z):
+        """Rounding level of the double det F(z): FLOOR_ROUNDING * perm(|F(z)|).
+
+        Below it the cofactor expansion is cancellation noise, so Newton on
+        the double determinant cannot improve the root further.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return FLOOR_ROUNDING * permanent_small(np.abs(self.value(z)))
+
+    @cached_property
+    def _exact_terms(self):
+        """Object copies for ``det_and_derivative_exact``, without padding.
+
+        The distinct offsets as mpf, then flat arrays over the terms of all
+        entries, row by row in stencil order: the index of each term's
+        offset, its coefficient (an extended weight, or a double one
+        converted to mpc once) and its factor i*d; last the slice of each
+        (t, s) entry.
+        """
+        at, coefs, spans = [], [], []
+        for (ti, si), row in self._rows.items():
+            if not row:
+                continue
+            k = len(row)
+            if self._exact_weights is not None:
+                erow = self._exact_weights.get((self.types[ti], self.types[si])) or {}
+                coefs += [erow[o] for o in row]
+            else:
+                coefs += [_exact_complex(c) for c in self._coefs[ti, si, :k]]
+            at += list(self._at[ti, si, :k])
+            spans.append((ti, si, slice(len(at) - k, len(at))))
+        offsets = np.array([mp.mpf(d) for d in self._offsets], dtype=object)
+        idots = np.array([_exact_complex(1j * self._offsets[j]) for j in at], dtype=object)
+        return offsets, np.array(at, dtype=int), np.array(coefs, dtype=object), idots, spans
+
     def det_and_derivative_exact(self, z):
         """det F and d(det F)/dz in the ambient mpmath precision.
 
         Summing the exponential series and expanding the determinant in
         extended arithmetic removes the cancellation noise that limits the
-        double evaluation near a nearly double root.  Call inside
-        mp.workdps.
+        double evaluation near a nearly double root.  Each entry sums its
+        terms c*e and (i*d)*(c*e) left to right.  Call inside mp.workdps.
         """
-        exps = np.array([mp.exp(a) for a in self._offsets_exact * (1j * z)], dtype=object)
-        terms = self._coefs_exact * np.take(exps, self._at, axis=-1)
-        return self._jacobi(terms.sum(-1), (self._idots_exact * terms).sum(-1))
+        offsets, at, coefs, idots, spans = self._exact_terms
+        exps = np.array([mp.exp(a) for a in offsets * (1j * z)], dtype=object)
+        terms = coefs * exps[at]
+        dterms = idots * terms
+        n = len(self.types)
+        f = np.zeros((n, n), dtype=object)
+        df = np.zeros((n, n), dtype=object)
+        for ti, si, span in spans:
+            f[ti, si] = terms[span].sum()
+            df[ti, si] = dterms[span].sum()
+        return self._jacobi(f, df)
 
     def null_vector(self, z: complex) -> np.ndarray:
         """Unit amplitude vector minimizing |F(z) amp| (smallest singular)."""
         _, _, vh = np.linalg.svd(self.value(z))
         return vh[-1].conj()
+
+
+def _exact_complex(x: complex):
+    """A double complex as an mpc, exactly at any working precision.
+
+    Builds the mpc from its two binary fractions directly: three times
+    faster than the mpc constructor, which dominated building the object
+    copies.
+    """
+    return mp.make_mpc((from_float(x.real), from_float(x.imag)))
 
 
 @dataclass(frozen=True)
@@ -147,14 +206,20 @@ def _newton(sym: SymbolMatrix, starts, scale: float, cap: float):
     all starts still active.  A step longer than ``cap`` is shortened to
     ``cap`` along its direction: where d(det F)/dz nearly vanishes the full
     step would throw the start far from the region the starts cover, onto
-    another branch or an alias.  Simple roots
-    satisfy the strict test (determinant below 1e-12 of the multistart
-    scale with a stagnant step).  Nearly double roots, which the weakly
-    dissipative methods produce, bottom out on the rounding floor of the
-    determinant evaluation instead; the best visited point is then
+    another branch or an alias.
+
+    Simple roots satisfy the strict test (determinant below 1e-12 of the
+    multistart scale with a stagnant step).  Nearly double roots, which the
+    weakly dissipative methods produce, bottom out on the rounding floor of
+    the determinant evaluation instead; the best visited point is then
     accepted when its determinant still clears the certificate level
-    ROOT_GTOL_FLOOR * scale.  Returns ``(z, iters, ok)`` arrays, one entry
-    per start; ``ok`` marks the starts that passed either test.
+    ROOT_GTOL_FLOOR * scale.  A start whose best point has cleared that
+    level stops as soon as its determinant is at the rounding floor
+    (``SymbolMatrix.rounding_floor``), where further steps are noise; the
+    floor is evaluated only for such starts.  Returns ``(z, iters, ok)``
+    arrays, one entry per start: ``iters`` is the step at which the start
+    stopped (NEWTON_MAX_ITER if it never did), and ``ok`` marks the starts
+    that passed either test.
     """
     z = np.array(starts, dtype=complex).ravel()
     best_z = z.copy()
@@ -176,8 +241,12 @@ def _newton(sym: SymbolMatrix, starts, scale: float, cap: float):
             prev_dz[active] <= ROOT_ZTOL * np.maximum(1.0, np.abs(za))
         )
         strict[active[conv]] = True
-        iters[active[conv]] = it
-        go = ~conv & (gp != 0) & np.isfinite(gp) & np.isfinite(g)
+        stop = conv.copy()
+        near = np.flatnonzero(~conv & (best_g[active] <= ROOT_GTOL_FLOOR * scale))
+        if near.size:
+            stop[near] = ag[near] <= sym.rounding_floor(za[near])
+        iters[active[stop]] = it
+        go = ~stop & (gp != 0) & np.isfinite(gp) & np.isfinite(g)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             dz = -g[go] / gp[go]
             dz *= np.minimum(1.0, cap / np.abs(dz))
@@ -197,19 +266,24 @@ def _polish(sym: SymbolMatrix, z0: complex):
     accuracy.  Evaluated in extended precision the valley is smooth again;
     Newton contracts at least geometrically (exactly halving on a true
     double root) so the step tolerance POLISH_ZTOL bounds the remaining
-    position error.  Returns (z, iterations, |det F(z)|) or (None, n, None).
+    position error.  The tolerance sits far below the double resolution so
+    that a nearly double root keeps stepping until its position no longer
+    depends on the start.  Each evaluation at z also gives |det F(z)|, so
+    after at least one step the polish returns z itself once the step it
+    would take is within tolerance: a simple root the double stage already
+    found costs two evaluations.  Returns (z, steps, |det F(z)|) or
+    (None, steps, None).
     """
     with working_context(EXTENDED):
         z = mp.mpc(complex(z0))
         for it in range(POLISH_MAX_ITER):
             g, gp = sym.det_and_derivative_exact(z)
             if gp == 0 or not mp.isfinite(gp) or not mp.isfinite(g):
-                return None, it + 1, None
+                return None, it, None
             dz = -g / gp
+            if it and abs(dz) <= POLISH_ZTOL * max(1.0, abs(z)):
+                return complex(z), it, float(abs(g))
             z = z + dz
-            if abs(dz) <= POLISH_ZTOL * max(1.0, abs(z)):
-                g, _ = sym.det_and_derivative_exact(z)
-                return complex(z), it + 1, float(abs(g))
     return None, POLISH_MAX_ITER, None
 
 
@@ -250,10 +324,14 @@ def solve_root(
 ) -> RootResult:
     """Locate the dispersion root nearest ``zeta`` for direction ``theta``.
 
-    A batched Newton from all starts at once produces candidate roots;
-    candidates are folded to nonnegative imaginary part, restricted to the
-    first Brillouin zone (Re z > 0 and max(|Re z cos theta|,
-    |Re z sin theta|) <= pi, to BRILLOUIN_TOL) and deduplicated.  det F is
+    A batched Newton from all starts at once produces candidate roots.  The
+    starts are ``init`` when given, ``zeta*(1 +- 0.1i)`` and five more at
+    ``zeta`` times 1, 1.1, 0.9, 1.2 and 0.8, moved off the real axis by
+    ``0.02i*zeta``: det F is real for real z, so from a real start Newton
+    cannot leave the axis to reach a complex root.  Candidates are folded
+    to nonnegative imaginary part, restricted to the first Brillouin zone
+    (Re z > 0 and max(|Re z cos theta|, |Re z sin theta|) <= pi, to
+    BRILLOUIN_TOL) and deduplicated.  det F is
     unchanged by a lattice shift k -> k + 2*pi*(m, n) of the wave vector,
     so a root outside the zone is an alias: for the bilinear fem at
     pi < zeta < sqrt(12) the alias 2*pi - z lies nearer zeta than the root
@@ -262,8 +340,9 @@ def solve_root(
     ray.  The certificate is the extended polish: every candidate is
     re-solved with the determinant evaluated in extended precision, which
     recovers the root position lost to rounding in the nearly-double-root
-    regime of the weakly dissipative methods and costs two evaluations
-    when the double result was already converged; candidates it does not
+    regime of the weakly dissipative methods, to a tolerance at which the
+    result no longer depends on the start, and costs two evaluations when
+    the double result was already converged; candidates it does not
     confirm are dropped, and when none is confirmed the polish runs from
     the starts themselves.  The confirmed root closest to ``zeta`` wins,
     and a second one at nearly the same distance triggers a
@@ -273,7 +352,9 @@ def solve_root(
     if not zeta > 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
     sym = SymbolMatrix(stencils, theta)
-    starts = zeta * np.array([1, 1.1, 0.9, 1 + 0.1j, 1 - 0.1j, 1.2, 0.8])
+    starts = zeta * np.array(
+        [1 + 0.02j, 1.1 + 0.02j, 0.9 + 0.02j, 1 + 0.1j, 1 - 0.1j, 1.2 + 0.02j, 0.8 + 0.02j]
+    )
     if init is not None:
         starts = np.insert(starts, 0, init)
     scale = float(np.max(np.abs(sym.det(starts)))) or 1.0

@@ -325,6 +325,27 @@ def det_small(f: np.ndarray):
     )
 
 
+def permanent_small(a: np.ndarray):
+    """Permanent of an (..., n, n) stack, n <= 3: the cofactor expansion of
+    det_small with every sign +.
+
+    Applied to |F| it is the sum of the magnitudes of the products that
+    det_small(F) adds up, so a small multiple of the unit roundoff times it
+    bounds the rounding error of that determinant.
+    """
+    a = np.asarray(a)
+    n = _require_small(a, "permanent_small")
+    if n == 1:
+        return a[..., 0, 0][()]
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] + a[..., 0, 1] * a[..., 1, 0]
+    return (
+        a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] + a[..., 1, 2] * a[..., 2, 1])
+        + a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] + a[..., 1, 2] * a[..., 2, 0])
+        + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] + a[..., 1, 1] * a[..., 2, 0])
+    )
+
+
 # row/column i of a 3x3 cofactor uses rows/columns i+1 and i+2 (mod 3), an
 # ordering that carries the checkerboard sign
 _NEXT = np.array([1, 2, 0])

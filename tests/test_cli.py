@@ -189,6 +189,17 @@ def test_bad_grid_is_usage_error(args, flag, capsys):
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_bad_eps_is_usage_error(eps, capsys):
+    # NormalizedParams rejects the value deep inside the command
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dispersion", "--eps", eps, "--n-theta", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps_n must be nonnegative" in captured.err
+
+
 def test_bad_step_from_config_is_usage_error(tmp_path, capsys):
     cfgfile = tmp_path / "band.cfg"
     cfgfile.write_text("zeta_step=0\n")

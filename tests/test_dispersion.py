@@ -281,6 +281,47 @@ def test_polish_rejects_double_stage_non_root(monkeypatch):
     assert res.z.imag == pytest.approx(3.5919e-8, rel=1e-4)
 
 
+def test_polish_is_start_independent():
+    # a nearly double root: Newton in 30 digits only halves the error per
+    # step until it resolves the pair, so a loose step tolerance stops it
+    # at a point that depends on the start
+    zeta = 2 * np.pi / 128
+    st = stencil.extract_stencils("dpg", zeta, 0.0, 3, normalize=False)
+    sym = dispersion.SymbolMatrix(st, 0.0)
+    root = dispersion.solve_root(st, 0.0, zeta).z
+    polished = []
+    for z0 in (root, zeta * (1 + 0.02j), zeta * (1 + 0.1j), zeta * (1.001 + 0.001j)):
+        z, _, _ = dispersion._polish(sym, z0)
+        assert z is not None
+        polished.append(z if z.imag >= 0 else z.conjugate())
+    ref = polished[0]
+    for z in polished[1:]:
+        assert abs(z - ref) <= 1e-12 * abs(ref)
+        assert abs(z.imag - ref.imag) <= 1e-6 * ref.imag
+
+
+@pytest.mark.parametrize("eps_n", [1e-2, 1e-6])
+def test_theta_sweep_double_evaluations_per_root(eps_n, monkeypatch):
+    # from real starts Newton cannot reach these complex roots, and at
+    # eps_n = 1e-6 no start passes the strict test: with such starts and no
+    # stop at the rounding floor this sweep made 88 and 178 batched double
+    # evaluations per root
+    zeta = np.pi / 4
+    st = stencil.extract_stencils("dpg", zeta, eps_n, 3, normalize=False)
+    evaluate = dispersion.SymbolMatrix.value_and_derivative
+    calls = 0
+
+    def counted(self, z):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, z)
+
+    monkeypatch.setattr(dispersion.SymbolMatrix, "value_and_derivative", counted)
+    sweep = dispersion.theta_sweep(st, n_theta=13)
+    assert np.all(sweep.z.imag > 0)
+    assert calls <= 30 * sweep.z.size
+
+
 def test_dpg_small_eps_strict_certificate():
     zeta = 2 * np.pi / 16
     st = stencil.extract_stencils("dpg", zeta, 1e-6, 3, normalize=False)

@@ -1,5 +1,6 @@
 """Tests for the precision-parametric numerical kernels."""
 
+import itertools
 import math
 import warnings
 
@@ -169,6 +170,22 @@ def test_det3_matches_lu_determinant():
         ours = numkit.det_small(f)
         lu = np.linalg.det(f)
         assert abs(ours - lu) <= 1e-12 * max(1.0, abs(lu))
+
+
+def test_permanent_small_sums_every_product():
+    assert numkit.permanent_small(np.array([[2.0]])) == 2.0
+    assert numkit.permanent_small(np.array([[1.0, 2.0], [3.0, 4.0]])) == 10.0
+    a = np.abs(_stacked_3x3(4, 5)[0])
+    perms = numkit.permanent_small(a)
+    assert perms.shape == (4,)
+    for i in range(4):
+        want = sum(
+            math.prod(a[i, row, col] for row, col in enumerate(p))
+            for p in itertools.permutations(range(3))
+        )
+        assert perms[i] == pytest.approx(want, rel=4e-15)
+        # it bounds the determinant of any matrix with these magnitudes
+        assert abs(numkit.det_small(a[i] * np.exp(1j * np.arange(9).reshape(3, 3)))) <= perms[i]
 
 
 def test_det_small_rejects_big_matrices():
