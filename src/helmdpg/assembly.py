@@ -551,10 +551,10 @@ class ResonanceRow:
     error: str | None = None
 
 
-def default_resonance_grid(step: float = 0.05) -> np.ndarray:
-    """Frequencies 3..6 inclusive, skipping the exact-resonance vicinity."""
-    count = int(round(3.0 / step))
-    grid = 3.0 + step * np.arange(count + 1)
+def default_resonance_grid(step: float = 0.05, start: float = 3.0, stop: float = 6.0) -> np.ndarray:
+    """Frequencies start..stop inclusive, skipping the exact-resonance vicinity."""
+    count = int(round((stop - start) / step))
+    grid = start + step * np.arange(count + 1)
     return grid[np.abs(grid - RESONANCE_OMEGA) >= 1e-3]
 
 

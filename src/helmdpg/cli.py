@@ -194,11 +194,18 @@ def _load_config(path: str, spec: dict, parser: argparse.ArgumentParser) -> dict
     return values
 
 
+#: per sweep command, its frequency-grid rule and the options it takes, in order
+_GRIDS = {
+    "resonance-sweep": (assembly.default_resonance_grid, ("omega_step", "omega_start", "omega_stop")),
+    "band": (dispersion.band_grid, ("zeta_max", "zeta_step")),
+}
+
+
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Merge flag, config-file, and default values (in that precedence).
 
-    A grid step that is not positive and a direction count below one are
-    usage errors.
+    A grid step that is not positive, a direction count below one and an
+    empty frequency grid are usage errors.
     """
     spec = _SPECS[args.command]
     config = _load_config(args.config, spec, parser) if args.config else {}
@@ -217,6 +224,15 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             parser.error(f"{flag} must be positive, got {value!r}")
         if dest == "n_theta" and value < 1:
             parser.error(f"{flag} must be at least 1, got {value}")
+    if args.command in _GRIDS:
+        grid, dests = _GRIDS[args.command]
+        try:
+            empty = grid(*(out[d] for d in dests)).size == 0
+        except (ValueError, OverflowError):  # a NaN or infinite bound
+            empty = True
+        if empty:
+            given = " ".join(f"--{d.replace('_', '-')} {out[d]!r}" for d in dests)
+            parser.error(f"{given}: give no frequency grid")
     return out
 
 
@@ -276,9 +292,7 @@ def _cmd_solve(cfg: dict, out: _CsvOut):
 
 
 def _cmd_resonance(cfg: dict, out: _CsvOut):
-    count = int(round((cfg["omega_stop"] - cfg["omega_start"]) / cfg["omega_step"]))
-    grid = cfg["omega_start"] + cfg["omega_step"] * np.arange(count + 1)
-    grid = grid[np.abs(grid - assembly.RESONANCE_OMEGA) >= 1e-3]
+    grid = assembly.default_resonance_grid(cfg["omega_step"], cfg["omega_start"], cfg["omega_stop"])
     rows = assembly.resonance_sweep(grid, cfg["eps"], n=cfg["n"], r=cfg["r"])
     out.header("omega,eps,e_r,a,ratio,error")
     for row in rows:

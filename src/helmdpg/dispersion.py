@@ -49,6 +49,8 @@ POLISH_ZTOL = 1e-13
 # error per step, so reaching POLISH_ZTOL takes 14 steps more than reaching
 # 1e-9; 55 confirms every root that 40 steps to 1e-9 would confirm
 POLISH_MAX_ITER = 55
+# extra digits for the cofactor expansion of the extended determinant
+JACOBI_GUARD_DIGITS = 10
 
 DEFAULT_N_THETA = 181
 
@@ -161,7 +163,10 @@ class SymbolMatrix:
         Summing the exponential series and expanding the determinant in
         extended arithmetic removes the cancellation noise that limits the
         double evaluation near a nearly double root.  Each entry sums its
-        terms c*e and (i*d)*(c*e) left to right.  Call inside mp.workdps.
+        terms c*e and (i*d)*(c*e) left to right.  The cofactor expansion
+        takes JACOBI_GUARD_DIGITS more: perm(|F|) reaches 2e10 |det F| on raw
+        eps_n = 0 stencils, where 30 digits left 2.4e-22 of det F against
+        1.3e-24 from rounding the entries.  Call inside mp.workdps.
         """
         offsets, at, coefs, idots, spans = self._exact_terms
         exps = np.array([mp.exp(a) for a in offsets * (1j * z)], dtype=object)
@@ -173,7 +178,8 @@ class SymbolMatrix:
         for ti, si, span in spans:
             f[ti, si] = terms[span].sum()
             df[ti, si] = dterms[span].sum()
-        return self._jacobi(f, df)
+        with mp.workdps(mp.mp.dps + JACOBI_GUARD_DIGITS):
+            return self._jacobi(f, df)
 
     def null_vector(self, z: complex) -> np.ndarray:
         """Unit amplitude vector minimizing |F(z) amp| (smallest singular)."""
@@ -553,6 +559,11 @@ class BandDiagram:
     z: np.ndarray
 
 
+def band_grid(zeta_max: float = 6.0, zeta_step: float = 0.05) -> np.ndarray:
+    """Normalized frequencies of a band diagram: the step's multiples up to zeta_max."""
+    return zeta_step * np.arange(1, int(round(zeta_max / zeta_step)) + 1)
+
+
 def band_diagram(
     method: str,
     eps_n: float | None = None,
@@ -561,14 +572,13 @@ def band_diagram(
     zeta_max: float = 6.0,
     zeta_step: float = 0.05,
 ) -> BandDiagram:
-    """Track the root along a normalized frequency grid by continuation.
+    """Track the root along :func:`band_grid` by continuation.
 
     Each solve is initialized from the previous root shifted by the grid
     step, which keeps the tracker on one branch through stopbands where the
     root leaves the real axis.
     """
-    n = int(round(zeta_max / zeta_step))
-    zetas = zeta_step * np.arange(1, n + 1)
+    zetas = band_grid(zeta_max, zeta_step)
     z = np.empty(len(zetas), dtype=complex)
     prev = None
     for i, zeta in enumerate(zetas):

@@ -56,11 +56,7 @@ class MissingValue(HelmDpgError):
 
 
 class OutsideEnvelope(HelmDpgError):
-    """Element parameters whose test Gram matrix no supported arithmetic resolves."""
-
-
-class IllConditioned(UserWarning):
-    """Condition estimate of a factorized matrix exceeds the working threshold."""
+    """Element parameters whose Gram condition estimate exceeds the supported envelope."""
 
 
 class BranchAmbiguity(UserWarning):

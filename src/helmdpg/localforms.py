@@ -16,93 +16,72 @@ with the complex conjugate on the second slot.  The trial-to-test solve
 element matrix ``B = Bb^H X = Bb^H G^{-1} Bb`` is Hermitian positive
 semidefinite by construction.
 
-Precision policy.  :func:`element_kit`, the element behind the stencil,
-dispersion and mesh drivers, alone picks the element arithmetic; no caller
-above this module sets it.  It solves the Riesz problem in complex128 by QR of
-the weighted stack K with ``G = K^H K`` (Golub & Van Loan, Matrix
+Element routes.  :func:`element_kit`, the element behind the stencil,
+dispersion and mesh drivers, alone picks the element route; no caller
+above this module sets it.  It solves the Riesz problem in complex128 by QR
+of the weighted stack K with ``G = K^H K`` (Golub & Van Loan, Matrix
 Computations, sec. 5.3) and never forms G.  Its route follows the 1-norm
-estimate ``cond(R)^2`` of G's condition: double up to 1e16, the 30-digit
+estimate ``cond(R)^2`` of G's condition: double up to 1e16, the exact
 :func:`dpg_element` above it, and :class:`~helmdpg.errors.OutsideEnvelope`
-above 1e27, raised before any 30-digit work.  ``cond(G)`` does not grow
-like ``1/eps_n^2``: at r = 3, ``omega_n = pi/4`` it levels off at about
-7.2e11 as ``eps_n -> 0``, so ``eps_n = 0`` runs in double there, while
-small ``omega_n`` at ``eps_n = 0`` (r = 3 at ``2*pi/64``: 6.6e22) needs
-30 digits and r = 4 at ``2*pi/64`` (4.9e29) is rejected.  The kernel uses
-``numpy.linalg`` only: scipy ships its own OpenBLAS thread pool, and on two
-cores a ``scipy.linalg`` kernel made a resonance sweep of 122 n = 16 solves
-take 1.7x the wall time and twice the CPU.
+above 1e27, raised before any exact work.  ``cond(G)`` does not grow like
+``1/eps_n^2``: at r = 3, ``omega_n = pi/4`` it levels off at about 7.2e11
+as ``eps_n -> 0``, so ``eps_n = 0`` runs in double there, while small
+``omega_n`` at ``eps_n = 0`` (r = 3 at ``2*pi/64``: 6.6e22) takes the exact
+element and r = 4 at ``2*pi/64`` (4.9e29) is rejected.  The kernel uses
+``numpy.linalg`` only, not scipy's second OpenBLAS thread pool.
 
-:func:`dpg_element` keeps the normal equations ``G X = Bb`` and its own
-policy: with ``params.precision = None`` it runs in double and recomputes
-in 30-digit extended arithmetic when ``eps_n < 1e-3`` up front or when the
-1-norm condition of the double Gram matrix exceeds 1e12 (a pinned double
-warns :class:`~helmdpg.errors.IllConditioned` there instead); this is the
-one place a condition number of G is computed and acted on.  ``eps_n = 0``
-is supported only in extended precision, where the factorization's pivot
-check is the required positive-definiteness guard.  It stays because its
-residual ``|G X - Bb| / |Bb|`` is what acceptance ``test_02`` bounds by
-1e-10, and at r = 2, ``omega_n = 0.3``, ``eps_n = 1e-6`` the QR X leaves
-1.2e-10; even the exact 30-digit X rounded to complex128 leaves 3.6e-11
-there.
-
-It solves those equations in real arithmetic, in both precisions.  With
-the scalar test members multiplied by i (``U``) and the trial functions by
-the phases ``T`` of :data:`TRIAL_PHASES`, ``G_R = U^H G U`` is real
-symmetric and ``Bb_R = U^H Bb T`` real.  ``G_R`` is assembled from the
-cached 1D shifted-Legendre integrals of
-:func:`~helmdpg.refelem.legendre_integrals` by fancy indexing over the
-tensor test basis, with no 2D quadrature; ``Bb`` still comes from the
-quadrature columns shared with the QR route.  On a 2-core box the
-30-digit element at r = 3, ``eps_n = 0`` takes about 0.2 s this way
-against 1.7 s for the complex 2D-quadrature assembly and solve.  The
-phases are 1 and +-i, so mapping back, ``G = U G_R U^H``,
-``X = U X_R T^H`` and ``B = T B_R T^H``, is exact.
+:func:`dpg_element` solves the normal equations ``G X = Bb`` exactly, in
+real arithmetic.  With the scalar test members multiplied by i (``U``) and
+the trial functions by the phases ``T`` of :data:`TRIAL_PHASES`,
+``G_R = U^H G U`` is real symmetric and ``Bb_R = U^H Bb T`` real.  Every
+entry of ``G_R`` is a polynomial in ``omega_n`` and ``eps_n^2`` whose
+coefficients come from the exact 1D shifted-Legendre integrals of
+:func:`~helmdpg.refelem.legendre_integrals`, and ``Bb_R = P + omega_n Q``
+has a closed form from the end values and moments of the Legendre
+polynomials.  A double ``omega_n`` or ``eps_n`` is an exact dyadic
+rational, so ``G_R X_R = Bb_R`` is solved in :class:`fractions.Fraction`
+through the dtype-generic LDL^T kernel of :mod:`~helmdpg.numkit`, one block
+per reflection parity, with no quadrature and no rounding, and ``G``, ``Bb``, ``X`` and ``B`` are rounded
+once, with the phases applied, into the arithmetic that
+``params.precision`` names (30 digits by default).  The phases are 1 and
++-i, so mapping back, ``G = U G_R U^H``, ``X = U X_R T^H`` and
+``B = T B_R T^H``, adds no error.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import refelem
-from .errors import (
-    DimensionMismatch,
-    IllConditioned,
-    InteriorBlockSingular,
-    NotPositiveDefinite,
-    OutsideEnvelope,
-)
+from .errors import DimensionMismatch, InteriorBlockSingular, NotPositiveDefinite, OutsideEnvelope
 from .numkit import (
     DOUBLE,
     EXTENDED,
-    ILL_CONDITION_LIMIT,
     Precision,
     as_complex128,
-    hermitian_solve,
     ldlh_factor,
     ldlh_solve,
-    real_part,
+    rounded,
     tensor_rule,
     working_context,
 )
 from .refelem import EDGE_SIGNS, TRACE_EDGES, TRIAL_DIM
 
-#: eps_n below which :func:`dpg_element` assembles in extended precision
-EXTENDED_EPS_THRESHOLD = 1e-3
-
 #: Gram condition estimate cond(R)^2 up to which the double QR Riesz solve
 #: is used: cond(R) up to 1e8, the square root of 1/u for the unit roundoff
-#: u of double.  Inside it B, S and X^H match the 30-digit element to 1e-10
+#: u of double.  Inside it B, S and X^H match the exact element to 1e-10
 #: (worst 4.3e-11, X^H at r = 4, omega_n = pi/4, eps_n = 1e-6)
 DOUBLE_COND_LIMIT = 1e16
 
-#: Gram condition estimate above which no element is built.  At eps_n = 0
-#: the 30-digit B differs from a 50-digit one by 4.8e-10 at r = 3,
-#: omega_n = 2*pi/128 (estimate 2.55e26, admitted), by 2.5e-6 at r = 4,
-#: 2*pi/64 (4.94e29) and by 4.9e-3 at r = 4, 2*pi/128 (7.9e33)
+#: Gram condition estimate above which no element is built.  The exact
+#: element needs no limit; this one bounds where roots have been checked.
+#: At eps_n = 0, r = 4 four polish starts agree to 5.3e-16 at omega_n =
+#: 2*pi/64 (estimate 4.94e29) and to 3.0e-13 at 2*pi/128 (7.9e33), where
+#: Im z spreads by 1.04e-6 of itself under a 30- or a 50-digit polish
 ENVELOPE_COND_LIMIT = 1e27
 
 
@@ -116,10 +95,9 @@ TRIAL_PHASES = np.array([-1j, -1j, 1, 1, 1, 1, 1, -1j, -1j, -1j, -1j])
 class NormalizedParams:
     """Normalized element parameters (omega_n = omega*h, eps_n = eps*h).
 
-    ``precision`` pins :func:`dpg_element` only: ``None`` selects its
-    automatic policy, an explicit :class:`~helmdpg.numkit.Precision` fixes
-    its arithmetic (``eps_n = 0`` demands extended).  :func:`element_kit`
-    picks its own route and rejects a pinned precision.
+    ``precision`` is the arithmetic of the arrays :func:`dpg_element`
+    returns; ``None`` reads as the 30-digit ``EXTENDED``.
+    :func:`element_kit` picks its own route and rejects a set precision.
     """
 
     omega_n: float
@@ -132,16 +110,7 @@ class NormalizedParams:
             raise ValueError(f"omega_n must be positive, got {self.omega_n}")
         if not self.eps_n >= 0:
             raise ValueError(f"eps_n must be nonnegative, got {self.eps_n}")
-        if self.eps_n == 0 and self.precision is not None and not self.precision.is_extended:
-            raise ValueError("eps_n = 0 requires extended precision")
         refelem.build_test_basis(self.r)  # validates r >= 2
-
-    def resolve_precision(self) -> Precision:
-        if self.precision is not None:
-            return self.precision
-        if self.eps_n < EXTENDED_EPS_THRESHOLD:
-            return EXTENDED
-        return DOUBLE
 
 
 @dataclass(frozen=True)
@@ -152,10 +121,10 @@ class DpgElementMatrices:
     the (dim x 11) trial-test couplings, ``X`` the trial-to-test solution of
     ``G X = Bb`` (optimal test function coefficients per trial function),
     ``B = Bb^H X`` the Hermitian PSD 11x11 element matrix.  Arrays are
-    complex, in ``precision_used`` (complex128 or mpmath objects).  They
-    are mapped back exactly from the real solve ``G_R X_R = Bb_R``
-    described in the module docstring, so ``B`` is ``Bb_R^T X_R`` up to
-    the trial phases.
+    complex, in ``precision_used`` (complex128 or mpmath objects), each
+    the exact solution of ``G_R X_R = Bb_R`` described in the module
+    docstring rounded once and mapped back through the phases, so ``B`` is
+    ``Bb_R^T X_R`` up to the trial phases.
     """
 
     params: NormalizedParams
@@ -166,29 +135,28 @@ class DpgElementMatrices:
     B: np.ndarray
 
 
-def _riesz_data(params: NormalizedParams, precision: Precision):
-    """Quadrature rule, test tabulation, A-images (a1, a2, a3) and ``Bb``."""
-    with working_context(precision):
-        basis = refelem.build_test_basis(params.r)
-        rule = refelem.default_rule(params.r, precision)
-        tab = refelem.tabulate_test_basis(basis, rule)
-        hats = refelem.tabulate_trial_edges(rule)
-        w = rule.weights
-        w1 = rule.weights_1d
-        a1, a2, a3 = conforming_a_images(tab, params.omega_n, precision)
+def _riesz_data(params: NormalizedParams):
+    """Double quadrature rule, test tabulation, A-images (a1, a2, a3) and ``Bb``."""
+    basis = refelem.build_test_basis(params.r)
+    rule = refelem.default_rule(params.r)
+    tab = refelem.tabulate_test_basis(basis, rule)
+    hats = refelem.tabulate_trial_edges(rule)
+    w = rule.weights
+    w1 = rule.weights_1d
+    a1, a2, a3 = conforming_a_images(tab, params.omega_n)
 
-        Bb = precision.zeros(basis.dim, TRIAL_DIM)
-        Bb[:, 0] = -(a1.conj() @ w)
-        Bb[:, 1] = -(a2.conj() @ w)
-        Bb[:, 2] = -(a3.conj() @ w)
-        for a in range(4):
-            col = None
-            for e in range(4):
-                contrib = tab.edge_vn[e] @ (w1 * hats.hat[a][e])
-                col = contrib if col is None else col + contrib
-            Bb[:, 3 + a] = col
-        for t, e in enumerate(TRACE_EDGES):
-            Bb[:, 7 + t] = precision.real(EDGE_SIGNS[e]) * (tab.edge_eta[e] @ w1)
+    Bb = np.zeros((basis.dim, TRIAL_DIM), dtype=complex)
+    Bb[:, 0] = -(a1.conj() @ w)
+    Bb[:, 1] = -(a2.conj() @ w)
+    Bb[:, 2] = -(a3.conj() @ w)
+    for a in range(4):
+        col = None
+        for e in range(4):
+            contrib = tab.edge_vn[e] @ (w1 * hats.hat[a][e])
+            col = contrib if col is None else col + contrib
+        Bb[:, 3 + a] = col
+    for t, e in enumerate(TRACE_EDGES):
+        Bb[:, 7 + t] = EDGE_SIGNS[e] * (tab.edge_eta[e] @ w1)
 
     return rule, tab, (a1, a2, a3), Bb
 
@@ -198,8 +166,8 @@ def _test_phases(r: int) -> np.ndarray:
     return np.where(refelem.build_test_basis(r).layout[0] == 2, 1j, 1)
 
 
-def _real_gram(params: NormalizedParams, precision: Precision) -> np.ndarray:
-    """Real symmetric Gram ``G_R = U^H G U`` from the 1D Legendre integrals.
+def _real_gram(params: NormalizedParams) -> np.ndarray:
+    """Exact real symmetric Gram ``G_R = U^H G U``, an array of Fractions.
 
     With the scalar test members multiplied by i, the A-images become
     ``(i c1, i c2, c3)`` with real ``c1 = omega_n vx + eta_x``,
@@ -210,64 +178,82 @@ def _real_gram(params: NormalizedParams, precision: Precision) -> np.ndarray:
     :func:`~helmdpg.refelem.legendre_integrals`.
     """
     kind, deg_x, deg_y = refelem.build_test_basis(params.r).layout
-    table = refelem.legendre_integrals(params.r, precision)
+    table = refelem.legendre_integrals(params.r)
 
     def integrals(dx, dy):
         ax, ay = np.array(dx)[kind], np.array(dy)[kind]
         return (table[ax[:, None], ax, deg_x[:, None], deg_x]
                 * table[ay[:, None], ay, deg_y[:, None], deg_y])
 
-    with working_context(precision):
-        w, one, zero = (precision.real(v) for v in (params.omega_n, 1, 0))
-        eps = precision.real(params.eps_n)
-        # per c: coefficient on (vx, vy, sc) members, then x and y derivative orders
-        images = (
-            ((w, zero, one), (0, 0, 1), (0, 0, 0)),
-            ((zero, w, one), (0, 0, 0), (0, 0, 1)),
-            ((one, one, -w), (1, 0, 0), (0, 1, 0)),
-        )
-        g = None
-        for coef, dx, dy in images:
-            c = np.array(coef)[kind]
-            term = np.outer(c, c) * integrals(dx, dy)
-            g = term if g is None else g + term
-        values = np.where(kind[:, None] == kind, integrals((0, 0, 0), (0, 0, 0)), zero)
-        return g + (eps * eps) * values
+    w, eps = Fraction(params.omega_n), Fraction(params.eps_n)
+    # per c: coefficient on (vx, vy, sc) members, then x and y derivative orders
+    images = (
+        ((w, 0, 1), (0, 0, 1), (0, 0, 0)),
+        ((0, w, 1), (0, 0, 0), (0, 0, 1)),
+        ((1, 1, -w), (1, 0, 0), (0, 1, 0)),
+    )
+    g = None
+    for coef, dx, dy in images:
+        c = np.array(coef, dtype=object)[kind]
+        term = np.outer(c, c) * integrals(dx, dy)
+        g = term if g is None else g + term
+    values = np.where(kind[:, None] == kind, integrals((0, 0, 0), (0, 0, 0)), 0)
+    return g + (eps * eps) * values
 
 
-def _real_system(params: NormalizedParams, precision: Precision):
-    """``(Bb, G_R, Bb_R)`` of the realified normal equations."""
-    _, _, _, Bb = _riesz_data(params, precision)
-    u = _test_phases(params.r)
-    G_R = _real_gram(params, precision)
-    with working_context(precision):
-        Bb_R = real_part(u.conj()[:, None] * Bb * TRIAL_PHASES)
-    return Bb, G_R, Bb_R
+def _real_load(params: NormalizedParams) -> np.ndarray:
+    """Exact real couplings ``Bb_R = U^H Bb T = P + omega_n Q``, as Fractions.
+
+    Each entry is a product of an x- and a y-integral of shifted Legendre
+    polynomials: ``int P_k = [k = 0]``, ``int P_k' = P_k(1) - P_k(0)`` with
+    ``P_k(1) = 1`` and ``P_k(0) = (-1)^k``, and the vertex hats' edge
+    moments ``int t P_k = ([k = 0] + [k = 1]/3)/2`` and
+    ``int (1 - t) P_k = ([k = 0] - [k = 1]/3)/2``.  Q holds the three
+    ``omega_n`` couplings of the field constants with the constant members.
+    """
+    ks = range(params.r + 1)
+    kind, i, j = refelem.build_test_basis(params.r).layout
+    end = np.array([[(-1) ** k for k in ks], [1 for k in ks]], dtype=object)  # P_k(v)
+    mean = np.array([int(k == 0) for k in ks], dtype=object)  # int P_k
+    jump = end[1] - end[0]  # int P_k'
+    # moment[v, k]: int (1 - t) P_k for v = 0, int t P_k for v = 1
+    moment = np.array([[Fraction(3 * (k == 0) + s * (k == 1), 6) for k in ks] for s in (-1, 1)])
+    sign = (-1, 1)  # outward normal sign on the edge x = v or y = v
+    is_vx, is_vy, is_sc = (kind == c for c in range(3))
+    out = np.zeros((kind.size, TRIAL_DIM), dtype=object)
+    w = Fraction(params.omega_n)
+    out[:, 0] = np.where(is_vx, w * mean[i] * mean[j], np.where(is_sc, jump[i] * mean[j], 0))
+    out[:, 1] = np.where(is_vy, w * mean[i] * mean[j], np.where(is_sc, mean[i] * jump[j], 0))
+    out[:, 2] = np.where(is_sc, w * mean[i] * mean[j],
+                         np.where(is_vx, -jump[i] * mean[j], np.where(is_vy, -mean[i] * jump[j], 0)))
+    for a, (va, vb) in enumerate(refelem.VERTICES_CCW):
+        out[:, 3 + a] = np.where(is_vx, sign[va] * end[va, i] * moment[vb, j],
+                                 np.where(is_vy, sign[vb] * end[vb, j] * moment[va, i], 0))
+    # flux on bottom, top (y = v) and left, right (x = v) edges: -EDGE_SIGNS * int eta
+    for t, (v, horizontal) in enumerate(((0, True), (1, True), (0, False), (1, False))):
+        val = mean[i] * end[v, j] if horizontal else end[v, i] * mean[j]
+        out[:, 7 + t] = np.where(is_sc, -sign[v] * val, 0)
+    return out
 
 
 def dpg_element(params: NormalizedParams) -> DpgElementMatrices:
-    """Assemble and solve the realified element under the precision policy.
-
-    A double ``G_R`` whose 1-norm condition exceeds ``ILL_CONDITION_LIMIT``
-    is rebuilt in 30 digits under the automatic policy and warns
-    :class:`~helmdpg.errors.IllConditioned` when double is pinned.
-    """
-    precision = params.resolve_precision()
-    Bb, G_R, Bb_R = _real_system(params, precision)
-    cond = 0.0 if precision.is_extended else np.linalg.cond(G_R, 1)
-    if cond > ILL_CONDITION_LIMIT and params.precision is None:
-        precision = EXTENDED
-        Bb, G_R, Bb_R = _real_system(params, precision)
-    elif cond > ILL_CONDITION_LIMIT:
-        warnings.warn(f"1-norm condition {cond:.3e} of the double Gram matrix exceeds "
-                      f"{ILL_CONDITION_LIMIT:.1e}", IllConditioned, stacklevel=2)
-    X_R = hermitian_solve(G_R, Bb_R, precision)
+    """Solve the realified element exactly, then round it into ``params.precision``."""
+    precision = params.precision or EXTENDED
+    G_R, Bb_R = _real_gram(params), _real_load(params)
+    # x -> 1 - x and y -> 1 - y map each test member to +-itself and keep the
+    # Gram form, so G_R has no entry between members of different parities
+    kind, i, j = refelem.build_test_basis(params.r).layout
+    parity = 2 * ((i + (kind == 0)) % 2) + (j + (kind == 1)) % 2
+    X_R = np.zeros_like(Bb_R)
+    for idx in (np.flatnonzero(parity == p) for p in range(4)):
+        L, d = ldlh_factor(G_R[np.ix_(idx, idx)])
+        X_R[idx] = ldlh_solve(L, d, Bb_R[idx])
     u, t = _test_phases(params.r), TRIAL_PHASES
     with working_context(precision):
-        B_R = Bb_R.T @ X_R
-        G = G_R * np.outer(u, u.conj())
-        X = X_R * np.outer(u, t.conj())
-        B = B_R * np.outer(t, t.conj())
+        G, Bb, X, B = (
+            rounded(m, precision) * np.outer(left, right.conj())
+            for m, left, right in ((G_R, u, u), (Bb_R, u, t), (X_R, u, t), (Bb_R.T @ X_R, t, t))
+        )
     return DpgElementMatrices(params, precision, G, Bb, X, B)
 
 
@@ -304,8 +290,8 @@ def condense(b: np.ndarray) -> CondensedElement:
     """Static condensation of an 11x11 element matrix onto its 8 trace DOFs.
 
     The arithmetic follows ``b.dtype``: 30-digit extended for object-dtype
-    (mpmath) input, the precision of every extended element here, and
-    double otherwise.
+    (mpmath) input, the rounding of every exact element here, and double
+    otherwise.
     """
     b = np.asarray(b)
     if b.shape != (TRIAL_DIM, TRIAL_DIM):
@@ -334,13 +320,13 @@ def condense(b: np.ndarray) -> CondensedElement:
 # ---------------------------------------------------------------------------
 
 
-def conforming_a_images(tab, omega_n: float, precision: Precision = DOUBLE):
-    """A-operator images (a1, a2, a3) of a tabulated basis.
+def conforming_a_images(tab, omega_n: float):
+    """A-operator images (a1, a2, a3) of a tabulated basis, in double.
 
     ``tab`` is a conforming or a test-space tabulation; both carry the
     value, gradient and divergence tables used here.
     """
-    iw = precision.cplx(0, precision.real(omega_n))
+    iw = complex(0, omega_n)
     a1 = iw * tab.vx + tab.eta_x
     a2 = iw * tab.vy + tab.eta_y
     a3 = iw * tab.eta + tab.div
@@ -408,13 +394,13 @@ class ElementKit:
     condition estimate alone, the 1-norm ``cond(R)^2`` of the QR factor of
     K (``G = K^H K``), which ``cond`` holds on both routes: up to
     ``DOUBLE_COND_LIMIT`` the element is the double QR Riesz solve, above
-    it the 30-digit :func:`dpg_element`, and above ``ENVELOPE_COND_LIMIT``
-    :class:`OutsideEnvelope` is raised before any 30-digit work.  The accuracy
-    of ``S`` is inherited from the element computation.  ``xh = X^H`` maps
-    moment vectors of f against the test basis to the 11 trial load
-    entries.  ``S_exact`` carries the full-precision Schur complement when
-    the element was assembled in extended arithmetic, and is None
-    otherwise.
+    it the exact :func:`dpg_element` rounded to 30 digits, and above
+    ``ENVELOPE_COND_LIMIT`` :class:`OutsideEnvelope` is raised before any
+    exact work.  The accuracy of ``S`` is inherited from the element
+    computation.  ``xh = X^H`` maps moment vectors of f against the test
+    basis to the 11 trial load entries.  ``S_exact`` carries the 30-digit
+    Schur complement of the exact element, and is None on the double
+    route.
     """
 
     params: NormalizedParams
@@ -443,7 +429,7 @@ def _qr_riesz(params: NormalizedParams):
     ``DOUBLE_COND_LIMIT`` B and X are None, above ``ENVELOPE_COND_LIMIT``
     the element is rejected.
     """
-    rule, tab, images, Bb = _riesz_data(params, DOUBLE)
+    rule, tab, images, Bb = _riesz_data(params)
     sw = np.sqrt(rule.weights)[:, None]
     K = np.concatenate(
         [sw * ac.T for ac in images]
@@ -455,7 +441,7 @@ def _qr_riesz(params: NormalizedParams):
         raise OutsideEnvelope(
             f"r={params.r}, omega_n={params.omega_n!r}, eps_n={params.eps_n!r}: "
             f"Gram condition estimate {cond:.2e} exceeds {ENVELOPE_COND_LIMIT:.0e}, "
-            "beyond what 30-digit arithmetic resolves; raise eps_n or lower r"
+            "the supported envelope; raise eps_n or lower r"
         )
     if cond > DOUBLE_COND_LIMIT:
         return rule, tab, None, None, cond

@@ -1,17 +1,19 @@
 """Precision-parametric numerical kernels.
 
-Every routine in this module runs in one of two arithmetics:
+A :class:`Precision` names one of two rounded arithmetics:
 
 * ``Precision.double()`` -- IEEE double via numpy ``float64``/``complex128``;
 * ``Precision.extended(digits)`` -- mpmath ``mpf``/``mpc`` scalars stored in
   object-dtype numpy arrays (default 30 significant digits).
 
 Matrices are plain ``numpy.ndarray`` objects in either representation, so a
-single dtype-generic code path (slicing, ``@``, ``conj``) serves both.  The
-linear algebra keeps real input real: ``float64`` stays ``float64`` and an
-object array of ``mpf`` runs in real ``mpf`` arithmetic, not ``mpc``, which
-is how the DPG element solves its realified Gram system.  All functions are
-pure: identical inputs give bit-identical outputs.
+single dtype-generic code path (slicing, ``@``, ``conj``) serves both, and
+object arrays of ``fractions.Fraction`` as well: the DPG element solves its
+realified Gram system exactly that way and rounds the result once with
+:func:`rounded`.  The linear algebra keeps real input real: ``float64``
+stays ``float64`` and an object array of ``mpf`` or ``Fraction`` runs in
+real arithmetic.  All functions are pure: identical inputs give
+bit-identical outputs.
 
 The factorization used throughout is an LDL^H decomposition without pivoting,
 appropriate for the Hermitian (or real symmetric) positive (semi)definite
@@ -24,10 +26,12 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_rational
 
 from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
 
@@ -37,10 +41,6 @@ HERMITIAN_RTOL = 1e-12
 #: Relative pivot tolerance: pivots below this times the largest diagonal
 #: entry count as a positive-definiteness failure.
 PIVOT_RTOL = 1e-14
-
-#: Double-precision condition threshold above which a caller recomputes in
-#: extended arithmetic or warns IllConditioned.
-ILL_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -65,25 +65,14 @@ class Precision:
         return self.kind == "extended"
 
     def real(self, x) -> object:
-        """Convert a real number to this precision's real scalar type."""
+        """Convert a real number, a Fraction too, to this precision's real
+        scalar type, correctly rounded."""
         if self.is_extended:
             with mp.workdps(self.digits):
+                if isinstance(x, Fraction):
+                    return mp.mp.make_mpf(from_rational(x.numerator, x.denominator, mp.mp.prec, "n"))
                 return mp.mpf(x)
         return float(x)
-
-    def cplx(self, re, im=0) -> object:
-        """Build a complex scalar in this precision."""
-        if self.is_extended:
-            with mp.workdps(self.digits):
-                return mp.mpc(re, im)
-        return complex(re, im)
-
-    def zeros(self, *shape) -> np.ndarray:
-        if self.is_extended:
-            z = np.empty(shape, dtype=object)
-            z[...] = mp.mpf(0)
-            return z
-        return np.zeros(shape, dtype=complex)
 
 
 DOUBLE = Precision.double()
@@ -113,16 +102,16 @@ def as_complex128(a: np.ndarray) -> np.ndarray:
 
 
 def _real_part(x):
-    # works for float, complex, mpf, mpc
+    # works for float, complex, mpf, mpc and Fraction
     return x.real if hasattr(x, "real") else x
 
 
-def real_part(a: np.ndarray) -> np.ndarray:
-    """Elementwise real part in either representation (mpc -> mpf)."""
+def rounded(a: np.ndarray, precision: Precision) -> np.ndarray:
+    """Round a real array of exact rationals once into ``precision``."""
     a = np.asarray(a)
-    if a.dtype == object:
-        return np.frompyfunc(_real_part, 1, 1)(a)
-    return a.real.copy()
+    if precision.is_extended:
+        return np.frompyfunc(precision.real, 1, 1)(a)
+    return a.astype(float)
 
 
 # ---------------------------------------------------------------------------

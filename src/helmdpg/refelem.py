@@ -23,12 +23,14 @@ supplied (float64 or mpmath objects); every function here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
 
 from .errors import REnrichmentTooSmall
-from .numkit import DOUBLE, Precision, QuadratureRule, gauss_legendre_1d, working_context
+from .numkit import DOUBLE, Precision, QuadratureRule
 
 # edge ids, in the order used for condensed degrees of freedom
 BOTTOM, TOP, LEFT, RIGHT = 0, 1, 2, 3
@@ -182,24 +184,24 @@ def tabulate_test_basis(basis: TestSpaceBasis, rule: QuadratureRule) -> TestTabu
 
 
 @lru_cache(maxsize=None)
-def legendre_integrals(r: int, precision: Precision = DOUBLE) -> np.ndarray:
-    """1D integrals ``T[a, b, i, j]`` of ``d^a P_i * d^b P_j`` over [0, 1].
+def legendre_integrals(r: int) -> np.ndarray:
+    """Exact 1D integrals ``T[a, b, i, j]`` of ``d^a P_i * d^b P_j`` over [0, 1].
 
     ``P_i`` are the shifted Legendre polynomials up to degree r and
     ``a, b`` in {0, 1} derivative orders.  Every entry of a test-space
     Gram matrix is a sum of products of an x- and a y-integral from this
-    table.  The (r+2)-point Gauss rule of :func:`default_rule` integrates
-    the degree-2r integrands exactly; the table is mirrored from its upper
-    triangle so that ``T[a, b, i, j] == T[b, a, j, i]`` holds exactly.
-    Cached per (r, precision) and read-only.
+    table.  ``P_k(2x-1) = sum_m (-1)^(k+m) C(k,m) C(k+m,m) x^m`` has integer
+    monomial coefficients, so each entry is a ``Fraction`` summed from
+    ``int x^m = 1/(m+1)``, and ``T[a, b, i, j] == T[b, a, j, i]`` holds
+    by construction.  Cached per r and read-only.
     """
-    x, w = gauss_legendre_1d(r + 2, precision)
-    with working_context(precision):
-        vals, ders = shifted_legendre_table(r, x)
-        f = np.concatenate([vals, ders])
-        m = (f * w) @ f.T
-    upper = np.triu_indices(m.shape[0], 1)
-    m[upper[::-1]] = m[upper]
+    polys = [[(-1) ** (k + m) * comb(k, m) * comb(k + m, m) for m in range(k + 1)]
+             for k in range(r + 1)]
+    ders = [[m * c for m, c in enumerate(p)][1:] for p in polys]
+    f = polys + ders
+    m = np.array([[sum((Fraction(c * d, i + j + 1) for i, c in enumerate(p)
+                        for j, d in enumerate(q)), Fraction(0))
+                   for q in f] for p in f], dtype=object)
     table = m.reshape(2, r + 1, 2, r + 1).transpose(0, 2, 1, 3)
     table.setflags(write=False)
     return table

@@ -36,7 +36,7 @@ def quadrature_gram(omega_n: float, eps_n: float, r: int, precision: Precision =
         rule = refelem.default_rule(r, precision)
         tab = refelem.tabulate_test_basis(basis, rule)
         w = rule.weights
-        iw = precision.cplx(0, precision.real(omega_n))
+        iw = 1j * precision.real(omega_n)
         ee = precision.real(eps_n)
         images = (iw * tab.vx + tab.eta_x, iw * tab.vy + tab.eta_y, iw * tab.eta + tab.div)
         G = None
@@ -61,7 +61,7 @@ def dpg_element_physical(omega: float, eps: float, h: float, r: int, precision: 
         hh = precision.real(h)
         w2 = rule.weights * (hh * hh)
         w1 = rule.weights_1d * hh
-        iw = precision.cplx(0, precision.real(omega))
+        iw = 1j * precision.real(omega)
         ee = precision.real(eps)
 
         # mapped basis values are unchanged; derivatives pick up 1/h
@@ -76,7 +76,7 @@ def dpg_element_physical(omega: float, eps: float, h: float, r: int, precision: 
         for vc in (tab.vx, tab.vy, tab.eta):
             G = G + (ee * ee) * ((vc * w2[None, :]) @ vc.T)
 
-        Bb = precision.zeros(basis.dim, TRIAL_DIM)
+        Bb = np.zeros((basis.dim, TRIAL_DIM), dtype=object if precision.is_extended else complex)
         Bb[:, 0] = -(a1.conj() @ w2)
         Bb[:, 1] = -(a2.conj() @ w2)
         Bb[:, 2] = -(a3.conj() @ w2)

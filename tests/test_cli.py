@@ -178,6 +178,8 @@ def test_usage_error_exit_2(capsys):
         (["band", "--zeta-step", "nan"], "--zeta-step"),
         (["eps-r-sweep", "--n-theta", "0"], "--n-theta"),
         (["dispersion", "--n-theta", "-1"], "--n-theta"),
+        (["resonance-sweep", "--omega-start", "6", "--omega-stop", "3"], "--omega-stop"),
+        (["band", "--zeta-max", "0.01", "--zeta-step", "0.05"], "--zeta-max"),
     ],
 )
 def test_bad_grid_is_usage_error(args, flag, capsys):
