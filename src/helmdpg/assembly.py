@@ -29,7 +29,11 @@ import scipy.sparse.linalg as spla
 from . import localforms, refelem, stencil
 from .errors import BCInconsistent, MeshTooSmall, OutsideEnvelope, SolveFailure
 from .localforms import NormalizedParams
-from .numkit import DOUBLE, tensor_rule
+from .numkit import DOUBLE, single_thread_blas, tensor_rule
+
+# scipy.sparse.linalg has just loaded scipy's OpenBLAS beside numpy's; pin
+# both pools before any solve runs
+single_thread_blas()
 
 RESIDUAL_RTOL = 1e-10
 REFINEMENT_STEPS = 2
@@ -170,6 +174,8 @@ def plane_wave(omega: float, theta: float) -> ExactSolution:
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     k1, k2 = omega * np.cos(theta), omega * np.sin(theta)
 
     def wave(x, y):
@@ -636,8 +642,8 @@ def plane_wave_demo(
     The data f vanishes identically for the plane-wave pair, so any loss of
     amplitude across the domain is dissipation added by the discretization.
     """
-    mesh = build_mesh(n)
     exact = plane_wave(omega, theta)
+    mesh = build_mesh(n)
     rep = solve_method(method, mesh, omega, exact, eps=eps, r=r)
     grid = rep.vertex_grid(mesh)
     return PlaneWaveReport(rep, grid, amplitude_metric(grid, theta))

@@ -466,8 +466,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         # the library raises ValueError only for parameters it rejects
-        # (a negative or NaN eps, a non-positive frequency), which the
-        # parser cannot see
+        # (a negative, infinite or NaN eps, a frequency that is not
+        # positive and finite, a non-finite theta), which the parser
+        # cannot see
         parser.error(str(exc))
     out.flush(args.output)
     return 0

@@ -355,8 +355,10 @@ def solve_root(
     BranchAmbiguity warning.  Raises NoRootFound if no root is confirmed
     in the zone.
     """
-    if not zeta > 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    if not (zeta > 0 and np.isfinite(zeta)):
+        raise ValueError(f"zeta must be positive and finite, got {zeta}")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     sym = SymbolMatrix(stencils, theta)
     starts = zeta * np.array(
         [1 + 0.02j, 1.1 + 0.02j, 0.9 + 0.02j, 1 + 0.1j, 1 - 0.1j, 1.2 + 0.02j, 0.8 + 0.02j]
@@ -391,8 +393,8 @@ def solve_root(
         final = _certify(sym, starts, np.zeros(starts.size, dtype=int), in_zone)
     if not final:
         raise NoRootFound(
-            f"no admissible dispersion root near zeta={zeta!r} for "
-            f"theta={theta!r} ({stencils.method})"
+            f"no admissible dispersion root near zeta={float(zeta)!r} for "
+            f"theta={float(theta)!r} ({stencils.method})"
         )
     final.sort(key=lambda row: abs(row[0] - zeta))
     best, iters, det_abs = final[0]
@@ -400,8 +402,8 @@ def solve_root(
         gap = abs(final[1][0] - zeta) - abs(best - zeta)
         if gap < AMBIGUITY_TOL:
             warnings.warn(
-                f"two dispersion branches nearly equidistant from zeta={zeta!r} "
-                f"at theta={theta!r}: {best!r} and {final[1][0]!r}",
+                f"two dispersion branches nearly equidistant from zeta={float(zeta)!r} "
+                f"at theta={float(theta)!r}: {complex(best)!r} and {complex(final[1][0])!r}",
                 BranchAmbiguity,
                 stacklevel=2,
             )

@@ -27,8 +27,7 @@ above 1e27, raised before any exact work.  ``cond(G)`` does not grow like
 ``1/eps_n^2``: at r = 3, ``omega_n = pi/4`` it levels off at about 7.2e11
 as ``eps_n -> 0``, so ``eps_n = 0`` runs in double there, while small
 ``omega_n`` at ``eps_n = 0`` (r = 3 at ``2*pi/64``: 6.6e22) takes the exact
-element and r = 4 at ``2*pi/64`` (4.9e29) is rejected.  The kernel uses
-``numpy.linalg`` only, not scipy's second OpenBLAS thread pool.
+element and r = 4 at ``2*pi/64`` (4.9e29) is rejected.
 
 :func:`dpg_element` solves the normal equations ``G X = Bb`` exactly, in
 real arithmetic.  With the scalar test members multiplied by i (``U``) and
@@ -50,6 +49,7 @@ once, with the phases applied, into the arithmetic that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -106,10 +106,10 @@ class NormalizedParams:
     precision: Precision | None = None
 
     def __post_init__(self):
-        if not self.omega_n > 0:
-            raise ValueError(f"omega_n must be positive, got {self.omega_n}")
-        if not self.eps_n >= 0:
-            raise ValueError(f"eps_n must be nonnegative, got {self.eps_n}")
+        if not (self.omega_n > 0 and math.isfinite(self.omega_n)):
+            raise ValueError(f"omega_n must be positive and finite, got {self.omega_n}")
+        if not (self.eps_n >= 0 and math.isfinite(self.eps_n)):
+            raise ValueError(f"eps_n must be nonnegative and finite, got {self.eps_n}")
         refelem.build_test_basis(self.r)  # validates r >= 2
 
 
@@ -354,8 +354,8 @@ class FoslsElement:
 
 def fosls_element(omega_n: float) -> FoslsElement:
     """First-order-system least-squares element matrix on the unit square."""
-    if not omega_n > 0:
-        raise ValueError(f"omega_n must be positive, got {omega_n}")
+    if not (omega_n > 0 and math.isfinite(omega_n)):
+        raise ValueError(f"omega_n must be positive and finite, got {omega_n}")
     rule = tensor_rule(4, DOUBLE)
     tab = refelem.tabulate_conforming_basis(rule)
     a1, a2, a3 = conforming_a_images(tab, omega_n)

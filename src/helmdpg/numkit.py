@@ -19,11 +19,16 @@ The factorization used throughout is an LDL^H decomposition without pivoting,
 appropriate for the Hermitian (or real symmetric) positive (semi)definite
 matrices this package produces.  ``hermitian_solve`` only solves: its
 callers that act on a condition number compute it themselves.
+
+:func:`single_thread_blas` pins the process's OpenBLAS thread pools to one
+thread each.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,6 +95,42 @@ def working_context(precision: Precision):
     if precision.is_extended:
         return mp.workdps(precision.digits)
     return nullcontext()
+
+
+#: Thread-count setters of the OpenBLAS builds numpy and scipy ship (64-bit
+#: and 32-bit integer interfaces), then of a plain OpenBLAS; the first one a
+#: library exports is called.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def single_thread_blas() -> None:
+    """Set every OpenBLAS thread pool mapped into this process to one thread.
+
+    numpy and scipy each load their own OpenBLAS, and each pool starts one
+    thread per core.  Its workers keep spinning after every call, so on a
+    small machine they take the other cores from the main thread, while the
+    small dense products and the sparse factorization here gain nothing
+    from BLAS threads.  Reads this process's ``/proc/self/maps``; does
+    nothing where that cannot be read or no OpenBLAS is mapped.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def as_complex128(a: np.ndarray) -> np.ndarray:

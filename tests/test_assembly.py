@@ -5,6 +5,11 @@ best-approximation distance for a linear field, an independent quadrature
 reimplementation, and exactness of boundary traces on imposed vertices.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -408,3 +413,33 @@ def test_plane_wave_demo_small():
         method="fosls", theta=np.pi / 8, n=16, omega=2 * np.pi
     )
     assert repf.metric < rep.metric
+
+
+# Times one dpg n = 64 solve (elements, assembly, splu, recovery, error
+# quadrature) after a warm-up and prints its CPU and wall seconds.
+_ONE_CORE_PROBE = """
+import resource, time
+from helmdpg import assembly
+def solve():
+    assembly.solve_method("dpg", assembly.build_mesh(64), 2.0,
+                          assembly.manufactured_solution(2.0), eps=1e-2, r=3)
+solve()
+def cpu():
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_utime + ru.ru_stime
+c0, t0 = cpu(), time.perf_counter()
+solve()
+print(cpu() - c0, time.perf_counter() - t0)
+"""
+
+
+def test_mesh_solve_uses_one_core():
+    # a process whose BLAS pools run one thread each cannot burn more CPU
+    # than wall time; idle OpenBLAS workers spinning on a second core can
+    src = Path(assembly.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_CORE_PROBE], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    cpu_s, wall_s = map(float, proc.stdout.split())
+    assert cpu_s <= 1.2 * wall_s + 0.05, f"cpu {cpu_s:.2f} s against wall {wall_s:.2f} s"

@@ -191,7 +191,7 @@ def test_bad_grid_is_usage_error(args, flag, capsys):
     assert flag in captured.err
 
 
-@pytest.mark.parametrize("eps", ["-1", "nan"])
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
 def test_bad_eps_is_usage_error(eps, capsys):
     # NormalizedParams rejects the value deep inside the command
     with pytest.raises(SystemExit) as exc:
@@ -200,6 +200,30 @@ def test_bad_eps_is_usage_error(eps, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "eps_n must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["solve", "--omega", "inf"], "omega_n must be positive and finite"),
+        (["solve", "--method", "fosls", "--omega", "inf"], "omega_n must be positive and finite"),
+        (["solve", "--eps", "inf"], "eps_n must be nonnegative and finite"),
+        (["dispersion", "--method", "fem", "--omega", "inf"], "zeta must be positive and finite"),
+        (["band", "--theta", "nan"], "theta must be finite"),
+        (["band", "--theta", "inf"], "theta must be finite"),
+        (["plane-wave", "--theta", "nan"], "theta must be finite"),
+        (["plane-wave", "--theta", "inf"], "theta must be finite"),
+        (["solve", "--exact", "plane-wave", "--theta", "nan"], "theta must be finite"),
+    ],
+)
+def test_non_finite_parameter_is_usage_error(args, message, capsys):
+    # rejected before any solve, not after a failed factorization or search
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_bad_step_from_config_is_usage_error(tmp_path, capsys):

@@ -206,6 +206,27 @@ def test_zeta_must_be_positive():
         dispersion.solve_root(st, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+def test_theta_must_be_finite(theta):
+    st = second_difference_stencils(0.5)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        dispersion.solve_root(st, theta, 0.5)
+
+
+def test_root_messages_print_plain_floats():
+    # numpy scalars in, plain Python reprs out
+    weights = {(VERTEX, VERTEX): {(0, 0): 1.0}}
+    st = StencilSet("custom", 1.0, None, None, (VERTEX,), weights)
+    with pytest.raises(NoRootFound, match=r"zeta=1\.0 for theta=0\.0 ") as exc:
+        dispersion.solve_root(st, np.float64(0.0), np.float64(1.0))
+    assert "np." not in str(exc.value)
+    weights = {(VERTEX, VERTEX): {(0, 0): 0.0, (4, 0): 1.0, (-4, 0): 1.0}}
+    st = StencilSet("custom", np.pi / 2, None, None, (VERTEX,), weights)
+    with pytest.warns(BranchAmbiguity, match=r"zeta=1\.5707963267948966 at theta=0\.0: \(") as rec:
+        dispersion.solve_root(st, np.float64(0.0), np.float64(np.pi / 2))
+    assert all("np." not in str(w.message) for w in rec)
+
+
 def test_theta_sweep_fem_below_cutoff():
     st = stencil.extract_stencils("fem", 0.5, normalize=False)
     sweep = dispersion.theta_sweep(st, n_theta=25)

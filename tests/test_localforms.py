@@ -108,10 +108,18 @@ def test_extended_riesz_residual_small_eps():
     assert _resid(e) <= 1e-10
 
 
-@pytest.mark.parametrize("eps_n", [-1e-3, float("nan")])
+@pytest.mark.parametrize("eps_n", [-1e-3, float("nan"), float("inf")])
 def test_normalized_params_rejects_bad_eps(eps_n):
     with pytest.raises(ValueError, match="eps_n must be nonnegative"):
         NormalizedParams(1.0, eps_n, 3)
+
+
+@pytest.mark.parametrize("omega_n", [0.0, -1.0, float("nan"), float("inf")])
+def test_normalized_params_rejects_bad_omega(omega_n):
+    with pytest.raises(ValueError, match="omega_n must be positive"):
+        NormalizedParams(omega_n, 1e-2, 3)
+    with pytest.raises(ValueError, match="omega_n must be positive"):
+        lf.fosls_element(omega_n)
 
 
 @pytest.mark.parametrize("omega_n,eps_n", [(2 * np.pi / 64, 0.0), (1.3, 0.3)])

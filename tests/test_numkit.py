@@ -1,7 +1,9 @@
 """Tests for the precision-parametric numerical kernels."""
 
+import ctypes
 import itertools
 import math
+import os
 import warnings
 
 import mpmath as mp
@@ -281,3 +283,23 @@ def test_no_spurious_warnings_on_well_conditioned():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         numkit.hermitian_solve(a, np.ones(5, dtype=complex))
+
+
+def test_blas_pools_single_threaded():
+    import helmdpg.assembly  # noqa: F401  (loads scipy's pool and pins both)
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        pytest.skip("no /proc/self/maps")
+    pools = sorted(p for p in paths if "openblas" in os.path.basename(p))
+    if not pools:
+        pytest.skip("no OpenBLAS mapped")
+    getters = [n.replace("_set_", "_get_") for n in numkit._BLAS_THREAD_SETTERS]
+    for path in pools:
+        lib = ctypes.CDLL(path)
+        name = next(n for n in getters if hasattr(lib, n))
+        getter = getattr(lib, name)
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        assert getter() == 1, f"{path}: {name}() = {getter()}"
