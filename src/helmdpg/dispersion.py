@@ -10,8 +10,12 @@ formula, steps capped at a fraction of ``zeta``), all of them off the real
 axis, where det F is real and Newton cannot reach a complex root.  A start
 stops at the strict test or, once it has cleared the certificate level, at
 the rounding floor of the double determinant.  Each candidate is then
-certified by re-solving in extended precision to a step tolerance tight
-enough that the polished root does not depend on the start; the ansatz
+certified.  A well-resolved simple root is certified in double: its error
+estimate from the rounding error of det F is within ROOT_ZTOL of |z|, and
+det F winds exactly once on a small circle around it that stays clear of
+that rounding error.  Every other candidate (a nearly double root, a close
+pair) is re-solved in extended precision to a step tolerance tight
+enough that the polished root does not depend on the start.  The ansatz
 residual gives an independent check.
 
 Roots of conjugate-symmetric stencils come in conjugate pairs; the solver
@@ -45,6 +49,12 @@ AMBIGUITY_TOL = 1e-6
 ADMISSIBLE_LO = 0.0
 BRILLOUIN_TOL = 1e-8
 POLISH_ZTOL = 1e-13
+# double certificate of a candidate: a circle of CERT_POINTS points and radius
+# CERT_RADIUS * |z| around it, on which |det F| clears its rounding error by
+# CERT_CLEARANCE and winds exactly once
+CERT_RADIUS = 1e-6
+CERT_POINTS = 32
+CERT_CLEARANCE = 1e3
 # 30-digit evaluations per polish.  On a nearly double root Newton halves the
 # error per step, so reaching POLISH_ZTOL takes 14 steps more than reaching
 # 1e-9; 55 confirms every root that 40 steps to 1e-9 would confirm
@@ -95,14 +105,18 @@ class SymbolMatrix:
         self._rows = rows
         self._exact_weights = stencils.exact
 
+    def _phase(self, z):
+        """exp(i z d) for every padded term, shape ``np.shape(z) + (n, n, K)``."""
+        z = np.asarray(z, dtype=complex)[..., None]
+        return np.take(np.exp(1j * z * self._offsets), self._at, axis=-1)
+
     def value_and_derivative(self, z):
         """F(z) and dF/dz, each of shape ``np.shape(z) + (n, n)``."""
-        z = np.asarray(z, dtype=complex)[..., None]
         # iterates far from the root can push exp(1j*z*dots) past the float
         # range; the callers test for non-finite results, so the overflow
         # itself is expected and the warning suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.take(np.exp(1j * z * self._offsets), self._at, axis=-1)
+            phase = self._phase(z)
             return (self._coefs * phase).sum(-1), (self._dcoefs * phase).sum(-1)
 
     def value(self, z) -> np.ndarray:
@@ -130,6 +144,26 @@ class SymbolMatrix:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             return FLOOR_ROUNDING * permanent_small(np.abs(self.value(z)))
+
+    def rounding_error(self, z):
+        """First-order rounding error of the double det F(z).
+
+        ``rounding_floor`` covers the cofactor expansion only.  Each entry
+        F_ts is itself a sum of terms c_k exp(i z d_k); rounding them and
+        their sum moves F_ts by up to about FLOOR_ROUNDING * S_ts, with S_ts
+        the sum of the terms' magnitudes, and that moves det F by
+        sum_ts |adj(F)_st| * FLOOR_ROUNDING * S_ts.  On raw stencils at
+        small zeta the terms cancel to a tiny part of S and this part
+        dominates: at zeta = 2*pi/128 (fosls, and dpg r = 3 at eps_n =
+        zeta) the double root sits 2.3e-12 and 2.9e-12 of |z| off, where
+        the expansion's floor alone suggests 6.0e-13 and 1.5e-13.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self._coefs * self._phase(z)
+            f = terms.sum(-1)
+            adj = np.swapaxes(np.abs(adjugate_small(f)), -1, -2)
+            entries = np.sum(adj * np.abs(terms).sum(-1), axis=(-2, -1))
+            return FLOOR_ROUNDING * (permanent_small(np.abs(f)) + entries)
 
     @cached_property
     def _exact_terms(self):
@@ -203,6 +237,7 @@ class RootResult:
     iters: int
     det_abs: float
     scale: float
+    polished: bool
 
 
 def _newton(sym: SymbolMatrix, starts, scale: float, cap: float):
@@ -302,23 +337,78 @@ def _distinct(zs) -> list[int]:
     return keep
 
 
-def _certify(sym: SymbolMatrix, zs, iters, in_zone):
-    """Polish each distinct candidate; keep the confirmed ones in the zone.
+def _double_certified(sym: SymbolMatrix, zs):
+    """Which candidates double arithmetic certifies as simple roots.
 
-    A candidate the extended polish does not confirm is dropped: the double
-    determinant near a nearly double root is rounding noise, so the double
-    tests alone certify nothing there.  Confirmed roots are folded to
-    Im z >= 0, which is exact because the weights pair Hermitianly.
-    Returns rows ``(z, iters, |det F(z)|)``.
+    Two batched evaluations.  The first gives g = det F(z), g' and the
+    rounding error e of g (``SymbolMatrix.rounding_error``) at each
+    candidate, which passes when the error estimate (|g| + e) / |g'| is at
+    most ROOT_ZTOL * |z|.  The second evaluates det F on a circle of
+    CERT_POINTS points and radius rho = CERT_RADIUS * |z|: every |det F|
+    there must clear CERT_CLEARANCE times its own rounding error, every
+    phase step between neighbours must stay below pi/2, and the winding
+    number must be exactly 1, so the disc holds one simple root (the
+    argument principle).  Within rho/2 of the real axis the circle is
+    centred on Re z: the disc is then its own conjugate and roots pair as
+    z, conj(z), so its one root is real.  Returns the mask of certified
+    candidates, the centre of each circle (the point to report) and the
+    double |det F| there.
     """
+    zs = np.asarray(zs, dtype=complex)
+    g, gp = sym.det_and_derivative(zs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = (np.abs(g) + sym.rounding_error(zs)) / np.abs(gp)
+    ok = err <= ROOT_ZTOL * np.abs(zs)
+    rho = CERT_RADIUS * np.abs(zs)
+    centre = np.where(np.abs(zs.imag) <= rho / 2, zs.real + 0j, zs)
+    det_abs = np.full(zs.shape, np.nan)
+    if ok.any():
+        ring = np.exp(2j * np.pi * np.arange(CERT_POINTS + 1) / CERT_POINTS)
+        ring[0] = 0.0  # the centre itself, then the circle
+        pts = centre[ok, None] + rho[ok, None] * ring
+        w = sym.det(pts)
+        bound = sym.rounding_error(pts)[:, 1:]
+        det_abs[ok] = np.abs(w[:, 0])
+        w = w[:, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.angle(np.roll(w, -1, axis=1) / w)
+        ok[ok] = (
+            np.all(np.abs(w) >= CERT_CLEARANCE * bound, axis=1)
+            & np.all(np.abs(steps) < np.pi / 2, axis=1)
+            & (np.abs(steps.sum(axis=1) / (2 * np.pi) - 1) < 0.5)
+        )
+    return ok, centre, det_abs
+
+
+def _certify(sym: SymbolMatrix, zs, iters, in_zone):
+    """Certify each distinct candidate; keep the certified ones in the zone.
+
+    Candidates are folded to Im z >= 0, which is exact because the weights
+    pair Hermitianly.  A candidate that :func:`_double_certified` accepts
+    keeps its double value and its Newton steps.  Every other one (a nearly
+    double root, a pair closer than the certificate circle, a contour too
+    near the rounding floor) goes to the extended polish, whose steps are
+    added; one the polish does not confirm is dropped, since near a nearly
+    double root the double determinant is rounding noise and the double
+    tests alone certify nothing there.  Returns rows
+    ``(z, iters, |det F(z)|, polished)``.
+    """
+    keep = _distinct(zs)
+    cands = np.asarray(zs, dtype=complex)[keep]
+    certified, centre, det_abs = _double_certified(
+        sym, np.where(cands.imag < 0, cands.conj(), cands)
+    )
     rows = []
-    for i in _distinct(zs):
-        zp, itp, g = _polish(sym, zs[i])
-        if zp is None:
-            continue
-        zp = zp if zp.imag >= 0 else zp.conjugate()
-        if in_zone(zp):
-            rows.append((zp, int(iters[i]) + itp, g))
+    for j, i in enumerate(keep):
+        if certified[j]:
+            z, it, g = complex(centre[j]), int(iters[i]), float(det_abs[j])
+        else:
+            zp, itp, g = _polish(sym, zs[i])
+            if zp is None:
+                continue
+            z, it = (zp if zp.imag >= 0 else zp.conjugate()), int(iters[i]) + itp
+        if in_zone(z):
+            rows.append((z, it, g, not certified[j]))
     return [rows[i] for i in _distinct([row[0] for row in rows])]
 
 
@@ -343,17 +433,20 @@ def solve_root(
     pi < zeta < sqrt(12) the alias 2*pi - z lies nearer zeta than the root
     z.  When every candidate lies outside the zone (zeta well above pi),
     Newton restarts from each one mirrored about the zone edge along the
-    ray.  The certificate is the extended polish: every candidate is
-    re-solved with the determinant evaluated in extended precision, which
-    recovers the root position lost to rounding in the nearly-double-root
-    regime of the weakly dissipative methods, to a tolerance at which the
-    result no longer depends on the start, and costs two evaluations when
-    the double result was already converged; candidates it does not
-    confirm are dropped, and when none is confirmed the polish runs from
-    the starts themselves.  The confirmed root closest to ``zeta`` wins,
-    and a second one at nearly the same distance triggers a
-    BranchAmbiguity warning.  Raises NoRootFound if no root is confirmed
-    in the zone.
+    ray.  Each distinct candidate is then certified (:func:`_certify`).  A
+    simple root that double arithmetic resolves to ROOT_ZTOL * |z| is
+    certified in double by its error estimate and a winding number of 1
+    on a circle of radius CERT_RADIUS * |z|, and keeps its double value.
+    Every other candidate is re-solved with the determinant evaluated in
+    extended precision, which recovers the root position lost to rounding
+    in the nearly-double-root regime of the weakly dissipative methods, to
+    a tolerance at which the result no longer depends on the start;
+    candidates it does not confirm are dropped, and when none is certified
+    the same runs from the starts themselves.  ``RootResult.polished``
+    tells the two certificates apart.  The certified root closest to
+    ``zeta`` wins, and a second one at nearly the same distance triggers a
+    BranchAmbiguity warning.  Raises NoRootFound if no root is certified in
+    the zone.
     """
     if not (zeta > 0 and np.isfinite(zeta)):
         raise ValueError(f"zeta must be positive and finite, got {zeta}")
@@ -397,7 +490,7 @@ def solve_root(
             f"theta={float(theta)!r} ({stencils.method})"
         )
     final.sort(key=lambda row: abs(row[0] - zeta))
-    best, iters, det_abs = final[0]
+    best, iters, det_abs, polished = final[0]
     if len(final) > 1:
         gap = abs(final[1][0] - zeta) - abs(best - zeta)
         if gap < AMBIGUITY_TOL:
@@ -407,7 +500,7 @@ def solve_root(
                 BranchAmbiguity,
                 stacklevel=2,
             )
-    return RootResult(best, iters, det_abs, scale)
+    return RootResult(best, iters, det_abs, scale, polished)
 
 
 def ansatz_residual(stencils: StencilSet, theta: float, z: complex):
@@ -451,6 +544,7 @@ class ThetaSweep:
     z: np.ndarray
     iters: np.ndarray
     det_abs: np.ndarray
+    polished: np.ndarray
 
     @property
     def rho(self) -> float:
@@ -482,6 +576,7 @@ def theta_sweep(
     z = np.empty(n_theta, dtype=complex)
     iters = np.empty(n_theta, dtype=int)
     det_abs = np.empty(n_theta, dtype=float)
+    polished = np.empty(n_theta, dtype=bool)
     prev = None
     for i, th in enumerate(thetas):
         try:
@@ -493,8 +588,9 @@ def theta_sweep(
         z[i] = res.z
         iters[i] = res.iters
         det_abs[i] = res.det_abs
+        polished[i] = res.polished
         prev = res.z
-    return ThetaSweep(stencils.method, zeta, thetas, z, iters, det_abs)
+    return ThetaSweep(stencils.method, zeta, thetas, z, iters, det_abs, polished)
 
 
 @dataclass(frozen=True)

@@ -372,6 +372,8 @@ def fem_element(omega_n: float):
     Vertex order is counterclockwise from the origin corner, matching the
     first four condensed trace DOFs.
     """
+    if not (omega_n > 0 and math.isfinite(omega_n)):
+        raise ValueError(f"omega_n must be positive and finite, got {omega_n}")
     rule = tensor_rule(3, DOUBLE)
     tab = refelem.tabulate_conforming_basis(rule)
     w = rule.weights

@@ -208,12 +208,15 @@ def test_bad_eps_is_usage_error(eps, capsys):
         (["solve", "--omega", "inf"], "omega_n must be positive and finite"),
         (["solve", "--method", "fosls", "--omega", "inf"], "omega_n must be positive and finite"),
         (["solve", "--eps", "inf"], "eps_n must be nonnegative and finite"),
-        (["dispersion", "--method", "fem", "--omega", "inf"], "zeta must be positive and finite"),
+        (["dispersion", "--method", "fem", "--omega", "inf"], "omega_n must be positive and finite"),
         (["band", "--theta", "nan"], "theta must be finite"),
         (["band", "--theta", "inf"], "theta must be finite"),
         (["plane-wave", "--theta", "nan"], "theta must be finite"),
         (["plane-wave", "--theta", "inf"], "theta must be finite"),
         (["solve", "--exact", "plane-wave", "--theta", "nan"], "theta must be finite"),
+        (["stencil-dump", "--method", "fem", "--omega-n", "inf"], "omega_n must be positive and finite"),
+        (["stencil-dump", "--method", "fem", "--omega-n", "nan"], "omega_n must be positive and finite"),
+        (["stencil-dump", "--method", "fem", "--omega-n", "-1"], "omega_n must be positive and finite"),
     ],
 )
 def test_non_finite_parameter_is_usage_error(args, message, capsys):

@@ -232,6 +232,9 @@ def test_theta_sweep_fem_below_cutoff():
     sweep = dispersion.theta_sweep(st, n_theta=25)
     assert sweep.z.shape == (25,)
     assert sweep.eta <= 1e-12
+    # a real root is certified on a circle centred on the real axis and
+    # reported with Im z = 0 exactly
+    assert sweep.eta == 0.0
     axis_err = abs(fem_axis_root(0.5).real - 0.5) / 0.5
     assert axis_err - 1e-12 <= sweep.rho <= 1.05 * axis_err
     assert np.max(np.abs(np.diff(sweep.z))) < 0.05
@@ -341,6 +344,69 @@ def test_theta_sweep_double_evaluations_per_root(eps_n, monkeypatch):
     sweep = dispersion.theta_sweep(st, n_theta=13)
     assert np.all(sweep.z.imag > 0)
     assert calls <= 30 * sweep.z.size
+
+
+def _count_exact_evaluations(monkeypatch):
+    evaluate = dispersion.SymbolMatrix.det_and_derivative_exact
+    calls = [0]
+
+    def counted(self, z):
+        calls[0] += 1
+        return evaluate(self, z)
+
+    monkeypatch.setattr(dispersion.SymbolMatrix, "det_and_derivative_exact", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "method,eps_n,polished",
+    [("fosls", None, False), ("dpg", 1e-2, False), ("dpg", 1e-6, True)],
+)
+def test_polish_only_where_double_cannot_resolve(method, eps_n, polished, monkeypatch):
+    # the simple roots of fosls and of dpg at eps_n = 1e-2 are certified in
+    # double; at eps_n = 1e-6 the double roots sit about 2e-11 off, above
+    # ROOT_ZTOL, so every direction still takes the extended polish
+    zeta = np.pi / 4
+    st = dispersion._method_stencils(method, zeta, eps_n, 3)
+    calls = _count_exact_evaluations(monkeypatch)
+    sweep = dispersion.theta_sweep(st, n_theta=13)
+    assert np.all(sweep.polished == polished)
+    if polished:
+        assert calls[0] >= sweep.z.size
+    else:
+        assert calls[0] == 0
+
+
+def planted_pair_stencils(split):
+    # symbol (2 cos z - 2 cos 0.7)(2 cos z - 2 cos(0.7 + split)): a double
+    # root at z = 0.7 for split = 0, two simple real roots otherwise
+    a, b = 2 * np.cos(0.7), 2 * np.cos(0.7 + split)
+    weights = {
+        (VERTEX, VERTEX): {
+            (0, 0): 2.0 + a * b, (2, 0): -(a + b), (-2, 0): -(a + b), (4, 0): 1.0, (-4, 0): 1.0,
+        }
+    }
+    return StencilSet("custom", 0.7, None, None, (VERTEX,), weights)
+
+
+def test_double_check_refuses_double_root(monkeypatch):
+    # det F' vanishes at a double root, so the double error estimate fails
+    # and only the extended polish can certify it
+    calls = _count_exact_evaluations(monkeypatch)
+    res = dispersion.solve_root(planted_pair_stencils(0.0), 0.0, 0.7)
+    assert res.polished
+    assert calls[0] > 0
+    assert abs(res.z - 0.7) <= 1e-7
+
+
+def test_double_check_accepts_split_pair():
+    # split by 1e-2, far beyond the certificate circle of radius 1e-6 |z|:
+    # the root at 0.7 is simple and resolved in double
+    res = dispersion.solve_root(planted_pair_stencils(1e-2), 0.0, 0.7)
+    assert not res.polished
+    assert res.z.real == pytest.approx(0.7, abs=1e-13)
+    assert res.z.imag == 0.0
+    assert res.det_abs == abs(dispersion.SymbolMatrix(planted_pair_stencils(1e-2), 0.0).det(res.z))
 
 
 def test_dpg_small_eps_strict_certificate():

@@ -120,6 +120,8 @@ def test_normalized_params_rejects_bad_omega(omega_n):
         NormalizedParams(omega_n, 1e-2, 3)
     with pytest.raises(ValueError, match="omega_n must be positive"):
         lf.fosls_element(omega_n)
+    with pytest.raises(ValueError, match="omega_n must be positive"):
+        lf.fem_element(omega_n)
 
 
 @pytest.mark.parametrize("omega_n,eps_n", [(2 * np.pi / 64, 0.0), (1.3, 0.3)])
