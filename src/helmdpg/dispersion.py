@@ -7,16 +7,17 @@ over the lattice offsets.  Nontrivial amplitudes require ``det F(z) = 0``;
 the solver tracks the root nearest the continuous value ``zeta`` with a
 Newton iteration from several starts at once (derivative by the adjugate
 formula, steps capped at a fraction of ``zeta``), all of them off the real
-axis, where det F is real and Newton cannot reach a complex root.  A start
-stops at the strict test or, once it has cleared the certificate level, at
-the rounding floor of the double determinant.  Each candidate is then
-certified.  A well-resolved simple root is certified in double: its error
-estimate from the rounding error of det F is within ROOT_ZTOL of |z|, and
-det F winds exactly once on a small circle around it that stays clear of
-that rounding error.  Every other candidate (a nearly double root, a close
-pair) is re-solved in extended precision to a step tolerance tight
-enough that the polished root does not depend on the start.  The ansatz
-residual gives an independent check.
+axis, where det F is real and Newton cannot reach a complex root.  One
+double evaluation gives det F, its derivative and the rounding error of
+det F; a start stops once |det F| is within that error or its step within
+ROOT_ZTOL of |z|.  The stopped starts are folded to nonnegative imaginary
+part, deduplicated and certified.  A well-resolved simple root is certified
+in double: its error estimate from the rounding error of det F is within
+ROOT_ZTOL of |z|, and det F winds exactly once on a small circle around it
+that stays clear of that rounding error.  Every other candidate (a nearly
+double root, a close pair) is re-solved in extended precision to a step
+tolerance tight enough that the polished root does not depend on the start.
+The ansatz residual gives an independent check.
 
 Roots of conjugate-symmetric stencils come in conjugate pairs; the solver
 reports the representative with nonnegative imaginary part.
@@ -39,8 +40,6 @@ from .stencil import StencilSet, extract_stencils
 
 NEWTON_MAX_ITER = 100
 STEP_CAP = 0.05  # longest double Newton step, as a fraction of zeta
-ROOT_GTOL = 1e-12
-ROOT_GTOL_FLOOR = 1e-10
 # rounding level of det_small(F) in double relative to perm(|F|): 8 unit roundoffs
 FLOOR_ROUNDING = 8 * np.finfo(float).eps / 2
 ROOT_ZTOL = 1e-12
@@ -72,7 +71,7 @@ class SymbolMatrix:
     the (t, s) stencil offsets, ``d_k`` the offset projected on the
     direction.  Both evaluators take one exponential per distinct projected
     offset and gather it through an index into those offsets.
-    ``value_and_derivative`` takes any array of z in double and sums
+    ``det_and_derivative`` takes any array of z in double and sums
     complex128 ``(n, n, K)`` coefficient arrays, padded with zeros to the
     longest row.  ``det_and_derivative_exact`` takes one z in the ambient
     mpmath precision and sums only each entry's own terms, with the stencil
@@ -110,60 +109,49 @@ class SymbolMatrix:
         z = np.asarray(z, dtype=complex)[..., None]
         return np.take(np.exp(1j * z * self._offsets), self._at, axis=-1)
 
-    def value_and_derivative(self, z):
-        """F(z) and dF/dz, each of shape ``np.shape(z) + (n, n)``."""
-        # iterates far from the root can push exp(1j*z*dots) past the float
-        # range; the callers test for non-finite results, so the overflow
-        # itself is expected and the warning suppressed
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = self._phase(z)
-            return (self._coefs * phase).sum(-1), (self._dcoefs * phase).sum(-1)
-
+    # iterates far from the root can push exp(1j*z*dots) past the float
+    # range; the callers test for non-finite results, so the overflow itself
+    # is expected and the warning suppressed
     def value(self, z) -> np.ndarray:
-        return self.value_and_derivative(z)[0]
+        """F(z), of shape ``np.shape(z) + (n, n)``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self._coefs * self._phase(z)).sum(-1)
 
     @staticmethod
     def _jacobi(f, df):
-        """det F and its derivative tr(adj(F) dF) (Jacobi's formula)."""
-        return det_small(f), np.trace(adjugate_small(f) @ df, axis1=-2, axis2=-1)
+        """det F, its derivative tr(adj(F) dF) (Jacobi's formula) and adj(F)."""
+        adj = adjugate_small(f)
+        return det_small(f), np.trace(adj @ df, axis1=-2, axis2=-1), adj
 
     def det(self, z):
         with np.errstate(over="ignore", invalid="ignore"):
             return det_small(self.value(z))
 
     def det_and_derivative(self, z):
-        """det F(z) and its z-derivative, for any array z."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._jacobi(*self.value_and_derivative(z))
+        """det F(z), its z-derivative and the rounding error e of the double
+        det F(z), for any array z, from one pass over the terms.
 
-    def rounding_floor(self, z):
-        """Rounding level of the double det F(z): FLOOR_ROUNDING * perm(|F(z)|).
-
-        Below it the cofactor expansion is cancellation noise, so Newton on
-        the double determinant cannot improve the root further.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return FLOOR_ROUNDING * permanent_small(np.abs(self.value(z)))
-
-    def rounding_error(self, z):
-        """First-order rounding error of the double det F(z).
-
-        ``rounding_floor`` covers the cofactor expansion only.  Each entry
-        F_ts is itself a sum of terms c_k exp(i z d_k); rounding them and
+        e is FLOOR_ROUNDING * perm(|F|), the rounding level of the cofactor
+        expansion, plus the first-order effect of rounding the entries: each
+        entry F_ts is a sum of terms c_k exp(i z d_k), rounding them and
         their sum moves F_ts by up to about FLOOR_ROUNDING * S_ts, with S_ts
         the sum of the terms' magnitudes, and that moves det F by
         sum_ts |adj(F)_st| * FLOOR_ROUNDING * S_ts.  On raw stencils at
         small zeta the terms cancel to a tiny part of S and this part
         dominates: at zeta = 2*pi/128 (fosls, and dpg r = 3 at eps_n =
         zeta) the double root sits 2.3e-12 and 2.9e-12 of |z| off, where
-        the expansion's floor alone suggests 6.0e-13 and 1.5e-13.
+        the expansion's part alone suggests 6.0e-13 and 1.5e-13.  Below e
+        the double det F is noise.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = self._coefs * self._phase(z)
+            phase = self._phase(z)
+            terms = self._coefs * phase
             f = terms.sum(-1)
-            adj = np.swapaxes(np.abs(adjugate_small(f)), -1, -2)
-            entries = np.sum(adj * np.abs(terms).sum(-1), axis=(-2, -1))
-            return FLOOR_ROUNDING * (permanent_small(np.abs(f)) + entries)
+            g, gp, adj = self._jacobi(f, (self._dcoefs * phase).sum(-1))
+            entries = np.sum(
+                np.swapaxes(np.abs(adj), -1, -2) * np.abs(terms).sum(-1), axis=(-2, -1)
+            )
+            return g, gp, FLOOR_ROUNDING * (permanent_small(np.abs(f)) + entries)
 
     @cached_property
     def _exact_terms(self):
@@ -213,7 +201,7 @@ class SymbolMatrix:
             f[ti, si] = terms[span].sum()
             df[ti, si] = dterms[span].sum()
         with mp.workdps(mp.mp.dps + JACOBI_GUARD_DIGITS):
-            return self._jacobi(f, df)
+            return self._jacobi(f, df)[:2]
 
     def null_vector(self, z: complex) -> np.ndarray:
         """Unit amplitude vector minimizing |F(z) amp| (smallest singular)."""
@@ -240,7 +228,7 @@ class RootResult:
     polished: bool
 
 
-def _newton(sym: SymbolMatrix, starts, scale: float, cap: float):
+def _newton(sym: SymbolMatrix, starts, cap: float):
     """Newton iteration on det F from every start at once.
 
     Each start runs its own iteration; one batched symbol evaluation serves
@@ -249,53 +237,37 @@ def _newton(sym: SymbolMatrix, starts, scale: float, cap: float):
     step would throw the start far from the region the starts cover, onto
     another branch or an alias.
 
-    Simple roots satisfy the strict test (determinant below 1e-12 of the
-    multistart scale with a stagnant step).  Nearly double roots, which the
-    weakly dissipative methods produce, bottom out on the rounding floor of
-    the determinant evaluation instead; the best visited point is then
-    accepted when its determinant still clears the certificate level
-    ROOT_GTOL_FLOOR * scale.  A start whose best point has cleared that
-    level stops as soon as its determinant is at the rounding floor
-    (``SymbolMatrix.rounding_floor``), where further steps are noise; the
-    floor is evaluated only for such starts.  Returns ``(z, iters, ok)``
-    arrays, one entry per start: ``iters`` is the step at which the start
-    stopped (NEWTON_MAX_ITER if it never did), and ``ok`` marks the starts
-    that passed either test.
+    A start stops where |det F| is at most the rounding error e of the
+    double det F (``SymbolMatrix.det_and_derivative``): below it the
+    determinant is noise, and near the nearly double roots of the weakly
+    dissipative methods further steps only wander.  It stops too, after
+    taking the step, once that step is at most ROOT_ZTOL * max(1, |z|).
+    Returns ``(z, iters, stopped)`` arrays, one entry per start: ``iters``
+    counts the steps taken (NEWTON_MAX_ITER for a start that never
+    stopped), and ``stopped`` marks the candidates.  A start whose
+    determinant or step is not finite drops out unstopped.
     """
     z = np.array(starts, dtype=complex).ravel()
-    best_z = z.copy()
-    best_g = np.full(z.shape, np.inf)
-    prev_dz = np.full(z.shape, np.inf)
     iters = np.full(z.shape, NEWTON_MAX_ITER)
-    strict = np.zeros(z.shape, dtype=bool)
+    stopped = np.zeros(z.shape, dtype=bool)
     active = np.arange(z.size)
     for it in range(NEWTON_MAX_ITER):
         if not active.size:
             break
         za = z[active]
-        g, gp = sym.det_and_derivative(za)
-        ag = np.abs(g)
-        better = ag < best_g[active]
-        best_g[active[better]] = ag[better]
-        best_z[active[better]] = za[better]
-        conv = (ag <= ROOT_GTOL * scale) & (
-            prev_dz[active] <= ROOT_ZTOL * np.maximum(1.0, np.abs(za))
-        )
-        strict[active[conv]] = True
-        stop = conv.copy()
-        near = np.flatnonzero(~conv & (best_g[active] <= ROOT_GTOL_FLOOR * scale))
-        if near.size:
-            stop[near] = ag[near] <= sym.rounding_floor(za[near])
-        iters[active[stop]] = it
-        go = ~stop & (gp != 0) & np.isfinite(gp) & np.isfinite(g)
+        g, gp, e = sym.det_and_derivative(za)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            dz = -g[go] / gp[go]
+            dz = -g / gp
             dz *= np.minimum(1.0, cap / np.abs(dz))
-        active = active[go]
-        z[active] += dz
-        prev_dz[active] = np.abs(dz)
-    ok = strict | (best_g <= ROOT_GTOL_FLOOR * scale)
-    return np.where(strict, z, best_z), iters, ok
+        floor = np.abs(g) <= e
+        step = ~floor & np.isfinite(dz)
+        small = step & (np.abs(dz) <= ROOT_ZTOL * np.maximum(1.0, np.abs(za)))
+        z[active[step]] += dz[step]
+        stopped[active[floor | small]] = True
+        iters[active[floor]] = it
+        iters[active[small]] = it + 1
+        active = active[step & ~small]
+    return z, iters, stopped
 
 
 def _polish(sym: SymbolMatrix, z0: complex):
@@ -340,24 +312,23 @@ def _distinct(zs) -> list[int]:
 def _double_certified(sym: SymbolMatrix, zs):
     """Which candidates double arithmetic certifies as simple roots.
 
-    Two batched evaluations.  The first gives g = det F(z), g' and the
-    rounding error e of g (``SymbolMatrix.rounding_error``) at each
+    Two batched evaluations of ``SymbolMatrix.det_and_derivative``.  The
+    first gives g = det F(z), g' and the rounding error e of g at each
     candidate, which passes when the error estimate (|g| + e) / |g'| is at
-    most ROOT_ZTOL * |z|.  The second evaluates det F on a circle of
-    CERT_POINTS points and radius rho = CERT_RADIUS * |z|: every |det F|
-    there must clear CERT_CLEARANCE times its own rounding error, every
-    phase step between neighbours must stay below pi/2, and the winding
-    number must be exactly 1, so the disc holds one simple root (the
-    argument principle).  Within rho/2 of the real axis the circle is
-    centred on Re z: the disc is then its own conjugate and roots pair as
-    z, conj(z), so its one root is real.  Returns the mask of certified
-    candidates, the centre of each circle (the point to report) and the
-    double |det F| there.
+    most ROOT_ZTOL * |z|.  The second evaluates det F and its e on a circle
+    of CERT_POINTS points and radius rho = CERT_RADIUS * |z|: every |det F|
+    there must clear CERT_CLEARANCE times its own e, every phase step
+    between neighbours must stay below pi/2, and the winding number must be
+    exactly 1, so the disc holds one simple root (the argument principle).
+    Within rho/2 of the real axis the circle is centred on Re z: the disc
+    is then its own conjugate and roots pair as z, conj(z), so its one root
+    is real.  Returns the mask of certified candidates, the centre of each
+    circle (the point to report) and the double |det F| there.
     """
     zs = np.asarray(zs, dtype=complex)
-    g, gp = sym.det_and_derivative(zs)
+    g, gp, e = sym.det_and_derivative(zs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = (np.abs(g) + sym.rounding_error(zs)) / np.abs(gp)
+        err = (np.abs(g) + e) / np.abs(gp)
     ok = err <= ROOT_ZTOL * np.abs(zs)
     rho = CERT_RADIUS * np.abs(zs)
     centre = np.where(np.abs(zs.imag) <= rho / 2, zs.real + 0j, zs)
@@ -365,11 +336,9 @@ def _double_certified(sym: SymbolMatrix, zs):
     if ok.any():
         ring = np.exp(2j * np.pi * np.arange(CERT_POINTS + 1) / CERT_POINTS)
         ring[0] = 0.0  # the centre itself, then the circle
-        pts = centre[ok, None] + rho[ok, None] * ring
-        w = sym.det(pts)
-        bound = sym.rounding_error(pts)[:, 1:]
+        w, _, bound = sym.det_and_derivative(centre[ok, None] + rho[ok, None] * ring)
         det_abs[ok] = np.abs(w[:, 0])
-        w = w[:, 1:]
+        w, bound = w[:, 1:], bound[:, 1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.angle(np.roll(w, -1, axis=1) / w)
         ok[ok] = (
@@ -383,21 +352,20 @@ def _double_certified(sym: SymbolMatrix, zs):
 def _certify(sym: SymbolMatrix, zs, iters, in_zone):
     """Certify each distinct candidate; keep the certified ones in the zone.
 
-    Candidates are folded to Im z >= 0, which is exact because the weights
-    pair Hermitianly.  A candidate that :func:`_double_certified` accepts
-    keeps its double value and its Newton steps.  Every other one (a nearly
-    double root, a pair closer than the certificate circle, a contour too
-    near the rounding floor) goes to the extended polish, whose steps are
-    added; one the polish does not confirm is dropped, since near a nearly
-    double root the double determinant is rounding noise and the double
-    tests alone certify nothing there.  Returns rows
-    ``(z, iters, |det F(z)|, polished)``.
+    Candidates are folded to Im z >= 0 before they are deduplicated, so a
+    root found as z and as conj(z) is certified once; the fold is exact
+    because the weights pair Hermitianly, det F(conj z) = conj det F(z).  A
+    candidate that :func:`_double_certified` accepts keeps its double value
+    and its Newton steps.  Every other one (a nearly double root, a pair
+    closer than the certificate circle, a contour too near the rounding
+    floor) goes to the extended polish, whose steps are added; one the
+    polish does not confirm is dropped, since near a nearly double root the
+    double determinant is rounding noise and the double tests alone certify
+    nothing there.  Returns rows ``(z, iters, |det F(z)|, polished)``.
     """
+    zs = np.where(zs.imag < 0, zs.conj(), zs)
     keep = _distinct(zs)
-    cands = np.asarray(zs, dtype=complex)[keep]
-    certified, centre, det_abs = _double_certified(
-        sym, np.where(cands.imag < 0, cands.conj(), cands)
-    )
+    certified, centre, det_abs = _double_certified(sym, zs[keep])
     rows = []
     for j, i in enumerate(keep):
         if certified[j]:
@@ -420,33 +388,34 @@ def solve_root(
 ) -> RootResult:
     """Locate the dispersion root nearest ``zeta`` for direction ``theta``.
 
-    A batched Newton from all starts at once produces candidate roots.  The
-    starts are ``init`` when given, ``zeta*(1 +- 0.1i)`` and five more at
-    ``zeta`` times 1, 1.1, 0.9, 1.2 and 0.8, moved off the real axis by
-    ``0.02i*zeta``: det F is real for real z, so from a real start Newton
-    cannot leave the axis to reach a complex root.  Candidates are folded
-    to nonnegative imaginary part, restricted to the first Brillouin zone
-    (Re z > 0 and max(|Re z cos theta|, |Re z sin theta|) <= pi, to
-    BRILLOUIN_TOL) and deduplicated.  det F is
-    unchanged by a lattice shift k -> k + 2*pi*(m, n) of the wave vector,
-    so a root outside the zone is an alias: for the bilinear fem at
-    pi < zeta < sqrt(12) the alias 2*pi - z lies nearer zeta than the root
-    z.  When every candidate lies outside the zone (zeta well above pi),
-    Newton restarts from each one mirrored about the zone edge along the
-    ray.  Each distinct candidate is then certified (:func:`_certify`).  A
-    simple root that double arithmetic resolves to ROOT_ZTOL * |z| is
-    certified in double by its error estimate and a winding number of 1
-    on a circle of radius CERT_RADIUS * |z|, and keeps its double value.
-    Every other candidate is re-solved with the determinant evaluated in
-    extended precision, which recovers the root position lost to rounding
-    in the nearly-double-root regime of the weakly dissipative methods, to
-    a tolerance at which the result no longer depends on the start;
-    candidates it does not confirm are dropped, and when none is certified
-    the same runs from the starts themselves.  ``RootResult.polished``
-    tells the two certificates apart.  The certified root closest to
-    ``zeta`` wins, and a second one at nearly the same distance triggers a
-    BranchAmbiguity warning.  Raises NoRootFound if no root is certified in
-    the zone.
+    A batched Newton from all starts at once (:func:`_newton`) produces the
+    candidate roots, the starts that stopped.  The starts are ``init`` when
+    given, ``zeta*(1 +- 0.1i)`` and five more at ``zeta`` times 1, 1.1,
+    0.9, 1.2 and 0.8, moved off the real axis by ``0.02i*zeta``: det F is
+    real for real z, so from a real start Newton cannot leave the axis to
+    reach a complex root.  Candidates are restricted to the first
+    Brillouin zone (Re z > 0 and max(|Re z cos theta|, |Re z sin theta|)
+    <= pi, to BRILLOUIN_TOL).  det F is unchanged by a lattice shift
+    k -> k + 2*pi*(m, n) of the wave vector, so a root outside the zone is
+    an alias: for the bilinear fem at pi < zeta < sqrt(12) the alias
+    2*pi - z lies nearer zeta than the root z.  When every candidate lies
+    outside the zone (zeta well above pi), Newton restarts from each one
+    mirrored about the zone edge along the ray.  The candidates are then
+    folded to nonnegative imaginary part, deduplicated and certified
+    (:func:`_certify`).  A simple root that double arithmetic resolves to
+    ROOT_ZTOL * |z| is certified in double by its error estimate and a
+    winding number of 1 on a circle of radius CERT_RADIUS * |z|, and keeps
+    its double value.  Every other candidate is re-solved with the
+    determinant evaluated in extended precision, which recovers the root
+    position lost to rounding in the nearly-double-root regime of the
+    weakly dissipative methods, to a tolerance at which the result no
+    longer depends on the start; candidates it does not confirm are
+    dropped.  ``RootResult.polished`` tells the two certificates apart.
+    The certified root closest to ``zeta`` wins, and a second one at
+    nearly the same distance triggers a BranchAmbiguity warning.
+    ``RootResult.scale``, the largest |det F| over the starts, is the scale
+    to read ``det_abs`` against.  Raises NoRootFound if no root is
+    certified in the zone.
     """
     if not (zeta > 0 and np.isfinite(zeta)):
         raise ValueError(f"zeta must be positive and finite, got {zeta}")
@@ -465,25 +434,15 @@ def solve_root(
     def in_zone(z):
         return (ADMISSIBLE_LO < z.real) & (z.real <= edge + BRILLOUIN_TOL)
 
-    z, iters, ok = _newton(sym, starts, scale, cap)
+    z, iters, ok = _newton(sym, starts, cap)
     z, iters = z[ok], iters[ok]
-    neg = np.flatnonzero(z.imag < 0)
-    zf, itf, okf = _newton(sym, z[neg].conj(), scale, cap)
-    z[neg[okf]] = zf[okf]
-    iters[neg[okf]] += itf[okf]
     if not in_zone(z).any():
         # on the axes and diagonals the mirror image 2*edge - conj(z) is
         # itself a root, the alias of z; elsewhere it is a start in the zone
-        zm, itm, okm = _newton(sym, 2 * edge - z.real + 1j * np.abs(z.imag), scale, cap)
-        z = np.where(zm.imag >= 0, zm, zm.conj())[okm]
-        iters = (iters + itm)[okm]
-    # near a double root the double-precision determinant bottoms out in
-    # cancellation noise, so a candidate can pass the float64 tests while
-    # sitting ~sqrt(noise) away from the truth, or be no root at all
+        zm, itm, okm = _newton(sym, 2 * edge - z.real + 1j * np.abs(z.imag), cap)
+        z, iters = zm[okm], (iters + itm)[okm]
     keep = in_zone(z)
     final = _certify(sym, z[keep], iters[keep], in_zone)
-    if not final:
-        final = _certify(sym, starts, np.zeros(starts.size, dtype=int), in_zone)
     if not final:
         raise NoRootFound(
             f"no admissible dispersion root near zeta={float(zeta)!r} for "

@@ -94,18 +94,18 @@ def test_symbol_derivative_matches_finite_difference():
     sym = dispersion.SymbolMatrix(st, 0.35)
     zs = np.array([0.8 + 0.0j, 0.7 + 0.05j, 1.1 - 0.02j])
     for z in zs:
-        g, gp = sym.det_and_derivative(z)
+        g, gp, e = sym.det_and_derivative(z)
         assert g == pytest.approx(sym.det(z), rel=1e-13)
+        assert 0 < e <= 1e-12 * abs(g)
         d = 1e-6
         fd = (sym.det(z + d) - sym.det(z - d)) / (2 * d)
         assert gp == pytest.approx(fd, rel=2e-6)
     # one batched evaluation gives every point's scalar result
-    g, gp = sym.det_and_derivative(zs)
-    f, df = sym.value_and_derivative(zs)
-    assert g.shape == gp.shape == (3,) and f.shape == df.shape == (3, 3, 3)
+    g, gp, e = sym.det_and_derivative(zs)
+    f = sym.value(zs)
+    assert g.shape == gp.shape == e.shape == (3,) and f.shape == (3, 3, 3)
     for i, z in enumerate(zs):
-        assert g[i] == sym.det_and_derivative(z)[0]
-        assert gp[i] == sym.det_and_derivative(z)[1]
+        assert np.array_equal(sym.det_and_derivative(z), (g[i], gp[i], e[i]))
         assert g[i] == sym.det(z) == sym.det(zs)[i]
         assert np.array_equal(f[i], sym.value(z))
 
@@ -173,6 +173,24 @@ def test_conjugate_root_also_vanishes():
     res = dispersion.solve_root(st, 0.1, 1.2)
     sym = dispersion.SymbolMatrix(st, 0.1)
     assert abs(sym.det(res.z.conjugate())) <= 1e-10 * res.scale
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("method,eps_n", [("fem", None), ("fosls", None), ("dpg", 1e-2), ("dpg", 0.0)])
+@pytest.mark.parametrize("zeta", [2 * np.pi / 64, np.pi / 4])
+def test_conjugate_fold_is_exact(zeta, method, eps_n, normalize):
+    # solve_root folds a candidate z to conj(z) with no second Newton pass:
+    # the weights pair Hermitianly, so det F(conj z) = conj det F(z), and in
+    # double the two evaluations differ by no more than the rounding error
+    # (at most 0.094 of it over these stencils)
+    args = (eps_n, 3) if method == "dpg" else ()
+    st = stencil.extract_stencils(method, zeta, *args, normalize=normalize)
+    z = zeta * np.array([1.05 + 0.02j, 0.9 + 0.1j, 1 + 1e-4j, 1.2 - 0.05j])
+    for theta in (0.0, 0.3, np.pi / 4, 1.2):
+        sym = dispersion.SymbolMatrix(st, theta)
+        g, _, e = sym.det_and_derivative(z)
+        g_conj = sym.det(z.conj())
+        assert np.all(np.abs(g_conj - g.conj()) <= e)
 
 
 def test_normalization_leaves_root_invariant():
@@ -276,8 +294,8 @@ def test_band_diagram_fem_cutoff():
 
 
 def test_dpg_limit_small_frequency_consistency():
-    # The dissipation-free limit produces nearly double roots, so the
-    # certificate here is the floor level rather than the strict one.
+    # The dissipation-free limit produces nearly double roots, so |det F|
+    # is held to 1e-10 of the start scale here rather than 1e-12.
     st = stencil.extract_stencils("dpg", 0.3, 0.0, 3, normalize=False)
     res = dispersion.solve_root(st, 0.0, 0.3)
     assert abs(res.z - 0.3) <= 1e-3
@@ -296,10 +314,12 @@ def test_polish_rejects_double_stage_non_root(monkeypatch):
     exact = dispersion.SymbolMatrix.det_and_derivative
 
     def noisy(self, z):
-        g, gp = exact(self, z)
-        return np.where(z == non_root, 0.0, g), gp
+        g, gp, e = exact(self, z)
+        return np.where(z == non_root, 0.0, g), gp, e
 
     monkeypatch.setattr(dispersion.SymbolMatrix, "det_and_derivative", noisy)
+    z, iters, stopped = dispersion._newton(dispersion.SymbolMatrix(st, 0.0), [non_root], 1.0)
+    assert stopped[0] and z[0] == non_root and iters[0] == 0
     res = dispersion.solve_root(st, 0.0, zeta, init=non_root)
     assert res.z == pytest.approx(0.04908492133934228 + 3.5919e-8j, rel=1e-10)
     assert res.z.imag == pytest.approx(3.5919e-8, rel=1e-4)
@@ -327,23 +347,38 @@ def test_polish_is_start_independent():
 @pytest.mark.parametrize("eps_n", [1e-2, 1e-6])
 def test_theta_sweep_double_evaluations_per_root(eps_n, monkeypatch):
     # from real starts Newton cannot reach these complex roots, and at
-    # eps_n = 1e-6 no start passes the strict test: with such starts and no
-    # stop at the rounding floor this sweep made 88 and 178 batched double
-    # evaluations per root
+    # eps_n = 1e-6 no start reaches a step of 1e-12 |z|: with such starts
+    # and no stop at the rounding error this sweep made 88 and 178 batched
+    # double evaluations per root.  Every double evaluation goes through
+    # these two methods; outside Newton a solve makes at most three (the
+    # start scale and the two of the double certificate).
     zeta = np.pi / 4
     st = stencil.extract_stencils("dpg", zeta, eps_n, 3, normalize=False)
-    evaluate = dispersion.SymbolMatrix.value_and_derivative
     calls = 0
 
-    def counted(self, z):
-        nonlocal calls
-        calls += 1
-        return evaluate(self, z)
+    def counted(evaluate):
+        def wrapper(self, z):
+            nonlocal calls
+            calls += 1
+            return evaluate(self, z)
 
-    monkeypatch.setattr(dispersion.SymbolMatrix, "value_and_derivative", counted)
+        return wrapper
+
+    for name in ("det", "det_and_derivative"):
+        evaluate = getattr(dispersion.SymbolMatrix, name)
+        monkeypatch.setattr(dispersion.SymbolMatrix, name, counted(evaluate))
     sweep = dispersion.theta_sweep(st, n_theta=13)
     assert np.all(sweep.z.imag > 0)
-    assert calls <= 30 * sweep.z.size
+    assert 3 * sweep.z.size < calls <= 30 * sweep.z.size
+
+
+def test_eps_zero_sweep_newton_steps():
+    # on the eps_n = 0 stencil a start stops once |det F| reaches the
+    # rounding error e; with a stop at the cofactor expansion's floor alone,
+    # below e, three of these directions ran 41, 66 and 91 steps
+    st = dispersion._method_stencils("dpg", 2 * np.pi / 64, 0.0, 3)
+    sweep = dispersion.theta_sweep(st, 7)
+    assert sweep.iters.max() <= 30
 
 
 def _count_exact_evaluations(monkeypatch):
