@@ -29,9 +29,9 @@ import sys
 
 import numpy as np
 
-from . import assembly, dispersion, stencil
+from . import dispersion, stencil
 from .errors import HelmDpgError
-from .numkit import DOUBLE, tensor_rule
+from .numkit import DOUBLE, single_thread_blas, tensor_rule
 
 
 def _floats(text: str):
@@ -194,9 +194,21 @@ def _load_config(path: str, spec: dict, parser: argparse.ArgumentParser) -> dict
     return values
 
 
+def _resonance_grid(*args):
+    """``assembly.default_resonance_grid``, importing assembly on first use.
+
+    helmdpg.assembly loads scipy.sparse, which more than doubles the
+    start-up time of the subcommands without a mesh; only the mesh
+    subcommands import it.
+    """
+    from . import assembly
+
+    return assembly.default_resonance_grid(*args)
+
+
 #: per sweep command, its frequency-grid rule and the options it takes, in order
 _GRIDS = {
-    "resonance-sweep": (assembly.default_resonance_grid, ("omega_step", "omega_start", "omega_stop")),
+    "resonance-sweep": (_resonance_grid, ("omega_step", "omega_start", "omega_stop")),
     "band": (dispersion.band_grid, ("zeta_max", "zeta_step")),
 }
 
@@ -269,7 +281,9 @@ class _CsvOut:
 # ---------------------------------------------------------------------------
 
 
-def _exact_for(cfg: dict) -> assembly.ExactSolution:
+def _exact_for(cfg: dict):
+    from . import assembly
+
     if cfg["exact"] == "manufactured":
         return assembly.manufactured_solution(cfg["omega"], cfg.get("sign", 1))
     if cfg["exact"] == "plane-wave":
@@ -278,6 +292,8 @@ def _exact_for(cfg: dict) -> assembly.ExactSolution:
 
 
 def _cmd_solve(cfg: dict, out: _CsvOut):
+    from . import assembly
+
     mesh = assembly.build_mesh(cfg["n"])
     rep = assembly.solve_method(
         cfg["method"], mesh, cfg["omega"], _exact_for(cfg),
@@ -292,7 +308,9 @@ def _cmd_solve(cfg: dict, out: _CsvOut):
 
 
 def _cmd_resonance(cfg: dict, out: _CsvOut):
-    grid = assembly.default_resonance_grid(cfg["omega_step"], cfg["omega_start"], cfg["omega_stop"])
+    from . import assembly
+
+    grid = _resonance_grid(cfg["omega_step"], cfg["omega_start"], cfg["omega_stop"])
     rows = assembly.resonance_sweep(grid, cfg["eps"], n=cfg["n"], r=cfg["r"])
     out.header("omega,eps,e_r,a,ratio,error")
     for row in rows:
@@ -300,6 +318,8 @@ def _cmd_resonance(cfg: dict, out: _CsvOut):
 
 
 def _cmd_plane_wave(cfg: dict, out: _CsvOut):
+    from . import assembly
+
     rep = assembly.plane_wave_demo(
         cfg["method"], cfg["theta"], cfg["n"], cfg["omega"], cfg["eps"], cfg["r"]
     )
@@ -385,6 +405,8 @@ def _cmd_stencil_dump(cfg: dict, out: _CsvOut):
 
 
 def _selftest_checks():
+    from . import assembly
+
     checks = []
 
     rule = tensor_rule(4, DOUBLE)
@@ -400,13 +422,8 @@ def _selftest_checks():
     checks.append(("vertex stencil support", fem.support_size(1) == 9,
                    f"size {fem.support_size(1)}"))
 
-    swap = {1: 1, 2: 3, 3: 2}
-    worst = 0.0
-    for (t, s), row in st.weights.items():
-        for (lx, ly), w in row.items():
-            mirrored = st.weights[(swap[t], swap[s])][(ly, lx)]
-            worst = max(worst, abs(w - mirrored))
-    checks.append(("x-y reflection symmetry", worst <= 1e-10, f"max diff {worst:.2e}"))
+    checks.append(("x-y reflection symmetry", stencil.xy_symmetric(st),
+                   f"relative max diff {stencil.xy_asymmetry(st):.2e}"))
 
     raw = stencil.extract_stencils("fosls", np.pi / 4, normalize=False)
     res = dispersion.solve_root(raw, 0.3, np.pi / 4)
@@ -453,6 +470,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # numpy's pool is pinned here for every subcommand; importing assembly
+    # pins scipy's as it loads it
+    single_thread_blas()
     parser = _build_parser()
     args = parser.parse_args(argv)
     cfg = _resolve(args, parser)

@@ -4,20 +4,22 @@ A plane-wave ansatz ``value_s(x) = amp_s * exp(i*wh* k.x)`` turns each
 stencil row into one row of a small symbol matrix F(z), where ``z`` is the
 discrete frequency-step product and the entries are finite exponential sums
 over the lattice offsets.  Nontrivial amplitudes require ``det F(z) = 0``;
-the solver tracks the root nearest the continuous value ``zeta`` with a
-Newton iteration from several starts at once (derivative by the adjugate
-formula, steps capped at a fraction of ``zeta``), all of them off the real
-axis, where det F is real and Newton cannot reach a complex root.  One
-double evaluation gives det F, its derivative and the rounding error of
-det F; a start stops once |det F| is within that error or its step within
-ROOT_ZTOL of |z|.  The stopped starts are folded to nonnegative imaginary
-part, deduplicated and certified.  A well-resolved simple root is certified
-in double: its error estimate from the rounding error of det F is within
-ROOT_ZTOL of |z|, and det F winds exactly once on a small circle around it
-that stays clear of that rounding error.  Every other candidate (a nearly
-double root, a close pair) is re-solved in extended precision to a step
-tolerance tight enough that the polished root does not depend on the start.
-The ansatz residual gives an independent check.
+the solver tracks the root nearest the continuous value ``zeta`` on every
+direction of a sweep at once, as one array program over (direction, start)
+pairs.  Newton runs from several starts per direction (derivative by the
+adjugate formula, steps capped at a fraction of ``zeta``), all of them off
+the real axis, where det F is real and Newton cannot reach a complex root.
+One double evaluation gives det F, its derivative and the rounding error
+of det F; a start stops once |det F| is within that error or its step
+within ROOT_ZTOL of |z|.  The stopped starts are folded to nonnegative
+imaginary part, deduplicated and certified, all directions together.  A
+well-resolved simple root is certified in double: its error estimate from
+the rounding error of det F is within ROOT_ZTOL of |z|, and det F winds
+exactly once on a small circle around it that stays clear of that rounding
+error.  Every other candidate (a nearly double root, a close pair) is
+re-solved in extended precision to a step tolerance tight enough that the
+polished root does not depend on the start.  The ansatz residual gives an
+independent check.
 
 Roots of conjugate-symmetric stencils come in conjugate pairs; the solver
 reports the representative with nonnegative imaginary part.
@@ -60,60 +62,104 @@ CERT_CLEARANCE = 1e3
 POLISH_MAX_ITER = 55
 # extra digits for the cofactor expansion of the extended determinant
 JACOBI_GUARD_DIGITS = 10
+# the starts of every direction, in units of zeta: off the real axis, where
+# det F is real and Newton from a real start cannot reach a complex root
+START_FACTORS = np.array(
+    [1 + 0.02j, 1.1 + 0.02j, 0.9 + 0.02j, 1 + 0.1j, 1 - 0.1j, 1.2 + 0.02j, 0.8 + 0.02j]
+)
 
 DEFAULT_N_THETA = 181
 
 
 class SymbolMatrix:
-    """F(z) and dF/dz for one stencil set and one propagation direction.
+    """F(z) and dF/dz for one stencil set on one or more directions.
 
     Entry (t, s) of F is the exponential sum ``sum_k c_k exp(i z d_k)`` over
     the (t, s) stencil offsets, ``d_k`` the offset projected on the
-    direction.  Both evaluators take one exponential per distinct projected
-    offset and gather it through an index into those offsets.
-    ``det_and_derivative`` takes any array of z in double and sums
-    complex128 ``(n, n, K)`` coefficient arrays, padded with zeros to the
-    longest row.  ``det_and_derivative_exact`` takes one z in the ambient
-    mpmath precision and sums only each entry's own terms, with the stencil
-    set's extended weights when present and the double weights otherwise.
-    Its object copies are built on its first call, so callers that stay in
-    double never pay for them.
+    direction.  ``theta`` is one direction or a 1-D array of T directions.
+    On one direction the double evaluators take any array z; on T
+    directions they take a z whose first axis runs over the directions.
+    Results have z's shape in front.  The lattice offsets are projected once
+    per direction, a ``(T, D)`` table (on one direction only the distinct
+    projections are kept, without the T axis); an evaluation takes one
+    exponential per projected offset and gathers it, through an index
+    shared by all directions, into complex128 ``(n, n, K)`` term arrays
+    padded with zeros to the longest row.  The derivative's factors
+    ``i d_k c_k`` are kept per direction, ``(T, n, n, K)``.  :meth:`take` gives the same symbol on some
+    of its directions.  ``det_and_derivative_exact`` takes one z in the
+    ambient mpmath precision on one direction and sums only each entry's
+    own terms, with the stencil set's extended weights when present and the
+    double weights otherwise.  Its object copies are built on its first
+    call, so callers that stay in double never pay for them.
     """
 
-    def __init__(self, stencils: StencilSet, theta: float):
+    def __init__(self, stencils: StencilSet, theta):
         self.types = stencils.types
-        self.theta = float(theta)
-        k = np.array([np.cos(theta), np.sin(theta)])
+        self.theta = np.asarray(theta, dtype=float)
+        if self.theta.ndim > 1:
+            raise ValueError(f"theta must be a scalar or 1-D, got shape {self.theta.shape}")
         n = len(self.types)
         rows = {
             (ti, si): stencils.weights.get((t, s)) or {}
             for ti, t in enumerate(self.types)
             for si, s in enumerate(self.types)
         }
+        # the zero offset carries the padding, whose exponential is 1
+        offsets = sorted({(0, 0)}.union(*rows.values()))
+        index = {off: j for j, off in enumerate(offsets)}
         width = max(len(row) for row in rows.values())
-        dots = np.zeros((n, n, width))
+        at = np.full((n, n, width), index[(0, 0)])
         coefs = np.zeros((n, n, width), dtype=complex)
         for (ti, si), row in rows.items():
-            if row:
-                dots[ti, si, : len(row)] = np.array(list(row), dtype=float) / 2.0 @ k
-                coefs[ti, si, : len(row)] = list(row.values())
-        self._offsets, at = np.unique(dots, return_inverse=True)
-        self._at = at.reshape(dots.shape)
+            at[ti, si, : len(row)] = [index[off] for off in row]
+            coefs[ti, si, : len(row)] = list(row.values())
+        half = np.array(offsets, dtype=float) / 2.0
+        th = self.theta[..., None]
+        self._proj = np.cos(th) * half[:, 0] + np.sin(th) * half[:, 1]
+        if self.theta.ndim == 0:
+            # one direction: one exponential per distinct projection
+            self._proj, where = np.unique(self._proj, return_inverse=True)
+            at = where[at]
+        self._at = at
         self._coefs = coefs
-        self._dcoefs = 1j * dots * coefs
+        self._dcoefs = 1j * self._proj[..., at] * coefs
         self._rows = rows
         self._exact_weights = stencils.exact
+        self._shared = {}  # lazy direction-independent state, shared with every take
+
+    def take(self, rows) -> SymbolMatrix:
+        """The same symbol on directions ``theta[rows]``: one for an integer.
+
+        The direction-independent arrays are shared.  A symbol of one
+        direction serves z of any shape, so it is its own take.
+        """
+        if self.theta.ndim == 0:
+            return self
+        sub = object.__new__(SymbolMatrix)
+        sub.__dict__.update(self.__dict__)
+        sub.__dict__.pop("_exact_terms", None)
+        sub.theta = np.asarray(self.theta[rows])
+        sub._proj, sub._dcoefs = self._proj[rows], self._dcoefs[rows]
+        return sub
+
+    def _along(self, table, z):
+        """A per-direction ``table``, of shape theta's + (...), shaped to
+        broadcast against z with its axes after theta's: (T, 1, ..., 1, ...)."""
+        if self.theta.ndim == 0 or z.ndim == 1:
+            return table
+        return table.reshape(table.shape[:1] + (1,) * (z.ndim - 1) + table.shape[1:])
 
     def _phase(self, z):
         """exp(i z d) for every padded term, shape ``np.shape(z) + (n, n, K)``."""
-        z = np.asarray(z, dtype=complex)[..., None]
-        return np.take(np.exp(1j * z * self._offsets), self._at, axis=-1)
+        phase = np.exp(1j * z[..., None] * self._along(self._proj, z))
+        return np.take(phase, self._at, axis=-1)
 
-    # iterates far from the root can push exp(1j*z*dots) past the float
-    # range; the callers test for non-finite results, so the overflow itself
-    # is expected and the warning suppressed
+    # iterates far from the root can push exp(1j*z*d) past the float range;
+    # the callers test for non-finite results, so the overflow itself is
+    # expected and the warning suppressed
     def value(self, z) -> np.ndarray:
         """F(z), of shape ``np.shape(z) + (n, n)``."""
+        z = np.asarray(z, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             return (self._coefs * self._phase(z)).sum(-1)
 
@@ -121,7 +167,7 @@ class SymbolMatrix:
     def _jacobi(f, df):
         """det F, its derivative tr(adj(F) dF) (Jacobi's formula) and adj(F)."""
         adj = adjugate_small(f)
-        return det_small(f), np.trace(adj @ df, axis1=-2, axis2=-1), adj
+        return det_small(f), np.einsum("...ij,...ji->...", adj, df), adj
 
     def det(self, z):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -143,41 +189,55 @@ class SymbolMatrix:
         the expansion's part alone suggests 6.0e-13 and 1.5e-13.  Below e
         the double det F is noise.
         """
+        z = np.asarray(z, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             phase = self._phase(z)
             terms = self._coefs * phase
             f = terms.sum(-1)
-            g, gp, adj = self._jacobi(f, (self._dcoefs * phase).sum(-1))
+            g, gp, adj = self._jacobi(f, (self._along(self._dcoefs, z) * phase).sum(-1))
             entries = np.sum(
                 np.swapaxes(np.abs(adj), -1, -2) * np.abs(terms).sum(-1), axis=(-2, -1)
             )
             return g, gp, FLOOR_ROUNDING * (permanent_small(np.abs(f)) + entries)
 
+    def _exact_coefs(self):
+        """The direction-independent object copies, built once for a symbol
+        and every take of it: flat arrays over the terms of all entries, row
+        by row in stencil order, of each term's column in the offset table
+        and its coefficient (an extended weight, or a double one converted
+        to mpc once), and the slice of each (t, s) entry.
+        """
+        if "coefs" not in self._shared:
+            at, coefs, spans = [], [], []
+            for (ti, si), row in self._rows.items():
+                if not row:
+                    continue
+                k = len(row)
+                if self._exact_weights is not None:
+                    erow = self._exact_weights.get((self.types[ti], self.types[si])) or {}
+                    coefs += [erow[o] for o in row]
+                else:
+                    coefs += [_exact_complex(c) for c in self._coefs[ti, si, :k]]
+                at += list(self._at[ti, si, :k])
+                spans.append((ti, si, slice(len(at) - k, len(at))))
+            self._shared["coefs"] = np.array(at), np.array(coefs, dtype=object), spans
+        return self._shared["coefs"]
+
     @cached_property
     def _exact_terms(self):
         """Object copies for ``det_and_derivative_exact``, without padding.
 
-        The distinct offsets as mpf, then flat arrays over the terms of all
-        entries, row by row in stencil order: the index of each term's
-        offset, its coefficient (an extended weight, or a double one
-        converted to mpc once) and its factor i*d; last the slice of each
-        (t, s) entry.
+        The direction's distinct projected offsets as mpf, then over the
+        terms of :meth:`_exact_coefs`: the index of each term's offset, its
+        coefficient and its offset d; last the slice of each (t, s) entry.
         """
-        at, coefs, spans = [], [], []
-        for (ti, si), row in self._rows.items():
-            if not row:
-                continue
-            k = len(row)
-            if self._exact_weights is not None:
-                erow = self._exact_weights.get((self.types[ti], self.types[si])) or {}
-                coefs += [erow[o] for o in row]
-            else:
-                coefs += [_exact_complex(c) for c in self._coefs[ti, si, :k]]
-            at += list(self._at[ti, si, :k])
-            spans.append((ti, si, slice(len(at) - k, len(at))))
-        offsets = np.array([mp.mpf(d) for d in self._offsets], dtype=object)
-        idots = np.array([_exact_complex(1j * self._offsets[j]) for j in at], dtype=object)
-        return offsets, np.array(at, dtype=int), np.array(coefs, dtype=object), idots, spans
+        if self.theta.ndim:
+            raise ValueError("the extended evaluation takes a symbol of one direction")
+        column, coefs, spans = self._exact_coefs()
+        distinct, where = np.unique(self._proj, return_inverse=True)
+        at = where[column]
+        offsets = np.array([mp.mpf(d) for d in distinct], dtype=object)
+        return offsets, at, coefs, offsets[at], spans
 
     def det_and_derivative_exact(self, z):
         """det F and d(det F)/dz in the ambient mpmath precision.
@@ -185,21 +245,23 @@ class SymbolMatrix:
         Summing the exponential series and expanding the determinant in
         extended arithmetic removes the cancellation noise that limits the
         double evaluation near a nearly double root.  Each entry sums its
-        terms c*e and (i*d)*(c*e) left to right.  The cofactor expansion
+        terms c*e, and i times the sum of d*(c*e), left to right; rounding
+        is symmetric, so that is the sum of the terms (i*d)*(c*e) bit for
+        bit, at half the real multiplications.  The cofactor expansion
         takes JACOBI_GUARD_DIGITS more: perm(|F|) reaches 2e10 |det F| on raw
         eps_n = 0 stencils, where 30 digits left 2.4e-22 of det F against
         1.3e-24 from rounding the entries.  Call inside mp.workdps.
         """
-        offsets, at, coefs, idots, spans = self._exact_terms
+        offsets, at, coefs, dots, spans = self._exact_terms
         exps = np.array([mp.exp(a) for a in offsets * (1j * z)], dtype=object)
         terms = coefs * exps[at]
-        dterms = idots * terms
+        dterms = dots * terms
         n = len(self.types)
         f = np.zeros((n, n), dtype=object)
         df = np.zeros((n, n), dtype=object)
         for ti, si, span in spans:
             f[ti, si] = terms[span].sum()
-            df[ti, si] = dterms[span].sum()
+            df[ti, si] = 1j * dterms[span].sum()
         with mp.workdps(mp.mp.dps + JACOBI_GUARD_DIGITS):
             return self._jacobi(f, df)[:2]
 
@@ -228,34 +290,46 @@ class RootResult:
     polished: bool
 
 
-def _newton(sym: SymbolMatrix, starts, cap: float):
+def _newton(sym: SymbolMatrix, starts, cap: float, first=None):
     """Newton iteration on det F from every start at once.
 
-    Each start runs its own iteration; one batched symbol evaluation serves
-    all starts still active.  A step longer than ``cap`` is shortened to
-    ``cap`` along its direction: where d(det F)/dz nearly vanishes the full
-    step would throw the start far from the region the starts cover, onto
-    another branch or an alias.
+    ``starts`` holds one row of starts per direction of ``sym`` (any array
+    for a symbol of one direction); a start that is not finite is no
+    start.  Each start runs its own iteration; one batched symbol
+    evaluation serves all starts still active, on all directions.  A step
+    longer than ``cap`` is shortened to ``cap`` along its direction: where
+    d(det F)/dz nearly vanishes the full step would throw the start far
+    from the region the starts cover, onto another branch or an alias.
 
     A start stops where |det F| is at most the rounding error e of the
     double det F (``SymbolMatrix.det_and_derivative``): below it the
     determinant is noise, and near the nearly double roots of the weakly
     dissipative methods further steps only wander.  It stops too, after
     taking the step, once that step is at most ROOT_ZTOL * max(1, |z|).
-    Returns ``(z, iters, stopped)`` arrays, one entry per start: ``iters``
-    counts the steps taken (NEWTON_MAX_ITER for a start that never
-    stopped), and ``stopped`` marks the candidates.  A start whose
-    determinant or step is not finite drops out unstopped.
+    Returns ``(z, iters, stopped)`` arrays of the shape of ``starts``:
+    ``iters`` counts the steps taken (NEWTON_MAX_ITER for a start that
+    never stopped), and ``stopped`` marks the candidates.  A start whose
+    determinant or step is not finite drops out unstopped.  ``first``, the
+    ``det_and_derivative`` of ``sym`` at ``starts``, stands in for the
+    first evaluation when the caller already made it.
     """
-    z = np.array(starts, dtype=complex).ravel()
+    z = np.array(starts, dtype=complex)
+    shape = z.shape
+    z = z.reshape(-1)
+    per_direction = shape[-1] if shape else 1
+    batched = sym.theta.ndim > 0
     iters = np.full(z.shape, NEWTON_MAX_ITER)
     stopped = np.zeros(z.shape, dtype=bool)
-    active = np.arange(z.size)
+    active = np.flatnonzero(np.isfinite(z))
     for it in range(NEWTON_MAX_ITER):
         if not active.size:
             break
         za = z[active]
-        g, gp, e = sym.det_and_derivative(za)
+        if it == 0 and first is not None:
+            g, gp, e = (np.reshape(a, -1)[active] for a in first)
+        else:
+            at = sym.take(active // per_direction) if batched else sym
+            g, gp, e = at.det_and_derivative(za)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             dz = -g / gp
             dz *= np.minimum(1.0, cap / np.abs(dz))
@@ -267,7 +341,7 @@ def _newton(sym: SymbolMatrix, starts, cap: float):
         iters[active[floor]] = it
         iters[active[small]] = it + 1
         active = active[step & ~small]
-    return z, iters, stopped
+    return z.reshape(shape), iters.reshape(shape), stopped.reshape(shape)
 
 
 def _polish(sym: SymbolMatrix, z0: complex):
@@ -284,8 +358,8 @@ def _polish(sym: SymbolMatrix, z0: complex):
     depends on the start.  Each evaluation at z also gives |det F(z)|, so
     after at least one step the polish returns z itself once the step it
     would take is within tolerance: a simple root the double stage already
-    found costs two evaluations.  Returns (z, steps, |det F(z)|) or
-    (None, steps, None).
+    found costs two evaluations.  ``sym`` has one direction.  Returns
+    (z, steps, |det F(z)|) or (None, steps, None).
     """
     with working_context(EXTENDED):
         z = mp.mpc(complex(z0))
@@ -300,84 +374,190 @@ def _polish(sym: SymbolMatrix, z0: complex):
     return None, POLISH_MAX_ITER, None
 
 
-def _distinct(zs) -> list[int]:
-    """Indices of the first of each group of roots equal to DEDUP_TOL."""
-    keep: list[int] = []
-    for i, z in enumerate(zs):
-        if all(abs(z - zs[j]) > DEDUP_TOL * max(1.0, abs(z)) for j in keep):
-            keep.append(i)
-    return keep
+def _distinct(zs, valid):
+    """Mask of the first of each group of roots equal to DEDUP_TOL, per row.
+
+    ``zs`` and ``valid`` are ``(T, S)``: S candidates on each of T
+    directions, of which only the valid ones count.  A candidate is kept
+    when no kept candidate before it in its row lies within DEDUP_TOL *
+    max(1, |z|) of it.  That rule is a lower triangular system in the keep
+    mask, solved by fixed-point iteration from "keep every valid one": each
+    pass settles at least one more column, and the usual case settles in
+    the first.
+    """
+    if (valid.sum(axis=1) <= 1).all():
+        return valid
+    close = np.tri(zs.shape[1], k=-1, dtype=bool) & (
+        np.abs(zs[:, :, None] - zs[:, None, :])
+        <= DEDUP_TOL * np.maximum(1.0, np.abs(zs))[:, :, None]
+    )
+    keep = valid
+    while True:
+        settled = valid & ~(close & keep[:, None, :]).any(axis=-1)
+        if (settled == keep).all():
+            return keep
+        keep = settled
 
 
 def _double_certified(sym: SymbolMatrix, zs):
     """Which candidates double arithmetic certifies as simple roots.
 
-    Two batched evaluations of ``SymbolMatrix.det_and_derivative``.  The
-    first gives g = det F(z), g' and the rounding error e of g at each
-    candidate, which passes when the error estimate (|g| + e) / |g'| is at
-    most ROOT_ZTOL * |z|.  The second evaluates det F and its e on a circle
-    of CERT_POINTS points and radius rho = CERT_RADIUS * |z|: every |det F|
-    there must clear CERT_CLEARANCE times its own e, every phase step
-    between neighbours must stay below pi/2, and the winding number must be
-    exactly 1, so the disc holds one simple root (the argument principle).
-    Within rho/2 of the real axis the circle is centred on Re z: the disc
-    is then its own conjugate and roots pair as z, conj(z), so its one root
-    is real.  Returns the mask of certified candidates, the centre of each
-    circle (the point to report) and the double |det F| there.
+    ``sym`` has one direction per candidate.  One batched evaluation of
+    ``SymbolMatrix.det_and_derivative`` at each candidate and on a circle
+    around it.  At the candidate it gives g = det F(z), g' and the rounding
+    error e of g, which passes when the error estimate (|g| + e) / |g'| is
+    at most ROOT_ZTOL * |z|.  On the circle, of CERT_POINTS points and
+    radius rho = CERT_RADIUS * |z|, every |det F| must clear CERT_CLEARANCE
+    times its own e, every phase step between neighbours must stay below
+    pi/2, and the winding number must be exactly 1, so the disc holds one
+    simple root (the argument principle).  Within rho/2 of the real axis
+    the circle is centred on Re z: the disc is then its own conjugate and
+    roots pair as z, conj(z), so its one root is real.  Returns the mask of
+    certified candidates, the centre of each circle (the point to report)
+    and the double |det F| there.
     """
     zs = np.asarray(zs, dtype=complex)
-    g, gp, e = sym.det_and_derivative(zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = (np.abs(g) + e) / np.abs(gp)
-    ok = err <= ROOT_ZTOL * np.abs(zs)
     rho = CERT_RADIUS * np.abs(zs)
     centre = np.where(np.abs(zs.imag) <= rho / 2, zs.real + 0j, zs)
-    det_abs = np.full(zs.shape, np.nan)
-    if ok.any():
-        ring = np.exp(2j * np.pi * np.arange(CERT_POINTS + 1) / CERT_POINTS)
-        ring[0] = 0.0  # the centre itself, then the circle
-        w, _, bound = sym.det_and_derivative(centre[ok, None] + rho[ok, None] * ring)
-        det_abs[ok] = np.abs(w[:, 0])
-        w, bound = w[:, 1:], bound[:, 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.angle(np.roll(w, -1, axis=1) / w)
-        ok[ok] = (
-            np.all(np.abs(w) >= CERT_CLEARANCE * bound, axis=1)
-            & np.all(np.abs(steps) < np.pi / 2, axis=1)
-            & (np.abs(steps.sum(axis=1) / (2 * np.pi) - 1) < 0.5)
-        )
-    return ok, centre, det_abs
+    ring = np.exp(2j * np.pi * np.arange(CERT_POINTS + 1) / CERT_POINTS)
+    ring[0] = 0.0  # the centre itself, then the circle
+    points = np.concatenate([zs[:, None], centre[:, None] + rho[:, None] * ring], axis=1)
+    g, gp, e = sym.det_and_derivative(points)
+    w, bound = g[:, 2:], e[:, 2:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = (np.abs(g[:, 0]) + e[:, 0]) / np.abs(gp[:, 0])
+        steps = np.angle(np.roll(w, -1, axis=1) / w)
+    ok = (
+        (err <= ROOT_ZTOL * np.abs(zs))
+        & np.all(np.abs(w) >= CERT_CLEARANCE * bound, axis=1)
+        & np.all(np.abs(steps) < np.pi / 2, axis=1)
+        & (np.abs(steps.sum(axis=1) / (2 * np.pi) - 1) < 0.5)
+    )
+    return ok, centre, np.abs(g[:, 1])
 
 
-def _certify(sym: SymbolMatrix, zs, iters, in_zone):
-    """Certify each distinct candidate; keep the certified ones in the zone.
+def _certify(sym: SymbolMatrix, zs, iters, keep):
+    """Certify each distinct candidate of every direction.
 
-    Candidates are folded to Im z >= 0 before they are deduplicated, so a
-    root found as z and as conj(z) is certified once; the fold is exact
-    because the weights pair Hermitianly, det F(conj z) = conj det F(z).  A
-    candidate that :func:`_double_certified` accepts keeps its double value
-    and its Newton steps.  Every other one (a nearly double root, a pair
-    closer than the certificate circle, a contour too near the rounding
-    floor) goes to the extended polish, whose steps are added; one the
-    polish does not confirm is dropped, since near a nearly double root the
-    double determinant is rounding noise and the double tests alone certify
-    nothing there.  Returns rows ``(z, iters, |det F(z)|, polished)``.
+    ``zs``, ``iters`` and ``keep`` are ``(T, S)``: the candidates of each
+    direction of ``sym`` and the mask of those to certify.  Candidates are
+    folded to Im z >= 0 before they are deduplicated, so a root found as z
+    and as conj(z) is certified once; the fold is exact because the
+    weights pair Hermitianly, det F(conj z) = conj det F(z).  A candidate
+    that :func:`_double_certified` accepts keeps its double value and its
+    Newton steps.  Every other one (a nearly double root, a pair closer
+    than the certificate circle, a contour too near the rounding floor)
+    goes to the extended polish, whose steps are added; one the polish
+    does not confirm is dropped, since near a nearly double root the
+    double determinant is rounding noise and the double tests alone
+    certify nothing there.  The object copies of the polish are built once
+    per direction.  Returns ``(z, iters, |det F(z)|, polished)`` arrays of
+    shape ``(T, S)``, z NaN where no root was certified.
     """
     zs = np.where(zs.imag < 0, zs.conj(), zs)
-    keep = _distinct(zs)
-    certified, centre, det_abs = _double_certified(sym, zs[keep])
-    rows = []
-    for j, i in enumerate(keep):
-        if certified[j]:
-            z, it, g = complex(centre[j]), int(iters[i]), float(det_abs[j])
-        else:
-            zp, itp, g = _polish(sym, zs[i])
-            if zp is None:
-                continue
-            z, it = (zp if zp.imag >= 0 else zp.conjugate()), int(iters[i]) + itp
-        if in_zone(z):
-            rows.append((z, it, g, not certified[j]))
-    return [rows[i] for i in _distinct([row[0] for row in rows])]
+    rows, cols = np.nonzero(_distinct(zs, keep))
+    certified, centre, det_abs = _double_certified(sym.take(rows), zs[rows, cols])
+    z = np.full(zs.shape, np.nan, dtype=complex)
+    det = np.full(zs.shape, np.nan)
+    polished = np.zeros(zs.shape, dtype=bool)
+    z[rows, cols], det[rows, cols] = np.where(certified, centre, np.nan), det_abs
+    iters = np.array(iters)
+    one = {}  # the one-direction symbol of each row polished, with its object copies
+    for t, s in zip(rows[~certified], cols[~certified]):
+        if t not in one:
+            one[t] = sym.take(t)
+        zp, itp, g = _polish(one[t], zs[t, s])
+        polished[t, s] = True
+        if zp is not None:
+            z[t, s] = zp if zp.imag >= 0 else zp.conjugate()
+            iters[t, s] += itp
+            det[t, s] = g
+    return z, iters, det, polished
+
+
+def _solve(sym: SymbolMatrix, zeta: float, starts):
+    """The certified root nearest ``zeta`` on every direction of ``sym``.
+
+    ``sym`` has T directions (one when built on a scalar theta) and
+    ``starts`` one row of starts per direction.  A batched Newton from all
+    starts of all directions at once (:func:`_newton`) produces the
+    candidate roots, the starts that stopped.  Candidates are restricted to
+    the first Brillouin
+    zone (Re z > 0 and max(|Re z cos theta|, |Re z sin theta|) <= pi, to
+    BRILLOUIN_TOL).  det F is unchanged by a lattice shift k -> k + 2*pi*(m,
+    n) of the wave vector, so a root outside the zone is an alias: for the
+    bilinear fem at pi < zeta < sqrt(12) the alias 2*pi - z lies nearer
+    zeta than the root z.  On a direction whose candidates all lie outside
+    the zone (zeta well above pi), Newton restarts from each one mirrored
+    about the zone edge along the ray.  The candidates are then certified
+    (:func:`_certify`), and on each direction the certified root closest to
+    ``zeta`` wins.  Returns ``(z, iters, det_abs, scale, polished, rival)``
+    arrays over the directions: ``scale`` is the largest |det F| over the
+    direction's starts, the scale to read ``det_abs`` against, and
+    ``rival`` the runner-up root where it lies within AMBIGUITY_TOL of the
+    winner's distance to ``zeta``, else NaN.  z is NaN on a direction
+    without a certified root in the zone.
+    """
+    thetas = sym.theta.reshape(-1)
+    first = sym.det_and_derivative(starts)
+    scale = np.abs(first[0]).max(axis=1)
+    scale[scale == 0] = 1.0
+    cap = STEP_CAP * zeta
+    edge = (np.pi / np.maximum(np.abs(np.cos(thetas)), np.abs(np.sin(thetas))))[:, None]
+    top = edge + BRILLOUIN_TOL
+
+    def in_zone(z):
+        return (ADMISSIBLE_LO < z.real) & (z.real <= top)
+
+    z, iters, ok = _newton(sym, starts, cap, first)
+    keep = ok & in_zone(z)
+    lost = np.flatnonzero(~keep.any(axis=1))
+    if lost.size:
+        # on the axes and diagonals the mirror image 2*edge - conj(z) is
+        # itself a root, the alias of z; elsewhere it is a start in the zone
+        zl = z[lost]
+        mirrored = np.where(ok[lost], 2 * edge[lost] - zl.real + 1j * np.abs(zl.imag), np.nan)
+        zm, itm, okm = _newton(sym.take(lost), mirrored, cap)
+        z[lost], iters[lost], ok[lost] = zm, iters[lost] + itm, okm
+        keep = ok & in_zone(z)
+    z, iters, det_abs, polished = _certify(sym, z, iters, keep)
+    # NaN, where no root was certified, is in no zone
+    dist = np.where(_distinct(z, in_zone(z)), np.abs(z - zeta), np.inf)
+    t = np.arange(len(thetas))[:, None]
+    order = t, np.argsort(dist, axis=1, kind="stable")
+    dist, z, iters, det_abs, polished = (a[order] for a in (dist, z, iters, det_abs, polished))
+    found = np.isfinite(dist[:, 0])
+    best = np.where(found, z[:, 0], np.nan)
+    gap = dist[:, 1] - np.where(found, dist[:, 0], 0.0)
+    rival = np.where(gap < AMBIGUITY_TOL, z[:, 1], np.nan)
+    return best, iters[:, 0], det_abs[:, 0], scale, polished[:, 0], rival
+
+
+def _require_roots(z, thetas, zeta, method):
+    """Raise NoRootFound naming the first direction whose root is NaN."""
+    missing = np.flatnonzero(np.isnan(z))
+    if missing.size:
+        raise NoRootFound(
+            f"no admissible dispersion root near zeta={float(zeta)!r} for "
+            f"theta={float(np.reshape(thetas, -1)[missing[0]])!r} ({method})"
+        )
+
+
+def _warn_ambiguous(thetas, zeta, z, rival):
+    """One BranchAmbiguity per direction whose root has a rival (see :func:`_solve`)."""
+    for theta, best, other in zip(thetas, z, rival):
+        if np.isfinite(other):
+            warnings.warn(
+                f"two dispersion branches nearly equidistant from zeta={float(zeta)!r} "
+                f"at theta={float(theta)!r}: {complex(best)!r} and {complex(other)!r}",
+                BranchAmbiguity,
+                stacklevel=3,
+            )
+
+
+def _require_zeta(zeta):
+    if not (zeta > 0 and np.isfinite(zeta)):
+        raise ValueError(f"zeta must be positive and finite, got {zeta}")
 
 
 def solve_root(
@@ -388,78 +568,36 @@ def solve_root(
 ) -> RootResult:
     """Locate the dispersion root nearest ``zeta`` for direction ``theta``.
 
-    A batched Newton from all starts at once (:func:`_newton`) produces the
-    candidate roots, the starts that stopped.  The starts are ``init`` when
-    given, ``zeta*(1 +- 0.1i)`` and five more at ``zeta`` times 1, 1.1,
-    0.9, 1.2 and 0.8, moved off the real axis by ``0.02i*zeta``: det F is
-    real for real z, so from a real start Newton cannot leave the axis to
-    reach a complex root.  Candidates are restricted to the first
-    Brillouin zone (Re z > 0 and max(|Re z cos theta|, |Re z sin theta|)
-    <= pi, to BRILLOUIN_TOL).  det F is unchanged by a lattice shift
-    k -> k + 2*pi*(m, n) of the wave vector, so a root outside the zone is
-    an alias: for the bilinear fem at pi < zeta < sqrt(12) the alias
-    2*pi - z lies nearer zeta than the root z.  When every candidate lies
-    outside the zone (zeta well above pi), Newton restarts from each one
-    mirrored about the zone edge along the ray.  The candidates are then
-    folded to nonnegative imaginary part, deduplicated and certified
-    (:func:`_certify`).  A simple root that double arithmetic resolves to
-    ROOT_ZTOL * |z| is certified in double by its error estimate and a
-    winding number of 1 on a circle of radius CERT_RADIUS * |z|, and keeps
-    its double value.  Every other candidate is re-solved with the
-    determinant evaluated in extended precision, which recovers the root
-    position lost to rounding in the nearly-double-root regime of the
-    weakly dissipative methods, to a tolerance at which the result no
-    longer depends on the start; candidates it does not confirm are
-    dropped.  ``RootResult.polished`` tells the two certificates apart.
-    The certified root closest to ``zeta`` wins, and a second one at
-    nearly the same distance triggers a BranchAmbiguity warning.
-    ``RootResult.scale``, the largest |det F| over the starts, is the scale
-    to read ``det_abs`` against.  Raises NoRootFound if no root is
-    certified in the zone.
+    The one-direction case of the sweep engine (:func:`_solve`).  The
+    starts are ``init`` when given, then ``zeta`` times START_FACTORS:
+    ``zeta*(1 +- 0.1i)`` and five more at ``zeta`` times 1, 1.1, 0.9, 1.2
+    and 0.8, moved off the real axis by ``0.02i*zeta``.  A simple root that
+    double arithmetic resolves to ROOT_ZTOL * |z| is certified in double by
+    its error estimate and a winding number of 1 on a circle of radius
+    CERT_RADIUS * |z|, and keeps its double value.  Every other candidate is
+    re-solved with the determinant evaluated in extended precision, which
+    recovers the root position lost to rounding in the nearly-double-root
+    regime of the weakly dissipative methods, to a tolerance at which the
+    result no longer depends on the start; candidates it does not confirm
+    are dropped.  ``RootResult.polished`` tells the two certificates apart.
+    A second certified root at nearly the same distance from ``zeta``
+    triggers a BranchAmbiguity warning.  ``RootResult.scale``, the largest
+    |det F| over the starts, is the scale to read ``det_abs`` against.
+    Raises NoRootFound if no root is certified in the zone.
     """
-    if not (zeta > 0 and np.isfinite(zeta)):
-        raise ValueError(f"zeta must be positive and finite, got {zeta}")
+    _require_zeta(zeta)
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    sym = SymbolMatrix(stencils, theta)
-    starts = zeta * np.array(
-        [1 + 0.02j, 1.1 + 0.02j, 0.9 + 0.02j, 1 + 0.1j, 1 - 0.1j, 1.2 + 0.02j, 0.8 + 0.02j]
-    )
+    starts = zeta * START_FACTORS
     if init is not None:
         starts = np.insert(starts, 0, init)
-    scale = float(np.max(np.abs(sym.det(starts)))) or 1.0
-    cap = STEP_CAP * zeta
-    edge = np.pi / max(abs(np.cos(theta)), abs(np.sin(theta)))
-
-    def in_zone(z):
-        return (ADMISSIBLE_LO < z.real) & (z.real <= edge + BRILLOUIN_TOL)
-
-    z, iters, ok = _newton(sym, starts, cap)
-    z, iters = z[ok], iters[ok]
-    if not in_zone(z).any():
-        # on the axes and diagonals the mirror image 2*edge - conj(z) is
-        # itself a root, the alias of z; elsewhere it is a start in the zone
-        zm, itm, okm = _newton(sym, 2 * edge - z.real + 1j * np.abs(z.imag), cap)
-        z, iters = zm[okm], (iters + itm)[okm]
-    keep = in_zone(z)
-    final = _certify(sym, z[keep], iters[keep], in_zone)
-    if not final:
-        raise NoRootFound(
-            f"no admissible dispersion root near zeta={float(zeta)!r} for "
-            f"theta={float(theta)!r} ({stencils.method})"
-        )
-    final.sort(key=lambda row: abs(row[0] - zeta))
-    best, iters, det_abs, polished = final[0]
-    if len(final) > 1:
-        gap = abs(final[1][0] - zeta) - abs(best - zeta)
-        if gap < AMBIGUITY_TOL:
-            warnings.warn(
-                f"two dispersion branches nearly equidistant from zeta={float(zeta)!r} "
-                f"at theta={float(theta)!r}: {complex(best)!r} and {complex(final[1][0])!r}",
-                BranchAmbiguity,
-                stacklevel=2,
-            )
-    return RootResult(best, iters, det_abs, scale, polished)
+    sym = SymbolMatrix(stencils, theta)
+    z, iters, det_abs, scale, polished, rival = _solve(sym, zeta, starts[None])
+    _require_roots(z, theta, zeta, stencils.method)
+    _warn_ambiguous([theta], zeta, z, rival)
+    return RootResult(
+        complex(z[0]), int(iters[0]), float(det_abs[0]), float(scale[0]), bool(polished[0])
+    )
 
 
 def ansatz_residual(stencils: StencilSet, theta: float, z: complex):
@@ -529,27 +667,40 @@ class ThetaSweep:
 def theta_sweep(
     stencils: StencilSet, n_theta: int = DEFAULT_N_THETA
 ) -> ThetaSweep:
-    """Trace the root over directions [0, pi/2], warm starting each solve."""
+    """Trace the root over ``n_theta`` directions spread evenly on [0, pi/2].
+
+    Every direction gets the starts of :func:`solve_root` without
+    ``init``, and all directions are solved as one array program
+    (:func:`_solve`).  A direction where they find no root is solved again
+    with the previous direction's root as ``init``.  A stencil set that is
+    its own x<->y mirror (:func:`helmdpg.stencil.xy_symmetric`) has
+    z(theta) = z(pi/2 - theta), so only the directions up to pi/4 are
+    solved and the rest mirror them; any other set is solved on every
+    direction.  BranchAmbiguity is warned per direction, mirrored ones
+    included; NoRootFound names the first direction still without a root.
+    """
+    if n_theta < 1:
+        raise ValueError(f"n_theta must be at least 1, got {n_theta}")
     zeta = stencils.omega_n
+    _require_zeta(zeta)
     thetas = np.linspace(0.0, np.pi / 2, n_theta)
-    z = np.empty(n_theta, dtype=complex)
-    iters = np.empty(n_theta, dtype=int)
-    det_abs = np.empty(n_theta, dtype=float)
-    polished = np.empty(n_theta, dtype=bool)
-    prev = None
-    for i, th in enumerate(thetas):
-        try:
-            res = solve_root(stencils, th, zeta, init=prev)
-        except NoRootFound:
-            if prev is None:
-                raise
-            res = solve_root(stencils, th, zeta)
-        z[i] = res.z
-        iters[i] = res.iters
-        det_abs[i] = res.det_abs
-        polished[i] = res.polished
-        prev = res.z
-    return ThetaSweep(stencils.method, zeta, thetas, z, iters, det_abs, polished)
+    source = np.arange(n_theta)
+    if stencil_mod.xy_symmetric(stencils):
+        source = np.minimum(source, n_theta - 1 - source)
+    sym = SymbolMatrix(stencils, thetas[: source.max() + 1])
+    starts = np.broadcast_to(zeta * START_FACTORS, (len(sym.theta), len(START_FACTORS)))
+    z, iters, det_abs, _, polished, rival = _solve(sym, zeta, starts)
+    # far above the resolved range (r = 4 at zeta = 2.5) the root can move
+    # too far from zeta for the common starts to reach
+    for t in np.flatnonzero(np.isnan(z)):
+        if t and not np.isnan(z[t - 1]):
+            warm = _solve(sym.take([t]), zeta, np.insert(starts[t], 0, z[t - 1])[None])
+            z[t], iters[t], det_abs[t], _, polished[t], rival[t] = (a[0] for a in warm)
+    _require_roots(z, sym.theta, zeta, stencils.method)
+    _warn_ambiguous(thetas, zeta, z[source], rival[source])
+    return ThetaSweep(
+        stencils.method, zeta, thetas, z[source], iters[source], det_abs[source], polished[source]
+    )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
 """Command line contract tests: schemas, determinism, config, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,6 +88,23 @@ def test_dispersion_row_matches_library(capsys):
     assert float(cells[6]) == res.z.real / h
     assert float(cells[7]) == res.z.imag / h
     assert "# rho=" in out and "# eta=" in out
+
+
+def test_dispersion_command_does_not_load_assembly():
+    # the mesh module loads scipy.sparse, which more than doubles the
+    # start-up time of a command that solves no mesh
+    script = (
+        "import sys; from helmdpg import cli; "
+        "code = cli.main(['dispersion', '--method', 'fem', '--n-theta', '3']); "
+        "print(code, 'helmdpg.assembly' in sys.modules)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 def test_band_schema(capsys):

@@ -348,18 +348,23 @@ def test_polish_is_start_independent():
 def test_theta_sweep_double_evaluations_per_root(eps_n, monkeypatch):
     # from real starts Newton cannot reach these complex roots, and at
     # eps_n = 1e-6 no start reaches a step of 1e-12 |z|: with such starts
-    # and no stop at the rounding error this sweep made 88 and 178 batched
-    # double evaluations per root.  Every double evaluation goes through
-    # these two methods; outside Newton a solve makes at most three (the
-    # start scale and the two of the double certificate).
+    # and no stop at the rounding error this sweep once made 88 and 178
+    # batched double evaluations per root.  Every double evaluation goes
+    # through these two methods, and a sweep evaluates all its directions in
+    # one call, so the count is of z points per direction solved: 96 and
+    # 118 here.  With those starts and no such stop the eps_n = 1e-2 sweep
+    # evaluates 484 per direction and the eps_n = 1e-6 one finds no root;
+    # with today's starts and no such stop the eps_n = 1e-6 sweep evaluates
+    # 461.
     zeta = np.pi / 4
     st = stencil.extract_stencils("dpg", zeta, eps_n, 3, normalize=False)
-    calls = 0
+    points, thetas = 0, set()
 
     def counted(evaluate):
         def wrapper(self, z):
-            nonlocal calls
-            calls += 1
+            nonlocal points
+            points += np.size(z)
+            thetas.update(np.ravel(self.theta).tolist())
             return evaluate(self, z)
 
         return wrapper
@@ -369,7 +374,77 @@ def test_theta_sweep_double_evaluations_per_root(eps_n, monkeypatch):
         monkeypatch.setattr(dispersion.SymbolMatrix, name, counted(evaluate))
     sweep = dispersion.theta_sweep(st, n_theta=13)
     assert np.all(sweep.z.imag > 0)
-    assert 3 * sweep.z.size < calls <= 30 * sweep.z.size
+    assert len(thetas) == 7  # the directions up to pi/4
+    assert 3 * len(dispersion.START_FACTORS) < points / len(thetas) <= 150
+
+
+@pytest.mark.parametrize(
+    "method,eps_n", [("fem", None), ("fosls", None), ("dpg", 1e-2), ("dpg", 1e-6)]
+)
+def test_theta_sweep_matches_solve_root(method, eps_n):
+    # the sweep solves the directions up to pi/4 as one array program and
+    # mirrors the rest; solve_root solves each direction on its own
+    zeta = 2 * np.pi / 8
+    st = dispersion._method_stencils(method, zeta, eps_n, 3)
+    sweep = dispersion.theta_sweep(st, n_theta=13)
+    for theta, z, polished in zip(sweep.thetas, sweep.z, sweep.polished):
+        res = dispersion.solve_root(st, theta, zeta)
+        assert abs(z - res.z) <= 1e-10 * abs(res.z)
+        assert polished == res.polished
+
+
+@pytest.mark.parametrize("method,eps_n", [("fosls", None), ("dpg", 1e-6)])
+def test_reflection_symmetry_of_separate_solves(method, eps_n):
+    # theta_sweep takes z(pi/2 - theta) = z(theta) for granted on x<->y
+    # symmetric stencil sets; here both directions of each pair are solved
+    zeta = 2 * np.pi / 8
+    st = dispersion._method_stencils(method, zeta, eps_n, 3)
+    assert stencil.xy_symmetric(st)
+    for theta in (0.0, 0.2, 0.5, 0.7):
+        z1 = dispersion.solve_root(st, theta, zeta).z
+        z2 = dispersion.solve_root(st, np.pi / 2 - theta, zeta).z
+        assert abs(z1 - z2) <= 1e-10 * abs(z1)
+
+
+def test_theta_sweep_solves_asymmetric_set_on_every_direction():
+    # symbol (2 + 2a - zeta^2) - 2 cos(z cos theta) - 2a cos(z sin theta):
+    # stiffer along x than along y, so z(theta) != z(pi/2 - theta)
+    zeta, a = 0.5, 0.5
+    weights = {
+        (VERTEX, VERTEX): {
+            (0, 0): 2 + 2 * a - zeta**2, (2, 0): -1.0, (-2, 0): -1.0, (0, 2): -a, (0, -2): -a,
+        }
+    }
+    st = StencilSet("custom", zeta, None, None, (VERTEX,), weights)
+    assert not stencil.xy_symmetric(st)
+    sweep = dispersion.theta_sweep(st, n_theta=7)
+    assert abs(sweep.z[-1] - sweep.z[0]) > 0.1
+    for theta, z in zip(sweep.thetas, sweep.z):
+        assert abs(z - dispersion.solve_root(st, theta, zeta).z) <= 1e-10 * abs(z)
+
+
+def test_theta_sweep_warm_starts_a_direction_the_common_starts_miss():
+    # r = 4 at zeta = 2.5 lies far above the resolved range: at theta = 10
+    # degrees the root sits near 1.71 + 0.91i, which none of the common
+    # starts reaches; the previous direction's root as an extra start does
+    zeta = 2.5
+    st = dispersion._method_stencils("dpg", zeta, 1e-6, 4)
+    sweep = dispersion.theta_sweep(st, n_theta=19)
+    theta = sweep.thetas[2]
+    with pytest.raises(NoRootFound):
+        dispersion.solve_root(st, theta, zeta)
+    warm = dispersion.solve_root(st, theta, zeta, init=sweep.z[1])
+    assert sweep.z[2] == pytest.approx(warm.z, rel=1e-12)
+
+
+def test_theta_sweep_names_direction_without_root():
+    # symbol 2 cos(z cos theta) - 2 cos(zeta): the root zeta / cos(theta)
+    # leaves every zone as theta -> pi/2, where det F is constant
+    zeta = 0.5
+    weights = {(VERTEX, VERTEX): {(0, 0): -2 * np.cos(zeta), (2, 0): 1.0, (-2, 0): 1.0}}
+    st = StencilSet("custom", zeta, None, None, (VERTEX,), weights)
+    with pytest.raises(NoRootFound, match=r"for theta=1\.5707963267948966 \(custom\)"):
+        dispersion.theta_sweep(st, n_theta=5)
 
 
 def test_eps_zero_sweep_newton_steps():

@@ -120,6 +120,29 @@ def test_xy_reflection_symmetry(method, kw):
             assert mirror[(ly, lx)] == pytest.approx(val, rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "method,args", [("fem", ()), ("fosls", ()), ("dpg", (1e-6, 3)), ("dpg", (0.0, 3))]
+)
+def test_xy_symmetric_predicate(method, args):
+    # raw rows, the extended copy of the eps_n = 0 element included
+    s = stencil.extract_stencils(method, np.pi / 4, *args, normalize=False)
+    assert stencil.xy_asymmetry(s) <= 1e-12
+    assert stencil.xy_symmetric(s)
+
+
+def test_xy_symmetric_predicate_rejects():
+    stiffer_x = {
+        (VERTEX, VERTEX): {(0, 0): 3.0, (2, 0): -1.0, (-2, 0): -1.0, (0, 2): -0.5, (0, -2): -0.5}
+    }
+    s = stencil.StencilSet("custom", 1.0, None, None, (VERTEX,), stiffer_x)
+    assert stencil.xy_asymmetry(s) == pytest.approx(0.5 / 3.0)
+    assert not stencil.xy_symmetric(s)
+    x_only = {(VERTEX, VERTEX): {(0, 0): 3.0, (2, 0): -1.0, (-2, 0): -1.0}}
+    s = stencil.StencilSet("custom", 1.0, None, None, (VERTEX,), x_only)
+    assert stencil.xy_asymmetry(s) == np.inf
+    assert not stencil.xy_symmetric(s)
+
+
 def test_raw_weights_hermitian_pairing():
     # The assembled interface matrix is Hermitian, so the raw weight from s
     # into t at offset l is the conjugate of the weight from t into s at -l.
