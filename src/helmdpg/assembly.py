@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 from . import localforms, refelem, stencil
 from .errors import BCInconsistent, MeshTooSmall, OutsideEnvelope, SolveFailure
 from .localforms import NormalizedParams
-from .numkit import DOUBLE, single_thread_blas, tensor_rule
+from .numkit import single_thread_blas, tensor_rule
 
 # scipy.sparse.linalg has just loaded scipy's OpenBLAS beside numpy's; pin
 # both pools before any solve runs
@@ -48,10 +48,10 @@ RESONANCE_OMEGA = np.pi * np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform n x n element mesh of (0,1)^2 with the frozen DOF numbering.
+    """Uniform n x n element mesh of (0,1)^2 on the lattice of :func:`stencil.lattice`.
 
-    Vertex (i, j) sits at (i*h, j*h); horizontal edge (i, j) runs from
-    vertex (i, j) to (i+1, j); vertical edge (i, j) from (i, j) to (i, j+1).
+    Vertex (i, j) sits at (i*h, j*h).  The lattice numbers the vertices
+    first, so vertex ids run from 0 to ``n_vertices - 1``.
     """
 
     n: int
@@ -60,43 +60,49 @@ class Mesh:
     def h(self) -> float:
         return 1.0 / self.n
 
-    @property
-    def n_vertices(self) -> int:
-        return (self.n + 1) ** 2
-
-    @property
-    def n_hedges(self) -> int:
-        return self.n * (self.n + 1)
-
-    @property
-    def n_vedges(self) -> int:
-        return self.n * (self.n + 1)
+    @cached_property
+    def _lattice(self):
+        return stencil.lattice(self.n)
 
     @property
     def n_dofs(self) -> int:
-        return self.n_vertices + self.n_hedges + self.n_vedges
+        return self._lattice[0]
 
-    @cached_property
+    @property
     def dofs(self) -> np.ndarray:
         """Trace DOFs of element e = ey*n + ex in row e, condensed order."""
-        return stencil.lattice(self.n)[1]
+        return self._lattice[1]
 
-    def vertex_id(self, i: int, j: int) -> int:
-        return j * (self.n + 1) + i
+    @cached_property
+    def vertex_ij(self) -> np.ndarray:
+        """Grid index (i, j) of vertex id v in row v: the lattice's even positions, halved."""
+        pos2 = self._lattice[2]
+        return pos2[_is_vertex(pos2)] // 2
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertex_ij)
 
     def element_trace_dofs(self, ex: int, ey: int) -> list[int]:
         """Global ids of one element's 8 trace DOFs in the condensed order."""
         return self.dofs[ey * self.n + ex].tolist()
 
     def boundary_vertex_ids(self) -> np.ndarray:
-        edge = np.isin(np.arange(self.n + 1), (0, self.n))
-        return np.flatnonzero(edge[:, None] | edge[None, :])
+        return _boundary_vertices(self._lattice[2], self.n)
 
     def vertex_coords(self) -> np.ndarray:
-        n = self.n
-        ij = np.arange(n + 1) * self.h
-        xx, yy = np.meshgrid(ij, ij, indexing="xy")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return self.vertex_ij * self.h
+
+
+def _is_vertex(pos2: np.ndarray) -> np.ndarray:
+    """Which doubled lattice positions are vertices: both coordinates even."""
+    return (pos2[:, 0] | pos2[:, 1]) % 2 == 0
+
+
+def _boundary_vertices(pos2: np.ndarray, n: int) -> np.ndarray:
+    """Ids of the lattice's vertices on the boundary of the n x n mesh."""
+    x, y = pos2.T
+    return np.flatnonzero(_is_vertex(pos2) & ((x == 0) | (x == 2 * n) | (y == 0) | (y == 2 * n)))
 
 
 def build_mesh(n: int) -> Mesh:
@@ -245,7 +251,7 @@ def _free_order(n: int) -> np.ndarray:
     result is read-only, as the cache hands it to every caller.
     """
     ndof, _, pos2 = stencil.lattice(n)
-    free = np.setdiff1d(np.arange(ndof), Mesh(n).boundary_vertex_ids())
+    free = np.setdiff1d(np.arange(ndof), _boundary_vertices(pos2, n))
     xy = pos2[free]
     rows = np.arange(len(free))
     lo = np.zeros_like(xy)
@@ -285,14 +291,12 @@ def _scatter(mesh: Mesh, loads: np.ndarray) -> np.ndarray:
 def _element_quad_points(mesh: Mesh, points: np.ndarray):
     """Physical quadrature points for all elements, shape (n^2, nq).
 
-    Element e = ey*n + ex occupies [ex*h, (ex+1)*h] x [ey*h, (ey+1)*h].
+    Element e = ey*n + ex occupies [ex*h, (ex+1)*h] x [ey*h, (ey+1)*h], with
+    (ex, ey) the grid index of its first vertex.
     """
-    n, h = mesh.n, mesh.h
-    idx = np.arange(n * n)
-    ex = idx % n
-    ey = idx // n
-    xs = (ex[:, None] + points[None, :, 0]) * h
-    ys = (ey[:, None] + points[None, :, 1]) * h
+    ex, ey = mesh.vertex_ij[mesh.dofs[:, 0]].T
+    xs = (ex[:, None] + points[None, :, 0]) * mesh.h
+    ys = (ey[:, None] + points[None, :, 1]) * mesh.h
     return xs, ys
 
 
@@ -358,7 +362,7 @@ def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
 
 
 def _error_rule():
-    return tensor_rule(ERROR_QUAD_1D, DOUBLE)
+    return tensor_rule(ERROR_QUAD_1D)
 
 
 def _exact_on_elements(mesh: Mesh, exact: ExactSolution, points: np.ndarray):
@@ -423,8 +427,9 @@ class SolveReport:
 
     def vertex_grid(self, mesh: Mesh) -> np.ndarray:
         """Vertex scalar traces as an (n+1, n+1) grid indexed [i, j]."""
-        n = mesh.n
-        return self.trace[: mesh.n_vertices].reshape(n + 1, n + 1).T
+        grid = np.empty((mesh.n + 1, mesh.n + 1), dtype=complex)
+        grid[tuple(mesh.vertex_ij.T)] = self.trace[: mesh.n_vertices]
+        return grid
 
 
 def solve_dpg(

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dispersion, stencil
 from .errors import HelmDpgError
-from .numkit import DOUBLE, single_thread_blas, tensor_rule
+from .numkit import single_thread_blas, tensor_rule
 
 
 def _floats(text: str):
@@ -409,7 +409,7 @@ def _selftest_checks():
 
     checks = []
 
-    rule = tensor_rule(4, DOUBLE)
+    rule = tensor_rule(4)
     got = np.sum(rule.weights * rule.points[:, 0] ** 3 * rule.points[:, 1] ** 2)
     checks.append(("quadrature exactness", abs(got - 1.0 / 12.0) <= 1e-14,
                    f"int x^3 y^2 = {got!r}"))

@@ -59,7 +59,6 @@ import numpy as np
 from . import refelem
 from .errors import DimensionMismatch, InteriorBlockSingular, NotPositiveDefinite, OutsideEnvelope
 from .numkit import (
-    DOUBLE,
     EXTENDED,
     Precision,
     as_complex128,
@@ -296,17 +295,16 @@ def condense(b: np.ndarray) -> CondensedElement:
     b = np.asarray(b)
     if b.shape != (TRIAL_DIM, TRIAL_DIM):
         raise DimensionMismatch(f"expected an 11x11 element matrix, got {b.shape}")
-    precision = EXTENDED if b.dtype == object else DOUBLE
-    with working_context(precision):
+    with working_context(EXTENDED):
         b_ii = b[:3, :3]
         b_it = b[:3, 3:]
         b_ti = b[3:, :3]
         b_tt = b[3:, 3:]
         try:
-            L, d = ldlh_factor(b_ii, precision)
+            L, d = ldlh_factor(b_ii)
         except NotPositiveDefinite as exc:
             raise InteriorBlockSingular(f"interior 3x3 block not invertible: {exc}") from exc
-        interior_inv = ldlh_solve(L, d, np.eye(3, dtype=b.dtype), precision)
+        interior_inv = ldlh_solve(L, d, np.eye(3, dtype=b.dtype))
         recovery = -(interior_inv @ b_it)
         s = b_tt + b_ti @ recovery
     s_exact = np.asarray(s, dtype=object) if b.dtype == object else None
@@ -356,7 +354,7 @@ def fosls_element(omega_n: float) -> FoslsElement:
     """First-order-system least-squares element matrix on the unit square."""
     if not (omega_n > 0 and math.isfinite(omega_n)):
         raise ValueError(f"omega_n must be positive and finite, got {omega_n}")
-    rule = tensor_rule(4, DOUBLE)
+    rule = tensor_rule(4)
     tab = refelem.tabulate_conforming_basis(rule)
     a1, a2, a3 = conforming_a_images(tab, omega_n)
     w = rule.weights
@@ -374,7 +372,7 @@ def fem_element(omega_n: float):
     """
     if not (omega_n > 0 and math.isfinite(omega_n)):
         raise ValueError(f"omega_n must be positive and finite, got {omega_n}")
-    rule = tensor_rule(3, DOUBLE)
+    rule = tensor_rule(3)
     tab = refelem.tabulate_conforming_basis(rule)
     w = rule.weights
     gx, gy, q = tab.eta_x[:4], tab.eta_y[:4], tab.eta[:4]
@@ -464,7 +462,7 @@ def element_kit(params: NormalizedParams) -> ElementKit:
             "call dpg_element for an element in a pinned precision"
         )
     rule, tab, B, X, cond = _qr_riesz(params)
-    precision_used = DOUBLE
+    precision_used = Precision.double()
     if B is None:
         precision_used = EXTENDED
         elem = dpg_element(replace(params, precision=precision_used))

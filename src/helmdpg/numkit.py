@@ -1,4 +1,4 @@
-"""Precision-parametric numerical kernels.
+"""Numerical kernels whose arithmetic follows their data.
 
 A :class:`Precision` names one of two rounded arithmetics:
 
@@ -10,15 +10,15 @@ Matrices are plain ``numpy.ndarray`` objects in either representation, so a
 single dtype-generic code path (slicing, ``@``, ``conj``) serves both, and
 object arrays of ``fractions.Fraction`` as well: the DPG element solves its
 realified Gram system exactly that way and rounds the result once with
-:func:`rounded`.  The linear algebra keeps real input real: ``float64``
-stays ``float64`` and an object array of ``mpf`` or ``Fraction`` runs in
-real arithmetic.  All functions are pure: identical inputs give
+:func:`rounded`.  The kernels take no precision argument: ``float64`` stays
+``float64``, a ``Fraction`` array stays exact, and mpmath arrays run at
+the ambient mpmath precision, which their callers pin with
+:func:`working_context`.  All functions are pure: identical inputs give
 bit-identical outputs.
 
-The factorization used throughout is an LDL^H decomposition without pivoting,
-appropriate for the Hermitian (or real symmetric) positive (semi)definite
-matrices this package produces.  ``hermitian_solve`` only solves: its
-callers that act on a condition number compute it themselves.
+The Gauss-Legendre rules are double.  The factorization is an LDL^H
+decomposition without pivoting, appropriate for the Hermitian (or real
+symmetric) positive (semi)definite matrices this package produces.
 
 :func:`single_thread_blas` pins the process's OpenBLAS thread pools to one
 thread each.
@@ -38,10 +38,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_rational
 
-from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
-
-#: Relative tolerance for the Hermitian symmetry check.
-HERMITIAN_RTOL = 1e-12
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 #: Relative pivot tolerance: pivots below this times the largest diagonal
 #: entry count as a positive-definiteness failure.
@@ -80,7 +77,6 @@ class Precision:
         return float(x)
 
 
-DOUBLE = Precision.double()
 #: the one extended arithmetic of the package's 30-digit paths
 EXTENDED = Precision.extended(30)
 
@@ -174,71 +170,54 @@ class QuadratureRule:
     weights: np.ndarray
     nodes_1d: np.ndarray
     weights_1d: np.ndarray
-    precision: Precision
 
 
-def gauss_legendre_1d(n: int, precision: Precision = DOUBLE):
+def gauss_legendre_1d(n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
 
-    Computed by Newton iteration on the three-term Legendre recurrence from
-    Chebyshev initial guesses, in the requested arithmetic; exact for
-    polynomials of degree 2n-1.  Returns ``(nodes, weights)`` as numpy
-    arrays (float64 or object/mpf).
+    Computed in double by Newton iteration on the three-term Legendre
+    recurrence from Chebyshev initial guesses; exact for polynomials of
+    degree 2n-1.  Returns ``(nodes, weights)`` as float64 arrays.
     """
     if n < 1:
         raise DimensionMismatch(f"quadrature order must be >= 1, got {n}")
-    nodes, weights = _gl_cached(n, precision.kind, precision.digits)
+    nodes, weights = _gl_cached(n)
     return nodes.copy(), weights.copy()
 
 
 @lru_cache(maxsize=None)
-def _gl_cached(n: int, kind: str, digits: int):
-    precision = Precision(kind, digits)
-    if precision.is_extended:
-        with mp.workdps(precision.digits + 10):
-            xs, ws = _gl_newton(n, mp.mpf, mp.pi, precision)
-            half = mp.mpf(1) / 2
-            nodes = np.array([+(half * (x + 1)) for x in xs], dtype=object)
-            weights = np.array([+(w / 2) for w in ws], dtype=object)
-    else:
-        xs, ws = _gl_newton(n, float, math.pi, precision)
-        nodes = 0.5 * (np.array(xs) + 1.0)
-        weights = 0.5 * np.array(ws)
-    return nodes, weights
-
-
-def _gl_newton(n, real, pi_val, precision):
-    """Roots of P_n on [-1, 1] plus weights, by Newton from Chebyshev guesses."""
+def _gl_cached(n: int):
+    """Roots of P_n on [-1, 1] plus weights, mapped to [0, 1]."""
     xs, ws = [], []
     for k in range(n):
-        x = real(math.cos(math.pi * (k + 0.75) / (n + 0.5)))
+        x = math.cos(math.pi * (k + 0.75) / (n + 0.5))
         for _ in range(100):
-            p0, p1 = real(1), x
+            p0, p1 = 1.0, x
             for m in range(2, n + 1):
                 p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
             if n == 1:
-                p1, dp = x, real(1)
+                p1, dp = x, 1.0
             else:
                 dp = n * (x * p1 - p0) / (x * x - 1)
             step = p1 / dp
             x = x - step
-            if abs(step) <= abs(x) * real(10) ** (-(precision.digits or 17) - 2):
+            if abs(step) <= abs(x) * 10.0 ** -19:
                 break
-        p0, p1 = real(1), x
+        p0, p1 = 1.0, x
         for m in range(2, n + 1):
             p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-        dp = real(1) if n == 1 else n * (x * p1 - p0) / (x * x - 1)
+        dp = 1.0 if n == 1 else n * (x * p1 - p0) / (x * x - 1)
         xs.append(x)
         ws.append(2 / ((1 - x * x) * dp * dp))
-    order = sorted(range(n), key=lambda i: float(xs[i]))
-    return [xs[i] for i in order], [ws[i] for i in order]
+    order = sorted(range(n), key=xs.__getitem__)
+    return 0.5 * (np.array(xs)[order] + 1.0), 0.5 * np.array(ws)[order]
 
 
-def tensor_rule(n: int, precision: Precision = DOUBLE) -> QuadratureRule:
+def tensor_rule(n: int) -> QuadratureRule:
     """n x n tensor Gauss-Legendre rule on the unit square, x running fastest."""
-    x, w = gauss_legendre_1d(n, precision)
+    x, w = gauss_legendre_1d(n)
     pts = np.stack([np.tile(x, n), np.repeat(x, n)], axis=1)
-    return QuadratureRule(n, pts, np.outer(w, w).ravel(), x, w, precision)
+    return QuadratureRule(n, pts, np.outer(w, w).ravel(), x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +234,7 @@ def hermitian_error(a: np.ndarray) -> float:
     return err / scale if scale > 0 else err
 
 
-def require_hermitian(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    err = hermitian_error(a)
-    if err > HERMITIAN_RTOL:
-        raise NotHermitian(f"relative conjugate-symmetry defect {err:.3e} exceeds {HERMITIAN_RTOL:.1e}")
-
-
-def ldlh_factor(a: np.ndarray, precision: Precision = DOUBLE):
+def ldlh_factor(a: np.ndarray):
     """LDL^H factorization of a Hermitian positive-definite matrix.
 
     Returns ``(L, d)`` with unit-lower-triangular L and real positive pivots
@@ -271,61 +242,38 @@ def ldlh_factor(a: np.ndarray, precision: Precision = DOUBLE):
     ``PIVOT_RTOL`` times the largest diagonal entry.
     """
     n = a.shape[0]
-    with working_context(precision):
-        L = a.astype(object) if a.dtype == object else a.astype(np.result_type(a, float))
-        d = np.empty(n, dtype=object if a.dtype == object else float)
-        maxdiag = max((float(abs(_real_part(a[i, i]))) for i in range(n)), default=0.0)
-        tol = PIVOT_RTOL * maxdiag
-        for j in range(n):
-            if j > 0:
-                s = (L[j, :j] * L[j, :j].conj() * d[:j]).sum()
-            else:
-                s = 0
-            piv = _real_part(L[j, j] - s)
-            if not float(piv) > tol:
-                raise NotPositiveDefinite(
-                    f"pivot {float(piv):.3e} at index {j} below tolerance {tol:.3e}"
-                )
-            d[j] = piv
-            if j + 1 < n:
-                if j > 0:
-                    upd = L[j + 1 :, :j] @ (L[j, :j].conj() * d[:j])
-                    L[j + 1 :, j] = (L[j + 1 :, j] - upd) / piv
-                else:
-                    L[j + 1 :, j] = L[j + 1 :, j] / piv
-        for j in range(n):
-            L[j, j] = d[j] * 0 + 1
-            L[j, j + 1 :] = d[j] * 0
+    L = a.astype(object) if a.dtype == object else a.astype(np.result_type(a, float))
+    d = np.empty(n, dtype=object if a.dtype == object else float)
+    maxdiag = max((float(abs(_real_part(a[i, i]))) for i in range(n)), default=0.0)
+    tol = PIVOT_RTOL * maxdiag
+    for j in range(n):
+        # at j = 0 the sums over the empty L[j, :j] are exact zeros
+        piv = _real_part(L[j, j] - (L[j, :j] * L[j, :j].conj() * d[:j]).sum())
+        if not float(piv) > tol:
+            raise NotPositiveDefinite(
+                f"pivot {float(piv):.3e} at index {j} below tolerance {tol:.3e}"
+            )
+        d[j] = piv
+        upd = L[j + 1 :, :j] @ (L[j, :j].conj() * d[:j])
+        L[j + 1 :, j] = (L[j + 1 :, j] - upd) / piv
+    for j in range(n):
+        L[j, j] = d[j] * 0 + 1
+        L[j, j + 1 :] = d[j] * 0
     return L, d
 
 
-def ldlh_solve(L: np.ndarray, d: np.ndarray, b: np.ndarray, precision: Precision = DOUBLE) -> np.ndarray:
+def ldlh_solve(L: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b given the LDL^H factors of A; b may have many columns."""
     one_col = b.ndim == 1
-    with working_context(precision):
-        y = (b[:, None] if one_col else b).copy()
-        n = L.shape[0]
-        for j in range(n - 1):
-            y[j + 1 :, :] = y[j + 1 :, :] - L[j + 1 :, j : j + 1] * y[j : j + 1, :]
-        for j in range(n):
-            y[j, :] = y[j, :] / d[j]
-        for j in range(n - 2, -1, -1):
-            y[j, :] = y[j, :] - L[j + 1 :, j].conj() @ y[j + 1 :, :]
+    y = (b[:, None] if one_col else b).copy()
+    n = L.shape[0]
+    for j in range(n - 1):
+        y[j + 1 :, :] = y[j + 1 :, :] - L[j + 1 :, j : j + 1] * y[j : j + 1, :]
+    for j in range(n):
+        y[j, :] = y[j, :] / d[j]
+    for j in range(n - 2, -1, -1):
+        y[j, :] = y[j, :] - L[j + 1 :, j].conj() @ y[j + 1 :, :]
     return y[:, 0] if one_col else y
-
-
-def hermitian_solve(a: np.ndarray, b: np.ndarray, precision: Precision = DOUBLE) -> np.ndarray:
-    """Solve the Hermitian positive-definite system A X = B for X.
-
-    Raises :class:`NotHermitian` / :class:`NotPositiveDefinite`.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    require_hermitian(a)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix size {a.shape[0]}")
-    L, d = ldlh_factor(a, precision)
-    return ldlh_solve(L, d, b, precision)
 
 
 def _require_small(f: np.ndarray, name: str) -> int:

@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from .errors import REnrichmentTooSmall
-from .numkit import DOUBLE, Precision, QuadratureRule
+from .numkit import QuadratureRule, tensor_rule
 
 # edge ids, in the order used for condensed degrees of freedom
 BOTTOM, TOP, LEFT, RIGHT = 0, 1, 2, 3
@@ -307,8 +307,6 @@ def tabulate_conforming_basis(rule: QuadratureRule) -> ConformingTabulation:
     return ConformingTabulation(rule, vx, vy, eta, eta_x, eta_y, div)
 
 
-def default_rule(r: int, precision: Precision = DOUBLE) -> QuadratureRule:
+def default_rule(r: int) -> QuadratureRule:
     """The (r+2)-point-per-direction tensor rule used for element forms."""
-    from .numkit import tensor_rule
-
-    return tensor_rule(r + 2, precision)
+    return tensor_rule(r + 2)

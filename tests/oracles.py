@@ -6,23 +6,104 @@ the normalized reference computation, so agreement with
 ``scale_to_physical(dpg_element(...), h)`` genuinely checks the scaling law
 rather than restating it.  :func:`quadrature_gram` is the complex test Gram
 by 2D tensor quadrature, against which the element's real Gram from 1D
-Legendre integrals is checked.  :func:`min_eigenvalue_bound` certifies
+Legendre integrals is checked.  Both run in double on the package's rules or
+in mpmath on the extended Gauss rule of :func:`gauss_legendre_1d`, solving
+with :func:`hermitian_solve`.  :func:`min_eigenvalue_bound` certifies
 positive semidefiniteness by shifted factorizations, and
 :func:`tabulate_test_at` tabulates the test basis at arbitrary points.
 """
 
+import math
+
+import mpmath as mp
 import numpy as np
 
 from helmdpg import refelem
+from helmdpg.errors import DimensionMismatch, NotHermitian
 from helmdpg.numkit import (
-    DOUBLE,
     Precision,
+    QuadratureRule,
     as_complex128,
-    hermitian_solve,
-    require_hermitian,
+    hermitian_error,
+    ldlh_factor,
+    ldlh_solve,
     working_context,
 )
 from helmdpg.refelem import EDGE_SIGNS, TRACE_EDGES, TRIAL_DIM
+
+DOUBLE = Precision.double()
+
+#: Relative tolerance for the Hermitian symmetry check.
+HERMITIAN_RTOL = 1e-12
+
+
+def gauss_legendre_1d(n: int, digits: int):
+    """The n-point Gauss-Legendre rule on [0, 1] in ``digits``-digit mpmath.
+
+    The same Newton iteration as :func:`helmdpg.numkit.gauss_legendre_1d`,
+    run at ``digits + 10`` digits to a step below 10^-(digits+2) of the node.
+    Returns ``(nodes, weights)`` as object arrays of mpf.
+    """
+    with mp.workdps(digits + 10):
+        xs, ws = [], []
+        for k in range(n):
+            x = mp.mpf(math.cos(math.pi * (k + 0.75) / (n + 0.5)))
+            for _ in range(100):
+                p0, p1 = mp.mpf(1), x
+                for m in range(2, n + 1):
+                    p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+                if n == 1:
+                    p1, dp = x, mp.mpf(1)
+                else:
+                    dp = n * (x * p1 - p0) / (x * x - 1)
+                step = p1 / dp
+                x = x - step
+                if abs(step) <= abs(x) * mp.mpf(10) ** (-digits - 2):
+                    break
+            p0, p1 = mp.mpf(1), x
+            for m in range(2, n + 1):
+                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+            dp = mp.mpf(1) if n == 1 else n * (x * p1 - p0) / (x * x - 1)
+            xs.append(x)
+            ws.append(2 / ((1 - x * x) * dp * dp))
+        order = sorted(range(n), key=xs.__getitem__)
+        half = mp.mpf(1) / 2
+        nodes = np.array([+(half * (xs[i] + 1)) for i in order], dtype=object)
+        weights = np.array([+(ws[i] / 2) for i in order], dtype=object)
+    return nodes, weights
+
+
+def element_rule(r: int, precision: Precision = DOUBLE) -> QuadratureRule:
+    """``refelem.default_rule(r)``, or the same (r+2)-point rule in ``precision``."""
+    if not precision.is_extended:
+        return refelem.default_rule(r)
+    n = r + 2
+    x, w = gauss_legendre_1d(n, precision.digits)
+    pts = np.stack([np.tile(x, n), np.repeat(x, n)], axis=1)
+    return QuadratureRule(n, pts, np.outer(w, w).ravel(), x, w)
+
+
+def require_hermitian(a: np.ndarray) -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    err = hermitian_error(a)
+    if err > HERMITIAN_RTOL:
+        raise NotHermitian(f"relative conjugate-symmetry defect {err:.3e} exceeds {HERMITIAN_RTOL:.1e}")
+
+
+def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the Hermitian positive-definite system A X = B for X.
+
+    Runs in the arithmetic of the data: mpmath arrays at the ambient
+    precision.  Raises :class:`NotHermitian` / :class:`NotPositiveDefinite`.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    require_hermitian(a)
+    if b.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix size {a.shape[0]}")
+    L, d = ldlh_factor(a)
+    return ldlh_solve(L, d, b)
 
 
 def quadrature_gram(omega_n: float, eps_n: float, r: int, precision: Precision = DOUBLE):
@@ -33,7 +114,7 @@ def quadrature_gram(omega_n: float, eps_n: float, r: int, precision: Precision =
     """
     with working_context(precision):
         basis = refelem.build_test_basis(r)
-        rule = refelem.default_rule(r, precision)
+        rule = element_rule(r, precision)
         tab = refelem.tabulate_test_basis(basis, rule)
         w = rule.weights
         iw = 1j * precision.real(omega_n)
@@ -55,7 +136,7 @@ def dpg_element_physical(omega: float, eps: float, h: float, r: int, precision: 
     """
     with working_context(precision):
         basis = refelem.build_test_basis(r)
-        rule = refelem.default_rule(r, precision)
+        rule = element_rule(r, precision)
         tab = refelem.tabulate_test_basis(basis, rule)
         hats = refelem.tabulate_trial_edges(rule)
         hh = precision.real(h)
@@ -89,7 +170,7 @@ def dpg_element_physical(omega: float, eps: float, h: float, r: int, precision: 
         for t, e in enumerate(TRACE_EDGES):
             Bb[:, 7 + t] = precision.real(EDGE_SIGNS[e]) * (tab.edge_eta[e] @ w1)
 
-        x = hermitian_solve(G, Bb, precision)
+        x = hermitian_solve(G, Bb)
         B = Bb.conj().T @ x
     return as_complex128(B)
 

@@ -15,8 +15,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from helmdpg import assembly, localforms, stencil
-from helmdpg.errors import BCInconsistent, MeshTooSmall
-from helmdpg.numkit import DOUBLE, tensor_rule
+from helmdpg.errors import BCInconsistent, MeshTooSmall, SolveFailure
+from helmdpg.numkit import tensor_rule
 
 
 # ---------------------------------------------------------------------------
@@ -24,11 +24,18 @@ from helmdpg.numkit import DOUBLE, tensor_rule
 # ---------------------------------------------------------------------------
 
 
+def _type_counts(m):
+    # vertices, horizontal and vertical edges, counted through the lattice
+    dof_type = np.zeros(m.n_dofs, dtype=int)
+    dof_type[m.dofs] = stencil.TRACE_TYPES
+    return tuple(np.bincount(dof_type, minlength=4)[1:])
+
+
 def test_mesh_counts():
     m = assembly.build_mesh(2)
-    assert (m.n_vertices, m.n_hedges, m.n_vedges) == (9, 6, 6)
+    assert (m.n_vertices, *_type_counts(m)) == (9, 9, 6, 6)
     m = assembly.build_mesh(16)
-    assert (m.n_vertices, m.n_hedges, m.n_vedges) == (289, 272, 272)
+    assert (m.n_vertices, *_type_counts(m)) == (289, 289, 272, 272)
     assert m.n_dofs == 289 + 272 + 272
 
 
@@ -81,7 +88,8 @@ def test_boundary_vertices():
 def test_vertex_coords():
     m = assembly.build_mesh(4)
     xy = m.vertex_coords()
-    np.testing.assert_allclose(xy[m.vertex_id(1, 3)], [0.25, 0.75])
+    # vertex (1, 3) is the first trace slot of element (1, 3)
+    np.testing.assert_allclose(xy[m.element_trace_dofs(1, 3)[0]], [0.25, 0.75])
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +188,7 @@ def test_best_approx_independent_quadrature():
     finer rule and element means computed by this test."""
     m = assembly.build_mesh(5)
     ex = assembly.manufactured_solution(2.5)
-    rule = tensor_rule(10, DOUBLE)
+    rule = tensor_rule(10)
     w = rule.points, rule.weights
     total = 0.0
     for ey in range(m.n):
@@ -275,6 +283,43 @@ def test_nested_dissection_fill_below_default_splu(method):
     free = np.setdiff1d(np.arange(m.n_dofs), m.boundary_vertex_ids())
     a_ff = assembly._assemble_global(m, element)[free][:, free].tocsc()
     assert rep.fill_nnz <= 0.6 * spla.splu(a_ff).nnz
+
+
+class _SkewedFactor:
+    """splu's factor with its solves scaled by ``1 + skew``: the first one
+    only when ``first_only``, every one otherwise."""
+
+    def __init__(self, lu, skew, first_only):
+        self.lu, self.skew, self.first_only = lu, skew, first_only
+        self.nnz, self.solves = lu.nnz, 0
+
+    def solve(self, b):
+        self.solves += 1
+        x = self.lu.solve(b)
+        return x * (1 + self.skew) if self.solves == 1 or not self.first_only else x
+
+
+def _skew_splu(monkeypatch, skew, first_only):
+    splu = spla.splu
+    monkeypatch.setattr(
+        assembly.spla, "splu", lambda *a, **kw: _SkewedFactor(splu(*a, **kw), skew, first_only)
+    )
+
+
+def test_refinement_repairs_an_inexact_first_solve(monkeypatch):
+    _skew_splu(monkeypatch, 1e-8, first_only=True)
+    rep = assembly.solve_dpg(assembly.build_mesh(4), 2.0, 1e-2, 2,
+                             assembly.manufactured_solution(2.0))
+    assert rep.refinement_steps >= 1
+    assert rep.residual_rel <= assembly.RESIDUAL_RTOL
+
+
+def test_solve_failure_when_refinement_cannot_converge(monkeypatch):
+    # every solve returns nothing: the residual stays that of x = 0
+    _skew_splu(monkeypatch, -1.0, first_only=False)
+    with pytest.raises(SolveFailure, match="exceeds contract"):
+        assembly.solve_dpg(assembly.build_mesh(4), 2.0, 1e-2, 2,
+                           assembly.manufactured_solution(2.0))
 
 
 def test_zero_data_zero_solution():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmdpg import cli, dispersion, stencil
+from helmdpg import assembly, cli, dispersion, stencil
 
 
 def run_cli(args, capsys):
@@ -147,6 +147,20 @@ def test_solve_fosls_empty_optional_cells(capsys):
     assert float(cells[9]) <= 1e-10
 
 
+def test_plane_wave_row_matches_library(capsys):
+    code, out = run_cli(["plane-wave", "--n", "16"], capsys)
+    assert code == 0
+    header, rows = data_rows(out)
+    assert header == "method,n,omega,theta,eps,r,metric,e_r,ratio"
+    assert len(rows) == 1
+    # the subcommand's defaults besides n
+    theta, omega, eps, r = np.pi / 8, 6 * np.pi, 1e-6, 3
+    cells = rows[0].split(",")
+    assert cells[:6] == ["dpg", "16", repr(omega), repr(theta), repr(eps), str(r)]
+    rep = assembly.plane_wave_demo("dpg", theta, 16, omega, eps, r)
+    assert float(cells[6]) == rep.metric
+
+
 def test_resonance_sweep_rows(capsys):
     code, out = run_cli(
         ["resonance-sweep", "--omega-start", "3.5", "--omega-stop", "3.6",
@@ -172,6 +186,26 @@ def test_config_file_precedence(tmp_path, capsys):
     assert "# omega_n=0.7" in out  # flag beats config
     _, rows = data_rows(out)
     assert len(rows) == 9
+
+
+def test_config_boolean_matches_flag(tmp_path, capsys):
+    cfgfile = tmp_path / "raw.cfg"
+    cfgfile.write_text("method=fem\nraw=yes\n")
+    code, from_config = run_cli(["stencil-dump", "--config", str(cfgfile)], capsys)
+    assert code == 0
+    code, from_flag = run_cli(["stencil-dump", "--method", "fem", "--raw"], capsys)
+    assert code == 0
+    assert "# raw=True" in from_flag
+    assert from_config == from_flag
+
+
+def test_config_bad_boolean_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "raw.cfg"
+    cfgfile.write_text("raw=maybe\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stencil-dump", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert "not a boolean" in capsys.readouterr().err
 
 
 def test_config_unknown_key_usage_error(tmp_path, capsys):

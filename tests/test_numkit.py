@@ -1,4 +1,4 @@
-"""Tests for the precision-parametric numerical kernels."""
+"""Tests for the numerical kernels, and for the oracles' extended Gauss rule and solve."""
 
 import ctypes
 import itertools
@@ -16,9 +16,8 @@ from helmdpg import numkit
 from helmdpg.errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
 from helmdpg.numkit import Precision
 
-from oracles import min_eigenvalue_bound
+from oracles import gauss_legendre_1d, hermitian_solve, min_eigenvalue_bound
 
-DOUBLE = Precision.double()
 EXT30 = Precision.extended(30)
 
 
@@ -54,14 +53,14 @@ def test_quadrature_integrates_random_polynomials(coeffs):
 
 
 def test_gauss_legendre_extended_matches_double():
-    xd, wd = numkit.gauss_legendre_1d(6, DOUBLE)
-    xe, we = numkit.gauss_legendre_1d(6, EXT30)
+    xd, wd = numkit.gauss_legendre_1d(6)
+    xe, we = gauss_legendre_1d(6, 30)
     assert max(abs(float(a) - b) for a, b in zip(xe, xd)) < 1e-15
     assert max(abs(float(a) - b) for a, b in zip(we, wd)) < 1e-15
 
 
 def test_gauss_legendre_extended_high_degree_exactness():
-    x, w = numkit.gauss_legendre_1d(6, EXT30)
+    x, w = gauss_legendre_1d(6, 30)
     with mp.workdps(30):
         for k in (9, 10, 11):
             val = sum(wi * xi**k for wi, xi in zip(w, x))
@@ -93,7 +92,7 @@ def _random_hpd(n, rng, dtype=complex):
 
 def test_hermitian_solve_identity():
     b = np.arange(6, dtype=float).reshape(3, 2) + 0j
-    x = numkit.hermitian_solve(np.eye(3, dtype=complex), b)
+    x = hermitian_solve(np.eye(3, dtype=complex), b)
     assert np.allclose(x, b, atol=0)
 
 
@@ -101,7 +100,7 @@ def test_hermitian_solve_matches_lapack():
     rng = np.random.default_rng(7)
     a = _random_hpd(9, rng)
     b = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
-    x = numkit.hermitian_solve(a, b)
+    x = hermitian_solve(a, b)
     assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-11, atol=1e-11)
     res = np.linalg.norm(a @ x - b)
     assert res <= 1e-10 * np.linalg.norm(b)
@@ -117,32 +116,32 @@ def test_hermitian_solve_hilbert8_extended():
                 h[i, j] = mp.mpf(1) / (i + j + 1)
         ones = np.array([mp.mpf(1)] * n, dtype=object)
         rhs = h @ ones
-        x = numkit.hermitian_solve(h, rhs, EXT30)
+        x = hermitian_solve(h, rhs)
     assert max(abs(float(v - 1)) for v in x) < 1e-6
 
 
 def test_hermitian_solve_rejects_non_hermitian():
     a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(NotHermitian):
-        numkit.hermitian_solve(a, np.ones(2, dtype=complex))
+        hermitian_solve(a, np.ones(2, dtype=complex))
 
 
 def test_hermitian_solve_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
-        numkit.hermitian_solve(-np.eye(3, dtype=complex), np.ones(3, dtype=complex))
+        hermitian_solve(-np.eye(3, dtype=complex), np.ones(3, dtype=complex))
 
 
 def test_hermitian_solve_shape_check():
     with pytest.raises(DimensionMismatch):
-        numkit.hermitian_solve(np.eye(3, dtype=complex), np.ones(4, dtype=complex))
+        hermitian_solve(np.eye(3, dtype=complex), np.ones(4, dtype=complex))
 
 
 # ------------------------------------------------------------------- determinants
 
 
-def _stacked_3x3(k, seed):
+def _stacked(k, seed, n=3):
     rng = np.random.default_rng(seed)
-    f = rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3))
+    f = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
     obj = np.empty(f.shape, dtype=object)
     for idx in np.ndindex(f.shape):
         obj[idx] = mp.mpc(f[idx].real, f[idx].imag)
@@ -154,7 +153,7 @@ def test_det_small_closed_forms():
     assert numkit.det_small(f2) == (1 + 1j) * (4 - 1j) - 6.0
     assert numkit.det_small(np.array([[5.0 + 0j]])) == 5.0 + 0j
     # a (k, 3, 3) stack gives each matrix's determinant, in either dtype
-    f, obj = _stacked_3x3(4, 7)
+    f, obj = _stacked(4, 7)
     dets = numkit.det_small(f)
     exact = numkit.det_small(obj)
     assert dets.shape == exact.shape == (4,)
@@ -177,7 +176,7 @@ def test_det3_matches_lu_determinant():
 def test_permanent_small_sums_every_product():
     assert numkit.permanent_small(np.array([[2.0]])) == 2.0
     assert numkit.permanent_small(np.array([[1.0, 2.0], [3.0, 4.0]])) == 10.0
-    a = np.abs(_stacked_3x3(4, 5)[0])
+    a = np.abs(_stacked(4, 5)[0])
     perms = numkit.permanent_small(a)
     assert perms.shape == (4,)
     for i in range(4):
@@ -196,23 +195,24 @@ def test_det_small_rejects_big_matrices():
 
 
 def test_adjugate_identity():
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    adj = numkit.adjugate_small(f)
-    det = numkit.det_small(f)
-    assert np.allclose(adj @ f, det * np.eye(3), atol=1e-12 * abs(det))
-    # stacked input, complex and object dtype: adj(F) F = det(F) I per matrix
-    f, obj = _stacked_3x3(5, 3)
-    adj, dets = numkit.adjugate_small(f), numkit.det_small(f)
-    assert adj.shape == (5, 3, 3)
-    for i in range(5):
-        assert np.allclose(adj[i] @ f[i], dets[i] * np.eye(3), atol=1e-12 * abs(dets[i]))
-        assert np.array_equal(adj[i], numkit.adjugate_small(f[i]))
-    adj_exact = numkit.adjugate_small(obj)
-    assert adj_exact.dtype == object and adj_exact.shape == (5, 3, 3)
-    for i in range(5):
-        resid = adj_exact[i] @ obj[i] - numkit.det_small(obj[i]) * np.eye(3)
-        assert max(abs(v) for v in resid.ravel()) <= 1e-12 * abs(dets[i])
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        adj = numkit.adjugate_small(f)
+        det = numkit.det_small(f)
+        assert np.allclose(adj @ f, det * np.eye(n), atol=1e-12 * abs(det))
+        # stacked input, complex and object dtype: adj(F) F = det(F) I per matrix
+        f, obj = _stacked(5, 3, n)
+        adj, dets = numkit.adjugate_small(f), numkit.det_small(f)
+        assert adj.shape == (5, n, n)
+        for i in range(5):
+            assert np.allclose(adj[i] @ f[i], dets[i] * np.eye(n), atol=1e-12 * abs(dets[i]))
+            assert np.array_equal(adj[i], numkit.adjugate_small(f[i]))
+        adj_exact = numkit.adjugate_small(obj)
+        assert adj_exact.dtype == object and adj_exact.shape == (5, n, n)
+        for i in range(5):
+            resid = adj_exact[i] @ obj[i] - numkit.det_small(obj[i]) * np.eye(n)
+            assert max(abs(v) for v in resid.ravel()) <= 1e-12 * abs(dets[i])
 
 
 # ------------------------------------------------------------ min_eigenvalue_bound
@@ -282,7 +282,7 @@ def test_no_spurious_warnings_on_well_conditioned():
     a = _random_hpd(5, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        numkit.hermitian_solve(a, np.ones(5, dtype=complex))
+        hermitian_solve(a, np.ones(5, dtype=complex))
 
 
 def test_blas_pools_single_threaded():

@@ -7,7 +7,7 @@ from helmdpg import numkit, refelem
 from helmdpg.errors import REnrichmentTooSmall
 from helmdpg.refelem import BOTTOM, LEFT, RIGHT, TOP
 
-from oracles import tabulate_test_at
+from oracles import element_rule, tabulate_test_at
 
 
 @pytest.mark.parametrize("r,expected", [(2, 21), (3, 40), (4, 65)])
@@ -153,8 +153,7 @@ def test_volume_tables_match_member_loop(r, extended):
     kind, deg_x, deg_y = basis.layout
     assert not basis.layout.flags.writeable
     assert [(("vx", "vy", "sc")[k], i, j) for k, i, j in zip(kind, deg_x, deg_y)] == list(basis.members)
-    precision = numkit.Precision.extended(30) if extended else numkit.DOUBLE
-    rule = refelem.default_rule(r, precision)
+    rule = element_rule(r, numkit.Precision.extended(30) if extended else numkit.Precision.double())
     # volume points, and the left edge, where every x is an exact zero
     for pts in (rule.points, refelem.edge_points(LEFT, rule.nodes_1d)):
         got = refelem._volume_tables(basis, pts)
@@ -166,7 +165,7 @@ def test_volume_tables_match_member_loop(r, extended):
 def test_extended_tabulation_matches_double():
     basis = refelem.build_test_basis(2)
     rd = refelem.default_rule(2)
-    re_ = refelem.default_rule(2, numkit.Precision.extended(30))
+    re_ = element_rule(2, numkit.Precision.extended(30))
     td = refelem.tabulate_test_basis(basis, rd)
     te = refelem.tabulate_test_basis(basis, re_)
     assert np.allclose(numkit.as_complex128(te.eta).real, td.eta, atol=1e-15)
