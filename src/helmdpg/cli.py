@@ -155,11 +155,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd)
         for dest, (conv, _default) in spec.items():
             flag = "--" + dest.replace("_", "-")
-            kwargs = {"dest": dest, "default": None}
+            kwargs = {"dest": dest, "default": None, "type": conv}
             if conv is _bool:
-                kwargs["action"] = "store_true"
-            else:
-                kwargs["type"] = conv
+                # a bare --raw means yes; --raw=no overrides a config's yes
+                kwargs.update(nargs="?", const=True)
             choices = _CHOICES.get((cmd, dest))
             if choices is not None:
                 kwargs["choices"] = choices

@@ -20,14 +20,17 @@ Element routes.  :func:`element_kit`, the element behind the stencil,
 dispersion and mesh drivers, alone picks the element route; no caller
 above this module sets it.  It solves the Riesz problem in complex128 by QR
 of the weighted stack K with ``G = K^H K`` (Golub & Van Loan, Matrix
-Computations, sec. 5.3) and never forms G.  Its route follows the 1-norm
-estimate ``cond(R)^2`` of G's condition: double up to 1e16, the exact
-:func:`dpg_element` above it, and :class:`~helmdpg.errors.OutsideEnvelope`
-above 1e27, raised before any exact work.  ``cond(G)`` does not grow like
-``1/eps_n^2``: at r = 3, ``omega_n = pi/4`` it levels off at about 7.2e11
-as ``eps_n -> 0``, so ``eps_n = 0`` runs in double there, while small
-``omega_n`` at ``eps_n = 0`` (r = 3 at ``2*pi/64``: 6.6e22) takes the exact
-element and r = 4 at ``2*pi/64`` (4.9e29) is rejected.
+Computations, sec. 5.3) and never forms G.  K stacks the test basis' volume
+tables under the (r+2)-point Gauss rule; the right-hand side ``Bb`` is the
+closed form below rounded once to double, so both routes solve with one
+``Bb``.  The route follows the 1-norm estimate ``cond(R)^2`` of G's
+condition: double up to 1e16, the exact :func:`dpg_element` above it, and
+:class:`~helmdpg.errors.OutsideEnvelope` above 1e27, raised before any
+exact work.  ``cond(G)`` does not grow like ``1/eps_n^2``: at r = 3,
+``omega_n = pi/4`` it levels off at about 7.2e11 as ``eps_n -> 0``, so
+``eps_n = 0`` runs in double there, while small ``omega_n`` at
+``eps_n = 0`` (r = 3 at ``2*pi/64``: 6.6e22) takes the exact element and
+r = 4 at ``2*pi/64`` (4.9e29) is rejected.
 
 :func:`dpg_element` solves the normal equations ``G X = Bb`` exactly, in
 real arithmetic.  With the scalar test members multiplied by i (``U``) and
@@ -37,14 +40,15 @@ entry of ``G_R`` is a polynomial in ``omega_n`` and ``eps_n^2`` whose
 coefficients come from the exact 1D shifted-Legendre integrals of
 :func:`~helmdpg.refelem.legendre_integrals`, and ``Bb_R = P + omega_n Q``
 has a closed form from the end values and moments of the Legendre
-polynomials.  A double ``omega_n`` or ``eps_n`` is an exact dyadic
-rational, so ``G_R X_R = Bb_R`` is solved in :class:`fractions.Fraction`
-through the dtype-generic LDL^T kernel of :mod:`~helmdpg.numkit`, one block
-per reflection parity, with no quadrature and no rounding, and ``G``, ``Bb``, ``X`` and ``B`` are rounded
-once, with the phases applied, into the arithmetic that
-``params.precision`` names (30 digits by default).  The phases are 1 and
-+-i, so mapping back, ``G = U G_R U^H``, ``X = U X_R T^H`` and
-``B = T B_R T^H``, adds no error.
+polynomials, with exact P and Q cached per r (:func:`_load_parts`).  A
+double ``omega_n`` or ``eps_n`` is an exact dyadic rational, so
+``G_R X_R = Bb_R`` is solved in :class:`fractions.Fraction` through the
+dtype-generic LDL^T kernel of :mod:`~helmdpg.numkit`, one block per
+reflection parity, with no quadrature and no rounding, and ``G``, ``Bb``,
+``X`` and ``B`` are rounded once, with the phases applied, into the
+arithmetic that ``params.precision`` names (30 digits by default).  The
+phases are 1 and +-i, so mapping back, ``G = U G_R U^H``, ``X = U X_R T^H``
+and ``B = T B_R T^H``, adds no error.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .numkit import (
     tensor_rule,
     working_context,
 )
-from .refelem import EDGE_SIGNS, TRACE_EDGES, TRIAL_DIM
+from .refelem import TRIAL_DIM
 
 #: Gram condition estimate cond(R)^2 up to which the double QR Riesz solve
 #: is used: cond(R) up to 1e8, the square root of 1/u for the unit roundoff
@@ -134,32 +138,6 @@ class DpgElementMatrices:
     B: np.ndarray
 
 
-def _riesz_data(params: NormalizedParams):
-    """Double quadrature rule, test tabulation, A-images (a1, a2, a3) and ``Bb``."""
-    basis = refelem.build_test_basis(params.r)
-    rule = refelem.default_rule(params.r)
-    tab = refelem.tabulate_test_basis(basis, rule)
-    hats = refelem.tabulate_trial_edges(rule)
-    w = rule.weights
-    w1 = rule.weights_1d
-    a1, a2, a3 = conforming_a_images(tab, params.omega_n)
-
-    Bb = np.zeros((basis.dim, TRIAL_DIM), dtype=complex)
-    Bb[:, 0] = -(a1.conj() @ w)
-    Bb[:, 1] = -(a2.conj() @ w)
-    Bb[:, 2] = -(a3.conj() @ w)
-    for a in range(4):
-        col = None
-        for e in range(4):
-            contrib = tab.edge_vn[e] @ (w1 * hats.hat[a][e])
-            col = contrib if col is None else col + contrib
-        Bb[:, 3 + a] = col
-    for t, e in enumerate(TRACE_EDGES):
-        Bb[:, 7 + t] = EDGE_SIGNS[e] * (tab.edge_eta[e] @ w1)
-
-    return rule, tab, (a1, a2, a3), Bb
-
-
 def _test_phases(r: int) -> np.ndarray:
     """U: 1 on vector members, i on scalar members."""
     return np.where(refelem.build_test_basis(r).layout[0] == 2, 1j, 1)
@@ -200,18 +178,22 @@ def _real_gram(params: NormalizedParams) -> np.ndarray:
     return g + (eps * eps) * values
 
 
-def _real_load(params: NormalizedParams) -> np.ndarray:
-    """Exact real couplings ``Bb_R = U^H Bb T = P + omega_n Q``, as Fractions.
+@lru_cache(maxsize=None)
+def _load_parts(r: int):
+    """Closed-form parts of ``Bb_R = U^H Bb T = P + omega_n Q``: ``(P, Q, P64)``.
 
-    Each entry is a product of an x- and a y-integral of shifted Legendre
-    polynomials: ``int P_k = [k = 0]``, ``int P_k' = P_k(1) - P_k(0)`` with
-    ``P_k(1) = 1`` and ``P_k(0) = (-1)^k``, and the vertex hats' edge
-    moments ``int t P_k = ([k = 0] + [k = 1]/3)/2`` and
-    ``int (1 - t) P_k = ([k = 0] - [k = 1]/3)/2``.  Q holds the three
-    ``omega_n`` couplings of the field constants with the constant members.
+    Each entry of P is a product of an x- and a y-integral of shifted
+    Legendre polynomials: ``int P_k = [k = 0]``, ``int P_k' = P_k(1) -
+    P_k(0)`` with ``P_k(1) = 1`` and ``P_k(0) = (-1)^k``, and the vertex
+    hats' edge moments ``int t P_k = ([k = 0] + [k = 1]/3)/2`` and
+    ``int (1 - t) P_k = ([k = 0] - [k = 1]/3)/2``.  Q is 1 at the three
+    couplings of the field constants u1, u2, phi with the constant member
+    of their own component and 0 elsewhere, and P is 0 there.  P holds
+    ints and Fractions, Q ints, and ``P64`` is P correctly rounded to
+    double.  Cached per r and read-only.
     """
-    ks = range(params.r + 1)
-    kind, i, j = refelem.build_test_basis(params.r).layout
+    ks = range(r + 1)
+    kind, i, j = refelem.build_test_basis(r).layout
     end = np.array([[(-1) ** k for k in ks], [1 for k in ks]], dtype=object)  # P_k(v)
     mean = np.array([int(k == 0) for k in ks], dtype=object)  # int P_k
     jump = end[1] - end[0]  # int P_k'
@@ -219,20 +201,41 @@ def _real_load(params: NormalizedParams) -> np.ndarray:
     moment = np.array([[Fraction(3 * (k == 0) + s * (k == 1), 6) for k in ks] for s in (-1, 1)])
     sign = (-1, 1)  # outward normal sign on the edge x = v or y = v
     is_vx, is_vy, is_sc = (kind == c for c in range(3))
-    out = np.zeros((kind.size, TRIAL_DIM), dtype=object)
-    w = Fraction(params.omega_n)
-    out[:, 0] = np.where(is_vx, w * mean[i] * mean[j], np.where(is_sc, jump[i] * mean[j], 0))
-    out[:, 1] = np.where(is_vy, w * mean[i] * mean[j], np.where(is_sc, mean[i] * jump[j], 0))
-    out[:, 2] = np.where(is_sc, w * mean[i] * mean[j],
-                         np.where(is_vx, -jump[i] * mean[j], np.where(is_vy, -mean[i] * jump[j], 0)))
+    P = np.zeros((kind.size, TRIAL_DIM), dtype=object)
+    P[:, 0] = np.where(is_sc, jump[i] * mean[j], 0)
+    P[:, 1] = np.where(is_sc, mean[i] * jump[j], 0)
+    P[:, 2] = np.where(is_vx, -jump[i] * mean[j], np.where(is_vy, -mean[i] * jump[j], 0))
     for a, (va, vb) in enumerate(refelem.VERTICES_CCW):
-        out[:, 3 + a] = np.where(is_vx, sign[va] * end[va, i] * moment[vb, j],
-                                 np.where(is_vy, sign[vb] * end[vb, j] * moment[va, i], 0))
+        P[:, 3 + a] = np.where(is_vx, sign[va] * end[va, i] * moment[vb, j],
+                               np.where(is_vy, sign[vb] * end[vb, j] * moment[va, i], 0))
     # flux on bottom, top (y = v) and left, right (x = v) edges: -EDGE_SIGNS * int eta
     for t, (v, horizontal) in enumerate(((0, True), (1, True), (0, False), (1, False))):
         val = mean[i] * end[v, j] if horizontal else end[v, i] * mean[j]
-        out[:, 7 + t] = np.where(is_sc, -sign[v] * val, 0)
-    return out
+        P[:, 7 + t] = np.where(is_sc, -sign[v] * val, 0)
+    Q = np.zeros(P.shape, dtype=int)
+    constant = (i == 0) & (j == 0)
+    Q[constant & is_vx, 0] = Q[constant & is_vy, 1] = Q[constant & is_sc, 2] = 1
+    P64 = P.astype(float)
+    for m in (P, Q, P64):
+        m.setflags(write=False)
+    return P, Q, P64
+
+
+def _real_load(params: NormalizedParams) -> np.ndarray:
+    """Exact real couplings ``Bb_R = P + omega_n Q``, an array of Fractions."""
+    P, Q, _ = _load_parts(params.r)
+    return P + Fraction(params.omega_n) * Q
+
+
+def _double_load(params: NormalizedParams) -> np.ndarray:
+    """The QR route's ``Bb = U (P + omega_n Q) T^H`` in complex128.
+
+    Q is 1 where P is 0 and 0 elsewhere, so the double sum adds to each
+    entry of ``P64`` an exact zero or the exact ``omega_n``; with phases 1
+    and +-i, every entry is the closed form rounded once.
+    """
+    _, Q, P64 = _load_parts(params.r)
+    return (P64 + params.omega_n * Q) * np.outer(_test_phases(params.r), TRIAL_PHASES.conj())
 
 
 def dpg_element(params: NormalizedParams) -> DpgElementMatrices:
@@ -318,11 +321,13 @@ def condense(b: np.ndarray) -> CondensedElement:
 # ---------------------------------------------------------------------------
 
 
-def conforming_a_images(tab, omega_n: float):
+def conforming_a_images(tab: refelem.Tabulation, omega_n: float):
     """A-operator images (a1, a2, a3) of a tabulated basis, in double.
 
-    ``tab`` is a conforming or a test-space tabulation; both carry the
-    value, gradient and divergence tables used here.
+    ``tab`` is the one :class:`~helmdpg.refelem.Tabulation` type, of the
+    conforming pair (FOSLS) or of a test basis (the rows of the double QR
+    route's K).  Only volume tables enter: that route's couplings ``Bb``
+    are the closed form of :func:`_load_parts`, not a quadrature.
     """
     iw = complex(0, omega_n)
     a1 = iw * tab.vx + tab.eta_x
@@ -347,7 +352,7 @@ class FoslsElement:
     a1: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
-    tab: refelem.ConformingTabulation
+    tab: refelem.Tabulation
 
 
 def fosls_element(omega_n: float) -> FoslsElement:
@@ -423,16 +428,18 @@ def _qr_riesz(params: NormalizedParams):
     """Double Riesz solve by QR: ``(rule, tab, B, X, cond)``.
 
     With K the quadrature-weighted stack of the test basis' A-images and
-    eps_n-scaled values, G = K^H K = R^H R, so solving ``R^H Y = Bb`` gives
+    eps_n-scaled values, G = K^H K = R^H R, so solving ``R^H Y = Bb``, the
+    closed form of :func:`_double_load`, gives
     ``B = Y^H Y`` and ``X = R^{-1} Y`` without forming G, whose condition
     is the square of R's.  ``cond`` is the 1-norm ``cond(R)^2``; above
     ``DOUBLE_COND_LIMIT`` B and X are None, above ``ENVELOPE_COND_LIMIT``
     the element is rejected.
     """
-    rule, tab, images, Bb = _riesz_data(params)
+    rule = refelem.default_rule(params.r)
+    tab = refelem.tabulate_test_basis(refelem.build_test_basis(params.r), rule)
     sw = np.sqrt(rule.weights)[:, None]
     K = np.concatenate(
-        [sw * ac.T for ac in images]
+        [sw * ac.T for ac in conforming_a_images(tab, params.omega_n)]
         + [(params.eps_n * sw) * vc.T for vc in (tab.vx, tab.vy, tab.eta)]
     )
     R = np.linalg.qr(K, mode="r")
@@ -445,7 +452,7 @@ def _qr_riesz(params: NormalizedParams):
         )
     if cond > DOUBLE_COND_LIMIT:
         return rule, tab, None, None, cond
-    Y = np.linalg.solve(R.conj().T, Bb)
+    Y = np.linalg.solve(R.conj().T, _double_load(params))
     return rule, tab, Y.conj().T @ Y, np.linalg.solve(R, Y), cond
 
 

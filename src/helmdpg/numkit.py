@@ -161,15 +161,12 @@ class QuadratureRule:
     """Tensor Gauss-Legendre rule on the unit square [0,1]^2.
 
     ``points`` has shape (nq, 2) and ``weights`` shape (nq,); weights sum
-    to one.  ``nodes_1d``/``weights_1d`` expose the underlying 1D rule on
-    [0,1] for edge integrals.
+    to one.
     """
 
     n: int
     points: np.ndarray
     weights: np.ndarray
-    nodes_1d: np.ndarray
-    weights_1d: np.ndarray
 
 
 def gauss_legendre_1d(n: int):
@@ -217,7 +214,7 @@ def tensor_rule(n: int) -> QuadratureRule:
     """n x n tensor Gauss-Legendre rule on the unit square, x running fastest."""
     x, w = gauss_legendre_1d(n)
     pts = np.stack([np.tile(x, n), np.repeat(x, n)], axis=1)
-    return QuadratureRule(n, pts, np.outer(w, w).ravel(), x, w)
+    return QuadratureRule(n, pts, np.outer(w, w).ravel())
 
 
 # ---------------------------------------------------------------------------

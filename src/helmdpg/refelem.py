@@ -16,8 +16,13 @@ Edge conventions are global and fixed: horizontal edges carry the normal
 (0,1), vertical edges (1,0).  Relative to the outward normal of the element
 this gives sign +1 on top/right edges and -1 on bottom/left edges.
 
-Tabulations are plain numpy arrays in the precision of the quadrature rule
-supplied (float64 or mpmath objects); every function here is pure.
+Both bases are tabulated into one :class:`Tabulation`: values, gradients
+and divergences at a rule's volume points, plain numpy arrays in the
+precision of the points supplied (float64 or mpmath objects).  No edge
+tables are kept: the element couplings of trial traces and fluxes with the
+test space have a closed form (``localforms._load_parts``) built from
+:data:`VERTICES_CCW` and the end values of the Legendre polynomials.
+Every function here is pure.
 """
 
 from __future__ import annotations
@@ -108,16 +113,14 @@ def build_test_basis(r: int) -> TestSpaceBasis:
 
 
 @dataclass(frozen=True)
-class TestTabulation:
-    """Volume and edge tables for a test basis.
+class Tabulation:
+    """Volume tables of a basis at a rule's points, each of shape (dim, nq).
 
-    Volume arrays have shape (dim, nq): ``vx, vy, eta`` are component values,
-    ``eta_x, eta_y`` the scalar gradient, ``div`` the vector divergence.
-    Edge arrays have shape (4, dim, ne): ``edge_eta`` the scalar trace and
-    ``edge_vn`` the trace of v . n with n the *outward* element normal.
+    ``vx, vy, eta`` are the vector and scalar component values, ``eta_x,
+    eta_y`` the scalar gradient and ``div`` the vector divergence.  A test
+    basis and the conforming pair are tabulated alike.
     """
 
-    basis: TestSpaceBasis
     rule: QuadratureRule
     vx: np.ndarray
     vy: np.ndarray
@@ -125,8 +128,6 @@ class TestTabulation:
     eta_x: np.ndarray
     eta_y: np.ndarray
     div: np.ndarray
-    edge_eta: np.ndarray
-    edge_vn: np.ndarray
 
 
 def _volume_tables(basis: TestSpaceBasis, pts: np.ndarray):
@@ -146,41 +147,9 @@ def _volume_tables(basis: TestSpaceBasis, pts: np.ndarray):
     }
 
 
-def edge_points(edge: int, t: np.ndarray) -> np.ndarray:
-    """Map 1D parameter values t in [0,1] to points on a reference edge."""
-    zero, one = t * 0, t * 0 + 1
-    if edge == BOTTOM:
-        cols = (t, zero)
-    elif edge == TOP:
-        cols = (t, one)
-    elif edge == LEFT:
-        cols = (zero, t)
-    else:
-        cols = (one, t)
-    return np.stack(cols, axis=1)
-
-
-def tabulate_test_basis(basis: TestSpaceBasis, rule: QuadratureRule) -> TestTabulation:
-    """Tabulate a test basis at a rule's volume points and edge nodes."""
-    vol = _volume_tables(basis, rule.points)
-    t = rule.nodes_1d
-    edge_eta = np.full((4, basis.dim, len(t)), t[0] * 0)
-    edge_vn = edge_eta.copy()
-    for e in (BOTTOM, TOP, LEFT, RIGHT):
-        pts = edge_points(e, t)
-        tab = _volume_tables(basis, pts)
-        edge_eta[e] = tab["eta"]
-        # outward normals: bottom (0,-1), top (0,1), left (-1,0), right (1,0)
-        if e == BOTTOM:
-            edge_vn[e] = -tab["vy"]
-        elif e == TOP:
-            edge_vn[e] = tab["vy"]
-        elif e == LEFT:
-            edge_vn[e] = -tab["vx"]
-        else:
-            edge_vn[e] = tab["vx"]
-    return TestTabulation(basis, rule, vol["vx"], vol["vy"], vol["eta"],
-                          vol["eta_x"], vol["eta_y"], vol["div"], edge_eta, edge_vn)
+def tabulate_test_basis(basis: TestSpaceBasis, rule: QuadratureRule) -> Tabulation:
+    """Tabulate a test basis at a rule's volume points."""
+    return Tabulation(rule, **_volume_tables(basis, rule.points))
 
 
 @lru_cache(maxsize=None)
@@ -215,9 +184,6 @@ def legendre_integrals(r: int) -> np.ndarray:
 #: vertex traces CCW from the origin, bottom/top then left/right edge fluxes
 TRIAL_DIM = 11
 
-#: condensed-element edge order: trace index -> reference edge id
-TRACE_EDGES = (BOTTOM, TOP, LEFT, RIGHT)
-
 
 def vertex_hat(a: int, b: int, x: np.ndarray, y: np.ndarray):
     """Bilinear function that is 1 at vertex (a,b) and 0 at the others."""
@@ -234,56 +200,17 @@ def vertex_hat_gradient(a: int, b: int, x: np.ndarray, y: np.ndarray):
     return sx * fy, sy * fx
 
 
-@dataclass(frozen=True)
-class TrialEdgeTables:
-    """Vertex-hat traces on each reference edge at the rule's edge nodes.
-
-    ``hat[a][e]`` is the (ne,) array of values of vertex function a
-    (CCW order) along edge e.  Flux indicators need no table: they are 1 on
-    their own edge and enter forms through :data:`EDGE_SIGNS` only.
-    """
-
-    hat: tuple
-
-
-def tabulate_trial_edges(rule: QuadratureRule) -> TrialEdgeTables:
-    t = rule.nodes_1d
-    rows = []
-    for (a, b) in VERTICES_CCW:
-        per_edge = []
-        for e in (BOTTOM, TOP, LEFT, RIGHT):
-            pts = edge_points(e, t)
-            per_edge.append(vertex_hat(a, b, pts[:, 0], pts[:, 1]))
-        rows.append(tuple(per_edge))
-    return TrialEdgeTables(tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # conforming lowest-order pair (baselines)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConformingTabulation:
-    """Tables for the 8-function lowest-order conforming basis.
+def tabulate_conforming_basis(rule: QuadratureRule) -> Tabulation:
+    """Tabulate the RT-lowest x bilinear pair at volume points.
 
     Order matches the condensed trace layout: 4 vertex scalars (CCW), then
-    bottom/top horizontal-edge fluxes, then left/right vertical-edge fluxes.
-    Arrays have shape (8, nq); scalar rows have zero vector entries and
-    vice versa.
-    """
-
-    rule: QuadratureRule
-    vx: np.ndarray
-    vy: np.ndarray
-    eta: np.ndarray
-    eta_x: np.ndarray
-    eta_y: np.ndarray
-    div: np.ndarray
-
-
-def tabulate_conforming_basis(rule: QuadratureRule) -> ConformingTabulation:
-    """Tabulate the RT-lowest x bilinear pair at volume points.
+    bottom/top horizontal-edge fluxes, then left/right vertical-edge fluxes;
+    scalar rows have zero vector entries and vice versa.
 
     Edge-flux functions are normalized against the *global* edge normals:
     the bottom flux is (0, 1-y) so its (0,1)-component is 1 on the bottom
@@ -304,7 +231,7 @@ def tabulate_conforming_basis(rule: QuadratureRule) -> ConformingTabulation:
     vy[5], div[5] = y, one               # top
     vx[6], div[6] = 1 - x, -one          # left
     vx[7], div[7] = x, one               # right
-    return ConformingTabulation(rule, vx, vy, eta, eta_x, eta_y, div)
+    return Tabulation(rule, vx, vy, eta, eta_x, eta_y, div)
 
 
 def default_rule(r: int) -> QuadratureRule:

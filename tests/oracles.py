@@ -4,13 +4,17 @@ The physical-element assembly below integrates directly over the square
 [0, h]^2 (physical weights, chain-rule derivatives) instead of going through
 the normalized reference computation, so agreement with
 ``scale_to_physical(dpg_element(...), h)`` genuinely checks the scaling law
-rather than restating it.  :func:`quadrature_gram` is the complex test Gram
-by 2D tensor quadrature, against which the element's real Gram from 1D
-Legendre integrals is checked.  Both run in double on the package's rules or
-in mpmath on the extended Gauss rule of :func:`gauss_legendre_1d`, solving
-with :func:`hermitian_solve`.  :func:`min_eigenvalue_bound` certifies
-positive semidefiniteness by shifted factorizations, and
-:func:`tabulate_test_at` tabulates the test basis at arbitrary points.
+rather than restating it.  Its two halves are the second route to the
+element's exact parts: :func:`quadrature_gram`, the complex test Gram by 2D
+tensor quadrature, against which the real Gram from 1D Legendre integrals is
+checked, and :func:`quadrature_couplings`, the trial-test couplings by
+volume and edge quadrature (edge tables from :func:`edge_traces` and
+:func:`hat_traces`), against which the closed-form couplings are checked.
+Both run in double on the package's rules or in mpmath on the extended Gauss
+rule of :func:`gauss_legendre_1d`, solving with :func:`hermitian_solve`.
+:func:`min_eigenvalue_bound` certifies positive semidefiniteness by shifted
+factorizations, and :func:`tabulate_test_at` tabulates the test basis at
+arbitrary points.
 """
 
 import math
@@ -18,7 +22,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from helmdpg import refelem
+from helmdpg import numkit, refelem
 from helmdpg.errors import DimensionMismatch, NotHermitian
 from helmdpg.numkit import (
     Precision,
@@ -29,7 +33,10 @@ from helmdpg.numkit import (
     ldlh_solve,
     working_context,
 )
-from helmdpg.refelem import EDGE_SIGNS, TRACE_EDGES, TRIAL_DIM
+from helmdpg.refelem import BOTTOM, EDGE_SIGNS, LEFT, RIGHT, TOP, TRIAL_DIM
+
+#: reference edges in the order of the trial fluxes and the condensed traces
+EDGES = (BOTTOM, TOP, LEFT, RIGHT)
 
 DOUBLE = Precision.double()
 
@@ -73,14 +80,21 @@ def gauss_legendre_1d(n: int, digits: int):
     return nodes, weights
 
 
+def element_rule_1d(r: int, precision: Precision = DOUBLE):
+    """``(nodes, weights)`` of the (r+2)-point 1D Gauss rule on [0, 1] in ``precision``."""
+    if not precision.is_extended:
+        return numkit.gauss_legendre_1d(r + 2)
+    return gauss_legendre_1d(r + 2, precision.digits)
+
+
 def element_rule(r: int, precision: Precision = DOUBLE) -> QuadratureRule:
     """``refelem.default_rule(r)``, or the same (r+2)-point rule in ``precision``."""
     if not precision.is_extended:
         return refelem.default_rule(r)
     n = r + 2
-    x, w = gauss_legendre_1d(n, precision.digits)
+    x, w = element_rule_1d(r, precision)
     pts = np.stack([np.tile(x, n), np.repeat(x, n)], axis=1)
-    return QuadratureRule(n, pts, np.outer(w, w).ravel(), x, w)
+    return QuadratureRule(n, pts, np.outer(w, w).ravel())
 
 
 def require_hermitian(a: np.ndarray) -> None:
@@ -106,20 +120,33 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ldlh_solve(L, d, b)
 
 
-def quadrature_gram(omega_n: float, eps_n: float, r: int, precision: Precision = DOUBLE):
-    """Complex test Gram ``G[k, l] = (A v_l, A v_k) + eps_n^2 (v_l, v_k)``.
+def _physical_images(r: int, omega, h, precision: Precision):
+    """Rule, test tabulation and A-images on the square of side h.
 
-    Integrated by the (r+2)-point tensor Gauss rule over the unit square
-    from the tabulated test basis, in ``precision``.
+    Mapped basis values are unchanged and derivatives pick up 1/h.  Runs in
+    the caller's working context.
+    """
+    basis = refelem.build_test_basis(r)
+    rule = element_rule(r, precision)
+    tab = refelem.tabulate_test_basis(basis, rule)
+    hh = precision.real(h)
+    iw = 1j * precision.real(omega)
+    images = (iw * tab.vx + tab.eta_x / hh, iw * tab.vy + tab.eta_y / hh,
+              iw * tab.eta + tab.div / hh)
+    return basis, rule, tab, images, hh
+
+
+def quadrature_gram(omega, eps, r: int, precision: Precision = DOUBLE, h=1.0):
+    """Complex test Gram ``G[k, l] = (A v_l, A v_k) + eps^2 (v_l, v_k)``.
+
+    Integrated by the (r+2)-point tensor Gauss rule over the square
+    [0, h]^2 from the tabulated test basis, in ``precision``.  At h = 1 the
+    arguments are the normalized ``omega_n`` and ``eps_n``.
     """
     with working_context(precision):
-        basis = refelem.build_test_basis(r)
-        rule = element_rule(r, precision)
-        tab = refelem.tabulate_test_basis(basis, rule)
-        w = rule.weights
-        iw = 1j * precision.real(omega_n)
-        ee = precision.real(eps_n)
-        images = (iw * tab.vx + tab.eta_x, iw * tab.vy + tab.eta_y, iw * tab.eta + tab.div)
+        _, rule, tab, images, hh = _physical_images(r, omega, h, precision)
+        w = rule.weights * (hh * hh)
+        ee = precision.real(eps)
         G = None
         for ac in images:
             term = (ac.conj() * w[None, :]) @ ac.T
@@ -129,48 +156,74 @@ def quadrature_gram(omega_n: float, eps_n: float, r: int, precision: Precision =
     return G
 
 
+def edge_points(edge: int, t: np.ndarray) -> np.ndarray:
+    """Map 1D parameter values t in [0,1] to points on a reference edge."""
+    zero, one = t * 0, t * 0 + 1
+    cols = {BOTTOM: (t, zero), TOP: (t, one), LEFT: (zero, t), RIGHT: (one, t)}[edge]
+    return np.stack(cols, axis=1)
+
+
+def edge_traces(basis: refelem.TestSpaceBasis, t: np.ndarray):
+    """Test-basis traces ``(eta, vn)`` on the reference edges at parameters t.
+
+    Both have shape (4, dim, len(t)): ``eta[e]`` is the scalar trace on edge
+    e and ``vn[e]`` the trace of v . n with n the *outward* element normal,
+    (0,-1), (0,1), (-1,0) and (1,0) on bottom, top, left and right.
+    """
+    eta, vn = [], []
+    for e in EDGES:
+        tab = tabulate_test_at(basis, edge_points(e, t))
+        eta.append(tab["eta"])
+        vn.append(tab["vy" if e in (BOTTOM, TOP) else "vx"] * EDGE_SIGNS[e])
+    return np.stack(eta), np.stack(vn)
+
+
+def hat_traces(t: np.ndarray) -> np.ndarray:
+    """``hat[a, e]``: vertex function a (CCW) along reference edge e at parameters t."""
+    return np.stack([
+        np.stack([refelem.vertex_hat(a, b, *edge_points(e, t).T) for e in EDGES])
+        for a, b in refelem.VERTICES_CCW
+    ])
+
+
+def quadrature_couplings(omega, r: int, precision: Precision = DOUBLE, h=1.0):
+    """Trial-test couplings ``Bb[k, i] = b(e_i, v_k)`` by volume and edge quadrature.
+
+    The field constants pair with the A-images over the square [0, h]^2,
+    the vertex hats with the outward normal traces of the vector members
+    and the edge fluxes with the scalar traces, by the (r+2)-point Gauss
+    rule and its 1D nodes, in ``precision``.  At h = 1, ``omega`` is the
+    normalized ``omega_n``.
+    """
+    with working_context(precision):
+        basis, rule, _, images, hh = _physical_images(r, omega, h, precision)
+        w2 = rule.weights * (hh * hh)
+        t, w = element_rule_1d(r, precision)
+        w1 = w * hh
+        eta, vn = edge_traces(basis, t)
+        hats = hat_traces(t)
+        Bb = np.zeros((basis.dim, TRIAL_DIM), dtype=object if precision.is_extended else complex)
+        for c, ac in enumerate(images):
+            Bb[:, c] = -(ac.conj() @ w2)
+        for a in range(4):
+            col = None
+            for e in range(4):
+                contrib = vn[e] @ (w1 * hats[a, e])
+                col = contrib if col is None else col + contrib
+            Bb[:, 3 + a] = col
+        for t, e in enumerate(EDGES):
+            Bb[:, 7 + t] = precision.real(EDGE_SIGNS[e]) * (eta[e] @ w1)
+    return Bb
+
+
 def dpg_element_physical(omega: float, eps: float, h: float, r: int, precision: Precision = DOUBLE):
     """DPG element matrix B assembled on the physical square of side h.
 
     Returns the 11x11 matrix as complex128 (computed in ``precision``).
     """
     with working_context(precision):
-        basis = refelem.build_test_basis(r)
-        rule = element_rule(r, precision)
-        tab = refelem.tabulate_test_basis(basis, rule)
-        hats = refelem.tabulate_trial_edges(rule)
-        hh = precision.real(h)
-        w2 = rule.weights * (hh * hh)
-        w1 = rule.weights_1d * hh
-        iw = 1j * precision.real(omega)
-        ee = precision.real(eps)
-
-        # mapped basis values are unchanged; derivatives pick up 1/h
-        a1 = iw * tab.vx + tab.eta_x / hh
-        a2 = iw * tab.vy + tab.eta_y / hh
-        a3 = iw * tab.eta + tab.div / hh
-
-        G = None
-        for ac in (a1, a2, a3):
-            term = (ac.conj() * w2[None, :]) @ ac.T
-            G = term if G is None else G + term
-        for vc in (tab.vx, tab.vy, tab.eta):
-            G = G + (ee * ee) * ((vc * w2[None, :]) @ vc.T)
-
-        Bb = np.zeros((basis.dim, TRIAL_DIM), dtype=object if precision.is_extended else complex)
-        Bb[:, 0] = -(a1.conj() @ w2)
-        Bb[:, 1] = -(a2.conj() @ w2)
-        Bb[:, 2] = -(a3.conj() @ w2)
-        for a in range(4):
-            col = None
-            for e in range(4):
-                contrib = tab.edge_vn[e] @ (w1 * hats.hat[a][e])
-                col = contrib if col is None else col + contrib
-            Bb[:, 3 + a] = col
-        for t, e in enumerate(TRACE_EDGES):
-            Bb[:, 7 + t] = precision.real(EDGE_SIGNS[e]) * (tab.edge_eta[e] @ w1)
-
-        x = hermitian_solve(G, Bb)
+        Bb = quadrature_couplings(omega, r, precision, h)
+        x = hermitian_solve(quadrature_gram(omega, eps, r, precision, h), Bb)
         B = Bb.conj().T @ x
     return as_complex128(B)
 

@@ -199,6 +199,31 @@ def test_config_boolean_matches_flag(tmp_path, capsys):
     assert from_config == from_flag
 
 
+def test_flag_false_overrides_config_boolean(tmp_path, capsys):
+    cfgfile = tmp_path / "raw.cfg"
+    cfgfile.write_text("raw=yes\n")
+    code, plain = run_cli(["stencil-dump", "--method", "fem"], capsys)
+    assert code == 0 and "# raw=False" in plain
+    for flag in (["--raw=no"], ["--raw", "no"]):
+        code, out = run_cli(["stencil-dump", "--method", "fem", "--config", str(cfgfile), *flag], capsys)
+        assert code == 0
+        assert out == plain
+    cfgfile.write_text("no_baselines=yes\n")
+    args = ["eps-r-sweep", "--n-theta", "1", "--r", "2", "--eps", "1"]
+    code, plain = run_cli(args, capsys)
+    assert code == 0
+    code, out = run_cli([*args, "--config", str(cfgfile), "--no-baselines=false"], capsys)
+    assert code == 0
+    assert out == plain
+
+
+def test_bad_boolean_flag_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stencil-dump", "--raw=maybe"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_config_bad_boolean_usage_error(tmp_path, capsys):
     cfgfile = tmp_path / "raw.cfg"
     cfgfile.write_text("raw=maybe\n")

@@ -13,7 +13,13 @@ from helmdpg.errors import DimensionMismatch, InteriorBlockSingular, OutsideEnve
 from helmdpg.localforms import NormalizedParams
 from helmdpg.numkit import Precision, as_complex128, working_context
 
-from oracles import dpg_element_physical, max_abs, min_eigenvalue_bound, quadrature_gram
+from oracles import (
+    dpg_element_physical,
+    max_abs,
+    min_eigenvalue_bound,
+    quadrature_couplings,
+    quadrature_gram,
+)
 
 EXT30 = Precision.extended(30)
 
@@ -137,16 +143,38 @@ def test_real_gram_matches_quadrature_gram(r, omega_n, eps_n):
     assert max_abs(defect) <= 1e-28 * max_abs(ref)
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_real_load_matches_quadrature_couplings(r):
-    # the closed-form P + omega_n Q against the double quadrature Bb of the QR route
+    # the closed-form P + omega_n Q against 30-digit volume and edge quadrature
     params = NormalizedParams(1.3, 0.3, r)
     bb_real = lf._real_load(params)
-    assert all(isinstance(v, (int, Fraction)) for v in bb_real.ravel())
+    assert all(isinstance(v, Fraction) for v in bb_real.ravel())
     u = lf._test_phases(r)
-    bb = bb_real.astype(float) * np.outer(u, lf.TRIAL_PHASES.conj())
-    ref = lf._riesz_data(params)[3]
-    assert np.abs(bb - ref).max() <= 1e-14 * np.abs(ref).max()
+    ref = quadrature_couplings(1.3, r, EXT30)
+    with working_context(EXT30):
+        defect = numkit.rounded(bb_real, EXT30) * np.outer(u, lf.TRIAL_PHASES.conj()) - ref
+    assert max_abs(defect) <= 1e-28 * max_abs(ref)
+
+
+def test_load_parts_cached_and_read_only():
+    P, Q, P64 = lf._load_parts(3)
+    assert lf._load_parts(3)[0] is P
+    assert not any(m.flags.writeable for m in (P, Q, P64))
+    # Q: one 1 per field constant, on an entry where P is 0
+    assert Q.sum() == 3 and (Q[:, :3].sum(axis=0) == 1).all()
+    assert all(P[k, c] == 0 for k, c in zip(*np.nonzero(Q)))
+
+
+@pytest.mark.parametrize("omega_n,r", [(1.3, 2), (np.pi / 4, 3), (2 * np.pi / 64, 3), (0.1, 4), (np.pi / 4, 5)])
+def test_double_load_is_the_rounded_closed_form(omega_n, r):
+    # the QR route solves with the phases times the closed form rounded
+    # once, entry by entry; a double quadrature misses it by up to 1.3e-15
+    params = NormalizedParams(omega_n, 1e-6, r)
+    phases = np.outer(lf._test_phases(r), lf.TRIAL_PHASES.conj())
+    want = np.array([float(v) for v in lf._real_load(params).ravel()]).reshape(phases.shape) * phases
+    got = lf._double_load(params)
+    assert got.dtype == complex
+    assert (got == want).all()
 
 
 @pytest.mark.parametrize("r,omega_n", [(3, 2 * np.pi / 64), (3, 2 * np.pi / 128), (4, 2 * np.pi / 64)])

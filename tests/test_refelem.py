@@ -7,7 +7,7 @@ from helmdpg import numkit, refelem
 from helmdpg.errors import REnrichmentTooSmall
 from helmdpg.refelem import BOTTOM, LEFT, RIGHT, TOP
 
-from oracles import element_rule, tabulate_test_at
+from oracles import edge_points, edge_traces, element_rule, element_rule_1d, hat_traces, tabulate_test_at
 
 
 @pytest.mark.parametrize("r,expected", [(2, 21), (3, 40), (4, 65)])
@@ -68,23 +68,22 @@ def test_derivatives_match_finite_differences():
 
 def test_edge_normal_traces():
     basis = refelem.build_test_basis(2)
-    rule = refelem.default_rule(2)
-    tab = refelem.tabulate_test_basis(basis, rule)
-    t = rule.nodes_1d
+    t = numkit.gauss_legendre_1d(4)[0]
+    _, vn = edge_traces(basis, t)
     for k, (comp, i, j) in enumerate(basis.members):
         if comp == "sc":
-            assert np.allclose(tab.edge_vn[:, k, :], 0.0)
+            assert np.allclose(vn[:, k, :], 0.0)
         if comp == "vx":
             # vx functions have zero normal trace on horizontal edges
-            assert np.allclose(tab.edge_vn[BOTTOM, k], 0.0)
-            assert np.allclose(tab.edge_vn[TOP, k], 0.0)
+            assert np.allclose(vn[BOTTOM, k], 0.0)
+            assert np.allclose(vn[TOP, k], 0.0)
             # P_i(1) = 1 on the right edge, P_i(-1) = (-1)^i on the left
             vals, _ = refelem.shifted_legendre_table(max(i, j), t)
-            assert np.allclose(tab.edge_vn[RIGHT, k], vals[j])
-            assert np.allclose(tab.edge_vn[LEFT, k], -((-1.0) ** i) * vals[j])
+            assert np.allclose(vn[RIGHT, k], vals[j])
+            assert np.allclose(vn[LEFT, k], -((-1.0) ** i) * vals[j])
         if comp == "vy":
-            assert np.allclose(tab.edge_vn[LEFT, k], 0.0)
-            assert np.allclose(tab.edge_vn[RIGHT, k], 0.0)
+            assert np.allclose(vn[LEFT, k], 0.0)
+            assert np.allclose(vn[RIGHT, k], 0.0)
 
 
 def test_edge_sign_convention():
@@ -101,15 +100,14 @@ def test_vertex_hats_are_nodal():
 
 
 def test_trial_edge_tables_linear():
-    rule = refelem.default_rule(2)
-    tables = refelem.tabulate_trial_edges(rule)
-    t = rule.nodes_1d
+    t = numkit.gauss_legendre_1d(4)[0]
+    hats = hat_traces(t)
     # vertex (0,0): along bottom edge equals 1-t, along top edge 0
-    assert np.allclose(tables.hat[0][BOTTOM], 1 - t)
-    assert np.allclose(tables.hat[0][TOP], 0.0)
+    assert np.allclose(hats[0, BOTTOM], 1 - t)
+    assert np.allclose(hats[0, TOP], 0.0)
     # vertex (1,1): right edge equals t, left edge 0
-    assert np.allclose(tables.hat[2][RIGHT], t)
-    assert np.allclose(tables.hat[2][LEFT], 0.0)
+    assert np.allclose(hats[2, RIGHT], t)
+    assert np.allclose(hats[2, LEFT], 0.0)
 
 
 def test_conforming_basis_flux_normalization():
@@ -153,9 +151,9 @@ def test_volume_tables_match_member_loop(r, extended):
     kind, deg_x, deg_y = basis.layout
     assert not basis.layout.flags.writeable
     assert [(("vx", "vy", "sc")[k], i, j) for k, i, j in zip(kind, deg_x, deg_y)] == list(basis.members)
-    rule = element_rule(r, numkit.Precision.extended(30) if extended else numkit.Precision.double())
+    precision = numkit.Precision.extended(30) if extended else numkit.Precision.double()
     # volume points, and the left edge, where every x is an exact zero
-    for pts in (rule.points, refelem.edge_points(LEFT, rule.nodes_1d)):
+    for pts in (element_rule(r, precision).points, edge_points(LEFT, element_rule_1d(r, precision)[0])):
         got = refelem._volume_tables(basis, pts)
         for name, want in _volume_tables_by_member(basis, pts).items():
             assert got[name].dtype == want.dtype
@@ -170,5 +168,7 @@ def test_extended_tabulation_matches_double():
     te = refelem.tabulate_test_basis(basis, re_)
     assert np.allclose(numkit.as_complex128(te.eta).real, td.eta, atol=1e-15)
     assert np.allclose(numkit.as_complex128(te.div).real, td.div, atol=1e-13)
-    assert np.allclose(numkit.as_complex128(te.edge_vn.reshape(4 * basis.dim, -1)).real,
-                       td.edge_vn.reshape(4 * basis.dim, -1), atol=1e-14)
+    vn_e, vn_d = (edge_traces(basis, element_rule_1d(2, p)[0])[1]
+                  for p in (numkit.Precision.extended(30), numkit.Precision.double()))
+    assert np.allclose(numkit.as_complex128(vn_e.reshape(4 * basis.dim, -1)).real,
+                       vn_d.reshape(4 * basis.dim, -1), atol=1e-14)
