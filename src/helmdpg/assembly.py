@@ -7,12 +7,16 @@ stencil patches use too: vertices first, then horizontal-edge midpoints,
 then vertical-edge midpoints.  Its ``(n*n, 8)`` element table drives
 assembly, the load scatter and the recovery as array operations.
 Dirichlet data constrains boundary vertex values only; edge fluxes stay
-unknowns everywhere.  The free DOFs are numbered once per mesh size in
-geometric nested-dissection order of that lattice, and SuperLU factors the
-Hermitian positive definite reduced system in symmetric mode in exactly
-that order.  After the trace solve the element interiors are
-recovered from the stored Schur data, and errors are measured by
-quadrature against a supplied exact solution.
+unknowns everywhere.  The trace system is Hermitian positive definite and
+real up to a diagonal phase: ``A = P A_R P^H``, with ``A_R`` real symmetric
+positive definite and ``P`` the trial phases of the trace DOFs (1 on vertex
+traces, -i on fluxes).  The free DOFs are numbered once per mesh size in
+geometric nested-dissection order of that lattice, ``A_R`` is assembled in
+float64 in that numbering, and SuperLU builds one real factor of it, in
+symmetric mode and in exactly that order, for both methods.  After the
+trace solve the element interiors are recovered from the stored Schur
+data, and errors are measured by quadrature against a supplied exact
+solution.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import localforms, refelem, stencil
-from .errors import BCInconsistent, MeshTooSmall, OutsideEnvelope, SolveFailure
+from .errors import BCInconsistent, MeshTooSmall, OutsideEnvelope, PhaseMismatch, SolveFailure
 from .localforms import NormalizedParams
 from .numkit import single_thread_blas, tensor_rule
 
@@ -37,6 +41,11 @@ single_thread_blas()
 
 RESIDUAL_RTOL = 1e-10
 REFINEMENT_STEPS = 2
+#: bound on max|Im(T_t^H E T_t)| / max|E| for a trace element E.  Rounding
+#: of the double QR route reads up to 1.6e-11 (r = 4, omega_n = 0.60,
+#: eps_n = 6e-7, cond 4.1e15); the exact route and the FOSLS element read 0
+#: and a wrong phase O(1)
+PHASE_RTOL = 1e-8
 ERROR_QUAD_1D = 6
 RESONANCE_OMEGA = np.pi * np.sqrt(2.0)
 
@@ -304,11 +313,21 @@ def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
                        g: np.ndarray):
     """Fix the boundary vertex traces to ``g`` and solve for the rest.
 
-    The free DOFs are numbered in the nested-dissection order of
-    :func:`_free_order`, and the reduced Hermitian positive definite system
-    is assembled straight into that numbering.  SuperLU factors it in
-    symmetric mode, which prefers diagonal pivots, and keeps the column
-    order as given (``NATURAL``), so the dissection sets the fill.  If the
+    The trace element ``E`` is Hermitian and real up to the trial phases
+    ``T_t = TRIAL_PHASES[3:]`` (1 on vertex traces, -i on fluxes), so the
+    global matrix is ``A = P A_R P^H``, with ``P`` those phases per DOF and
+    ``A_R`` real symmetric positive definite.  The real element
+    ``E_R = T_t^H E T_t`` is formed here once; an imaginary part above
+    ``PHASE_RTOL * max|E|`` is a defect and raises :class:`PhaseMismatch`.
+    ``A_R`` is assembled in float64 straight into the nested-dissection
+    numbering of :func:`_free_order`, and SuperLU factors it once in
+    symmetric mode, which keeps a diagonal pivot wherever it is the largest
+    in its column, and in the column order given (``NATURAL``), so the
+    dissection sets the fill.  Boundary vertices have ``P = 1``, so ``g``
+    enters as is: the real and imaginary parts of
+    ``P^H b_f - A_R[:, fixed] g`` are solved as one two-column right-hand
+    side ``Y``, and the free traces are ``P Y``.  P is unitary, so the
+    residual of the real system is that of the complex one.  If the
     relative residual misses the contract, iterative refinement retries a
     bounded number of times before the solve is declared failed.  Returns
     the full trace vector, the relative residual, the factor fill and the
@@ -323,26 +342,38 @@ def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
         )
     if not np.all(np.isfinite(g)):
         raise BCInconsistent("boundary values contain non-finite entries")
+    t = localforms.TRIAL_PHASES[3:]
+    e_r = t.conj()[:, None] * element * t
+    imag, scale = np.max(np.abs(e_r.imag)), np.max(np.abs(element))
+    if imag > PHASE_RTOL * scale:
+        raise PhaseMismatch(
+            f"trace element is not real under the trial phases: max |Im E_R| "
+            f"{imag:.2e} against max |E| {scale:.2e}"
+        )
     order = _free_order(mesh.n)
     nf = len(order)
     number = np.empty(mesh.n_dofs, dtype=int)
     number[order] = np.arange(nf)
     number[fixed] = nf + np.arange(len(fixed))
-    a = _assemble(number[mesh.dofs], element, mesh.n_dofs)
+    phase = np.empty(mesh.n_dofs, dtype=complex)
+    phase[mesh.dofs] = t
+    p_f = phase[order]
+    a = _assemble(number[mesh.dofs], e_r.real, mesh.n_dofs)
     a_ff = a[:nf, :nf]
-    b_f = b[order] - a[:nf, nf:] @ g
+    rhs = p_f.conj() * b[order] - a[:nf, nf:] @ g
+    b_f = np.column_stack([rhs.real, rhs.imag])
     del a  # only a_ff is needed while the factor is built
     try:
         lu = spla.splu(a_ff, permc_spec="NATURAL", options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolveFailure(f"sparse factorization failed: {exc}") from exc
-    x_f = lu.solve(b_f)
+    y = lu.solve(b_f)
     norm_b = np.linalg.norm(b_f)
-    resid = np.linalg.norm(b_f - a_ff @ x_f)
+    resid = np.linalg.norm(b_f - a_ff @ y)
     steps = 0
     while steps < REFINEMENT_STEPS and resid > RESIDUAL_RTOL * max(norm_b, 1e-300):
-        x_f = x_f + lu.solve(b_f - a_ff @ x_f)
-        resid = np.linalg.norm(b_f - a_ff @ x_f)
+        y = y + lu.solve(b_f - a_ff @ y)
+        resid = np.linalg.norm(b_f - a_ff @ y)
         steps += 1
     rel = resid / norm_b if norm_b > 0 else resid
     if norm_b > 0 and rel > RESIDUAL_RTOL:
@@ -351,7 +382,7 @@ def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
             f"{RESIDUAL_RTOL:.1e} (system size {nf})"
         )
     x = np.zeros(mesh.n_dofs, dtype=complex)
-    x[order] = x_f
+    x[order] = p_f * (y[:, 0] + 1j * y[:, 1])
     x[fixed] = g
     return x, rel, lu.nnz, steps
 

@@ -303,7 +303,11 @@ def _cmd_solve(cfg: dict, out: _CsvOut):
         rep.method, rep.n, rep.omega, rep.eps, rep.r, cfg["exact"],
         rep.e_r, rep.a, rep.ratio, rep.residual_rel,
     )
-    print(f"wall time: {rep.wall_time:.3f}s", file=sys.stderr)
+    print(
+        f"wall time: {rep.wall_time:.3f}s fill_nnz: {rep.fill_nnz} "
+        f"refinement_steps: {rep.refinement_steps}",
+        file=sys.stderr,
+    )
 
 
 def _cmd_resonance(cfg: dict, out: _CsvOut):

@@ -55,6 +55,10 @@ class MissingValue(HelmDpgError):
     """A grid function lacks a value required by the stencil support."""
 
 
+class PhaseMismatch(HelmDpgError):
+    """A trace element is not real up to the trial phases: a defect, not a parameter."""
+
+
 class OutsideEnvelope(HelmDpgError):
     """Element parameters whose Gram condition estimate exceeds the supported envelope."""
 

@@ -8,14 +8,22 @@ reimplementation, and exactness of boundary traces on imposed vertices.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from helmdpg import assembly, localforms, stencil
-from helmdpg.errors import BCInconsistent, MeshTooSmall, SolveFailure
+from helmdpg.errors import (
+    BCInconsistent,
+    MeshTooSmall,
+    OutsideEnvelope,
+    PhaseMismatch,
+    SolveFailure,
+)
 from helmdpg.numkit import tensor_rule
 
 
@@ -320,6 +328,94 @@ def test_solve_failure_when_refinement_cannot_converge(monkeypatch):
     with pytest.raises(SolveFailure, match="exceeds contract"):
         assembly.solve_dpg(assembly.build_mesh(4), 2.0, 1e-2, 2,
                            assembly.manufactured_solution(2.0))
+
+
+@pytest.mark.parametrize("method", ["dpg", "fosls"])
+def test_trace_system_is_factored_in_real_arithmetic(method, monkeypatch):
+    dtypes = []
+    splu = spla.splu
+
+    def recording_splu(a, *args, **kw):
+        dtypes.append(a.dtype)
+        return splu(a, *args, **kw)
+
+    monkeypatch.setattr(assembly.spla, "splu", recording_splu)
+    rep = assembly.solve_method(method, assembly.build_mesh(6), 2.0,
+                                assembly.manufactured_solution(2.0), eps=1e-2, r=3)
+    assert dtypes == [np.float64]
+    assert rep.trace.dtype == complex and rep.residual_rel <= assembly.RESIDUAL_RTOL
+
+
+def _hermitian_vertex_skew(element, size):
+    # a Hermitian part coupling two vertex traces, whose phases are both 1:
+    # it stays complex under the trial phases
+    skew = np.zeros((8, 8), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1j, -1j
+    return element + size * np.max(np.abs(element)) * skew
+
+
+def test_phase_check_passes_fosls_and_rejects_a_non_phase_part():
+    m = assembly.build_mesh(4)
+    omega = 2.0
+    M = localforms.fosls_element(omega * m.h).M
+    t = localforms.TRIAL_PHASES[3:]
+    assert np.max(np.abs((t.conj()[:, None] * M * t).imag)) == 0.0
+    b = np.zeros(m.n_dofs, dtype=complex)
+    g = assembly.dirichlet_values(m, assembly.plane_wave(omega, 0.3))
+    assembly._constrained_solve(m, M, b, g)
+    with pytest.raises(PhaseMismatch, match="not real under the trial phases"):
+        assembly._constrained_solve(m, _hermitian_vertex_skew(M, 1e-6), b, g)
+
+
+def test_resonance_sweep_does_not_swallow_a_phase_mismatch(monkeypatch):
+    assert not issubclass(PhaseMismatch, (SolveFailure, OutsideEnvelope))
+    kit = localforms.element_kit
+
+    def skewed_kit(params):
+        k = kit(params)
+        return replace(k, S=_hermitian_vertex_skew(k.S, 1e-6))
+
+    monkeypatch.setattr(localforms, "element_kit", skewed_kit)
+    with pytest.raises(PhaseMismatch):
+        assembly.resonance_sweep([3.5], (1e-2,), n=4, r=2)
+
+
+def _refined_dense_solve(a, b):
+    """Dense LU solve of ``a x = b`` refined on residuals in long double,
+    which leaves the factor's rounding out of the solution."""
+    lu = scipy.linalg.lu_factor(a)
+    x = scipy.linalg.lu_solve(lu, b).astype(np.clongdouble)
+    a_l, b_l = a.astype(np.clongdouble), b.astype(np.clongdouble)
+    for _ in range(4):
+        x = x + scipy.linalg.lu_solve(lu, (b_l - a_l @ x).astype(complex))
+    return x.astype(complex)
+
+
+def test_plane_wave_trace_matches_the_30_digit_element(monkeypatch):
+    # a second route to the element: the same plane wave (its data f is
+    # exactly zero) on the kit's 30-digit element, solved densely and
+    # refined; the trace system has condition 2e9 here, so two double
+    # factorizations of it differ by about 1e-9 in their rounding alone
+    n, omega, eps, r, theta = 16, 2 * np.pi, 1e-6, 3, np.pi / 8
+    params = localforms.NormalizedParams(omega / n, eps / n, r)
+    rep = assembly.plane_wave_demo("dpg", theta, n=n, omega=omega, eps=eps, r=r).report
+    assert not localforms.element_kit(params).precision_used.is_extended
+    # a zero limit sends every element down the kit's 30-digit fallback
+    monkeypatch.setattr(localforms, "DOUBLE_COND_LIMIT", 0.0)
+    localforms.element_kit.cache_clear()
+    try:
+        kit = localforms.element_kit(params)
+    finally:
+        localforms.element_kit.cache_clear()
+    assert kit.precision_used.is_extended
+    m = assembly.build_mesh(n)
+    a = assembly._assemble_global(m, m.h**2 * kit.S).toarray()
+    fixed = m.boundary_vertex_ids()
+    free = np.setdiff1d(np.arange(m.n_dofs), fixed)
+    g = assembly.dirichlet_values(m, assembly.plane_wave(omega, theta))
+    x_f = _refined_dense_solve(a[np.ix_(free, free)], -a[np.ix_(free, fixed)] @ g)
+    err = np.linalg.norm(rep.trace[free] - x_f) / np.linalg.norm(x_f)
+    assert err <= 1e-9
 
 
 def test_zero_data_zero_solution():

@@ -147,6 +147,21 @@ def test_solve_fosls_empty_optional_cells(capsys):
     assert float(cells[9]) <= 1e-10
 
 
+def test_solve_reports_fill_and_refinement_on_stderr(capsys):
+    code = cli.main(["solve", "--n", "4", "--omega", "2.0", "--r", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    rep = assembly.solve_method("dpg", assembly.build_mesh(4), 2.0,
+                                assembly.manufactured_solution(2.0), eps=1e-2, r=2)
+    line = captured.err.strip()
+    assert line.startswith("wall time: ")
+    assert line.endswith(f" fill_nnz: {rep.fill_nnz} refinement_steps: {rep.refinement_steps}")
+    assert "fill_nnz" not in captured.out and "wall time" not in captured.out
+    header, rows = data_rows(captured.out)
+    assert header == "method,n,omega,eps,r,exact,e_r,a,ratio,residual_rel"
+    assert len(rows) == 1
+
+
 def test_plane_wave_row_matches_library(capsys):
     code, out = run_cli(["plane-wave", "--n", "16"], capsys)
     assert code == 0
