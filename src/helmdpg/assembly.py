@@ -1,22 +1,22 @@
 """Global solves on uniform square meshes of the unit square.
 
 Every element contributes the same condensed matrix, scaled by the mesh
-size, so global assembly is a scatter of one dense block over the lattice
-numbering of :func:`helmdpg.stencil.lattice`, the one numbering the
-stencil patches use too: vertices first, then horizontal-edge midpoints,
-then vertical-edge midpoints.  Its ``(n*n, 8)`` element table drives
-assembly, the load scatter and the recovery as array operations.
-Dirichlet data constrains boundary vertex values only; edge fluxes stay
-unknowns everywhere.  The trace system is Hermitian positive definite and
-real up to a diagonal phase: ``A = P A_R P^H``, with ``A_R`` real symmetric
-positive definite and ``P`` the trial phases of the trace DOFs (1 on vertex
-traces, -i on fluxes).  The free DOFs are numbered once per mesh size in
-geometric nested-dissection order of that lattice, ``A_R`` is assembled in
-float64 in that numbering, and SuperLU builds one real factor of it, in
-symmetric mode and in exactly that order, for both methods.  After the
-trace solve the element interiors are recovered from the stored Schur
-data, and errors are measured by quadrature against a supplied exact
-solution.
+size, on the lattice numbering of :func:`helmdpg.stencil.lattice`, the one
+numbering the stencil patches use too: vertices first, then
+horizontal-edge midpoints, then vertical-edge midpoints.  Its ``(n*n, 8)``
+element table drives the load scatter, products with the trace matrix and
+the recovery as array operations; no global matrix is formed.  Dirichlet
+data constrains boundary vertex values only; edge fluxes stay unknowns
+everywhere.  The trace system is Hermitian positive definite and real up
+to a diagonal phase: ``A = P A_R P^H``, with ``A_R`` real symmetric
+positive definite and ``P`` the trial phases of the trace DOFs (1 on
+vertex traces, -i on fluxes).  ``A_R`` is also translation-invariant, so
+in a geometric nested dissection of the mesh into boxes every box of one
+shape has the same Schur complement: the solve takes one dense LAPACK
+Cholesky factor per box shape, O(log n) of them, for both methods, and
+runs all boxes of one shape as one block.  After the trace solve the
+element interiors are recovered from the stored Schur data, and errors
+are measured by quadrature against a supplied exact solution.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg  # noqa: F401  unused; bench/spans.py patches its splu in traced runs
+from scipy.linalg import blas, lapack
 
 from . import localforms, refelem, stencil
 from .errors import BCInconsistent, MeshTooSmall, OutsideEnvelope, PhaseMismatch, SolveFailure
@@ -224,65 +224,246 @@ def dirichlet_values(mesh: Mesh, exact: ExactSolution) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# global assembly and the constrained solve
+# the trace solve: nested dissection with one factor per box shape
 # ---------------------------------------------------------------------------
 
 
-def _assemble(dofs: np.ndarray, element: np.ndarray, ndof: int) -> sp.csc_matrix:
-    """Sum one dense block per row of the element table ``dofs``."""
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    vals = np.tile(element.ravel(), len(dofs))
-    return sp.csc_matrix((vals, (rows, cols)), shape=(ndof, ndof))
+def _halves(boxes: np.ndarray):
+    """The two children of each box row ``(x0, y0, w, h)``, in two arrays.
+
+    Row ``(x0, y0, w, h)`` is a box of w x h elements whose first element
+    is (x0, y0).  It splits along its longer side (x on a tie) at the
+    vertex line ``w // 2`` (or ``h // 2``) elements in, the middle line or
+    the lower one of two; no element straddles a vertex line, so the line
+    decouples the two halves.
+    """
+    x0, y0, w, h = boxes.T
+    a = np.where(w >= h, w // 2, 0)
+    b = np.where(w >= h, 0, h // 2)
+    first = np.column_stack([x0, y0, np.where(a > 0, a, w), np.where(a > 0, h, b)])
+    return first, np.column_stack([x0 + a, y0 + b, w - a, h - b])
 
 
-def _assemble_global(mesh: Mesh, element: np.ndarray) -> sp.csc_matrix:
-    """The global matrix in the lattice numbering, before any constraint."""
-    return _assemble(mesh.dofs, element, mesh.n_dofs)
+def _box_levels(n: int) -> list[np.ndarray]:
+    """The nested-dissection box tree of an n x n mesh, one array per depth.
+
+    Geometric nested dissection of the lattice (George, SIAM J. Numer.
+    Anal. 1973): the root is the whole mesh, every box with a vertex line
+    inside splits by :func:`_halves`, and 1 x 1 boxes are leaves.
+    """
+    boxes = np.array([[0, 0, n, n]])
+    levels = []
+    while len(boxes):
+        levels.append(boxes)
+        boxes = np.concatenate(_halves(boxes[np.maximum(boxes[:, 2], boxes[:, 3]) >= 2]))
+    return levels
+
+
+def _split(w: int, h: int):
+    """A w x h box's two child shapes, the second one's doubled offset and
+    the doubled positions strictly inside its split line."""
+    first, second = (c[0] for c in _halves(np.array([[0, 0, w, h]])))
+    offset = 2 * second[:2]
+    if offset[0]:
+        line = np.column_stack([np.full(2 * h - 1, offset[0]), np.arange(1, 2 * h)])
+    else:
+        line = np.column_stack([np.arange(1, 2 * w), np.full(2 * w - 1, offset[1])])
+    return (tuple(first[2:].tolist()), tuple(second[2:].tolist())), offset, line
+
+
+def _perimeter(w: int, h: int) -> np.ndarray:
+    """Doubled positions on the boundary of a w x h box, sorted by (y, x).
+
+    These are the box's boundary DOFs: vertices where both coordinates are
+    even, edge midpoints where one is odd.
+    """
+    x, y = np.meshgrid(np.arange(2 * w + 1), np.arange(2 * h + 1))
+    on = (x == 0) | (x == 2 * w) | (y == 0) | (y == 2 * h)
+    return np.column_stack([x[on], y[on]])
+
+
+@dataclass(frozen=True)
+class _Group:
+    """All boxes of one shape, which share one factor.
+
+    A box's block lists ``inner`` DOFs (eliminated at this box), then
+    ``outer`` ones (the rows of its Schur complement): for every box but
+    the root, its split line and its perimeter.  The root also eliminates
+    its free perimeter DOFs, the edge fluxes, and leaves out the boundary
+    vertices, whose values are moved to the right-hand side before the
+    solve.  ``picks`` gives, per child, the place of each block DOF on
+    that child's perimeter, or the perimeter's length where the child does
+    not hold it.  ``inner`` holds global ids, one column per box, of the
+    boxes whose first elements are ``origins``; ``places`` holds where the
+    two parts of each ``outer`` DOF sit in a flattened ``(ndof, 2)`` block,
+    ``(len(outer), boxes, 2)``.  Both are int32, to keep the cache small.
+    """
+
+    shape: tuple[int, int]
+    children: tuple[tuple[int, int], tuple[int, int]]
+    picks: tuple[np.ndarray, np.ndarray]
+    origins: np.ndarray
+    inner: np.ndarray
+    places: np.ndarray
+
+    @property
+    def outer(self) -> np.ndarray:
+        """Global ids of the outer DOFs, one column per box."""
+        return self.places[..., 0] // 2
+
+
+@dataclass(frozen=True)
+class _Topology:
+    """Element-independent layout of the trace solve of one mesh size.
+
+    ``groups`` lists every shape with a split line, children before
+    parents, so the root comes last; ``leaf`` gives the condensed slot of
+    each perimeter point of the 1 x 1 box.
+    """
+
+    groups: tuple[_Group, ...]
+    leaf: np.ndarray
+
+
+def _group(shape, origins, ids, is_root) -> _Group:
+    """The group of the boxes of ``shape`` at ``origins``; ``ids`` maps
+    doubled positions to global DOF ids."""
+    w, h = shape
+    children, offset, line = _split(w, h)
+    per = _perimeter(w, h)
+    if is_root:
+        inner, outer = np.concatenate([line, per[(per[:, 0] | per[:, 1]) % 2 == 1]]), per[:0]
+    else:
+        inner, outer = line, per
+    block = tuple(np.concatenate([inner, outer]).T)
+    picks = []
+    for child, o in zip(children, ((0, 0), offset)):
+        cper = _perimeter(*child)
+        local = np.full((2 * w + 1, 2 * h + 1), len(cper))
+        local[tuple((cper + o).T)] = np.arange(len(cper))
+        picks.append(local[block])
+
+    def gather(pts):
+        return ids[2 * origins[:, 0] + pts[:, :1], 2 * origins[:, 1] + pts[:, 1:]]
+
+    places = 2 * gather(outer)[..., None] + np.array([0, 1], dtype=np.int32)
+    return _Group(shape, children, tuple(picks), origins, gather(inner), places)
 
 
 @lru_cache(maxsize=8)
-def _free_order(n: int) -> np.ndarray:
-    """The free trace DOFs of an n x n mesh in nested-dissection order.
+def _topology(n: int) -> _Topology:
+    """The box tree of an n x n mesh grouped by shape, with global DOF ids.
 
-    Geometric nested dissection of the lattice (George, SIAM J. Numer.
-    Anal. 1973), on ``stencil.lattice``'s doubled positions: a box is split
-    along its longer side (x on a tie) by the vertex line nearest its
-    middle, the lower one of two.  The separator holds that line's vertex
-    and edge DOFs; no element straddles a vertex line, so it decouples the
-    two halves.  The lower half comes first, then the upper half, then the
-    separator.  A box with no vertex line strictly inside is a leaf.  Each
-    leaf and each separator is sorted by (y, x).
-
-    Every DOF carries its box's bounds and a base-3 path key (0 lower,
-    1 upper, 2 separator), padded with 0 once it lands in a separator or a
-    leaf, so one sort by (key, y, x) lists the recursion's order.  The
-    result is read-only, as the cache hands it to every caller.
+    The tree is built level by level as arrays (:func:`_box_levels`); the
+    ids come from ``stencil.lattice``'s doubled positions.  Boxes of one
+    shape have the same subtree, so ordering shapes by subtree height puts
+    every box after all of its descendants.
     """
     ndof, _, pos2 = stencil.lattice(n)
-    free = np.setdiff1d(np.arange(ndof), _boundary_vertices(pos2, n))
-    xy = pos2[free]
-    rows = np.arange(len(free))
-    lo = np.zeros_like(xy)
-    hi = np.full_like(xy, 2 * n)
-    key = np.zeros(len(free), dtype=np.int64)
-    live = np.ones(len(free), dtype=bool)
-    while live.any():
-        ext = hi - lo
-        axis = (ext[:, 1] > ext[:, 0]).astype(int)
-        a, b = lo[rows, axis], hi[rows, axis]
-        s = a + 2 * ((b - a) // 4)
-        c = xy[rows, axis]
-        split = live & (b - a >= 4)
-        digit = np.where(split, np.where(c < s, 0, np.where(c > s, 1, 2)), 0)
-        key = 3 * key + digit
-        low, up = split & (digit == 0), split & (digit == 1)
-        hi[rows[low], axis[low]] = s[low]
-        lo[rows[up], axis[up]] = s[up]
-        live = low | up
-    order = free[np.lexsort((xy[:, 0], xy[:, 1], key))]
-    order.flags.writeable = False
-    return order
+    ids = np.full((2 * n + 1, 2 * n + 1), -1, dtype=np.int32)
+    ids[tuple(pos2.T)] = np.arange(ndof)
+    boxes = np.concatenate(_box_levels(n))
+    boxes = boxes[np.maximum(boxes[:, 2], boxes[:, 3]) >= 2]
+    keys, which = np.unique(boxes[:, 2] * (n + 1) + boxes[:, 3], return_inverse=True)
+    height = {(1, 1): 0}
+
+    def climb(w, h):
+        if (w, h) not in height:
+            height[w, h] = 1 + max(climb(*c) for c in _split(w, h)[0])
+        return height[w, h]
+
+    shapes = [divmod(int(key), n + 1) for key in keys]
+    groups = [
+        _group(s, boxes[which == i, :2], ids, s == (n, n))
+        for i, s in sorted(enumerate(shapes), key=lambda item: climb(*item[1]))
+    ]
+    slot = np.empty((3, 3), dtype=int)
+    slot[tuple(stencil.TRACE_POS2.T)] = np.arange(8)
+    return _Topology(tuple(groups), slot[tuple(_perimeter(1, 1).T)])
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """The Cholesky data of one trace system, one block per box shape.
+
+    ``blocks`` holds per group the lower Cholesky factor ``L`` of its
+    interface block and ``V = L^-1 K_IB``; the root's ``V`` is empty.
+    """
+
+    topo: _Topology
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def nnz(self) -> int:
+        """Entries stored: the lower triangle of each ``L`` and every ``V``."""
+        return sum(len(l) * (len(l) + 1) // 2 + v.size for l, v in self.blocks)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve with zero boundary-vertex data for an ``(ndof, 2)`` right-hand side.
+
+        Rows of boundary vertices are ignored and come back zero.  Every
+        group runs one triangular solve and one product on a
+        ``(k, 2 * boxes)`` block, forward in tree order, then back.
+        """
+        ndof = len(rhs)
+        c = rhs.copy()
+        zs = []
+        for g, (l, v) in zip(self.topo.groups, self.blocks):
+            k, m = g.inner.shape
+            z = blas.dtrsm(1.0, l, c[g.inner].reshape(k, 2 * m), lower=1)
+            zs.append(z)
+            c -= np.bincount(g.places.ravel(), (v.T @ z).ravel(), 2 * ndof).reshape(ndof, 2)
+        x = np.zeros_like(rhs)
+        for g, (l, v), z in zip(self.topo.groups[::-1], self.blocks[::-1], zs[::-1]):
+            k, m = g.inner.shape
+            xb = x.ravel()[g.places].reshape(len(g.places), 2 * m)
+            x[g.inner] = blas.dtrsm(1.0, l, z - v @ xb, lower=1, trans_a=1).reshape(k, m, 2)
+        return x
+
+
+def _factor(topo: _Topology, e_r: np.ndarray) -> _Factor:
+    """Factor the trace system of the real element ``e_r``, bottom-up once per shape.
+
+    A shape's block ``K`` sums its two children's Schur complements (a
+    leaf's is ``e_r``), each padded with a zero row and column for the DOFs
+    it does not hold; LAPACK's Cholesky of the interface block gives ``L``,
+    and ``S = K_BB - V^T V`` is the Schur complement its parents read.  A
+    breakdown raises :class:`SolveFailure` naming the box.
+    """
+    leaf = np.zeros((9, 9))
+    leaf[:8, :8] = e_r[np.ix_(topo.leaf, topo.leaf)]
+    schur = {(1, 1): leaf}
+    blocks = []
+    for g in topo.groups:
+        k, nb = len(g.inner), len(g.places)
+        (c1, c2), (p1, p2) = g.children, g.picks
+        a = schur[c1].take(p1, axis=0).take(p1, axis=1)
+        a += schur[c2].take(p2, axis=0).take(p2, axis=1)
+        l, info = lapack.dpotrf(a[:k, :k], lower=1)
+        if info:
+            w, h = g.shape
+            block = "root" if nb == 0 else "interface"
+            raise SolveFailure(
+                f"trace system is not positive definite: the Cholesky factor of the "
+                f"{w} x {h} box's {block} block breaks down at pivot {info} of {k}"
+            )
+        v = blas.dtrsm(1.0, l, a[:k, k:], lower=1)
+        s = np.zeros((nb + 1, nb + 1))
+        np.subtract(a[k:, k:], v.T @ v, out=s[:nb, :nb])
+        schur[g.shape] = s
+        blocks.append((l, v))
+    return _Factor(topo, tuple(blocks))
+
+
+def _apply(dofs: np.ndarray, e_r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A_R x`` for an ``(ndof, 2)`` block x, element by element.
+
+    One ``(2 * elements, 8)`` product with ``e_r`` and one ``np.bincount``
+    over the element table; no global matrix is formed.
+    """
+    local = x[dofs].transpose(0, 2, 1).reshape(-1, 8) @ e_r.T
+    idx = (2 * dofs[:, None, :] + np.arange(2)[:, None]).ravel()
+    return np.bincount(idx, local.ravel(), x.size).reshape(x.shape)
 
 
 def _scatter(mesh: Mesh, loads: np.ndarray) -> np.ndarray:
@@ -319,21 +500,19 @@ def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
     ``A_R`` real symmetric positive definite.  The real element
     ``E_R = T_t^H E T_t`` is formed here once; an imaginary part above
     ``PHASE_RTOL * max|E|`` is a defect and raises :class:`PhaseMismatch`.
-    ``A_R`` is assembled in float64 straight into the nested-dissection
-    numbering of :func:`_free_order`, and SuperLU factors it once in
-    symmetric mode, which keeps a diagonal pivot wherever it is the largest
-    in its column, and in the column order given (``NATURAL``), so the
-    dissection sets the fill.  Boundary vertices have ``P = 1``, so ``g``
-    enters as is: the real and imaginary parts of
-    ``P^H b_f - A_R[:, fixed] g`` are solved as one two-column right-hand
-    side ``Y``, and the free traces are ``P Y``.  P is unitary, so the
-    residual of the real system is that of the complex one.  If the
-    relative residual misses the contract, iterative refinement retries a
-    bounded number of times before the solve is declared failed.  Returns
-    the full trace vector, the relative residual, the factor fill and the
-    number of refinement steps taken.  The fill is SuperLU's own count of
-    the entries it stores for L and U (``lu.nnz``): reading ``lu.L`` and
-    ``lu.U`` would copy the whole factor once more.
+    Boundary vertices have ``P = 1``, so ``g`` enters as is: the real and
+    imaginary parts of ``P^H b_f - A_R[:, fixed] g`` are one two-column
+    right-hand side ``Y``, and the free traces are ``P Y``.  Every element
+    is the same, so every box of one shape in the nested dissection of
+    :func:`_topology` has the same Schur complement: :func:`_factor` takes
+    one dense Cholesky per shape, and a system that is not positive
+    definite raises :class:`SolveFailure` there.  Products with ``A_R`` run
+    element by element (:func:`_apply`).  P is unitary, so the residual of
+    the real system is that of the complex one.  If the relative residual
+    misses the contract, iterative refinement retries a bounded number of
+    times before the solve is declared failed.  Returns the full trace
+    vector, the relative residual, the entries the factor stores and the
+    number of refinement steps taken.
     """
     fixed = mesh.boundary_vertex_ids()
     if len(g) != len(fixed):
@@ -350,41 +529,40 @@ def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
             f"trace element is not real under the trial phases: max |Im E_R| "
             f"{imag:.2e} against max |E| {scale:.2e}"
         )
-    order = _free_order(mesh.n)
-    nf = len(order)
-    number = np.empty(mesh.n_dofs, dtype=int)
-    number[order] = np.arange(nf)
-    number[fixed] = nf + np.arange(len(fixed))
+    e_r = e_r.real
     phase = np.empty(mesh.n_dofs, dtype=complex)
     phase[mesh.dofs] = t
-    p_f = phase[order]
-    a = _assemble(number[mesh.dofs], e_r.real, mesh.n_dofs)
-    a_ff = a[:nf, :nf]
-    rhs = p_f.conj() * b[order] - a[:nf, nf:] @ g
-    b_f = np.column_stack([rhs.real, rhs.imag])
-    del a  # only a_ff is needed while the factor is built
-    try:
-        lu = spla.splu(a_ff, permc_spec="NATURAL", options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolveFailure(f"sparse factorization failed: {exc}") from exc
-    y = lu.solve(b_f)
+    pb = phase.conj() * b
+    x_fixed = np.zeros((mesh.n_dofs, 2))
+    x_fixed[fixed] = np.column_stack([g.real, g.imag])
+    b_f = np.column_stack([pb.real, pb.imag]) - _apply(mesh.dofs, e_r, x_fixed)
+    b_f[fixed] = 0.0
+
+    def residual(y):
+        r = b_f - _apply(mesh.dofs, e_r, y)
+        r[fixed] = 0.0
+        return r
+
+    factor = _factor(_topology(mesh.n), e_r)
+    y = factor.solve(b_f)
     norm_b = np.linalg.norm(b_f)
-    resid = np.linalg.norm(b_f - a_ff @ y)
+    r = residual(y)
+    resid = np.linalg.norm(r)
     steps = 0
     while steps < REFINEMENT_STEPS and resid > RESIDUAL_RTOL * max(norm_b, 1e-300):
-        y = y + lu.solve(b_f - a_ff @ y)
-        resid = np.linalg.norm(b_f - a_ff @ y)
+        y = y + factor.solve(r)
+        r = residual(y)
+        resid = np.linalg.norm(r)
         steps += 1
     rel = resid / norm_b if norm_b > 0 else resid
     if norm_b > 0 and rel > RESIDUAL_RTOL:
         raise SolveFailure(
             f"linear solve residual {rel:.3e} exceeds contract "
-            f"{RESIDUAL_RTOL:.1e} (system size {nf})"
+            f"{RESIDUAL_RTOL:.1e} (system size {mesh.n_dofs - len(fixed)})"
         )
-    x = np.zeros(mesh.n_dofs, dtype=complex)
-    x[order] = p_f * (y[:, 0] + 1j * y[:, 1])
+    x = phase * (y[:, 0] + 1j * y[:, 1])
     x[fixed] = g
-    return x, rel, lu.nnz, steps
+    return x, rel, factor.nnz, steps
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +614,11 @@ def _field_error_constants(mesh, exact, fields):
 class SolveReport:
     """One mesh solve: traces, recovered fields, errors and the solve path.
 
-    ``fill_nnz`` counts the entries SuperLU stores for the L and U factors
-    of the trace system, and ``refinement_steps`` the iterative-refinement
-    steps the residual contract took.
+    ``fill_nnz`` counts the entries the trace solve stores for its
+    distinct box shapes (the lower triangle of each Cholesky factor ``L``
+    and each ``V = L^-1 K_IB``, the root's factor among them), and
+    ``refinement_steps`` the iterative-refinement steps the residual
+    contract took.
     """
 
     method: str

@@ -110,8 +110,8 @@ def single_thread_blas() -> None:
     numpy and scipy each load their own OpenBLAS, and each pool starts one
     thread per core.  Its workers keep spinning after every call, so on a
     small machine they take the other cores from the main thread, while the
-    small dense products and the sparse factorization here gain nothing
-    from BLAS threads.  Reads this process's ``/proc/self/maps``; does
+    small dense products and factorizations here gain nothing from BLAS
+    threads.  Reads this process's ``/proc/self/maps``; does
     nothing where that cannot be read or no OpenBLAS is mapped.
     """
     try:

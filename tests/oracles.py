@@ -14,13 +14,16 @@ Both run in double on the package's rules or in mpmath on the extended Gauss
 rule of :func:`gauss_legendre_1d`, solving with :func:`hermitian_solve`.
 :func:`min_eigenvalue_bound` certifies positive semidefiniteness by shifted
 factorizations, and :func:`tabulate_test_at` tabulates the test basis at
-arbitrary points.
+arbitrary points.  :func:`assemble_global` is the second route to the mesh
+solves' trace system: a sparse sum of one dense block per element, which
+the solver itself never forms.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+import scipy.sparse as sp
 
 from helmdpg import numkit, refelem
 from helmdpg.errors import DimensionMismatch, NotHermitian
@@ -298,3 +301,14 @@ def _is_pd_shifted(h: np.ndarray, sigma: float, precision: Precision) -> bool:
                 upd = L[j + 1 :, :j] @ (L[j, :j].conj() * d[:j]) if j > 0 else 0
                 L[j + 1 :, j] = (L[j + 1 :, j] - upd) / piv
     return True
+
+
+def assemble_global(mesh, element: np.ndarray) -> sp.csc_matrix:
+    """The global trace matrix of ``mesh`` in the lattice numbering, before
+    any constraint: one dense ``element`` block summed per row of the
+    element table ``mesh.dofs``."""
+    dofs = mesh.dofs
+    rows = np.repeat(dofs, 8, axis=1).ravel()
+    cols = np.tile(dofs, (1, 8)).ravel()
+    vals = np.tile(element.ravel(), len(dofs))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs))

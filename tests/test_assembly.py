@@ -2,7 +2,9 @@
 
 Oracles: frozen DOF ids from the numbering formulas, a closed-form
 best-approximation distance for a linear field, an independent quadrature
-reimplementation, and exactness of boundary traces on imposed vertices.
+reimplementation, exactness of boundary traces on imposed vertices, and the
+sparse global assembly of ``oracles.assemble_global``, which the solver
+never forms.
 """
 
 import os
@@ -25,6 +27,7 @@ from helmdpg.errors import (
     SolveFailure,
 )
 from helmdpg.numkit import tensor_rule
+from oracles import assemble_global
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +73,7 @@ def test_patch_and_mesh_share_one_lattice(method):
     else:
         element = localforms.fosls_element(0.9).M
     patch = stencil.assemble_patch(element, 3)[0]
-    glob = assembly._assemble_global(assembly.build_mesh(3), element).toarray()
+    glob = assemble_global(assembly.build_mesh(3), element).toarray()
     np.testing.assert_allclose(glob, patch, rtol=0, atol=1e-15 * np.max(np.abs(patch)))
 
 
@@ -220,61 +223,112 @@ def test_global_matrix_hermitian_positive_definite():
     too, before any boundary condition."""
     m = assembly.build_mesh(3)
     kit = localforms.element_kit(localforms.NormalizedParams(2.0 * m.h, 1e-2 * m.h, 2))
-    a = assembly._assemble_global(m, m.h**2 * kit.S).toarray()
+    a = assemble_global(m, m.h**2 * kit.S).toarray()
     herm = np.max(np.abs(a - a.conj().T))
     assert herm <= 1e-10 * np.max(np.abs(a))
     eigs = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     assert eigs[0] > 0
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 16])
-def test_free_order_is_permutation_of_free_dofs(n):
-    m = assembly.build_mesh(n)
-    order = assembly._free_order(n)
-    free = np.setdiff1d(np.arange(m.n_dofs), m.boundary_vertex_ids())
-    np.testing.assert_array_equal(np.sort(order), free)
-    assert len(order) == m.n_dofs - 4 * n
+TREE_NS = [2, 3, 5, 16, 96, 100]
 
 
-@pytest.mark.parametrize("n", [5, 16])
-def test_free_order_top_separator_decouples(n):
-    # the square top box splits along x at the vertex line nearest its
-    # middle (the lower one for odd n): lower half, upper half, separator
+@pytest.mark.parametrize("n", TREE_NS)
+def test_box_tree_holds_every_dof_once(n):
+    # the boxes' interfaces, the root's among them, eliminate every DOF but
+    # the boundary vertices, and each one once
     m = assembly.build_mesh(n)
+    groups = assembly._topology(n).groups
+    ids = np.concatenate([g.inner.ravel() for g in groups] + [m.boundary_vertex_ids()])
+    np.testing.assert_array_equal(np.sort(ids), np.arange(m.n_dofs))
+    root = groups[-1]
+    assert root.shape == (n, n) and root.outer.size == 0
+
+
+def _coverage(boxes, n):
+    # how many of the boxes (x0, y0, w, h) hold each element of the mesh
+    count = np.zeros((n + 1, n + 1), dtype=int)
+    x0, y0, w, h = boxes.T
+    for dx, dy, sign in ((0, 0, 1), (1, 0, -1), (0, 1, -1), (1, 1, 1)):
+        np.add.at(count, (x0 + dx * w, y0 + dy * h), sign)
+    return count.cumsum(0).cumsum(1)[:n, :n]
+
+
+@pytest.mark.parametrize("n", TREE_NS)
+def test_box_tree_interfaces_decouple(n):
+    # each level's boxes and the leaves above it tile the mesh, and a box's
+    # split line runs along its longer side (x on a tie) through its middle
+    # vertex line, the lower one for an odd extent, so no element straddles it
+    leaves = np.zeros((0, 4), dtype=int)
+    for level in assembly._box_levels(n):
+        assert np.all(_coverage(np.concatenate([level, leaves]), n) == 1)
+        leaves = np.concatenate([leaves, level[np.maximum(level[:, 2], level[:, 3]) == 1]])
     pos2 = stencil.lattice(n)[2]
-    s = 2 * (n // 2)
-    x = pos2[assembly._free_order(n), 0]
-    n_low, n_sep = np.sum(x < s), np.sum(x == s)
-    assert np.all(x[:n_low] < s)
-    assert np.all(x[n_low:-n_sep] > s)
-    assert np.all(x[-n_sep:] == s)
-    ex = pos2[m.dofs, 0]
-    assert not np.any(np.any(ex < s, axis=1) & np.any(ex > s, axis=1))
+    for g in assembly._topology(n).groups:
+        axis = int(g.shape[1] > g.shape[0])
+        across = g.shape[1 - axis]
+        local = pos2[g.inner[: 2 * across - 1]] - 2 * g.origins
+        assert np.all(local[..., axis] == 2 * (g.shape[axis] // 2))
+        np.testing.assert_array_equal(local[:, 0, 1 - axis], np.arange(1, 2 * across))
+
+
+@pytest.mark.parametrize("n", TREE_NS)
+def test_box_tree_groups_are_congruent(n):
+    # one group per shape: its boxes are the tree's boxes of that shape, and
+    # their DOFs are translates of one another.  A box at depth d has been
+    # split a times along x and d - a times along y, |2a - d| <= 1, and
+    # floor/ceil halving keeps its extents in {floor, ceil} of n / 2^a and
+    # n / 2^(d-a): at most 4 shapes per split count, so per even depth
+    # (odd ones hold two split counts: 5 shapes at n = 5 and 6 at n = 100)
+    levels = assembly._box_levels(n)
+    for d, level in enumerate(levels):
+        allowed = {
+            (w, h)
+            for a in {d // 2, (d + 1) // 2}
+            for w in {n >> a, -(-n >> a)}
+            for h in {n >> (d - a), -(-n >> (d - a))}
+        }
+        assert {tuple(shape) for shape in level[:, 2:].tolist()} <= allowed
+        assert d % 2 == 1 or len(np.unique(level[:, 2:], axis=0)) <= 4
+    boxes = np.concatenate(levels)
+    split = boxes[np.maximum(boxes[:, 2], boxes[:, 3]) >= 2]
+    groups = assembly._topology(n).groups
+    grouped = np.concatenate([np.column_stack([g.origins, np.tile(g.shape, (len(g.origins), 1))])
+                              for g in groups])
+    np.testing.assert_array_equal(np.unique(grouped, axis=0), np.unique(split, axis=0))
+    assert len(grouped) == len(split)
+    pos2 = stencil.lattice(n)[2]
+    for g in groups:
+        for ids in (g.inner, g.outer):
+            local = pos2[ids] - 2 * g.origins
+            assert np.all(local == local[:, :1])
 
 
 @pytest.mark.parametrize("method", ["dpg", "fosls"])
 def test_trace_matches_dense_reduced_solve(method):
     # zero data inside, a plane wave on the boundary vertices: the free
-    # traces solve A_ff x = -A_fc g, done here densely in the lattice order
-    m = assembly.build_mesh(6)
-    omega = 2.5
-    g = assembly.dirichlet_values(m, assembly.plane_wave(omega, 0.3))
-    zero = assembly.zero_solution(omega)
-    if method == "dpg":
-        kit = localforms.element_kit(localforms.NormalizedParams(omega * m.h, 0.1 * m.h, 3))
-        element = m.h**2 * kit.S
-        rep = assembly.solve_dpg(m, omega, 0.1, 3, zero, bc=g)
-    else:
-        element = localforms.fosls_element(omega * m.h).M
-        rep = assembly.solve_fosls(m, omega, zero, bc=g)
-    a = assembly._assemble_global(m, element).toarray()
-    fixed = m.boundary_vertex_ids()
-    free = np.setdiff1d(np.arange(m.n_dofs), fixed)
-    x_f = np.linalg.solve(a[np.ix_(free, free)], -a[np.ix_(free, fixed)] @ g)
-    err = np.linalg.norm(rep.trace[free] - x_f) / np.linalg.norm(x_f)
-    assert err <= 1e-12
-    np.testing.assert_array_equal(rep.trace[fixed], g)
-    assert 0 <= rep.refinement_steps <= assembly.REFINEMENT_STEPS
+    # traces solve A_ff x = -A_fc g, done here densely in the lattice order;
+    # odd n and n = 12 split boxes unevenly
+    for n in (6, 5, 7, 12):
+        m = assembly.build_mesh(n)
+        omega = 2.5
+        g = assembly.dirichlet_values(m, assembly.plane_wave(omega, 0.3))
+        zero = assembly.zero_solution(omega)
+        if method == "dpg":
+            kit = localforms.element_kit(localforms.NormalizedParams(omega * m.h, 0.1 * m.h, 3))
+            element = m.h**2 * kit.S
+            rep = assembly.solve_dpg(m, omega, 0.1, 3, zero, bc=g)
+        else:
+            element = localforms.fosls_element(omega * m.h).M
+            rep = assembly.solve_fosls(m, omega, zero, bc=g)
+        a = assemble_global(m, element).toarray()
+        fixed = m.boundary_vertex_ids()
+        free = np.setdiff1d(np.arange(m.n_dofs), fixed)
+        x_f = np.linalg.solve(a[np.ix_(free, free)], -a[np.ix_(free, fixed)] @ g)
+        err = np.linalg.norm(rep.trace[free] - x_f) / np.linalg.norm(x_f)
+        assert err <= 1e-12, f"n = {n}: {err:.2e}"
+        np.testing.assert_array_equal(rep.trace[fixed], g)
+        assert 0 <= rep.refinement_steps <= assembly.REFINEMENT_STEPS
 
 
 @pytest.mark.parametrize("method", ["dpg", "fosls"])
@@ -289,33 +343,26 @@ def test_nested_dissection_fill_below_default_splu(method):
         element = localforms.fosls_element(omega * m.h).M
     rep = assembly.solve_method(method, m, omega, exact, eps=1.0, r=3)
     free = np.setdiff1d(np.arange(m.n_dofs), m.boundary_vertex_ids())
-    a_ff = assembly._assemble_global(m, element)[free][:, free].tocsc()
+    a_ff = assemble_global(m, element)[free][:, free].tocsc()
     assert rep.fill_nnz <= 0.6 * spla.splu(a_ff).nnz
 
 
-class _SkewedFactor:
-    """splu's factor with its solves scaled by ``1 + skew``: the first one
-    only when ``first_only``, every one otherwise."""
+def _skew_solves(monkeypatch, skew, first_only):
+    """Scale the factor's solves by ``1 + skew``: the first one only when
+    ``first_only``, every one otherwise."""
+    solve = assembly._Factor.solve
+    count = []
 
-    def __init__(self, lu, skew, first_only):
-        self.lu, self.skew, self.first_only = lu, skew, first_only
-        self.nnz, self.solves = lu.nnz, 0
+    def skewed(self, rhs):
+        count.append(1)
+        x = solve(self, rhs)
+        return x * (1 + skew) if len(count) == 1 or not first_only else x
 
-    def solve(self, b):
-        self.solves += 1
-        x = self.lu.solve(b)
-        return x * (1 + self.skew) if self.solves == 1 or not self.first_only else x
-
-
-def _skew_splu(monkeypatch, skew, first_only):
-    splu = spla.splu
-    monkeypatch.setattr(
-        assembly.spla, "splu", lambda *a, **kw: _SkewedFactor(splu(*a, **kw), skew, first_only)
-    )
+    monkeypatch.setattr(assembly._Factor, "solve", skewed)
 
 
 def test_refinement_repairs_an_inexact_first_solve(monkeypatch):
-    _skew_splu(monkeypatch, 1e-8, first_only=True)
+    _skew_solves(monkeypatch, 1e-8, first_only=True)
     rep = assembly.solve_dpg(assembly.build_mesh(4), 2.0, 1e-2, 2,
                              assembly.manufactured_solution(2.0))
     assert rep.refinement_steps >= 1
@@ -324,7 +371,7 @@ def test_refinement_repairs_an_inexact_first_solve(monkeypatch):
 
 def test_solve_failure_when_refinement_cannot_converge(monkeypatch):
     # every solve returns nothing: the residual stays that of x = 0
-    _skew_splu(monkeypatch, -1.0, first_only=False)
+    _skew_solves(monkeypatch, -1.0, first_only=False)
     with pytest.raises(SolveFailure, match="exceeds contract"):
         assembly.solve_dpg(assembly.build_mesh(4), 2.0, 1e-2, 2,
                            assembly.manufactured_solution(2.0))
@@ -333,16 +380,18 @@ def test_solve_failure_when_refinement_cannot_converge(monkeypatch):
 @pytest.mark.parametrize("method", ["dpg", "fosls"])
 def test_trace_system_is_factored_in_real_arithmetic(method, monkeypatch):
     dtypes = []
-    splu = spla.splu
+    factor = assembly._factor
 
-    def recording_splu(a, *args, **kw):
-        dtypes.append(a.dtype)
-        return splu(a, *args, **kw)
+    def recording_factor(topo, e_r):
+        out = factor(topo, e_r)
+        dtypes.append(e_r.dtype)
+        dtypes.extend({a.dtype for block in out.blocks for a in block})
+        return out
 
-    monkeypatch.setattr(assembly.spla, "splu", recording_splu)
+    monkeypatch.setattr(assembly, "_factor", recording_factor)
     rep = assembly.solve_method(method, assembly.build_mesh(6), 2.0,
                                 assembly.manufactured_solution(2.0), eps=1e-2, r=3)
-    assert dtypes == [np.float64]
+    assert dtypes == [np.float64, np.float64]
     assert rep.trace.dtype == complex and rep.residual_rel <= assembly.RESIDUAL_RTOL
 
 
@@ -365,6 +414,30 @@ def test_phase_check_passes_fosls_and_rejects_a_non_phase_part():
     assembly._constrained_solve(m, M, b, g)
     with pytest.raises(PhaseMismatch, match="not real under the trial phases"):
         assembly._constrained_solve(m, _hermitian_vertex_skew(M, 1e-6), b, g)
+
+
+def test_indefinite_system_raises_solve_failure_naming_the_box():
+    # -M is negative definite: the first interface block, the shared
+    # horizontal edge of a 1 x 2 box, has a negative pivot
+    m = assembly.build_mesh(4)
+    M = localforms.fosls_element(2.0 * m.h).M
+    b = np.zeros(m.n_dofs, dtype=complex)
+    g = assembly.dirichlet_values(m, assembly.plane_wave(2.0, 0.3))
+    with pytest.raises(SolveFailure, match="not positive definite: .* 1 x 2 box's interface block"):
+        assembly._constrained_solve(m, -M, b, g)
+
+
+def test_resonance_sweep_reports_an_indefinite_system_as_a_row_error(monkeypatch):
+    kit = localforms.element_kit
+
+    def negated_kit(params):
+        k = kit(params)
+        return replace(k, S=-k.S)
+
+    monkeypatch.setattr(localforms, "element_kit", negated_kit)
+    (row,) = assembly.resonance_sweep([3.5], (1e-2,), n=4, r=2)
+    assert "not positive definite" in row.error
+    assert np.isnan(row.ratio)
 
 
 def test_resonance_sweep_does_not_swallow_a_phase_mismatch(monkeypatch):
@@ -409,7 +482,7 @@ def test_plane_wave_trace_matches_the_30_digit_element(monkeypatch):
         localforms.element_kit.cache_clear()
     assert kit.precision_used.is_extended
     m = assembly.build_mesh(n)
-    a = assembly._assemble_global(m, m.h**2 * kit.S).toarray()
+    a = assemble_global(m, m.h**2 * kit.S).toarray()
     fixed = m.boundary_vertex_ids()
     free = np.setdiff1d(np.arange(m.n_dofs), fixed)
     g = assembly.dirichlet_values(m, assembly.plane_wave(omega, theta))
@@ -556,8 +629,9 @@ def test_plane_wave_demo_small():
     assert repf.metric < rep.metric
 
 
-# Times one dpg n = 64 solve (elements, assembly, splu, recovery, error
-# quadrature) after a warm-up and prints its CPU and wall seconds.
+# Times one dpg n = 64 solve (element, load scatter, the per-shape Cholesky
+# factors and their solves, recovery, error quadrature) after a warm-up and
+# prints its CPU and wall seconds.
 _ONE_CORE_PROBE = """
 import resource, time
 from helmdpg import assembly
