@@ -15,12 +15,16 @@ in a geometric nested dissection of the mesh into boxes every box of one
 shape has the same Schur complement: the solve takes one dense LAPACK
 Cholesky factor per box shape, O(log n) of them, for both methods, and
 runs all boxes of one shape as one block.  After the trace solve the
-element interiors are recovered from the stored Schur data, and errors
-are measured by quadrature against a supplied exact solution.
+element interiors are recovered from the stored Schur data.  Each exact
+field is a short sum of products f(x) g(y), so on the mesh's tensor rules
+its values are outer products of per-axis tables (sum factorization,
+Orszag 1980): loads are two contractions per term, and the error fields
+are formed once per solve for the error and its best-approximation bound.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -71,7 +75,10 @@ class Mesh:
 
     @cached_property
     def _lattice(self):
-        return stencil.lattice(self.n)
+        ndof, dofs, pos2 = stencil.lattice(self.n)
+        # build_mesh shares one Mesh per n among all its callers
+        dofs.flags.writeable = pos2.flags.writeable = False
+        return ndof, dofs, pos2
 
     @property
     def n_dofs(self) -> int:
@@ -86,7 +93,9 @@ class Mesh:
     def vertex_ij(self) -> np.ndarray:
         """Grid index (i, j) of vertex id v in row v: the lattice's even positions, halved."""
         pos2 = self._lattice[2]
-        return pos2[_is_vertex(pos2)] // 2
+        ij = pos2[_is_vertex(pos2)] // 2
+        ij.flags.writeable = False
+        return ij
 
     @property
     def n_vertices(self) -> int:
@@ -114,7 +123,9 @@ def _boundary_vertices(pos2: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(_is_vertex(pos2) & ((x == 0) | (x == 2 * n) | (y == 0) | (y == 2 * n)))
 
 
+@lru_cache(maxsize=8)
 def build_mesh(n: int) -> Mesh:
+    """The n x n mesh, one per n: its lattice and vertex grid are built once."""
     if n < 2:
         raise MeshTooSmall(f"need at least 2 elements per side, got n={n}")
     return Mesh(int(n))
@@ -125,23 +136,29 @@ def build_mesh(n: int) -> Mesh:
 # ---------------------------------------------------------------------------
 
 
+#: a field in factor form: the sum of ``gx(x) * gy(y)`` over its pairs
+Separable = tuple[tuple[Callable, Callable], ...]
+
+
 @dataclass(frozen=True)
 class ExactSolution:
-    """Closures for the fields and for f obtained by applying the operator.
+    """Exact fields and data in factor form: short sums of products f(x) g(y).
 
-    ``f1, f2, f3`` must be the analytic images (i*w*u + grad(phi),
-    i*w*phi + div(u)) of the supplied fields; they are never assumed zero.
-    All callables accept numpy arrays and broadcast.
+    Each of ``phi, u1, u2, f1, f2, f3`` is a tuple of ``(gx, gy)`` pairs of
+    1-D callables, which take and return arrays of one shape, and stands
+    for the sum of ``gx(x) * gy(y)``; the empty tuple is zero.  ``f1, f2,
+    f3`` must be the analytic images (i*w*u + grad(phi), i*w*phi +
+    div(u)) of the fields; they are never assumed zero.
     """
 
     name: str
     omega: float
-    phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    u1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    u2: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    f1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    f2: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    f3: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    phi: Separable
+    u1: Separable
+    u2: Separable
+    f1: Separable
+    f2: Separable
+    f3: Separable
 
 
 def manufactured_solution(omega: float, sign: int = 1) -> ExactSolution:
@@ -155,37 +172,32 @@ def manufactured_solution(omega: float, sign: int = 1) -> ExactSolution:
         raise ValueError(f"omega must be positive, got {omega}")
     s = 1 if sign >= 0 else -1
     c = 1j * s / omega
+    v = 1j * omega * c + 1
 
-    def phi(x, y):
-        return np.asarray(x * (1 - x) * y * (1 - y), dtype=complex)
+    def bubble(t):
+        return t * (1 - t)
 
-    def phi_x(x, y):
-        return (1 - 2 * x) * y * (1 - y)
-
-    def phi_y(x, y):
-        return x * (1 - x) * (1 - 2 * y)
-
-    def lap(x, y):
-        return -2 * y * (1 - y) - 2 * x * (1 - x)
+    def slope(a):
+        return lambda t: a * (1 - 2 * t)
 
     return ExactSolution(
-        name="manufactured",
-        omega=omega,
-        phi=phi,
-        u1=lambda x, y: c * phi_x(x, y),
-        u2=lambda x, y: c * phi_y(x, y),
-        f1=lambda x, y: (1j * omega * c + 1) * phi_x(x, y),
-        f2=lambda x, y: (1j * omega * c + 1) * phi_y(x, y),
-        f3=lambda x, y: 1j * omega * phi(x, y) + c * lap(x, y),
+        "manufactured", omega,
+        phi=((bubble, bubble),),
+        u1=((slope(c), bubble),),
+        u2=((bubble, slope(c)),),
+        f1=((slope(v), bubble),),
+        f2=((bubble, slope(v)),),
+        f3=((bubble, lambda t: 1j * omega * bubble(t) - 2 * c),
+            (np.ones_like, lambda t: -2 * c * bubble(t))),
     )
 
 
 def plane_wave(omega: float, theta: float) -> ExactSolution:
     """Plane wave phi = e^{i k.x}, u = -(k/w) phi with k = w(cos t, sin t).
 
-    Applying the operator analytically gives f identically zero; the f
-    closures below are those analytic images written out, kept as live
-    expressions rather than hard-coded zeros.
+    Applying the operator analytically gives f identically zero; the
+    coefficients of f below are those analytic images written out, kept as
+    live expressions rather than hard-coded zeros.
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -193,34 +205,33 @@ def plane_wave(omega: float, theta: float) -> ExactSolution:
         raise ValueError(f"theta must be finite, got {theta}")
     k1, k2 = omega * np.cos(theta), omega * np.sin(theta)
 
-    def wave(x, y):
-        return np.exp(1j * (k1 * x + k2 * y))
+    def wave(k, scale=1.0):
+        return lambda t: scale * np.exp(1j * k * t)
 
     return ExactSolution(
-        name="plane_wave",
-        omega=omega,
-        phi=wave,
-        u1=lambda x, y: -(k1 / omega) * wave(x, y),
-        u2=lambda x, y: -(k2 / omega) * wave(x, y),
-        f1=lambda x, y: (1j * omega * (-(k1 / omega)) + 1j * k1) * wave(x, y),
-        f2=lambda x, y: (1j * omega * (-(k2 / omega)) + 1j * k2) * wave(x, y),
-        f3=lambda x, y: (1j * omega + (-(1j * k1**2 + 1j * k2**2) / omega))
-        * wave(x, y),
+        "plane_wave", omega,
+        phi=((wave(k1), wave(k2)),),
+        u1=((wave(k1, -(k1 / omega)), wave(k2)),),
+        u2=((wave(k1, -(k2 / omega)), wave(k2)),),
+        f1=((wave(k1, 1j * omega * (-(k1 / omega)) + 1j * k1), wave(k2)),),
+        f2=((wave(k1, 1j * omega * (-(k2 / omega)) + 1j * k2), wave(k2)),),
+        f3=((wave(k1, 1j * omega + (-(1j * k1**2 + 1j * k2**2) / omega)), wave(k2)),),
     )
 
 
 def zero_solution(omega: float) -> ExactSolution:
-    def z(x, y):
-        return np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    return ExactSolution("zero", omega, (), (), (), (), (), ())
 
-    return ExactSolution("zero", omega, z, z, z, z, z, z)
+
+def _pointwise(field, x, y) -> np.ndarray:
+    """A factor-form field's values at the points (x, y)."""
+    return sum((gx(x) * gy(y) for gx, gy in field), np.zeros(np.broadcast(x, y).shape, complex))
 
 
 def dirichlet_values(mesh: Mesh, exact: ExactSolution) -> np.ndarray:
     """Trace of the exact scalar at the boundary vertices."""
-    ids = mesh.boundary_vertex_ids()
-    xy = mesh.vertex_coords()[ids]
-    return np.asarray(exact.phi(xy[:, 0], xy[:, 1]), dtype=complex)
+    xy = mesh.vertex_coords()[mesh.boundary_vertex_ids()]
+    return _pointwise(exact.phi, xy[:, 0], xy[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +489,6 @@ def _scatter(mesh: Mesh, loads: np.ndarray) -> np.ndarray:
     return b
 
 
-def _element_quad_points(mesh: Mesh, points: np.ndarray):
-    """Physical quadrature points for all elements, shape (n^2, nq).
-
-    Element e = ey*n + ex occupies [ex*h, (ex+1)*h] x [ey*h, (ey+1)*h], with
-    (ex, ey) the grid index of its first vertex.
-    """
-    ex, ey = mesh.vertex_ij[mesh.dofs[:, 0]].T
-    xs = (ex[:, None] + points[None, :, 0]) * mesh.h
-    ys = (ey[:, None] + points[None, :, 1]) * mesh.h
-    return xs, ys
-
-
 def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
                        g: np.ndarray):
     """Fix the boundary vertex traces to ``g`` and solve for the rest.
@@ -570,13 +569,59 @@ def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _error_rule():
-    return tensor_rule(ERROR_QUAD_1D)
+    rule = tensor_rule(ERROR_QUAD_1D)
+    rule.points.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
-def _exact_on_elements(mesh: Mesh, exact: ExactSolution, points: np.ndarray):
-    xs, ys = _element_quad_points(mesh, points)
-    return exact.u1(xs, ys), exact.u2(xs, ys), exact.phi(xs, ys)
+def _tables(field: Separable, mesh: Mesh, points: np.ndarray):
+    """Each term's gx and gy at the 1-D nodes of the unit-square tensor rule ``points``
+    (x running fastest) on every element, two ``(terms, n, q)`` arrays."""
+    q = math.isqrt(len(points))
+    x = (np.arange(mesh.n)[:, None] + points[:q, 0]) * mesh.h
+    return [np.array([pair[k](x) for pair in field], dtype=complex).reshape(-1, *x.shape)
+            for k in (0, 1)]
+
+
+def _moments(mesh: Mesh, exact: ExactSolution, points, weights, tables) -> np.ndarray:
+    """Per-element integrals of f1, f2 and f3 against the rows of three tables.
+
+    Each term of f contracts with the weighted table through its x-, then
+    its y-table: two ``tensordot``s, and no array over all n^2 q^2 points.
+    """
+    q = math.isqrt(len(points))
+    out = 0.0
+    for field, table in zip((exact.f1, exact.f2, exact.f3), tables):
+        tx, ty = _tables(field, mesh, points)
+        along_x = np.tensordot(tx, (weights[:, None] * table.T.conj()).reshape(q, q, -1), (2, 1))
+        out = out + np.tensordot(ty, along_x, ((0, 2), (0, 2)))
+    return out.reshape(mesh.n**2, -1)
+
+
+def _errors(mesh: Mesh, exact: ExactSolution, approx) -> tuple[float, float]:
+    """L2 distances of the exact (u1, u2, phi) to ``approx`` and to constants.
+
+    Each exact field is formed once on the error rule as the outer products
+    of its per-axis tables, row ey*n + ex and column iy*q + ix, and feeds
+    both sums.  The best constants are the element means.
+    """
+    rule = _error_rule()
+    sw = np.sqrt(rule.weights)
+
+    def sq(d):
+        d *= sw
+        d = d.view(float).ravel()
+        return d @ d
+
+    err = best = 0.0
+    for field, near in zip((exact.u1, exact.u2, exact.phi), approx):
+        tx, ty = _tables(field, mesh, rule.points)
+        comp = np.einsum("tyb,txa->yxba", ty, tx).reshape(mesh.n**2, -1)
+        err += sq(comp - near)
+        best += sq(comp - (comp @ rule.weights)[:, None])
+    return float(np.sqrt(err * mesh.h**2)), float(np.sqrt(best * mesh.h**2))
 
 
 def best_approx_error(mesh: Mesh, exact: ExactSolution) -> float:
@@ -585,24 +630,7 @@ def best_approx_error(mesh: Mesh, exact: ExactSolution) -> float:
     The minimizing constant per element and component is the element mean,
     computed with the same quadrature used for the error integral.
     """
-    rule = _error_rule()
-    w = rule.weights
-    total = 0.0
-    for comp in _exact_on_elements(mesh, exact, rule.points):
-        means = comp @ w
-        total += np.sum(w[None, :] * np.abs(comp - means[:, None]) ** 2)
-    return float(np.sqrt(total * mesh.h**2))
-
-
-def _field_error_constants(mesh, exact, fields):
-    """L2 error of per-element constant fields (u1, u2, phi columns)."""
-    rule = _error_rule()
-    w = rule.weights
-    total = 0.0
-    for idx, comp in enumerate(_exact_on_elements(mesh, exact, rule.points)):
-        diff = comp - fields[:, idx][:, None]
-        total += np.sum(w[None, :] * np.abs(diff) ** 2)
-    return float(np.sqrt(total * mesh.h**2))
+    return _errors(mesh, exact, (0.0, 0.0, 0.0))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -661,26 +689,18 @@ def solve_dpg(
     t0 = time.perf_counter()
     h = mesh.h
     kit = localforms.element_kit(NormalizedParams(omega * h, eps * h, r))
-    w = kit.quad_weights
-    xs, ys = _element_quad_points(mesh, kit.quad_points)
-    f1, f2, f3 = exact.f1(xs, ys), exact.f2(xs, ys), exact.f3(xs, ys)
-    moments = (
-        f1 @ (w[:, None] * kit.test_vx.T.conj())
-        + f2 @ (w[:, None] * kit.test_vy.T.conj())
-        + f3 @ (w[:, None] * kit.test_eta.T.conj())
-    )
-    loads = h**3 * (moments @ kit.xh.T)
-    load_interior = loads[:, :3]
-    load_trace = loads[:, 3:] + load_interior @ kit.recovery.conj()
-
-    b = _scatter(mesh, load_trace)
+    # xh folds in first: the contraction runs over the 11 trial loads
+    tests = [kit.xh.conj() @ t for t in (kit.test_vx, kit.test_vy, kit.test_eta)]
+    loads = h**3 * _moments(mesh, exact, kit.quad_points, kit.quad_weights, tests)
+    b = _scatter(mesh, loads[:, 3:] + loads[:, :3] @ kit.recovery.conj())
+    interior = loads[:, :3] @ kit.interior_inv.T / h**2
+    del loads  # only b and the interior part are needed through the trace solve
 
     g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
     x, rel, fill, steps = _constrained_solve(mesh, h**2 * kit.S, b, g)
 
-    fields = x[mesh.dofs] @ kit.recovery.T + load_interior @ kit.interior_inv.T / h**2
-    e_r = _field_error_constants(mesh, exact, fields)
-    a = best_approx_error(mesh, exact)
+    fields = x[mesh.dofs] @ kit.recovery.T + interior
+    e_r, a = _errors(mesh, exact, fields.T[:, :, None])
     ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
     return SolveReport(
         "dpg", mesh.n, omega, eps, r, x, fields, e_r, a, ratio, rel, fill, steps,
@@ -705,34 +725,18 @@ def solve_fosls(
     t0 = time.perf_counter()
     h = mesh.h
     elem = localforms.fosls_element(omega * h)
-
-    rule = elem.tab.rule
-    w = rule.weights
-    xs, ys = _element_quad_points(mesh, rule.points)
-    f1, f2, f3 = exact.f1(xs, ys), exact.f2(xs, ys), exact.f3(xs, ys)
-    loads = h * (
-        f1 @ (w[:, None] * elem.a1.T.conj())
-        + f2 @ (w[:, None] * elem.a2.T.conj())
-        + f3 @ (w[:, None] * elem.a3.T.conj())
-    )
-    b = _scatter(mesh, loads)
+    rule, images = elem.tab.rule, (elem.a1, elem.a2, elem.a3)
+    b = _scatter(mesh, h * _moments(mesh, exact, rule.points, rule.weights, images))
 
     g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
     x, rel, fill, steps = _constrained_solve(mesh, elem.M, b, g)
 
     erule = _error_rule()
     etab = refelem.tabulate_conforming_basis(erule)
-    ew = erule.weights
-    u1e, u2e, phie = _exact_on_elements(mesh, exact, erule.points)
     xe = x[mesh.dofs]
-    u1_h, u2_h, phi_h = xe @ etab.vx, xe @ etab.vy, xe @ etab.eta
-    total = np.sum(
-        ew
-        * (np.abs(u1_h - u1e) ** 2 + np.abs(u2_h - u2e) ** 2 + np.abs(phi_h - phie) ** 2)
-    )
-    fields = np.column_stack([u1_h @ ew, u2_h @ ew, phi_h @ ew])
-    e_r = float(np.sqrt(total * h**2))
-    a = best_approx_error(mesh, exact)
+    u_h = (xe @ etab.vx, xe @ etab.vy, xe @ etab.eta)
+    fields = np.column_stack([c @ erule.weights for c in u_h])
+    e_r, a = _errors(mesh, exact, u_h)
     ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
     return SolveReport(
         "fosls", mesh.n, omega, None, None, x, fields, e_r, a, ratio, rel, fill, steps,
@@ -828,21 +832,16 @@ def amplitude_metric(phi_grid: np.ndarray, theta: float) -> float:
     block = 4
     m = phi_grid.shape[0]
     k = np.array([np.cos(theta), np.sin(theta)])
-    coords = np.arange(m, dtype=float)
-    proj_max = max(
-        k[0] * x + k[1] * y for x in (0.0, m - 1.0) for y in (0.0, m - 1.0)
-    )
-    best = np.inf
-    for i0 in range(0, m, block):
-        for j0 in range(0, m, block):
-            sub = phi_grid[i0 : i0 + block, j0 : j0 + block]
-            ci = coords[i0 : i0 + block].mean()
-            cj = coords[j0 : j0 + block].mean()
-            if k[0] * ci + k[1] * cj >= 0.75 * proj_max:
-                best = min(best, float(np.max(np.abs(sub))))
-    if not np.isfinite(best):
+    proj_max = max(k[0] * x + k[1] * y for x in (0.0, m - 1.0) for y in (0.0, m - 1.0))
+    lo = np.arange(0, m, block)
+    center = (lo + np.minimum(lo + block, m) - 1) / 2
+    far = k[0] * center[:, None] + k[1] * center[None, :] >= 0.75 * proj_max
+    if not far.any():
         raise ValueError("no window lies in the far region; grid too small")
-    return best
+    # zero padding cannot raise a window's largest |phi|
+    amp = np.pad(np.abs(phi_grid), (0, -m % block))
+    windows = amp.reshape(len(lo), block, len(lo), block).max(axis=(1, 3))
+    return float(windows[far].min())
 
 
 def plane_wave_demo(

@@ -16,7 +16,12 @@ rule of :func:`gauss_legendre_1d`, solving with :func:`hermitian_solve`.
 factorizations, and :func:`tabulate_test_at` tabulates the test basis at
 arbitrary points.  :func:`assemble_global` is the second route to the mesh
 solves' trace system: a sparse sum of one dense block per element, which
-the solver itself never forms.
+the solver itself never forms.  The pointwise closures of
+:func:`pointwise_manufactured` and :func:`pointwise_plane_wave`, evaluated
+at every quadrature point of every element, are the second route to the
+mesh loads and error measures, which the solver forms from per-axis tables
+of the factor-form fields; :func:`amplitude_metric_loop` is the
+window-by-window route to ``assembly.amplitude_metric``.
 """
 
 import math
@@ -312,3 +317,126 @@ def assemble_global(mesh, element: np.ndarray) -> sp.csc_matrix:
     cols = np.tile(dofs, (1, 8)).ravel()
     vals = np.tile(element.ravel(), len(dofs))
     return sp.csc_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs))
+
+
+# ---------------------------------------------------------------------------
+# pointwise mesh data: the second route to the separable loads and errors
+# ---------------------------------------------------------------------------
+
+
+def pointwise_manufactured(omega: float, sign: int = 1) -> dict:
+    """The manufactured bubble's fields and data as closures of (x, y)."""
+    c = 1j * (1 if sign >= 0 else -1) / omega
+
+    def phi(x, y):
+        return np.asarray(x * (1 - x) * y * (1 - y), dtype=complex)
+
+    def phi_x(x, y):
+        return (1 - 2 * x) * y * (1 - y)
+
+    def phi_y(x, y):
+        return x * (1 - x) * (1 - 2 * y)
+
+    def lap(x, y):
+        return -2 * y * (1 - y) - 2 * x * (1 - x)
+
+    return {
+        "phi": phi,
+        "u1": lambda x, y: c * phi_x(x, y),
+        "u2": lambda x, y: c * phi_y(x, y),
+        "f1": lambda x, y: (1j * omega * c + 1) * phi_x(x, y),
+        "f2": lambda x, y: (1j * omega * c + 1) * phi_y(x, y),
+        "f3": lambda x, y: 1j * omega * phi(x, y) + c * lap(x, y),
+    }
+
+
+def pointwise_plane_wave(omega: float, theta: float) -> dict:
+    """The plane wave's fields and (analytically zero) data as closures of (x, y)."""
+    k1, k2 = omega * np.cos(theta), omega * np.sin(theta)
+
+    def wave(x, y):
+        return np.exp(1j * (k1 * x + k2 * y))
+
+    return {
+        "phi": wave,
+        "u1": lambda x, y: -(k1 / omega) * wave(x, y),
+        "u2": lambda x, y: -(k2 / omega) * wave(x, y),
+        "f1": lambda x, y: (1j * omega * (-(k1 / omega)) + 1j * k1) * wave(x, y),
+        "f2": lambda x, y: (1j * omega * (-(k2 / omega)) + 1j * k2) * wave(x, y),
+        "f3": lambda x, y: (1j * omega + (-(1j * k1**2 + 1j * k2**2) / omega)) * wave(x, y),
+    }
+
+
+def pointwise_zero() -> dict:
+    def z(x, y):
+        return np.zeros(np.broadcast(x, y).shape, dtype=complex)
+
+    return dict.fromkeys(("phi", "u1", "u2", "f1", "f2", "f3"), z)
+
+
+def element_quad_points(mesh, points: np.ndarray):
+    """Physical coordinates of a unit-square rule on every element, two (n^2, nq) arrays.
+
+    Element e = ey*n + ex occupies [ex*h, (ex+1)*h] x [ey*h, (ey+1)*h].
+    """
+    e = np.arange(mesh.n * mesh.n)
+    ex, ey = e % mesh.n, e // mesh.n
+    return (ex[:, None] + points[:, 0]) * mesh.h, (ey[:, None] + points[:, 1]) * mesh.h
+
+
+def _scatter(mesh, loads: np.ndarray) -> np.ndarray:
+    b = np.zeros(mesh.n_dofs, dtype=complex)
+    np.add.at(b, mesh.dofs, loads)
+    return b
+
+
+def pointwise_moments(mesh, fields: dict, points, weights, tables) -> np.ndarray:
+    """Integrals of f1, f2, f3 against the rows of three tables, f evaluated at every point."""
+    xs, ys = element_quad_points(mesh, points)
+    return sum(fields[f](xs, ys) @ (weights[:, None] * t.T.conj())
+               for f, t in zip(("f1", "f2", "f3"), tables))
+
+
+def pointwise_dpg_loads(mesh, kit, fields: dict) -> np.ndarray:
+    """The scattered DPG trace loads, moments against the whole test basis first."""
+    tests = (kit.test_vx, kit.test_vy, kit.test_eta)
+    moments = pointwise_moments(mesh, fields, kit.quad_points, kit.quad_weights, tests)
+    loads = mesh.h**3 * (moments @ kit.xh.T)
+    return _scatter(mesh, loads[:, 3:] + loads[:, :3] @ kit.recovery.conj())
+
+
+def pointwise_fosls_loads(mesh, elem, fields: dict) -> np.ndarray:
+    """The scattered FOSLS loads, f against the A-images of the conforming basis."""
+    rule = elem.tab.rule
+    images = (elem.a1, elem.a2, elem.a3)
+    return _scatter(mesh, mesh.h * pointwise_moments(mesh, fields, rule.points, rule.weights, images))
+
+
+def pointwise_errors(mesh, fields: dict, rule: QuadratureRule, approx) -> tuple:
+    """L2 distances of u1, u2, phi to ``approx`` and to their element means on ``rule``."""
+    xs, ys = element_quad_points(mesh, rule.points)
+    w = rule.weights
+    err = best = 0.0
+    for name, near in zip(("u1", "u2", "phi"), approx):
+        comp = fields[name](xs, ys)
+        err += np.sum(w[None, :] * np.abs(comp - near) ** 2)
+        best += np.sum(w[None, :] * np.abs(comp - (comp @ w)[:, None]) ** 2)
+    return float(np.sqrt(err * mesh.h**2)), float(np.sqrt(best * mesh.h**2))
+
+
+def amplitude_metric_loop(phi_grid: np.ndarray, theta: float) -> float:
+    """The far-quarter windowed amplitude, one 4 x 4 window at a time."""
+    block = 4
+    m = phi_grid.shape[0]
+    k = np.array([np.cos(theta), np.sin(theta)])
+    coords = np.arange(m, dtype=float)
+    proj_max = max(k[0] * x + k[1] * y for x in (0.0, m - 1.0) for y in (0.0, m - 1.0))
+    best = np.inf
+    for i0 in range(0, m, block):
+        for j0 in range(0, m, block):
+            sub = phi_grid[i0 : i0 + block, j0 : j0 + block]
+            ci = coords[i0 : i0 + block].mean()
+            cj = coords[j0 : j0 + block].mean()
+            if k[0] * ci + k[1] * cj >= 0.75 * proj_max:
+                best = min(best, float(np.max(np.abs(sub))))
+    return best

@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from helmdpg import assembly, localforms, stencil
+from helmdpg import assembly, localforms, refelem, stencil
 from helmdpg.errors import (
     BCInconsistent,
     MeshTooSmall,
@@ -27,6 +27,7 @@ from helmdpg.errors import (
     SolveFailure,
 )
 from helmdpg.numkit import tensor_rule
+import oracles
 from oracles import assemble_global
 
 
@@ -108,6 +109,10 @@ def test_vertex_coords():
 # ---------------------------------------------------------------------------
 
 
+def _at(field, x, y):
+    return assembly._pointwise(field, x, y)
+
+
 def test_manufactured_data_consistency():
     """f must equal the operator applied to (u, phi); check by finite
     differences at interior points."""
@@ -115,23 +120,23 @@ def test_manufactured_data_consistency():
     rng = np.random.default_rng(3)
     x, y = rng.uniform(0.2, 0.8, 20), rng.uniform(0.2, 0.8, 20)
     d = 1e-6
-    phi_x = (ex.phi(x + d, y) - ex.phi(x - d, y)) / (2 * d)
-    phi_y = (ex.phi(x, y + d) - ex.phi(x, y - d)) / (2 * d)
-    du1 = (ex.u1(x + d, y) - ex.u1(x - d, y)) / (2 * d)
-    du2 = (ex.u2(x, y + d) - ex.u2(x, y - d)) / (2 * d)
+    phi_x = (_at(ex.phi, x + d, y) - _at(ex.phi, x - d, y)) / (2 * d)
+    phi_y = (_at(ex.phi, x, y + d) - _at(ex.phi, x, y - d)) / (2 * d)
+    du1 = (_at(ex.u1, x + d, y) - _at(ex.u1, x - d, y)) / (2 * d)
+    du2 = (_at(ex.u2, x, y + d) - _at(ex.u2, x, y - d)) / (2 * d)
     w = ex.omega
-    np.testing.assert_allclose(ex.f1(x, y), 1j * w * ex.u1(x, y) + phi_x, atol=1e-8)
-    np.testing.assert_allclose(ex.f2(x, y), 1j * w * ex.u2(x, y) + phi_y, atol=1e-8)
-    np.testing.assert_allclose(ex.f3(x, y), 1j * w * ex.phi(x, y) + du1 + du2, atol=1e-8)
+    np.testing.assert_allclose(_at(ex.f1, x, y), 1j * w * _at(ex.u1, x, y) + phi_x, atol=1e-8)
+    np.testing.assert_allclose(_at(ex.f2, x, y), 1j * w * _at(ex.u2, x, y) + phi_y, atol=1e-8)
+    np.testing.assert_allclose(_at(ex.f3, x, y), 1j * w * _at(ex.phi, x, y) + du1 + du2, atol=1e-8)
 
 
 def test_manufactured_default_sign_kills_vector_data():
     ex = assembly.manufactured_solution(3.0)
     x = np.linspace(0.1, 0.9, 7)
-    assert np.max(np.abs(ex.f1(x, x))) < 1e-14
-    assert np.max(np.abs(ex.f2(x, x))) < 1e-14
+    assert np.max(np.abs(_at(ex.f1, x, x))) < 1e-14
+    assert np.max(np.abs(_at(ex.f2, x, x))) < 1e-14
     ex_flip = assembly.manufactured_solution(3.0, sign=-1)
-    assert np.max(np.abs(ex_flip.f1(x, x))) > 0.1
+    assert np.max(np.abs(_at(ex_flip.f1, x, x))) > 0.1
 
 
 def test_plane_wave_data_vanishes():
@@ -139,11 +144,11 @@ def test_plane_wave_data_vanishes():
     rng = np.random.default_rng(11)
     x, y = rng.random(40), rng.random(40)
     for f in (ex.f1, ex.f2, ex.f3):
-        assert np.max(np.abs(f(x, y))) <= 1e-12
+        assert np.max(np.abs(_at(f, x, y))) <= 1e-12
     # the fields themselves solve nothing trivial: |phi| = |u| = 1
-    np.testing.assert_allclose(np.abs(ex.phi(x, y)), 1.0)
+    np.testing.assert_allclose(np.abs(_at(ex.phi, x, y)), 1.0)
     np.testing.assert_allclose(
-        np.abs(ex.u1(x, y)) ** 2 + np.abs(ex.u2(x, y)) ** 2, 1.0
+        np.abs(_at(ex.u1, x, y)) ** 2 + np.abs(_at(ex.u2, x, y)) ** 2, 1.0
     )
 
 
@@ -156,21 +161,74 @@ def test_dirichlet_values_trace_exact():
     np.testing.assert_allclose(g, np.exp(1j * 2.0 * (np.cos(0.3) * xy[:, 0] + np.sin(0.3) * xy[:, 1])))
 
 
+# the four exact solutions of the mesh experiments and tests, each in the
+# program's factor form and as the oracle's pointwise closures
+EXACT_PAIRS = {
+    "manufactured": (lambda: assembly.manufactured_solution(2.5),
+                     lambda: oracles.pointwise_manufactured(2.5)),
+    "manufactured-flipped": (lambda: assembly.manufactured_solution(2.5, sign=-1),
+                             lambda: oracles.pointwise_manufactured(2.5, sign=-1)),
+    "plane-wave": (lambda: assembly.plane_wave(2.5, 0.3),
+                   lambda: oracles.pointwise_plane_wave(2.5, 0.3)),
+    "zero": (lambda: assembly.zero_solution(2.5), oracles.pointwise_zero),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_PAIRS))
+@pytest.mark.parametrize("method", ["dpg", "fosls"])
+def test_separable_loads_and_errors_match_pointwise_route(method, name, monkeypatch):
+    # the solver's scattered loads and both error measures, from per-axis
+    # tables of the factor form, against f, u and phi evaluated pointwise at
+    # every quadrature point of every element
+    exact, fields = EXACT_PAIRS[name][0](), EXACT_PAIRS[name][1]()
+    omega, eps, r = 2.5, 1e-2, 3
+    loads = []
+    solve = assembly._constrained_solve
+
+    def recording_solve(mesh, element, b, g):
+        loads.append(b)
+        return solve(mesh, element, b, g)
+
+    monkeypatch.setattr(assembly, "_constrained_solve", recording_solve)
+    erule = tensor_rule(assembly.ERROR_QUAD_1D)
+    for n in (3, 5, 8):
+        m = assembly.build_mesh(n)
+        rep = assembly.solve_method(method, m, omega, exact, eps=eps, r=r)
+        if method == "dpg":
+            kit = localforms.element_kit(localforms.NormalizedParams(omega * m.h, eps * m.h, r))
+            b = oracles.pointwise_dpg_loads(m, kit, fields)
+            approx = rep.fields.T[:, :, None]
+        else:
+            b = oracles.pointwise_fosls_loads(m, localforms.fosls_element(omega * m.h), fields)
+            etab = refelem.tabulate_conforming_basis(erule)
+            xe = rep.trace[m.dofs]
+            approx = (xe @ etab.vx, xe @ etab.vy, xe @ etab.eta)
+        assert np.linalg.norm(loads.pop() - b) <= 1e-13 * np.linalg.norm(b), f"n = {n}"
+        np.testing.assert_allclose(
+            [rep.e_r, rep.a], oracles.pointwise_errors(m, fields, erule, approx), rtol=1e-13
+        )
+        if name == "zero":
+            assert rep.e_r == rep.a == 0.0
+
+
 # ---------------------------------------------------------------------------
 # best-approximation distance
 # ---------------------------------------------------------------------------
 
 
+def _const(value):
+    return lambda t: np.full_like(t, value, dtype=complex)
+
+
 def test_best_approx_constant_fields_zero():
     m = assembly.build_mesh(3)
+    one = _const(1.0)
     const = assembly.ExactSolution(
         "const", 1.0,
-        phi=lambda x, y: np.full_like(np.asarray(x, dtype=complex), 2 - 1j),
-        u1=lambda x, y: np.full_like(np.asarray(x, dtype=complex), 0.5),
-        u2=lambda x, y: np.full_like(np.asarray(x, dtype=complex), -3.0),
-        f1=lambda x, y: np.zeros_like(np.asarray(x, dtype=complex)),
-        f2=lambda x, y: np.zeros_like(np.asarray(x, dtype=complex)),
-        f3=lambda x, y: np.zeros_like(np.asarray(x, dtype=complex)),
+        phi=((_const(2 - 1j), one),),
+        u1=((_const(0.5), one),),
+        u2=((one, _const(-3.0)),),
+        f1=(), f2=(), f3=(),
     )
     assert assembly.best_approx_error(m, const) <= 1e-14
 
@@ -178,14 +236,14 @@ def test_best_approx_constant_fields_zero():
 def test_best_approx_linear_closed_form():
     """For phi = x the per-element distance to constants is h^2/sqrt(12),
     so the total over n^2 elements is h/sqrt(12)."""
-    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=complex))
+    one = _const(1.0)
     lin = assembly.ExactSolution(
         "linear", 1.0,
-        phi=lambda x, y: np.asarray(x, dtype=complex),
-        u1=zero, u2=zero,
-        f1=lambda x, y: np.ones_like(np.asarray(x, dtype=complex)),
-        f2=zero,
-        f3=lambda x, y: 1j * np.asarray(x, dtype=complex),
+        phi=((lambda t: np.asarray(t, dtype=complex), one),),
+        u1=(), u2=(),
+        f1=((one, one),),
+        f2=(),
+        f3=((lambda t: 1j * np.asarray(t, dtype=complex), one),),
     )
     for n in (2, 5, 8):
         m = assembly.build_mesh(n)
@@ -200,13 +258,12 @@ def test_best_approx_independent_quadrature():
     m = assembly.build_mesh(5)
     ex = assembly.manufactured_solution(2.5)
     rule = tensor_rule(10)
-    w = rule.points, rule.weights
     total = 0.0
     for ey in range(m.n):
         for exx in range(m.n):
             xs = (exx + rule.points[:, 0]) * m.h
             ys = (ey + rule.points[:, 1]) * m.h
-            for comp in (ex.u1(xs, ys), ex.u2(xs, ys), ex.phi(xs, ys)):
+            for comp in (_at(ex.u1, xs, ys), _at(ex.u2, xs, ys), _at(ex.phi, xs, ys)):
                 mean = comp @ rule.weights
                 total += np.sum(rule.weights * np.abs(comp - mean) ** 2)
     oracle = np.sqrt(total * m.h**2)
@@ -534,9 +591,9 @@ def test_plane_wave_boundary_trace_imposed():
     grid = rep.vertex_grid(m)
     h = m.h
     for i in range(5):
-        np.testing.assert_allclose(grid[i, 0], complex(ex.phi(i * h, 0.0)), rtol=1e-12)
-        np.testing.assert_allclose(grid[0, i], complex(ex.phi(0.0, i * h)), rtol=1e-12)
-        np.testing.assert_allclose(grid[i, 4], complex(ex.phi(i * h, 1.0)), rtol=1e-12)
+        np.testing.assert_allclose(grid[i, 0], complex(_at(ex.phi, i * h, 0.0)), rtol=1e-12)
+        np.testing.assert_allclose(grid[0, i], complex(_at(ex.phi, 0.0, i * h)), rtol=1e-12)
+        np.testing.assert_allclose(grid[i, 4], complex(_at(ex.phi, i * h, 1.0)), rtol=1e-12)
 
 
 def test_bc_inconsistent():
@@ -615,6 +672,14 @@ def test_amplitude_metric_synthetic():
     assert got < 0.45
     with pytest.raises(ValueError):
         assembly.amplitude_metric(np.ones((2, 2)), 0.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 8, np.pi / 4, 1.2])
+@pytest.mark.parametrize("m", [5, 49, 50])
+def test_amplitude_metric_matches_window_loop(m, theta):
+    rng = np.random.default_rng(m)
+    grid = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    assert assembly.amplitude_metric(grid, theta) == oracles.amplitude_metric_loop(grid, theta)
 
 
 def test_plane_wave_demo_small():
