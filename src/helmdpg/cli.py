@@ -349,6 +349,8 @@ def _cmd_dispersion(cfg: dict, out: _CsvOut):
                 cfg["omega"], h, th, z.real / h, z.imag / h, da, it,
             )
         rho, eta = sweep.rho, sweep.eta
+        worst = int(np.argmax(sweep.det_abs / sweep.scale))
+        theta, det_abs, scale = sweep.thetas[worst], sweep.det_abs[worst], sweep.scale[worst]
     else:
         res = dispersion.solve_root(st, cfg["theta"], zeta)
         out.row(
@@ -358,8 +360,15 @@ def _cmd_dispersion(cfg: dict, out: _CsvOut):
         )
         rho = abs(res.z.real - zeta) / zeta
         eta = abs(res.z.imag) / zeta
+        theta, det_abs, scale = cfg["theta"], res.det_abs, res.scale
     out.comment(f"rho={_fmt(rho)}")
     out.comment(f"eta={_fmt(eta)}")
+    # abs_detF is a certificate only against the scale of |det F| over the
+    # starts; a sweep reports its weakest direction
+    print(
+        f"scale: {_fmt(scale)} abs_detF/scale: {_fmt(det_abs / scale)} theta: {_fmt(theta)}",
+        file=sys.stderr,
+    )
 
 
 def _cmd_band(cfg: dict, out: _CsvOut):

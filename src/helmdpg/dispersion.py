@@ -4,22 +4,34 @@ A plane-wave ansatz ``value_s(x) = amp_s * exp(i*wh* k.x)`` turns each
 stencil row into one row of a small symbol matrix F(z), where ``z`` is the
 discrete frequency-step product and the entries are finite exponential sums
 over the lattice offsets.  Nontrivial amplitudes require ``det F(z) = 0``;
-the solver tracks the root nearest the continuous value ``zeta`` on every
-direction of a sweep at once, as one array program over (direction, start)
-pairs.  Newton runs from several starts per direction (derivative by the
-adjugate formula, steps capped at a fraction of ``zeta``), all of them off
-the real axis, where det F is real and Newton cannot reach a complex root.
-One double evaluation gives det F, its derivative and the rounding error
-of det F; a start stops once |det F| is within that error or its step
-within ROOT_ZTOL of |z|.  The stopped starts are folded to nonnegative
-imaginary part, deduplicated and certified, all directions together.  A
-well-resolved simple root is certified in double: its error estimate from
-the rounding error of det F is within ROOT_ZTOL of |z|, and det F winds
-exactly once on a small circle around it that stays clear of that rounding
-error.  Every other candidate (a nearly double root, a close pair) is
-re-solved in extended precision to a step tolerance tight enough that the
-polished root does not depend on the start.  The ansatz residual gives an
-independent check.
+the solver finds the root nearest the continuous value ``zeta``.
+
+The engine works on rows: a row is one stencil set on one direction, with
+its own ``zeta``.  A direction sweep is one set on many directions; a band
+diagram or a convergence study is one set per frequency point, all on one
+direction.  Sets of one method share the offset table, so only their
+coefficients are stacked.  Every row is solved at once, as one array
+program over (row, start) pairs.  Newton runs from several starts per row
+(derivative by the adjugate formula, steps capped at a fraction of the
+row's ``zeta``), all of them off the real axis, where det F is real and
+Newton cannot reach a complex root.  One double evaluation gives det F,
+its derivative and the rounding error of det F; a start stops once |det F|
+is within that error or its step within ROOT_ZTOL of |z|.  The stopped
+starts are folded to nonnegative imaginary part, deduplicated and
+certified, all rows together.  A well-resolved simple root is certified in
+double: its error estimate from the rounding error of det F is within
+ROOT_ZTOL of |z|, and det F winds exactly once on a small circle around it
+that stays clear of that rounding error.  Every other candidate (a nearly
+double root, a close pair) is re-solved in extended precision to a step
+tolerance tight enough that the polished root does not depend on the
+start.  The ansatz residual gives an independent check.
+
+A band diagram continues its branch from point to point, each point
+starting also from the previous root plus the grid step.  It takes two
+batched passes: every point from the common starts, then every point again
+with the continuation start built from the first pass.  Only after a point
+where the continuation took another branch than the common starts is the
+next point solved again on its own, in order.
 
 Roots of conjugate-symmetric stencils come in conjugate pairs; the solver
 reports the representative with nonnegative imaginary part.
@@ -72,35 +84,54 @@ DEFAULT_N_THETA = 181
 
 
 class SymbolMatrix:
-    """F(z) and dF/dz for one stencil set on one or more directions.
+    """F(z) and dF/dz on rows of (stencil set, direction) pairs.
 
     Entry (t, s) of F is the exponential sum ``sum_k c_k exp(i z d_k)`` over
     the (t, s) stencil offsets, ``d_k`` the offset projected on the
-    direction.  ``theta`` is one direction or a 1-D array of T directions.
-    On one direction the double evaluators take any array z; on T
-    directions they take a z whose first axis runs over the directions.
-    Results have z's shape in front.  The lattice offsets are projected once
-    per direction, a ``(T, D)`` table (on one direction only the distinct
-    projections are kept, without the T axis); an evaluation takes one
+    direction.  ``stencils`` is one stencil set or a sequence of P sets,
+    ``theta`` one direction or a 1-D array of directions.  One set on one
+    direction makes a symbol of one row; one set on T directions makes T
+    rows; P sets make P rows, set p on ``theta[p]`` (or on the one
+    ``theta`` given).  On one row the double evaluators take any array z; on
+    several they take a z whose first axis runs over the rows.  Results
+    have z's shape in front.
+
+    The sets of one symbol must share the offset table: the same types and,
+    per (t, s) entry, the same offsets in the same order.  Sets of one
+    method (and one r) do, since the offsets come from the patch's
+    structure and not from the weights.  The lattice offsets are projected
+    once per row, a ``(rows, D)`` table (on one row only the distinct
+    projections are kept, without the row axis); an evaluation takes one
     exponential per projected offset and gathers it, through an index
-    shared by all directions, into complex128 ``(n, n, K)`` term arrays
-    padded with zeros to the longest row.  The derivative's factors
-    ``i d_k c_k`` are kept per direction, ``(T, n, n, K)``.  :meth:`take` gives the same symbol on some
-    of its directions.  ``det_and_derivative_exact`` takes one z in the
-    ambient mpmath precision on one direction and sums only each entry's
-    own terms, with the stencil set's extended weights when present and the
-    double weights otherwise.  Its object copies are built on its first
-    call, so callers that stay in double never pay for them.
+    shared by all rows, into complex128 ``(n, n, K)`` term arrays padded
+    with zeros to the longest row.  The coefficients are one ``(n, n, K)``
+    array shared by every row of one set, and ``(P, n, n, K)`` over P sets;
+    the derivative's factors ``i d_k c_k`` are kept per row, ``(rows, n,
+    n, K)``.  :meth:`take` gives the same symbol on some of its rows.
+    ``det_and_derivative_exact`` takes one z in the ambient mpmath
+    precision on a symbol of one row and sums only each entry's own terms,
+    with the row's extended weights when its set has them and its double
+    weights otherwise.  Its object copies are built on its first call, so
+    callers that stay in double never pay for them.
     """
 
-    def __init__(self, stencils: StencilSet, theta):
-        self.types = stencils.types
+    def __init__(self, stencils, theta):
+        one_set = isinstance(stencils, StencilSet)
+        sets = (stencils,) if one_set else tuple(stencils)
         self.theta = np.asarray(theta, dtype=float)
         if self.theta.ndim > 1:
             raise ValueError(f"theta must be a scalar or 1-D, got shape {self.theta.shape}")
+        if not one_set:
+            if not sets or self.theta.ndim and len(self.theta) != len(sets):
+                raise ValueError(
+                    f"{len(sets)} stencil sets need one theta or {len(sets)}, "
+                    f"got shape {self.theta.shape}"
+                )
+            self.theta = np.broadcast_to(self.theta, (len(sets),)).copy()
+        self.types = sets[0].types
         n = len(self.types)
         rows = {
-            (ti, si): stencils.weights.get((t, s)) or {}
+            (ti, si): sets[0].weights.get((t, s)) or {}
             for ti, t in enumerate(self.types)
             for si, s in enumerate(self.types)
         }
@@ -109,29 +140,40 @@ class SymbolMatrix:
         index = {off: j for j, off in enumerate(offsets)}
         width = max(len(row) for row in rows.values())
         at = np.full((n, n, width), index[(0, 0)])
-        coefs = np.zeros((n, n, width), dtype=complex)
         for (ti, si), row in rows.items():
             at[ti, si, : len(row)] = [index[off] for off in row]
-            coefs[ti, si, : len(row)] = list(row.values())
+        coefs = np.zeros((len(sets), n, n, width), dtype=complex)
+        for p, st in enumerate(sets):
+            for (ti, si), row in rows.items():
+                own = st.weights.get((self.types[ti], self.types[si])) or {}
+                if st.types != self.types or list(own) != list(row):
+                    raise ValueError(
+                        f"stencil set {p} ({st.method}) does not share the offset table "
+                        f"of set 0 ({sets[0].method})"
+                    )
+                coefs[p, ti, si, : len(own)] = list(own.values())
         half = np.array(offsets, dtype=float) / 2.0
         th = self.theta[..., None]
         self._proj = np.cos(th) * half[:, 0] + np.sin(th) * half[:, 1]
         if self.theta.ndim == 0:
-            # one direction: one exponential per distinct projection
+            # one row: one exponential per distinct projection
             self._proj, where = np.unique(self._proj, return_inverse=True)
             at = where[at]
         self._at = at
-        self._coefs = coefs
-        self._dcoefs = 1j * self._proj[..., at] * coefs
+        # one set: one coefficient array shared by every row
+        self._coefs = coefs[0] if one_set else coefs
+        self._dcoefs = 1j * self._proj[..., at] * self._coefs
         self._rows = rows
-        self._exact_weights = stencils.exact
-        self._shared = {}  # lazy direction-independent state, shared with every take
+        self._sets = sets
+        self._which = 0 if one_set else np.arange(len(sets))  # the set of each row
+        self._shared = {}  # lazy row-independent state, shared with every take
 
     def take(self, rows) -> SymbolMatrix:
-        """The same symbol on directions ``theta[rows]``: one for an integer.
+        """The same symbol on its rows ``rows``: one row for an integer.
 
-        The direction-independent arrays are shared.  A symbol of one
-        direction serves z of any shape, so it is its own take.
+        The row-independent arrays are shared, and so are the coefficients
+        of a symbol of one set.  A symbol of one row serves z of any shape,
+        so it is its own take.
         """
         if self.theta.ndim == 0:
             return self
@@ -140,11 +182,13 @@ class SymbolMatrix:
         sub.__dict__.pop("_exact_terms", None)
         sub.theta = np.asarray(self.theta[rows])
         sub._proj, sub._dcoefs = self._proj[rows], self._dcoefs[rows]
+        if self._coefs.ndim > 3:
+            sub._coefs, sub._which = self._coefs[rows], self._which[rows]
         return sub
 
     def _along(self, table, z):
-        """A per-direction ``table``, of shape theta's + (...), shaped to
-        broadcast against z with its axes after theta's: (T, 1, ..., 1, ...)."""
+        """A per-row ``table``, of shape theta's + (...), shaped to
+        broadcast against z with its axes after theta's: (R, 1, ..., 1, ...)."""
         if self.theta.ndim == 0 or z.ndim == 1:
             return table
         return table.reshape(table.shape[:1] + (1,) * (z.ndim - 1) + table.shape[1:])
@@ -154,6 +198,10 @@ class SymbolMatrix:
         phase = np.exp(1j * z[..., None] * self._along(self._proj, z))
         return np.take(phase, self._at, axis=-1)
 
+    def _coefs_along(self, z):
+        """The coefficients, shaped to broadcast against the terms at z."""
+        return self._along(self._coefs, z) if self._coefs.ndim > 3 else self._coefs
+
     # iterates far from the root can push exp(1j*z*d) past the float range;
     # the callers test for non-finite results, so the overflow itself is
     # expected and the warning suppressed
@@ -161,7 +209,8 @@ class SymbolMatrix:
         """F(z), of shape ``np.shape(z) + (n, n)``."""
         z = np.asarray(z, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (self._coefs * self._phase(z)).sum(-1)
+            phase = self._phase(z)
+            return np.multiply(self._coefs_along(z), phase, out=phase).sum(-1)
 
     @staticmethod
     def _jacobi(f, df):
@@ -192,36 +241,42 @@ class SymbolMatrix:
         z = np.asarray(z, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             phase = self._phase(z)
-            terms = self._coefs * phase
+            df = (self._along(self._dcoefs, z) * phase).sum(-1)
+            # the terms c_k exp(i z d_k) overwrite the phases: on a batch of
+            # many rows these are the largest arrays
+            terms = np.multiply(self._coefs_along(z), phase, out=phase)
             f = terms.sum(-1)
-            g, gp, adj = self._jacobi(f, (self._along(self._dcoefs, z) * phase).sum(-1))
+            g, gp, adj = self._jacobi(f, df)
             entries = np.sum(
                 np.swapaxes(np.abs(adj), -1, -2) * np.abs(terms).sum(-1), axis=(-2, -1)
             )
             return g, gp, FLOOR_ROUNDING * (permanent_small(np.abs(f)) + entries)
 
     def _exact_coefs(self):
-        """The direction-independent object copies, built once for a symbol
-        and every take of it: flat arrays over the terms of all entries, row
-        by row in stencil order, of each term's column in the offset table
-        and its coefficient (an extended weight, or a double one converted
-        to mpc once), and the slice of each (t, s) entry.
+        """The direction-independent object copies of a one-row symbol's
+        stencil set, built once per set for a symbol and every take of it:
+        flat arrays over the terms of all entries, entry by entry in
+        stencil order, of each term's column in the offset table and its
+        coefficient (an extended weight, or a double one converted to mpc
+        once), and the slice of each (t, s) entry.
         """
-        if "coefs" not in self._shared:
+        which = int(self._which)
+        if which not in self._shared:
+            exact = self._sets[which].exact
             at, coefs, spans = [], [], []
             for (ti, si), row in self._rows.items():
                 if not row:
                     continue
                 k = len(row)
-                if self._exact_weights is not None:
-                    erow = self._exact_weights.get((self.types[ti], self.types[si])) or {}
+                if exact is not None:
+                    erow = exact.get((self.types[ti], self.types[si])) or {}
                     coefs += [erow[o] for o in row]
                 else:
                     coefs += [_exact_complex(c) for c in self._coefs[ti, si, :k]]
                 at += list(self._at[ti, si, :k])
                 spans.append((ti, si, slice(len(at) - k, len(at))))
-            self._shared["coefs"] = np.array(at), np.array(coefs, dtype=object), spans
-        return self._shared["coefs"]
+            self._shared[which] = np.array(at), np.array(coefs, dtype=object), spans
+        return self._shared[which]
 
     @cached_property
     def _exact_terms(self):
@@ -232,7 +287,7 @@ class SymbolMatrix:
         coefficient and its offset d; last the slice of each (t, s) entry.
         """
         if self.theta.ndim:
-            raise ValueError("the extended evaluation takes a symbol of one direction")
+            raise ValueError("the extended evaluation takes a symbol of one row")
         column, coefs, spans = self._exact_coefs()
         distinct, where = np.unique(self._proj, return_inverse=True)
         at = where[column]
@@ -290,16 +345,17 @@ class RootResult:
     polished: bool
 
 
-def _newton(sym: SymbolMatrix, starts, cap: float, first=None):
+def _newton(sym: SymbolMatrix, starts, cap, first=None):
     """Newton iteration on det F from every start at once.
 
-    ``starts`` holds one row of starts per direction of ``sym`` (any array
-    for a symbol of one direction); a start that is not finite is no
-    start.  Each start runs its own iteration; one batched symbol
-    evaluation serves all starts still active, on all directions.  A step
-    longer than ``cap`` is shortened to ``cap`` along its direction: where
-    d(det F)/dz nearly vanishes the full step would throw the start far
-    from the region the starts cover, onto another branch or an alias.
+    ``starts`` holds one row of starts per row of ``sym`` (any array for a
+    symbol of one row); a start that is not finite is no start.  Each
+    start runs its own iteration; one batched symbol evaluation serves all
+    starts still active, on all rows.  ``cap`` is one step cap or one per
+    row of ``starts``.  A step longer than its cap is shortened to the cap
+    along its direction: where d(det F)/dz nearly vanishes the full step
+    would throw the start far from the region the starts cover, onto
+    another branch or an alias.
 
     A start stops where |det F| is at most the rounding error e of the
     double det F (``SymbolMatrix.det_and_derivative``): below it the
@@ -316,7 +372,8 @@ def _newton(sym: SymbolMatrix, starts, cap: float, first=None):
     z = np.array(starts, dtype=complex)
     shape = z.shape
     z = z.reshape(-1)
-    per_direction = shape[-1] if shape else 1
+    per_row = shape[-1] if shape else 1
+    cap = np.repeat(np.reshape(cap, -1), per_row) if np.ndim(cap) else np.full(z.shape, cap)
     batched = sym.theta.ndim > 0
     iters = np.full(z.shape, NEWTON_MAX_ITER)
     stopped = np.zeros(z.shape, dtype=bool)
@@ -328,11 +385,11 @@ def _newton(sym: SymbolMatrix, starts, cap: float, first=None):
         if it == 0 and first is not None:
             g, gp, e = (np.reshape(a, -1)[active] for a in first)
         else:
-            at = sym.take(active // per_direction) if batched else sym
+            at = sym.take(active // per_row) if batched else sym
             g, gp, e = at.det_and_derivative(za)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             dz = -g / gp
-            dz *= np.minimum(1.0, cap / np.abs(dz))
+            dz *= np.minimum(1.0, cap[active] / np.abs(dz))
         floor = np.abs(g) <= e
         step = ~floor & np.isfinite(dz)
         small = step & (np.abs(dz) <= ROOT_ZTOL * np.maximum(1.0, np.abs(za)))
@@ -358,7 +415,7 @@ def _polish(sym: SymbolMatrix, z0: complex):
     depends on the start.  Each evaluation at z also gives |det F(z)|, so
     after at least one step the polish returns z itself once the step it
     would take is within tolerance: a simple root the double stage already
-    found costs two evaluations.  ``sym`` has one direction.  Returns
+    found costs two evaluations.  ``sym`` has one row.  Returns
     (z, steps, |det F(z)|) or (None, steps, None).
     """
     with working_context(EXTENDED):
@@ -377,8 +434,8 @@ def _polish(sym: SymbolMatrix, z0: complex):
 def _distinct(zs, valid):
     """Mask of the first of each group of roots equal to DEDUP_TOL, per row.
 
-    ``zs`` and ``valid`` are ``(T, S)``: S candidates on each of T
-    directions, of which only the valid ones count.  A candidate is kept
+    ``zs`` and ``valid`` are ``(T, S)``: S candidates on each of T rows,
+    of which only the valid ones count.  A candidate is kept
     when no kept candidate before it in its row lies within DEDUP_TOL *
     max(1, |z|) of it.  That rule is a lower triangular system in the keep
     mask, solved by fixed-point iteration from "keep every valid one": each
@@ -402,7 +459,7 @@ def _distinct(zs, valid):
 def _double_certified(sym: SymbolMatrix, zs):
     """Which candidates double arithmetic certifies as simple roots.
 
-    ``sym`` has one direction per candidate.  One batched evaluation of
+    ``sym`` has one row per candidate.  One batched evaluation of
     ``SymbolMatrix.det_and_derivative`` at each candidate and on a circle
     around it.  At the candidate it gives g = det F(z), g' and the rounding
     error e of g, which passes when the error estimate (|g| + e) / |g'| is
@@ -437,10 +494,10 @@ def _double_certified(sym: SymbolMatrix, zs):
 
 
 def _certify(sym: SymbolMatrix, zs, iters, keep):
-    """Certify each distinct candidate of every direction.
+    """Certify each distinct candidate of every row.
 
     ``zs``, ``iters`` and ``keep`` are ``(T, S)``: the candidates of each
-    direction of ``sym`` and the mask of those to certify.  Candidates are
+    row of ``sym`` and the mask of those to certify.  Candidates are
     folded to Im z >= 0 before they are deduplicated, so a root found as z
     and as conj(z) is certified once; the fold is exact because the
     weights pair Hermitianly, det F(conj z) = conj det F(z).  A candidate
@@ -451,7 +508,7 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     does not confirm is dropped, since near a nearly double root the
     double determinant is rounding noise and the double tests alone
     certify nothing there.  The object copies of the polish are built once
-    per direction.  Returns ``(z, iters, |det F(z)|, polished)`` arrays of
+    per row.  Returns ``(z, iters, |det F(z)|, polished)`` arrays of
     shape ``(T, S)``, z NaN where no root was certified.
     """
     zs = np.where(zs.imag < 0, zs.conj(), zs)
@@ -462,7 +519,7 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     polished = np.zeros(zs.shape, dtype=bool)
     z[rows, cols], det[rows, cols] = np.where(certified, centre, np.nan), det_abs
     iters = np.array(iters)
-    one = {}  # the one-direction symbol of each row polished, with its object copies
+    one = {}  # the one-row symbol of each row polished, with its object copies
     for t, s in zip(rows[~certified], cols[~certified]):
         if t not in one:
             one[t] = sym.take(t)
@@ -475,30 +532,33 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     return z, iters, det, polished
 
 
-def _solve(sym: SymbolMatrix, zeta: float, starts):
-    """The certified root nearest ``zeta`` on every direction of ``sym``.
+def _solve(sym: SymbolMatrix, zeta, starts):
+    """The certified root nearest ``zeta`` on every row of ``sym``.
 
-    ``sym`` has T directions (one when built on a scalar theta) and
-    ``starts`` one row of starts per direction.  A batched Newton from all
-    starts of all directions at once (:func:`_newton`) produces the
+    ``sym`` has T rows (one when built on one set and a scalar theta),
+    ``zeta`` is one frequency or one per row, and ``starts`` holds one row
+    of starts per row.  A row's zeta sets its step cap, STEP_CAP * zeta,
+    and the distance its candidates are ranked by.  A batched Newton from
+    all starts of all rows at once (:func:`_newton`) produces the
     candidate roots, the starts that stopped.  Candidates are restricted to
-    the first Brillouin
-    zone (Re z > 0 and max(|Re z cos theta|, |Re z sin theta|) <= pi, to
-    BRILLOUIN_TOL).  det F is unchanged by a lattice shift k -> k + 2*pi*(m,
-    n) of the wave vector, so a root outside the zone is an alias: for the
-    bilinear fem at pi < zeta < sqrt(12) the alias 2*pi - z lies nearer
-    zeta than the root z.  On a direction whose candidates all lie outside
-    the zone (zeta well above pi), Newton restarts from each one mirrored
-    about the zone edge along the ray.  The candidates are then certified
-    (:func:`_certify`), and on each direction the certified root closest to
+    the first Brillouin zone of the row's direction (Re z > 0 and
+    max(|Re z cos theta|, |Re z sin theta|) <= pi, to BRILLOUIN_TOL).
+    det F is unchanged by a lattice shift k -> k + 2*pi*(m, n) of the wave
+    vector, so a root outside the zone is an alias: for the bilinear fem at
+    pi < zeta < sqrt(12) the alias 2*pi - z lies nearer zeta than the root
+    z.  On a row whose candidates all lie outside the
+    zone (zeta well above pi), Newton restarts from each one mirrored about
+    the zone edge along the ray.  The candidates are then certified
+    (:func:`_certify`), and on each row the certified root closest to its
     ``zeta`` wins.  Returns ``(z, iters, det_abs, scale, polished, rival)``
-    arrays over the directions: ``scale`` is the largest |det F| over the
-    direction's starts, the scale to read ``det_abs`` against, and
-    ``rival`` the runner-up root where it lies within AMBIGUITY_TOL of the
-    winner's distance to ``zeta``, else NaN.  z is NaN on a direction
-    without a certified root in the zone.
+    arrays over the rows: ``scale`` is the largest |det F| over the row's
+    starts, the scale to read ``det_abs`` against, and ``rival`` the
+    runner-up root where it lies within AMBIGUITY_TOL of the winner's
+    distance to ``zeta``, else NaN.  z is NaN on a row without a certified
+    root in the zone.
     """
     thetas = sym.theta.reshape(-1)
+    zeta = np.broadcast_to(np.asarray(zeta, dtype=float), thetas.shape)
     first = sym.det_and_derivative(starts)
     scale = np.abs(first[0]).max(axis=1)
     scale[scale == 0] = 1.0
@@ -517,12 +577,12 @@ def _solve(sym: SymbolMatrix, zeta: float, starts):
         # itself a root, the alias of z; elsewhere it is a start in the zone
         zl = z[lost]
         mirrored = np.where(ok[lost], 2 * edge[lost] - zl.real + 1j * np.abs(zl.imag), np.nan)
-        zm, itm, okm = _newton(sym.take(lost), mirrored, cap)
+        zm, itm, okm = _newton(sym.take(lost), mirrored, cap[lost])
         z[lost], iters[lost], ok[lost] = zm, iters[lost] + itm, okm
         keep = ok & in_zone(z)
     z, iters, det_abs, polished = _certify(sym, z, iters, keep)
     # NaN, where no root was certified, is in no zone
-    dist = np.where(_distinct(z, in_zone(z)), np.abs(z - zeta), np.inf)
+    dist = np.where(_distinct(z, in_zone(z)), np.abs(z - zeta[:, None]), np.inf)
     t = np.arange(len(thetas))[:, None]
     order = t, np.argsort(dist, axis=1, kind="stable")
     dist, z, iters, det_abs, polished = (a[order] for a in (dist, z, iters, det_abs, polished))
@@ -534,18 +594,21 @@ def _solve(sym: SymbolMatrix, zeta: float, starts):
 
 
 def _require_roots(z, thetas, zeta, method):
-    """Raise NoRootFound naming the first direction whose root is NaN."""
+    """Raise NoRootFound naming the first row whose root is NaN, by its
+    direction and frequency (one of each, or one per row)."""
     missing = np.flatnonzero(np.isnan(z))
     if missing.size:
+        thetas, zeta = (np.broadcast_to(a, np.shape(z)) for a in (thetas, zeta))
         raise NoRootFound(
-            f"no admissible dispersion root near zeta={float(zeta)!r} for "
-            f"theta={float(np.reshape(thetas, -1)[missing[0]])!r} ({method})"
+            f"no admissible dispersion root near zeta={float(zeta[missing[0]])!r} for "
+            f"theta={float(thetas[missing[0]])!r} ({method})"
         )
 
 
 def _warn_ambiguous(thetas, zeta, z, rival):
-    """One BranchAmbiguity per direction whose root has a rival (see :func:`_solve`)."""
-    for theta, best, other in zip(thetas, z, rival):
+    """One BranchAmbiguity per row whose root has a rival (see :func:`_solve`)."""
+    thetas, zetas = (np.broadcast_to(a, np.shape(z)) for a in (thetas, zeta))
+    for theta, zeta, best, other in zip(thetas, zetas, z, rival):
         if np.isfinite(other):
             warnings.warn(
                 f"two dispersion branches nearly equidistant from zeta={float(zeta)!r} "
@@ -560,6 +623,11 @@ def _require_zeta(zeta):
         raise ValueError(f"zeta must be positive and finite, got {zeta}")
 
 
+def _require_theta(theta):
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+
+
 def solve_root(
     stencils: StencilSet,
     theta: float,
@@ -568,7 +636,7 @@ def solve_root(
 ) -> RootResult:
     """Locate the dispersion root nearest ``zeta`` for direction ``theta``.
 
-    The one-direction case of the sweep engine (:func:`_solve`).  The
+    The one-row case of the engine (:func:`_solve`).  The
     starts are ``init`` when given, then ``zeta`` times START_FACTORS:
     ``zeta*(1 +- 0.1i)`` and five more at ``zeta`` times 1, 1.1, 0.9, 1.2
     and 0.8, moved off the real axis by ``0.02i*zeta``.  A simple root that
@@ -586,8 +654,7 @@ def solve_root(
     Raises NoRootFound if no root is certified in the zone.
     """
     _require_zeta(zeta)
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    _require_theta(theta)
     starts = zeta * START_FACTORS
     if init is not None:
         starts = np.insert(starts, 0, init)
@@ -642,6 +709,7 @@ class ThetaSweep:
     iters: np.ndarray
     det_abs: np.ndarray
     polished: np.ndarray
+    scale: np.ndarray  # per direction, the scale to read det_abs against
 
     @property
     def rho(self) -> float:
@@ -689,18 +757,19 @@ def theta_sweep(
         source = np.minimum(source, n_theta - 1 - source)
     sym = SymbolMatrix(stencils, thetas[: source.max() + 1])
     starts = np.broadcast_to(zeta * START_FACTORS, (len(sym.theta), len(START_FACTORS)))
-    z, iters, det_abs, _, polished, rival = _solve(sym, zeta, starts)
+    solved = _solve(sym, zeta, starts)
+    z, rival = solved[0], solved[-1]
     # far above the resolved range (r = 4 at zeta = 2.5) the root can move
     # too far from zeta for the common starts to reach
     for t in np.flatnonzero(np.isnan(z)):
         if t and not np.isnan(z[t - 1]):
             warm = _solve(sym.take([t]), zeta, np.insert(starts[t], 0, z[t - 1])[None])
-            z[t], iters[t], det_abs[t], _, polished[t], rival[t] = (a[0] for a in warm)
+            for a, b in zip(solved, warm):
+                a[t] = b[0]
     _require_roots(z, sym.theta, zeta, stencils.method)
     _warn_ambiguous(thetas, zeta, z[source], rival[source])
-    return ThetaSweep(
-        stencils.method, zeta, thetas, z[source], iters[source], det_abs[source], polished[source]
-    )
+    z, iters, det_abs, scale, polished = (a[source] for a in solved[:-1])
+    return ThetaSweep(stencils.method, zeta, thetas, z, iters, det_abs, polished, scale)
 
 
 @dataclass(frozen=True)
@@ -728,10 +797,15 @@ def convergence_study(
 
     The frequency is held fixed while h shrinks, so the normalized frequency
     and, for the eps-scaled method, the normalized dissipation eps*h shrink
-    with it.  The slope is the least-squares fit of log|z - zeta| against
-    log(zeta) restricted to levels 3..7 (the asymptotic range); coarser
-    levels are reported but not fitted.  ``levels`` must hold at least two
-    distinct fitted levels, else ValueError is raised before any solve.
+    with it.  The levels are independent: each gets the starts of
+    :func:`solve_root` without ``init``, and all of them are solved as one
+    array program, one row of a :class:`SymbolMatrix` per level's stencil
+    set.  BranchAmbiguity is warned per level; NoRootFound names the first
+    level without a root.  The slope is the least-squares fit of
+    log|z - zeta| against log(zeta) restricted to levels 3..7 (the
+    asymptotic range); coarser levels are reported but not fitted.
+    ``levels`` must hold at least two distinct fitted levels, else
+    ValueError is raised before any solve.
     """
     fitted = set(levels) & set(ConvergenceStudy.FIT_LEVELS)
     if len(fitted) < 2:
@@ -739,16 +813,17 @@ def convergence_study(
             f"levels {tuple(levels)} hold {len(fitted)} of the fitted levels "
             f"FIT_LEVELS = {ConvergenceStudy.FIT_LEVELS}; the slope needs two"
         )
-    zetas, roots = [], []
-    for level in levels:
-        h = 2.0 * np.pi / 2.0**level
-        zeta = omega * h
-        eps_n = None if eps is None else eps * h
-        st = _method_stencils(method, zeta, eps_n, r)
-        roots.append(solve_root(st, 0.0, zeta).z)
-        zetas.append(zeta)
-    zetas = np.asarray(zetas)
-    roots = np.asarray(roots)
+    hs = np.array([2.0 * np.pi / 2.0**level for level in levels])
+    zetas = omega * hs
+    for zeta in zetas:
+        _require_zeta(zeta)
+    sets = [
+        _method_stencils(method, zeta, None if eps is None else eps * h, r)
+        for zeta, h in zip(zetas, hs)
+    ]
+    roots, *_, rival = _solve(SymbolMatrix(sets, 0.0), zetas, zetas[:, None] * START_FACTORS)
+    _require_roots(roots, 0.0, zetas, method)
+    _warn_ambiguous(0.0, zetas, roots, rival)
     errors = np.abs(roots - zetas)
     fit = np.isin(np.asarray(levels), ConvergenceStudy.FIT_LEVELS)
     slope = float(
@@ -782,24 +857,64 @@ def band_diagram(
 ) -> BandDiagram:
     """Track the root along :func:`band_grid` by continuation.
 
-    Each solve is initialized from the previous root shifted by the grid
-    step, which keeps the tracker on one branch through stopbands where the
-    root leaves the real axis.
+    The root at each point is the one :func:`solve_root` finds with the
+    previous point's root, shifted by the grid step, as ``init``, and
+    without ``init`` where that finds none; the first point has no
+    ``init``.  The extra start keeps the tracker on one branch through
+    stopbands, where the root leaves the real axis.  The points are solved
+    as rows of one :class:`SymbolMatrix` over their stencil sets, in two
+    batched passes and a sequential remainder:
+
+    1. every point from the common starts alone: the fallback, and the
+       branch the continuation is expected to follow;
+    2. every point but the first again, with the previous point's pass-1
+       root plus the step in front of the common starts;
+    3. in order, only after a point whose root differs from its pass-1
+       root by more than DEDUP_TOL * max(1, |z|) (there the continuation
+       took another branch, so the next point's pass-2 start came from the
+       wrong root): that next point is solved again from the previous
+       point's final root, and so on while they differ.
+
+    The roots agree with a point-by-point tracker to rounding: the pass-2
+    start is built from a root that may differ from the tracker's in its
+    last bits.  BranchAmbiguity is warned per point; NoRootFound names the
+    first point without a root.
     """
+    _require_theta(theta)
     zetas = band_grid(zeta_max, zeta_step)
-    z = np.empty(len(zetas), dtype=complex)
-    prev = None
-    for i, zeta in enumerate(zetas):
-        st = _method_stencils(method, zeta, eps_n, r)
-        init = None if prev is None else prev + (zetas[i] - zetas[i - 1])
-        try:
-            res = solve_root(st, theta, zeta, init=init)
-        except NoRootFound:
-            if init is None:
-                raise
-            res = solve_root(st, theta, zeta)
-        z[i] = res.z
-        prev = res.z
+    if not zetas.size:
+        return BandDiagram(method, theta, zetas, np.empty(0, dtype=complex))
+    sym = SymbolMatrix([_method_stencils(method, zeta, eps_n, r) for zeta in zetas], theta)
+    starts = zetas[:, None] * START_FACTORS
+    step = np.diff(zetas)
+    seeds, *_, seed_rival = _solve(sym, zetas, starts)
+    z, rival = seeds.copy(), seed_rival.copy()
+    # a point after one without a pass-1 root has no pass-2 start of its own
+    later = np.flatnonzero(~np.isnan(seeds[:-1])) + 1
+    if later.size:
+        warm, *_, warm_rival = _solve(
+            sym.take(later),
+            zetas[later],
+            np.column_stack([seeds[later - 1] + step[later - 1], starts[later]]),
+        )
+        found = ~np.isnan(warm)
+        z[later[found]], rival[later[found]] = warm[found], warm_rival[found]
+    for i in range(1, len(zetas)):
+        prev = z[i - 1]
+        if np.isnan(prev):
+            break
+        if abs(prev - seeds[i - 1]) <= DEDUP_TOL * max(1.0, abs(prev)):
+            continue
+        again, *_, again_rival = _solve(
+            sym.take([i]), zetas[i], np.insert(starts[i], 0, prev + step[i - 1])[None]
+        )
+        if not np.isnan(again[0]):
+            z[i], rival[i] = again[0], again_rival[0]
+        else:
+            z[i], rival[i] = seeds[i], seed_rival[i]
+    solved = np.cumprod(~np.isnan(z)).astype(bool)
+    _warn_ambiguous(theta, zetas[solved], z[solved], rival[solved])
+    _require_roots(z, theta, zetas, method)
     return BandDiagram(method, theta, zetas, z)
 
 

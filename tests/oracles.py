@@ -22,6 +22,11 @@ at every quadrature point of every element, are the second route to the
 mesh loads and error measures, which the solver forms from per-axis tables
 of the factor-form fields; :func:`amplitude_metric_loop` is the
 window-by-window route to ``assembly.amplitude_metric``.
+:func:`band_diagram_sequential` and :func:`convergence_roots_sequential`
+are the point-by-point routes to ``dispersion.band_diagram`` and
+``dispersion.convergence_study``: one ``solve_root`` per frequency point,
+each band point continued from the previous root, where the package
+solves all points as rows of one symbol.
 """
 
 import math
@@ -30,8 +35,8 @@ import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 
-from helmdpg import numkit, refelem
-from helmdpg.errors import DimensionMismatch, NotHermitian
+from helmdpg import dispersion, numkit, refelem
+from helmdpg.errors import DimensionMismatch, NoRootFound, NotHermitian
 from helmdpg.numkit import (
     Precision,
     QuadratureRule,
@@ -440,3 +445,38 @@ def amplitude_metric_loop(phi_grid: np.ndarray, theta: float) -> float:
             if k[0] * ci + k[1] * cj >= 0.75 * proj_max:
                 best = min(best, float(np.max(np.abs(sub))))
     return best
+
+
+def band_diagram_sequential(method, eps_n=None, r=None, theta=0.0, zeta_max=6.0, zeta_step=0.05):
+    """The band's roots, one ``solve_root`` per point in grid order.
+
+    Each point starts from the previous root shifted by the grid step as
+    ``init``, and falls back to the common starts where that finds no root.
+    """
+    zetas = dispersion.band_grid(zeta_max, zeta_step)
+    z = np.empty(len(zetas), dtype=complex)
+    prev = None
+    for i, zeta in enumerate(zetas):
+        st = dispersion._method_stencils(method, zeta, eps_n, r)
+        init = None if prev is None else prev + (zetas[i] - zetas[i - 1])
+        try:
+            res = dispersion.solve_root(st, theta, zeta, init=init)
+        except NoRootFound:
+            if init is None:
+                raise
+            res = dispersion.solve_root(st, theta, zeta)
+        z[i] = prev = res.z
+    return zetas, z
+
+
+def convergence_roots_sequential(method, eps=None, r=None, levels=(3, 4, 5), omega=1.0):
+    """The convergence study's roots at theta = 0, one ``solve_root`` per level."""
+    zetas, roots = [], []
+    for level in levels:
+        h = 2.0 * np.pi / 2.0**level
+        zeta = omega * h
+        eps_n = None if eps is None else eps * h
+        st = dispersion._method_stencils(method, zeta, eps_n, r)
+        roots.append(dispersion.solve_root(st, 0.0, zeta).z)
+        zetas.append(zeta)
+    return np.asarray(zetas), np.asarray(roots)

@@ -162,6 +162,35 @@ def test_solve_reports_fill_and_refinement_on_stderr(capsys):
     assert len(rows) == 1
 
 
+def test_dispersion_reports_certificate_scale_on_stderr(capsys):
+    # abs_detF reads as a certificate only against the scale of |det F| over
+    # the starts: about 2e11 on the raw dpg eps 1e-2 stencil at h = 2*pi/8
+    h = 2 * np.pi / 8
+    st = dispersion._method_stencils("dpg", h, 1e-2 * h, 3)
+    code = cli.main(["dispersion", "--eps", "1e-2", "--theta", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    res = dispersion.solve_root(st, 0.3, h)
+    assert captured.err.strip() == (
+        f"scale: {res.scale!r} abs_detF/scale: {res.det_abs / res.scale!r} theta: 0.3"
+    )
+    assert "scale" not in captured.out
+    assert float(data_rows(captured.out)[1][0].split(",")[8]) == res.det_abs
+
+    code = cli.main(["dispersion", "--eps", "1e-2", "--n-theta", "7"])
+    captured = capsys.readouterr()
+    assert code == 0
+    sweep = dispersion.theta_sweep(st, 7)
+    ratio = sweep.det_abs / sweep.scale
+    worst = int(np.argmax(ratio))
+    assert sweep.scale.shape == (7,) and np.all(sweep.scale > 1e10)
+    assert captured.err.strip() == (
+        f"scale: {float(sweep.scale[worst])!r} abs_detF/scale: {float(ratio[worst])!r} "
+        f"theta: {float(sweep.thetas[worst])!r}"
+    )
+    assert "scale" not in captured.out
+
+
 def test_plane_wave_row_matches_library(capsys):
     code, out = run_cli(["plane-wave", "--n", "16"], capsys)
     assert code == 0

@@ -1,6 +1,10 @@
+import re
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import band_diagram_sequential, convergence_roots_sequential
 
 from helmdpg import dispersion, stencil
 from helmdpg.errors import BranchAmbiguity, NoRootFound
@@ -291,6 +295,165 @@ def test_band_diagram_fem_cutoff():
     assert np.max(np.abs(band.z.imag[below])) <= 1e-10
     assert np.allclose(band.z.real[above], np.pi, atol=1e-8)
     assert np.all(band.z.imag[above] > 0.05)
+
+
+def _ambiguous_zetas(run):
+    """``run()`` and the zeta of each BranchAmbiguity it warns, in order."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        out = run()
+    found = [w for w in rec if issubclass(w.category, BranchAmbiguity)]
+    return out, [float(re.search(r"zeta=(\S+) at", str(w.message)).group(1)) for w in found]
+
+
+@pytest.mark.parametrize(
+    "method,eps_n,r,zeta_step",
+    [
+        # through the alias pi < zeta < sqrt(12) and the stopband above pi
+        ("fem", None, None, 0.05),
+        ("fem", None, None, 0.25),
+        ("fosls", None, None, 0.05),
+        ("dpg", 1e-6, 3, 0.05),
+    ],
+)
+def test_band_diagram_matches_sequential_tracker(method, eps_n, r, zeta_step):
+    # the band solves its points as rows of one symbol in two batched
+    # passes; the tracker solves them one by one, each from the previous
+    # root.  The two start the continuation from roots that may differ in
+    # their last bits, so agreement is to rounding, not bit for bit
+    (zetas, ref), warned_ref = _ambiguous_zetas(
+        lambda: band_diagram_sequential(method, eps_n, r, zeta_max=6.0, zeta_step=zeta_step)
+    )
+    band, warned = _ambiguous_zetas(
+        lambda: dispersion.band_diagram(method, eps_n, r, zeta_max=6.0, zeta_step=zeta_step)
+    )
+    np.testing.assert_array_equal(band.zetas, zetas)
+    assert np.all(np.abs(band.z - ref) <= 1e-10 * np.abs(ref))
+    assert warned == warned_ref
+
+
+@pytest.mark.parametrize(
+    "method,eps,r,levels",
+    [
+        ("fem", None, None, (3, 4, 5, 6, 7)),
+        ("fosls", None, None, (3, 4, 5, 6, 7)),
+        ("dpg", 1.0, 3, (3, 4, 5, 6, 7)),
+        ("dpg", 1e-6, 3, (3, 5)),
+        ("dpg", 0.0, 3, (3, 5)),  # polished
+        ("fem", None, None, (1, 2, 3, 4)),  # zeta = pi and pi/2 at levels 1 and 2
+    ],
+)
+def test_convergence_study_matches_sequential_tracker(method, eps, r, levels):
+    (zetas, ref), warned_ref = _ambiguous_zetas(
+        lambda: convergence_roots_sequential(method, eps, r, levels, omega=1.0)
+    )
+    study, warned = _ambiguous_zetas(
+        lambda: dispersion.convergence_study(method, eps, r, levels, omega=1.0)
+    )
+    np.testing.assert_array_equal(study.zetas, zetas)
+    assert np.all(np.abs(study.z - ref) <= 1e-10 * np.abs(ref))
+    assert warned == warned_ref
+
+
+def test_band_diagram_warns_per_point_like_sequential_tracker(monkeypatch):
+    # symbol 2 cos(2z) at every point: roots pi/4 and 3*pi/4, equidistant
+    # from zeta = pi/2, the fourth point of the grid
+    weights = {(VERTEX, VERTEX): {(0, 0): 0.0, (4, 0): 1.0, (-4, 0): 1.0}}
+    monkeypatch.setattr(
+        dispersion,
+        "_method_stencils",
+        lambda method, zeta, eps_n, r: StencilSet(method, zeta, None, None, (VERTEX,), weights),
+    )
+    (_, ref), warned_ref = _ambiguous_zetas(
+        lambda: band_diagram_sequential("custom", zeta_max=np.pi, zeta_step=np.pi / 8)
+    )
+    band, warned = _ambiguous_zetas(
+        lambda: dispersion.band_diagram("custom", zeta_max=np.pi, zeta_step=np.pi / 8)
+    )
+    assert warned == warned_ref == [np.pi / 2]
+    assert np.all(np.abs(band.z - ref) <= 1e-10 * np.abs(ref))
+
+
+def two_branch_stencils(zeta):
+    # symbol (c - 2 cos a)(c - 2 cos w)(c - 2 cos conj(w)), c = 2 cos z: a
+    # real root a = zeta / 2 and a complex one w = zeta + i*beta, Hermitian
+    # weights.  beta = zeta / 20 up to zeta = 0.5, then it grows by 0.065
+    # per 0.1 of zeta: from zeta = 1 on the near-real common starts all run
+    # to a, though w stays nearer zeta
+    a, w = zeta / 2, zeta + 1j * two_branch_beta(zeta)
+    ca, cw = 2 * np.cos(a), 2 * np.cos(w)
+    c2 = -(ca + 2 * cw.real)
+    c1 = 2 * ca * cw.real + abs(cw) ** 2
+    c0 = -ca * abs(cw) ** 2
+    row = {
+        (0, 0): 2 * c2 + c0, (2, 0): 3 + c1, (-2, 0): 3 + c1, (4, 0): c2, (-4, 0): c2,
+        (6, 0): 1.0, (-6, 0): 1.0,
+    }
+    return StencilSet("custom", zeta, None, None, (VERTEX,), {(VERTEX, VERTEX): row})
+
+
+def two_branch_beta(zeta):
+    return zeta / 20 + 0.65 * max(0.0, zeta - 0.5)
+
+
+def test_band_diagram_keeps_branch_the_common_starts_lose(monkeypatch):
+    monkeypatch.setattr(
+        dispersion, "_method_stencils", lambda method, zeta, eps_n, r: two_branch_stencils(zeta)
+    )
+    zetas = dispersion.band_grid(1.5, 0.1)
+    lost = zetas > 0.95
+    for zeta in zetas[lost]:
+        # the common starts alone find the real root
+        z = dispersion.solve_root(two_branch_stencils(zeta), 0.0, zeta).z
+        assert z == pytest.approx(zeta / 2, abs=1e-10)
+    solve = dispersion._solve
+    resolved = []
+
+    def spy(sym, zeta, starts):
+        if np.size(zeta) == 1:
+            resolved.append(float(zeta))
+        return solve(sym, zeta, starts)
+
+    monkeypatch.setattr(dispersion, "_solve", spy)
+    band = dispersion.band_diagram("custom", zeta_max=1.5, zeta_step=0.1)
+    # the two branches stay at least 0.05 apart; near zeta = 0 the roots
+    # sit 4e-10 off in double
+    branch = zetas + 1j * np.array([two_branch_beta(zeta) for zeta in zetas])
+    assert np.all(np.abs(band.z - branch) <= 1e-9)
+    # pass 2 kept the branch at zeta = 1 but seeded the next point from
+    # pass 1's real root; each later point was solved again in order
+    np.testing.assert_array_equal(resolved, zetas[lost][1:])
+    _, ref = band_diagram_sequential("custom", zeta_max=1.5, zeta_step=0.1)
+    assert np.all(np.abs(band.z - ref) <= 1e-10 * np.abs(ref))
+
+
+def test_band_diagram_no_root_at_first_point(monkeypatch):
+    weights = {(VERTEX, VERTEX): {(0, 0): 1.0}}
+    monkeypatch.setattr(
+        dispersion,
+        "_method_stencils",
+        lambda method, zeta, eps_n, r: StencilSet(method, zeta, None, None, (VERTEX,), weights),
+    )
+    with pytest.raises(NoRootFound, match=r"zeta=0\.25 for theta=0\.0 \(custom\)"):
+        dispersion.band_diagram("custom", zeta_max=1.0, zeta_step=0.25)
+
+
+def test_symbol_rows_of_several_stencil_sets():
+    # P sets make P rows: each row evaluates like a symbol of its own set,
+    # and a take slices the coefficients with the directions
+    zetas = [0.4, 0.9, 1.3]
+    sets = [dispersion._method_stencils("fosls", zeta, None, None) for zeta in zetas]
+    sym = dispersion.SymbolMatrix(sets, 0.3)
+    z = np.array([[0.5 + 0.1j, 0.7], [1.0 + 0.2j, 0.9], [1.2, 1.4 + 0.01j]])
+    g, gp, e = sym.det_and_derivative(z)
+    for p, st in enumerate(sets):
+        one = dispersion.SymbolMatrix(st, 0.3)
+        for got, want in zip((g[p], gp[p], e[p]), one.det_and_derivative(z[p])):
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+    sub = sym.take([2, 0])
+    np.testing.assert_allclose(sub.value(z[[2, 0]]), sym.value(z)[[2, 0]], rtol=0)
+    with pytest.raises(ValueError, match="offset table"):
+        dispersion.SymbolMatrix([sets[0], second_difference_stencils(0.5)], 0.0)
 
 
 def test_dpg_limit_small_frequency_consistency():
