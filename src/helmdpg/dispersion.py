@@ -68,6 +68,9 @@ POLISH_ZTOL = 1e-13
 CERT_RADIUS = 1e-6
 CERT_POINTS = 32
 CERT_CLEARANCE = 1e3
+# candidates whose circles are evaluated in one batch: a block bounds the
+# term arrays, which on a 120-row band would otherwise hold all 4080 points
+CERT_BLOCK = 32
 # 30-digit evaluations per polish.  On a nearly double root Newton halves the
 # error per step, so reaching POLISH_ZTOL takes 14 steps more than reaching
 # 1e-9; 55 confirms every root that 40 steps to 1e-9 would confirm
@@ -469,7 +472,8 @@ def _double_certified(sym: SymbolMatrix, zs):
     pi/2, and the winding number must be exactly 1, so the disc holds one
     simple root (the argument principle).  Within rho/2 of the real axis
     the circle is centred on Re z: the disc is then its own conjugate and
-    roots pair as z, conj(z), so its one root is real.  Returns the mask of
+    roots pair as z, conj(z), so its one root is real.  The circles are
+    evaluated CERT_BLOCK candidates at a time.  Returns the mask of
     certified candidates, the centre of each circle (the point to report)
     and the double |det F| there.
     """
@@ -479,7 +483,12 @@ def _double_certified(sym: SymbolMatrix, zs):
     ring = np.exp(2j * np.pi * np.arange(CERT_POINTS + 1) / CERT_POINTS)
     ring[0] = 0.0  # the centre itself, then the circle
     points = np.concatenate([zs[:, None], centre[:, None] + rho[:, None] * ring], axis=1)
-    g, gp, e = sym.det_and_derivative(points)
+    # one block at least, so that no candidates still give empty arrays
+    blocks = [slice(i, i + CERT_BLOCK) for i in range(0, max(len(zs), 1), CERT_BLOCK)]
+    g, gp, e = (
+        np.concatenate(parts)
+        for parts in zip(*(sym.take(b).det_and_derivative(points[b]) for b in blocks))
+    )
     w, bound = g[:, 2:], e[:, 2:]
     with np.errstate(divide="ignore", invalid="ignore"):
         err = (np.abs(g[:, 0]) + e[:, 0]) / np.abs(gp[:, 0])

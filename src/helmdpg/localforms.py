@@ -33,22 +33,25 @@ exact work.  ``cond(G)`` does not grow like ``1/eps_n^2``: at r = 3,
 r = 4 at ``2*pi/64`` (4.9e29) is rejected.
 
 :func:`dpg_element` solves the normal equations ``G X = Bb`` exactly, in
-real arithmetic.  With the scalar test members multiplied by i (``U``) and
-the trial functions by the phases ``T`` of :data:`TRIAL_PHASES`,
+integer arithmetic.  With the scalar test members multiplied by i (``U``)
+and the trial functions by the phases ``T`` of :data:`TRIAL_PHASES`,
 ``G_R = U^H G U`` is real symmetric and ``Bb_R = U^H Bb T`` real.  Every
 entry of ``G_R`` is a polynomial in ``omega_n`` and ``eps_n^2`` whose
 coefficients come from the exact 1D shifted-Legendre integrals of
-:func:`~helmdpg.refelem.legendre_integrals`, and ``Bb_R = P + omega_n Q``
-has a closed form from the end values and moments of the Legendre
-polynomials, with exact P and Q cached per r (:func:`_load_parts`).  A
-double ``omega_n`` or ``eps_n`` is an exact dyadic rational, so
-``G_R X_R = Bb_R`` is solved in :class:`fractions.Fraction` through the
-dtype-generic LDL^T kernel of :mod:`~helmdpg.numkit`, one block per
-reflection parity, with no quadrature and no rounding, and ``G``, ``Bb``,
-``X`` and ``B`` are rounded once, with the phases applied, into the
-arithmetic that ``params.precision`` names (30 digits by default).  The
-phases are 1 and +-i, so mapping back, ``G = U G_R U^H``, ``X = U X_R T^H``
-and ``B = T B_R T^H``, adds no error.
+:func:`~helmdpg.refelem.legendre_integrals`, integer matrices once scaled
+by their common denominator (:func:`_integer_parts`), and
+``Bb_R = P + omega_n Q`` has a closed form from the end values and moments
+of the Legendre polynomials, with exact P and Q cached per r
+(:func:`_load_parts`).  A double ``omega_n`` or ``eps_n`` is an exact
+dyadic rational, so ``s G_R`` and ``t Bb_R`` are integer matrices for
+integer scales s and t, and ``G_R X_R = Bb_R`` is solved in Python ints by
+fraction-free (Bareiss) elimination, one block per reflection parity:
+``X_R = s N / (t det)``, with no quadrature and no rounding.  ``G``,
+``Bb``, ``X`` and ``B`` are rounded once from their numerators and
+denominators, with the phases applied, into the arithmetic that
+``params.precision`` names (30 digits by default).  The phases are 1 and
++-i, so mapping back, ``G = U G_R U^H``, ``X = U X_R T^H`` and
+``B = T B_R T^H``, adds no error.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from . import refelem
 from .errors import DimensionMismatch, InteriorBlockSingular, NotPositiveDefinite, OutsideEnvelope
 from .numkit import (
     EXTENDED,
+    PIVOT_RTOL,
     Precision,
     as_complex128,
     ldlh_factor,
@@ -143,41 +147,6 @@ def _test_phases(r: int) -> np.ndarray:
     return np.where(refelem.build_test_basis(r).layout[0] == 2, 1j, 1)
 
 
-def _real_gram(params: NormalizedParams) -> np.ndarray:
-    """Exact real symmetric Gram ``G_R = U^H G U``, an array of Fractions.
-
-    With the scalar test members multiplied by i, the A-images become
-    ``(i c1, i c2, c3)`` with real ``c1 = omega_n vx + eta_x``,
-    ``c2 = omega_n vy + eta_y`` and ``c3 = div - omega_n eta``, so
-    ``G_R = sum_c (c_k, c_l) + eps_n^2 (value Gram)``.  Each member
-    contributes one tensor term ``coef * d^a P_i(x) d^b P_j(y)`` to each
-    c, and every entry is ``coef_k coef_l`` times an x- and a y-entry of
-    :func:`~helmdpg.refelem.legendre_integrals`.
-    """
-    kind, deg_x, deg_y = refelem.build_test_basis(params.r).layout
-    table = refelem.legendre_integrals(params.r)
-
-    def integrals(dx, dy):
-        ax, ay = np.array(dx)[kind], np.array(dy)[kind]
-        return (table[ax[:, None], ax, deg_x[:, None], deg_x]
-                * table[ay[:, None], ay, deg_y[:, None], deg_y])
-
-    w, eps = Fraction(params.omega_n), Fraction(params.eps_n)
-    # per c: coefficient on (vx, vy, sc) members, then x and y derivative orders
-    images = (
-        ((w, 0, 1), (0, 0, 1), (0, 0, 0)),
-        ((0, w, 1), (0, 0, 0), (0, 0, 1)),
-        ((1, 1, -w), (1, 0, 0), (0, 1, 0)),
-    )
-    g = None
-    for coef, dx, dy in images:
-        c = np.array(coef, dtype=object)[kind]
-        term = np.outer(c, c) * integrals(dx, dy)
-        g = term if g is None else g + term
-    values = np.where(kind[:, None] == kind, integrals((0, 0, 0), (0, 0, 0)), 0)
-    return g + (eps * eps) * values
-
-
 @lru_cache(maxsize=None)
 def _load_parts(r: int):
     """Closed-form parts of ``Bb_R = U^H Bb T = P + omega_n Q``: ``(P, Q, P64)``.
@@ -221,10 +190,82 @@ def _load_parts(r: int):
     return P, Q, P64
 
 
-def _real_load(params: NormalizedParams) -> np.ndarray:
-    """Exact real couplings ``Bb_R = P + omega_n Q``, an array of Fractions."""
-    P, Q, _ = _load_parts(params.r)
-    return P + Fraction(params.omega_n) * Q
+@lru_cache(maxsize=None)
+def _integer_parts(r: int):
+    """Integer forms of the realified Gram and load: ``(D, A, d, dP)``.
+
+    With the scalar test members multiplied by i, the A-images become
+    ``(i c1, i c2, c3)`` with real ``c1 = omega_n vx + eta_x``,
+    ``c2 = omega_n vy + eta_y`` and ``c3 = div - omega_n eta``, so
+    ``G_R = U^H G U = sum_c (c_k, c_l) + eps_n^2 (value Gram)``.  Each
+    member contributes one tensor term ``coef * d^a P_i(x) d^b P_j(y)`` to
+    each c, with ``coef`` one of 0, +-1 and +-omega_n, so every entry is a
+    product of two coefficients times an x- and a y-entry of
+    :func:`~helmdpg.refelem.legendre_integrals`.  With L the common
+    denominator of that table and ``D = L^2``, sorting the products by
+    their power of omega_n gives
+    ``D G_R = A[0] + omega_n A[1] + omega_n^2 A[2] + eps_n^2 A[3]`` with
+    integer A.  ``dP`` is the P of :func:`_load_parts` times its common
+    denominator d.  Entries are Python ints; cached per r and read-only.
+    """
+    kind, deg_x, deg_y = refelem.build_test_basis(r).layout
+    table = refelem.legendre_integrals(r)
+    L = math.lcm(*(v.denominator for v in table.flat))
+    table = np.frompyfunc(lambda v: int(v * L), 1, 1)(table)
+
+    def integrals(dx, dy):
+        ax, ay = np.array(dx)[kind], np.array(dy)[kind]
+        return (table[ax[:, None], ax, deg_x[:, None], deg_x]
+                * table[ay[:, None], ay, deg_y[:, None], deg_y])
+
+    # per c: constant and omega_n coefficients on (vx, vy, sc) members,
+    # then x and y derivative orders
+    images = (
+        ((0, 0, 1), (1, 0, 0), (0, 0, 1), (0, 0, 0)),
+        ((0, 0, 1), (0, 1, 0), (0, 0, 0), (0, 0, 1)),
+        ((1, 1, 0), (0, 0, -1), (1, 0, 0), (0, 1, 0)),
+    )
+    A = np.zeros((4, kind.size, kind.size), dtype=object)
+    for const, slope, dx, dy in images:
+        a, b = np.array(const)[kind], np.array(slope)[kind]
+        term = integrals(dx, dy)
+        A[0] += np.outer(a, a) * term
+        A[1] += (np.outer(a, b) + np.outer(b, a)) * term
+        A[2] += np.outer(b, b) * term
+    A[3] = np.where(kind[:, None] == kind, integrals((0, 0, 0), (0, 0, 0)), 0)
+    P = _load_parts(r)[0]
+    d = math.lcm(*(v.denominator for v in P.flat))
+    dP = np.frompyfunc(lambda v: int(v * d), 1, 1)(P)
+    for m in (A, dP):
+        m.setflags(write=False)
+    return L * L, A, d, dP
+
+
+def _scaled_gram(params: NormalizedParams):
+    """``(sG, s)``: the exact ``G_R`` as an integer matrix over a scale, ``G_R = sG / s``.
+
+    A double omega_n or eps_n is an exact dyadic rational, so
+    ``omega_n = w / q`` and ``eps_n = e / q`` with one power of two q, and
+    ``s = D q^2`` clears every denominator of :func:`_integer_parts`'
+    combination.
+    """
+    D, A, _, _ = _integer_parts(params.r)
+    wn, wd = params.omega_n.as_integer_ratio()
+    en, ed = params.eps_n.as_integer_ratio()
+    q = max(wd, ed)
+    w, e = wn * (q // wd), en * (q // ed)
+    sG = (q * q) * A[0] + (w * q) * A[1] + (w * w) * A[2]
+    if e:
+        sG = sG + (e * e) * A[3]
+    return sG, D * q * q
+
+
+def _scaled_load(params: NormalizedParams):
+    """``(tBb, t)``: the exact ``Bb_R = P + omega_n Q = tBb / t`` in integers."""
+    _, _, d, dP = _integer_parts(params.r)
+    _, Q, _ = _load_parts(params.r)
+    wn, wd = params.omega_n.as_integer_ratio()
+    return wd * dP + (wn * d) * Q.astype(object), d * wd
 
 
 def _double_load(params: NormalizedParams) -> np.ndarray:
@@ -238,24 +279,74 @@ def _double_load(params: NormalizedParams) -> np.ndarray:
     return (P64 + params.omega_n * Q) * np.outer(_test_phases(params.r), TRIAL_PHASES.conj())
 
 
+def _bareiss_solve(a: list, b: list):
+    """Fraction-free solve of a symmetric positive definite integer system.
+
+    ``a`` (n x n) and ``b`` (n x m) are lists of rows of Python ints.
+    Returns ``(N, det)``: an n x m list of int rows and ``det = det(a) > 0``
+    with ``a^{-1} b = N / det``.  Bareiss' elimination divides every update
+    exactly by the previous pivot, so its k-th pivot is the leading k x k
+    minor of ``a``; the trailing block stays symmetric, so only its upper
+    triangle is updated.  The back substitution of ``N = det a^{-1} b``
+    divides exactly too, since N is integral by Cramer's rule.  The ratio
+    of two consecutive minors is the k-th LDL^T pivot: one not above
+    ``PIVOT_RTOL`` times the largest diagonal entry raises
+    :class:`NotPositiveDefinite`, as :func:`~helmdpg.numkit.ldlh_factor`
+    does.
+    """
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    maxdiag = max((abs(a[i][i]) for i in range(n)), default=0)
+    num, den = PIVOT_RTOL.as_integer_ratio()
+    prev = 1
+    for k, rk in enumerate(rows):
+        piv = rk[k]
+        if not piv * den > num * maxdiag * prev:
+            raise NotPositiveDefinite(
+                f"pivot {piv / (prev * (maxdiag or 1)):.3e} times the largest diagonal entry "
+                f"at index {k} below tolerance {PIVOT_RTOL:.0e}"
+            )
+        for i in range(k + 1, n):
+            ri, f = rows[i], rk[i]
+            ri[i:] = [(piv * x - f * y) // prev for x, y in zip(ri[i:], rk[i:])]
+        prev = piv
+    det = prev
+    N = [None] * n
+    for k in range(n - 1, -1, -1):
+        rk = rows[k]
+        acc = [det * v for v in rk[n:]]
+        for j in range(k + 1, n):
+            u = rk[j]
+            if u:
+                acc = [x - u * y for x, y in zip(acc, N[j])]
+        N[k] = [x // rk[k] for x in acc]
+    return N, det
+
+
 def dpg_element(params: NormalizedParams) -> DpgElementMatrices:
     """Solve the realified element exactly, then round it into ``params.precision``."""
     precision = params.precision or EXTENDED
-    G_R, Bb_R = _real_gram(params), _real_load(params)
+    sG, s = _scaled_gram(params)
+    tBb, t = _scaled_load(params)
     # x -> 1 - x and y -> 1 - y map each test member to +-itself and keep the
-    # Gram form, so G_R has no entry between members of different parities
+    # Gram form, so G_R has no entry between members of different parities.
+    # Per block X_R = s N / (t det); over the lcm of the four dets, every
+    # entry of X_R and of B_R = Bb_R^T X_R shares one denominator
     kind, i, j = refelem.build_test_basis(params.r).layout
     parity = 2 * ((i + (kind == 0)) % 2) + (j + (kind == 1)) % 2
-    X_R = np.zeros_like(Bb_R)
-    for idx in (np.flatnonzero(parity == p) for p in range(4)):
-        L, d = ldlh_factor(G_R[np.ix_(idx, idx)])
-        X_R[idx] = ldlh_solve(L, d, Bb_R[idx])
-    u, t = _test_phases(params.r), TRIAL_PHASES
-    with working_context(precision):
-        G, Bb, X, B = (
-            rounded(m, precision) * np.outer(left, right.conj())
-            for m, left, right in ((G_R, u, u), (Bb_R, u, t), (X_R, u, t), (Bb_R.T @ X_R, t, t))
+    blocks = [np.flatnonzero(parity == p) for p in range(4)]
+    solved = [_bareiss_solve(sG[np.ix_(idx, idx)].tolist(), tBb[idx].tolist()) for idx in blocks]
+    lcm = math.lcm(*(det for _, det in solved))
+    X_num = np.empty(tBb.shape, dtype=object)
+    for idx, (N, det) in zip(blocks, solved):
+        X_num[idx] = np.array(N, dtype=object) * (s * (lcm // det))
+    u, ph = _test_phases(params.r), TRIAL_PHASES
+    G, Bb, X, B = (
+        rounded(m, den, np.outer(left, right.conj()), precision)
+        for m, den, left, right in (
+            (sG, s, u, u), (tBb, t, u, ph), (X_num, t * lcm, u, ph), (tBb.T @ X_num, t * t * lcm, ph, ph)
         )
+    )
     return DpgElementMatrices(params, precision, G, Bb, X, B)
 
 

@@ -7,14 +7,14 @@ A :class:`Precision` names one of two rounded arithmetics:
   object-dtype numpy arrays (default 30 significant digits).
 
 Matrices are plain ``numpy.ndarray`` objects in either representation, so a
-single dtype-generic code path (slicing, ``@``, ``conj``) serves both, and
-object arrays of ``fractions.Fraction`` as well: the DPG element solves its
-realified Gram system exactly that way and rounds the result once with
-:func:`rounded`.  The kernels take no precision argument: ``float64`` stays
-``float64``, a ``Fraction`` array stays exact, and mpmath arrays run at
-the ambient mpmath precision, which their callers pin with
-:func:`working_context`.  All functions are pure: identical inputs give
-bit-identical outputs.
+single dtype-generic code path (slicing, ``@``, ``conj``) serves both.  The
+kernels take no precision argument: ``float64`` stays ``float64``, and
+mpmath arrays run at the ambient mpmath precision, which their callers pin
+with :func:`working_context`.  Exact rationals are not a kernel input: the
+DPG element solves its realified Gram system in integers and hands each
+entry to :func:`rounded` as a numerator and a denominator, which rounds it
+once into either arithmetic.  All functions are pure: identical inputs
+give bit-identical outputs.
 
 The Gauss-Legendre rules are double.  The factorization is an LDL^H
 decomposition without pivoting, appropriate for the Hermitian (or real
@@ -31,12 +31,11 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_rational, fzero as mpf_zero, mpf_neg, mpf_shift
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -67,12 +66,9 @@ class Precision:
         return self.kind == "extended"
 
     def real(self, x) -> object:
-        """Convert a real number, a Fraction too, to this precision's real
-        scalar type, correctly rounded."""
+        """Convert a real number to this precision's real scalar type."""
         if self.is_extended:
             with mp.workdps(self.digits):
-                if isinstance(x, Fraction):
-                    return mp.mp.make_mpf(from_rational(x.numerator, x.denominator, mp.mp.prec, "n"))
                 return mp.mpf(x)
         return float(x)
 
@@ -143,12 +139,34 @@ def _real_part(x):
     return x.real if hasattr(x, "real") else x
 
 
-def rounded(a: np.ndarray, precision: Precision) -> np.ndarray:
-    """Round a real array of exact rationals once into ``precision``."""
-    a = np.asarray(a)
-    if precision.is_extended:
-        return np.frompyfunc(precision.real, 1, 1)(a)
-    return a.astype(float)
+def rounded(num, den, phases, precision: Precision) -> np.ndarray:
+    """``phases * num / den``, each ratio of integers rounded once into ``precision``.
+
+    ``num`` and positive ``den`` are Python ints or object arrays of them
+    and ``phases`` an array of the units 1, -1, i and -i, all broadcast
+    together: an exact rational travels as its numerator and denominator.
+    Double divides ``int / int``, which Python rounds correctly; extended
+    rounds each ratio with ``from_rational`` under one working context.  A
+    unit moves or negates the rounded value and adds no error, so extended
+    builds each mpc from its parts.
+    """
+    if not precision.is_extended:
+        return np.true_divide(np.asarray(num, dtype=object), den).astype(float) * phases
+    with working_context(precision):
+        prec, make = mp.mp.prec, mp.mp.make_mpc
+
+        def phased(p, q, phase):
+            v = mpf_zero
+            if p:
+                # from_rational strips trailing zero bits a byte per step,
+                # so the powers of two of p and q leave first, one shift each
+                kp, kq = (p & -p).bit_length() - 1, (q & -q).bit_length() - 1
+                v = mpf_shift(from_rational(p >> kp, q >> kq, prec, "n"), kp - kq)
+            if phase.real:
+                return make((v if phase.real > 0 else mpf_neg(v), mpf_zero))
+            return make((mpf_zero, v if phase.imag > 0 else mpf_neg(v)))
+
+        return np.frompyfunc(phased, 3, 1)(num, den, phases)
 
 
 # ---------------------------------------------------------------------------

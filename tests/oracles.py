@@ -12,6 +12,11 @@ volume and edge quadrature (edge tables from :func:`edge_traces` and
 :func:`hat_traces`), against which the closed-form couplings are checked.
 Both run in double on the package's rules or in mpmath on the extended Gauss
 rule of :func:`gauss_legendre_1d`, solving with :func:`hermitian_solve`.
+:func:`fraction_element` is the second route to the exact element, which
+the package solves in integers by fraction-free elimination: the realified
+Gram (:func:`real_gram`) and couplings (:func:`real_load`) in
+``fractions.Fraction``, solved by the LDL^T kernel on Fraction arrays and
+rounded entry by entry with :func:`round_fractions`.
 :func:`min_eigenvalue_bound` certifies positive semidefiniteness by shifted
 factorizations, and :func:`tabulate_test_at` tabulates the test basis at
 arbitrary points.  :func:`assemble_global` is the second route to the mesh
@@ -30,12 +35,14 @@ solves all points as rows of one symbol.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
+from mpmath.libmp import from_rational
 
-from helmdpg import dispersion, numkit, refelem
+from helmdpg import dispersion, localforms, numkit, refelem
 from helmdpg.errors import DimensionMismatch, NoRootFound, NotHermitian
 from helmdpg.numkit import (
     Precision,
@@ -239,6 +246,82 @@ def dpg_element_physical(omega: float, eps: float, h: float, r: int, precision: 
         x = hermitian_solve(quadrature_gram(omega, eps, r, precision, h), Bb)
         B = Bb.conj().T @ x
     return as_complex128(B)
+
+
+def real_gram(params) -> np.ndarray:
+    """Exact real symmetric Gram ``G_R = U^H G U`` of the element, an array of Fractions.
+
+    With the scalar test members multiplied by i, the A-images become
+    ``(i c1, i c2, c3)`` with real ``c1 = omega_n vx + eta_x``,
+    ``c2 = omega_n vy + eta_y`` and ``c3 = div - omega_n eta``, so
+    ``G_R = sum_c (c_k, c_l) + eps_n^2 (value Gram)``.  Each member
+    contributes one tensor term ``coef * d^a P_i(x) d^b P_j(y)`` to each c,
+    and every entry is ``coef_k coef_l`` times an x- and a y-entry of
+    :func:`~helmdpg.refelem.legendre_integrals`, summed in Fractions.
+    """
+    kind, deg_x, deg_y = refelem.build_test_basis(params.r).layout
+    table = refelem.legendre_integrals(params.r)
+
+    def integrals(dx, dy):
+        ax, ay = np.array(dx)[kind], np.array(dy)[kind]
+        return (table[ax[:, None], ax, deg_x[:, None], deg_x]
+                * table[ay[:, None], ay, deg_y[:, None], deg_y])
+
+    w, eps = Fraction(params.omega_n), Fraction(params.eps_n)
+    # per c: coefficient on (vx, vy, sc) members, then x and y derivative orders
+    images = (
+        ((w, 0, 1), (0, 0, 1), (0, 0, 0)),
+        ((0, w, 1), (0, 0, 0), (0, 0, 1)),
+        ((1, 1, -w), (1, 0, 0), (0, 1, 0)),
+    )
+    g = None
+    for coef, dx, dy in images:
+        c = np.array(coef, dtype=object)[kind]
+        term = np.outer(c, c) * integrals(dx, dy)
+        g = term if g is None else g + term
+    values = np.where(kind[:, None] == kind, integrals((0, 0, 0), (0, 0, 0)), 0)
+    return g + (eps * eps) * values
+
+
+def real_load(params) -> np.ndarray:
+    """Exact real couplings ``Bb_R = P + omega_n Q``, an array of Fractions."""
+    P, Q, _ = localforms._load_parts(params.r)
+    return P + Fraction(params.omega_n) * Q
+
+
+def fraction_element(params):
+    """The exact realified element in Fractions: ``(G_R, Bb_R, X_R, B_R)``.
+
+    ``G_R X_R = Bb_R`` is solved by the LDL^T kernel of :mod:`helmdpg.numkit`
+    on Fraction arrays, one block per reflection parity (G_R has no entry
+    between members of different parities), and ``B_R = Bb_R^T X_R``.
+    """
+    G_R, Bb_R = real_gram(params), real_load(params)
+    kind, i, j = refelem.build_test_basis(params.r).layout
+    parity = 2 * ((i + (kind == 0)) % 2) + (j + (kind == 1)) % 2
+    X_R = np.zeros_like(Bb_R)
+    for idx in (np.flatnonzero(parity == p) for p in range(4)):
+        L, d = ldlh_factor(G_R[np.ix_(idx, idx)])
+        X_R[idx] = ldlh_solve(L, d, Bb_R[idx])
+    return G_R, Bb_R, X_R, Bb_R.T @ X_R
+
+
+def round_fractions(a: np.ndarray, phases: np.ndarray, precision: Precision) -> np.ndarray:
+    """``a * phases`` for a Fraction array ``a``, each entry rounded once into ``precision``.
+
+    Rounds through ``float(Fraction)`` or mpmath's ``from_rational``, then
+    multiplies by the unit phases in the working precision.
+    """
+    if not precision.is_extended:
+        return np.asarray(a).astype(float) * phases
+    with working_context(precision):
+        prec = mp.mp.prec
+
+        def one(x):
+            x = Fraction(x)
+            return mp.mp.make_mpf(from_rational(x.numerator, x.denominator, prec, "n"))
+
+        return np.frompyfunc(one, 1, 1)(a) * phases
 
 
 def max_abs(a: np.ndarray) -> float:

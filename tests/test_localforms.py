@@ -9,16 +9,20 @@ import pytest
 from helmdpg import dispersion, stencil
 from helmdpg import localforms as lf
 from helmdpg import numkit, refelem
-from helmdpg.errors import DimensionMismatch, InteriorBlockSingular, OutsideEnvelope
+from helmdpg.errors import DimensionMismatch, InteriorBlockSingular, NotPositiveDefinite, OutsideEnvelope
 from helmdpg.localforms import NormalizedParams
 from helmdpg.numkit import Precision, as_complex128, working_context
 
 from oracles import (
     dpg_element_physical,
+    fraction_element,
     max_abs,
     min_eigenvalue_bound,
     quadrature_couplings,
     quadrature_gram,
+    real_gram,
+    real_load,
+    round_fractions,
 )
 
 EXT30 = Precision.extended(30)
@@ -130,29 +134,35 @@ def test_normalized_params_rejects_bad_omega(omega_n):
         lf.fem_element(omega_n)
 
 
+def _is_int_array(a):
+    return all(type(v) is int for v in np.asarray(a).ravel())
+
+
 @pytest.mark.parametrize("omega_n,eps_n", [(2 * np.pi / 64, 0.0), (1.3, 0.3)])
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_real_gram_matches_quadrature_gram(r, omega_n, eps_n):
-    g_real = lf._real_gram(NormalizedParams(omega_n, eps_n, r))
-    assert all(isinstance(v, Fraction) for v in g_real.ravel())
-    assert (g_real == g_real.T).all()
+    # the integer numerator matrix over its scale, G_R = sG / s
+    sG, s = lf._scaled_gram(NormalizedParams(omega_n, eps_n, r))
+    assert _is_int_array(sG) and type(s) is int and s > 0
+    assert (sG == sG.T).all()
     u = lf._test_phases(r)
     ref = quadrature_gram(omega_n, eps_n, r, EXT30)
     with working_context(EXT30):
-        defect = numkit.rounded(g_real, EXT30) * np.outer(u, u.conj()) - ref
+        defect = numkit.rounded(sG, s, np.outer(u, u.conj()), EXT30) - ref
     assert max_abs(defect) <= 1e-28 * max_abs(ref)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_real_load_matches_quadrature_couplings(r):
-    # the closed-form P + omega_n Q against 30-digit volume and edge quadrature
+    # the closed-form P + omega_n Q, as tBb / t, against 30-digit volume and
+    # edge quadrature
     params = NormalizedParams(1.3, 0.3, r)
-    bb_real = lf._real_load(params)
-    assert all(isinstance(v, Fraction) for v in bb_real.ravel())
+    tBb, t = lf._scaled_load(params)
+    assert _is_int_array(tBb) and type(t) is int and t > 0
     u = lf._test_phases(r)
     ref = quadrature_couplings(1.3, r, EXT30)
     with working_context(EXT30):
-        defect = numkit.rounded(bb_real, EXT30) * np.outer(u, lf.TRIAL_PHASES.conj()) - ref
+        defect = numkit.rounded(tBb, t, np.outer(u, lf.TRIAL_PHASES.conj()), EXT30) - ref
     assert max_abs(defect) <= 1e-28 * max_abs(ref)
 
 
@@ -165,13 +175,28 @@ def test_load_parts_cached_and_read_only():
     assert all(P[k, c] == 0 for k, c in zip(*np.nonzero(Q)))
 
 
+def test_integer_parts_cached_and_read_only():
+    D, A, d, dP = lf._integer_parts(3)
+    assert lf._integer_parts(3)[1] is A
+    assert not any(m.flags.writeable for m in (A, dP))
+    assert _is_int_array(A) and _is_int_array(dP)
+    dim = refelem.build_test_basis(3).dim
+    assert A.shape == (4, dim, dim) and (A == A.transpose(0, 2, 1)).all()
+    # the parts recombine into the Fraction Gram and load at a dyadic point
+    params = NormalizedParams(0.375, 0.25, 3)
+    w, e = Fraction(0.375), Fraction(0.25)
+    gram = (A[0] + w * A[1] + w * w * A[2] + e * e * A[3]) / Fraction(D)
+    assert (gram == real_gram(params)).all()
+    assert (dP / Fraction(d) == lf._load_parts(3)[0]).all()
+
+
 @pytest.mark.parametrize("omega_n,r", [(1.3, 2), (np.pi / 4, 3), (2 * np.pi / 64, 3), (0.1, 4), (np.pi / 4, 5)])
 def test_double_load_is_the_rounded_closed_form(omega_n, r):
     # the QR route solves with the phases times the closed form rounded
     # once, entry by entry; a double quadrature misses it by up to 1.3e-15
     params = NormalizedParams(omega_n, 1e-6, r)
     phases = np.outer(lf._test_phases(r), lf.TRIAL_PHASES.conj())
-    want = np.array([float(v) for v in lf._real_load(params).ravel()]).reshape(phases.shape) * phases
+    want = np.array([float(v) for v in real_load(params).ravel()]).reshape(phases.shape) * phases
     got = lf._double_load(params)
     assert got.dtype == complex
     assert (got == want).all()
@@ -185,6 +210,71 @@ def test_exact_element_against_50_digit_oracle(r, omega_n):
     b = as_complex128(lf.dpg_element(NormalizedParams(omega_n, 0.0, r)).B)
     ref = dpg_element_physical(omega_n, 0.0, 1.0, r, Precision.extended(50))
     assert np.linalg.norm(b - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+#: (r, omega_n, eps_n): eps_n = 0 at small omega_n, where element_kit takes
+#: the exact element, and eps_n > 0 at large omega_n
+FRACTION_GRID = [
+    (2, 2 * np.pi / 64, 0.0),
+    (2, 1.3, 0.3),
+    (3, 2 * np.pi / 32, 0.0),
+    (3, 2 * np.pi / 128, 0.0),
+    (3, 0.5, 0.5),
+    (4, 2 * np.pi / 64, 0.0),
+    (4, np.pi / 4, 1e-6),
+    (5, 2 * np.pi / 64, 0.0),
+]
+
+
+@pytest.mark.parametrize("r,omega_n,eps_n", FRACTION_GRID)
+def test_exact_element_matches_fraction_route(r, omega_n, eps_n):
+    # the integer solve and the Fraction LDL^T solve give the same rationals,
+    # so every entry of G, Bb, X and B rounds alike in every precision
+    G_R, Bb_R, X_R, B_R = fraction_element(NormalizedParams(omega_n, eps_n, r))
+    u, t = lf._test_phases(r), lf.TRIAL_PHASES
+    phases = [np.outer(a, b.conj()) for a, b in ((u, u), (u, t), (u, t), (t, t))]
+    for precision in (Precision.double(), EXT30, Precision.extended(50)):
+        e = lf.dpg_element(NormalizedParams(omega_n, eps_n, r, precision=precision))
+        for name, got, exact, ph in zip("G Bb X B".split(), (e.G, e.Bb, e.X, e.B),
+                                        (G_R, Bb_R, X_R, B_R), phases):
+            assert (got == round_fractions(exact, ph, precision)).all(), (name, precision)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bareiss_solve_matches_fraction_ldl(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    k = rng.integers(-50, 51, (n + 2, n)).astype(object) * 10**int(rng.integers(0, 30))
+    a = k.T @ k + np.eye(n, dtype=int).astype(object)
+    b = rng.integers(-10**6, 10**6, (n, m)).astype(object)
+    N, det = lf._bareiss_solve(a.tolist(), b.tolist())
+    assert type(det) is int and det > 0
+    assert all(type(v) is int for row in N for v in row)
+    L, d = numkit.ldlh_factor(a + Fraction(0))
+    assert det == np.prod(d)
+    assert (np.array(N, dtype=object) / Fraction(det) == numkit.ldlh_solve(L, d, b + Fraction(0))).all()
+
+
+@pytest.mark.parametrize("a,index", [
+    ([[1, 2], [2, 1]], 1),                     # indefinite
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], 1),    # singular
+    ([[-1, 0], [0, 1]], 0),
+    ([[10**16, 0], [0, 1]], 1),                # pivot 1e-16 of the largest diagonal entry
+])
+def test_bareiss_solve_rejects_what_ldl_rejects(a, index):
+    b = [[1] for _ in a]
+    with pytest.raises(NotPositiveDefinite, match=f"at index {index} "):
+        numkit.ldlh_factor(np.array(a, dtype=object) + Fraction(0))
+    with pytest.raises(NotPositiveDefinite, match=f"at index {index} "):
+        lf._bareiss_solve(a, b)
+
+
+def test_bareiss_solve_keeps_pivots_above_tolerance():
+    # pivot 1e-13 of the largest diagonal entry passes in both kernels
+    a = np.array([[10**13, 0], [0, 1]], dtype=object)
+    N, det = lf._bareiss_solve(a.tolist(), [[1], [1]])
+    L, d = numkit.ldlh_factor(a + Fraction(0))
+    assert det == np.prod(d) and N == [[1], [10**13]]
 
 
 # --------------------------------------------------------------- scaling law
