@@ -304,16 +304,15 @@ class _Group:
     vertices, whose values are moved to the right-hand side before the
     solve.  ``picks`` gives, per child, the place of each block DOF on
     that child's perimeter, or the perimeter's length where the child does
-    not hold it.  ``inner`` holds global ids, one column per box, of the
-    boxes whose first elements are ``origins``; ``places`` holds where the
-    two parts of each ``outer`` DOF sit in a flattened ``(ndof, 2)`` block,
-    ``(len(outer), boxes, 2)``.  Both are int32, to keep the cache small.
+    not hold it.  ``inner`` holds global ids, one column per box of the
+    shape; ``places`` holds where the two parts of each ``outer`` DOF sit in
+    a flattened ``(ndof, 2)`` block, ``(len(outer), boxes, 2)``.  Both are
+    int32, to keep the cache small.
     """
 
     shape: tuple[int, int]
     children: tuple[tuple[int, int], tuple[int, int]]
     picks: tuple[np.ndarray, np.ndarray]
-    origins: np.ndarray
     inner: np.ndarray
     places: np.ndarray
 
@@ -358,7 +357,7 @@ def _group(shape, origins, ids, is_root) -> _Group:
         return ids[2 * origins[:, 0] + pts[:, :1], 2 * origins[:, 1] + pts[:, 1:]]
 
     places = 2 * gather(outer)[..., None] + np.array([0, 1], dtype=np.int32)
-    return _Group(shape, children, tuple(picks), origins, gather(inner), places)
+    return _Group(shape, children, tuple(picks), gather(inner), places)
 
 
 @lru_cache(maxsize=8)

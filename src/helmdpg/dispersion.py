@@ -9,8 +9,8 @@ the solver finds the root nearest the continuous value ``zeta``.
 The engine works on rows: a row is one stencil set on one direction, with
 its own ``zeta``.  A direction sweep is one set on many directions; a band
 diagram or a convergence study is one set per frequency point, all on one
-direction.  Sets of one method share the offset table, so only their
-coefficients are stacked.  Every row is solved at once, as one array
+direction.  Sets of one method share the offset table, so one symbol
+holds them all as rows.  Every row is solved at once, as one array
 program over (row, start) pairs.  Newton runs from several starts per row
 (derivative by the adjugate formula, steps capped at a fraction of the
 row's ``zeta``), all of them off the real axis, where det F is real and
@@ -92,45 +92,39 @@ class SymbolMatrix:
     Entry (t, s) of F is the exponential sum ``sum_k c_k exp(i z d_k)`` over
     the (t, s) stencil offsets, ``d_k`` the offset projected on the
     direction.  ``stencils`` is one stencil set or a sequence of P sets,
-    ``theta`` one direction or a 1-D array of directions.  One set on one
-    direction makes a symbol of one row; one set on T directions makes T
-    rows; P sets make P rows, set p on ``theta[p]`` (or on the one
-    ``theta`` given).  On one row the double evaluators take any array z; on
-    several they take a z whose first axis runs over the rows.  Results
-    have z's shape in front.
+    ``theta`` one direction or a 1-D array of directions, and every symbol
+    is rows: ``np.broadcast_arrays(np.arange(P), theta)`` gives each row
+    its set and its direction.  One set on T directions makes T rows; P
+    sets on one direction, or on P directions, make P rows.  The double
+    evaluators take a z whose first axis runs over the rows; a symbol of
+    one row takes any z, a scalar included.  Results have z's shape in
+    front.
 
     The sets of one symbol must share the offset table: the same types and,
     per (t, s) entry, the same offsets in the same order.  Sets of one
     method (and one r) do, since the offsets come from the patch's
-    structure and not from the weights.  The lattice offsets are projected
-    once per row, a ``(rows, D)`` table (on one row only the distinct
-    projections are kept, without the row axis); an evaluation takes one
-    exponential per projected offset and gathers it, through an index
-    shared by all rows, into complex128 ``(n, n, K)`` term arrays padded
-    with zeros to the longest row.  The coefficients are one ``(n, n, K)``
-    array shared by every row of one set, and ``(P, n, n, K)`` over P sets;
-    the derivative's factors ``i d_k c_k`` are kept per row, ``(rows, n,
-    n, K)``.  :meth:`take` gives the same symbol on some of its rows.
-    ``det_and_derivative_exact`` takes one z in the ambient mpmath
-    precision on a symbol of one row and sums only each entry's own terms,
-    with the row's extended weights when its set has them and its double
-    weights otherwise.  Its object copies are built on its first call, so
-    callers that stay in double never pay for them.
+    structure and not from the weights.  Every array is per row: the
+    offsets projected on the row's direction, ``(R, D)``, the coefficients
+    and the derivative's factors ``i d_k c_k``, ``(R, n, n, K)``.  An
+    evaluation takes one exponential per projected offset and gathers it,
+    through an index shared by all rows, into complex128 ``(n, n, K)`` term
+    arrays padded with zeros to the longest entry.  :meth:`take` gives the
+    same symbol on some of its rows.  ``det_and_derivative_exact`` takes one
+    z in the ambient mpmath precision on a symbol of one row and sums only
+    each entry's own terms, with the row's extended weights when its set
+    has them and its double weights otherwise.  Its object copies are built
+    on its first call, so callers that stay in double never pay for them.
     """
 
     def __init__(self, stencils, theta):
-        one_set = isinstance(stencils, StencilSet)
-        sets = (stencils,) if one_set else tuple(stencils)
-        self.theta = np.asarray(theta, dtype=float)
-        if self.theta.ndim > 1:
-            raise ValueError(f"theta must be a scalar or 1-D, got shape {self.theta.shape}")
-        if not one_set:
-            if not sets or self.theta.ndim and len(self.theta) != len(sets):
-                raise ValueError(
-                    f"{len(sets)} stencil sets need one theta or {len(sets)}, "
-                    f"got shape {self.theta.shape}"
-                )
-            self.theta = np.broadcast_to(self.theta, (len(sets),)).copy()
+        sets = (stencils,) if isinstance(stencils, StencilSet) else tuple(stencils)
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim > 1 or not sets or len(sets) > 1 and theta.size not in (1, len(sets)):
+            raise ValueError(
+                f"{len(sets)} stencil sets on theta of shape {theta.shape}: a symbol takes "
+                "one set on any 1-D theta, or P >= 1 sets on one direction or on P"
+            )
+        self._which, self.theta = np.broadcast_arrays(np.arange(len(sets)), theta)
         self.types = sets[0].types
         n = len(self.types)
         rows = {
@@ -142,9 +136,9 @@ class SymbolMatrix:
         offsets = sorted({(0, 0)}.union(*rows.values()))
         index = {off: j for j, off in enumerate(offsets)}
         width = max(len(row) for row in rows.values())
-        at = np.full((n, n, width), index[(0, 0)])
+        self._at = np.full((n, n, width), index[(0, 0)])
         for (ti, si), row in rows.items():
-            at[ti, si, : len(row)] = [index[off] for off in row]
+            self._at[ti, si, : len(row)] = [index[off] for off in row]
         coefs = np.zeros((len(sets), n, n, width), dtype=complex)
         for p, st in enumerate(sets):
             for (ti, si), row in rows.items():
@@ -156,54 +150,40 @@ class SymbolMatrix:
                     )
                 coefs[p, ti, si, : len(own)] = list(own.values())
         half = np.array(offsets, dtype=float) / 2.0
-        th = self.theta[..., None]
+        th = self.theta[:, None]
         self._proj = np.cos(th) * half[:, 0] + np.sin(th) * half[:, 1]
-        if self.theta.ndim == 0:
-            # one row: one exponential per distinct projection
-            self._proj, where = np.unique(self._proj, return_inverse=True)
-            at = where[at]
-        self._at = at
-        # one set: one coefficient array shared by every row
-        self._coefs = coefs[0] if one_set else coefs
-        self._dcoefs = 1j * self._proj[..., at] * self._coefs
+        self._coefs = coefs[self._which]
+        self._dcoefs = 1j * self._proj[:, self._at] * self._coefs
         self._rows = rows
         self._sets = sets
-        self._which = 0 if one_set else np.arange(len(sets))  # the set of each row
-        self._shared = {}  # lazy row-independent state, shared with every take
+        self._shared = {}  # lazy per-set state, shared with every take
 
     def take(self, rows) -> SymbolMatrix:
         """The same symbol on its rows ``rows``: one row for an integer.
 
-        The row-independent arrays are shared, and so are the coefficients
-        of a symbol of one set.  A symbol of one row serves z of any shape,
-        so it is its own take.
+        The per-row arrays are sliced; the per-set object copies of the
+        extended evaluation are shared.
         """
-        if self.theta.ndim == 0:
-            return self
+        rows = np.arange(len(self.theta))[rows].reshape(-1)
         sub = object.__new__(SymbolMatrix)
         sub.__dict__.update(self.__dict__)
         sub.__dict__.pop("_exact_terms", None)
-        sub.theta = np.asarray(self.theta[rows])
-        sub._proj, sub._dcoefs = self._proj[rows], self._dcoefs[rows]
-        if self._coefs.ndim > 3:
-            sub._coefs, sub._which = self._coefs[rows], self._which[rows]
+        for name in ("theta", "_which", "_proj", "_coefs", "_dcoefs"):
+            setattr(sub, name, getattr(self, name)[rows])
         return sub
 
-    def _along(self, table, z):
-        """A per-row ``table``, of shape theta's + (...), shaped to
-        broadcast against z with its axes after theta's: (R, 1, ..., 1, ...)."""
-        if self.theta.ndim == 0 or z.ndim == 1:
-            return table
-        return table.reshape(table.shape[:1] + (1,) * (z.ndim - 1) + table.shape[1:])
+    @staticmethod
+    def _along(table, z):
+        """A per-row ``table``, ``(R, ...)``, shaped to broadcast against z,
+        whose first axis runs over the rows: ``(R, 1, ..., 1, ...)``, and
+        without the row axis for a scalar z."""
+        lead = table.shape[:1] + (1,) * (z.ndim - 1) if z.ndim else ()
+        return table.reshape(lead + table.shape[1:])
 
     def _phase(self, z):
         """exp(i z d) for every padded term, shape ``np.shape(z) + (n, n, K)``."""
         phase = np.exp(1j * z[..., None] * self._along(self._proj, z))
         return np.take(phase, self._at, axis=-1)
-
-    def _coefs_along(self, z):
-        """The coefficients, shaped to broadcast against the terms at z."""
-        return self._along(self._coefs, z) if self._coefs.ndim > 3 else self._coefs
 
     # iterates far from the root can push exp(1j*z*d) past the float range;
     # the callers test for non-finite results, so the overflow itself is
@@ -213,7 +193,7 @@ class SymbolMatrix:
         z = np.asarray(z, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             phase = self._phase(z)
-            return np.multiply(self._coefs_along(z), phase, out=phase).sum(-1)
+            return np.multiply(self._along(self._coefs, z), phase, out=phase).sum(-1)
 
     @staticmethod
     def _jacobi(f, df):
@@ -247,7 +227,7 @@ class SymbolMatrix:
             df = (self._along(self._dcoefs, z) * phase).sum(-1)
             # the terms c_k exp(i z d_k) overwrite the phases: on a batch of
             # many rows these are the largest arrays
-            terms = np.multiply(self._coefs_along(z), phase, out=phase)
+            terms = np.multiply(self._along(self._coefs, z), phase, out=phase)
             f = terms.sum(-1)
             g, gp, adj = self._jacobi(f, df)
             entries = np.sum(
@@ -263,7 +243,7 @@ class SymbolMatrix:
         coefficient (an extended weight, or a double one converted to mpc
         once), and the slice of each (t, s) entry.
         """
-        which = int(self._which)
+        which = self._which[0]
         if which not in self._shared:
             exact = self._sets[which].exact
             at, coefs, spans = [], [], []
@@ -275,7 +255,7 @@ class SymbolMatrix:
                     erow = exact.get((self.types[ti], self.types[si])) or {}
                     coefs += [erow[o] for o in row]
                 else:
-                    coefs += [_exact_complex(c) for c in self._coefs[ti, si, :k]]
+                    coefs += [_exact_complex(c) for c in self._coefs[0, ti, si, :k]]
                 at += list(self._at[ti, si, :k])
                 spans.append((ti, si, slice(len(at) - k, len(at))))
             self._shared[which] = np.array(at), np.array(coefs, dtype=object), spans
@@ -289,10 +269,10 @@ class SymbolMatrix:
         terms of :meth:`_exact_coefs`: the index of each term's offset, its
         coefficient and its offset d; last the slice of each (t, s) entry.
         """
-        if self.theta.ndim:
+        if len(self.theta) != 1:
             raise ValueError("the extended evaluation takes a symbol of one row")
         column, coefs, spans = self._exact_coefs()
-        distinct, where = np.unique(self._proj, return_inverse=True)
+        distinct, where = np.unique(self._proj[0], return_inverse=True)
         at = where[column]
         offsets = np.array([mp.mpf(d) for d in distinct], dtype=object)
         return offsets, at, coefs, offsets[at], spans
@@ -351,10 +331,10 @@ class RootResult:
 def _newton(sym: SymbolMatrix, starts, cap, first=None):
     """Newton iteration on det F from every start at once.
 
-    ``starts`` holds one row of starts per row of ``sym`` (any array for a
-    symbol of one row); a start that is not finite is no start.  Each
-    start runs its own iteration; one batched symbol evaluation serves all
-    starts still active, on all rows.  ``cap`` is one step cap or one per
+    ``starts`` holds one row of starts per row of ``sym`` (a 1-D array is
+    the one row of a symbol of one row); a start that is not finite is no
+    start.  Each start runs its own iteration; one batched symbol
+    evaluation serves all starts still active, on all rows.  ``cap`` is one step cap or one per
     row of ``starts``.  A step longer than its cap is shortened to the cap
     along its direction: where d(det F)/dz nearly vanishes the full step
     would throw the start far from the region the starts cover, onto
@@ -377,7 +357,6 @@ def _newton(sym: SymbolMatrix, starts, cap, first=None):
     z = z.reshape(-1)
     per_row = shape[-1] if shape else 1
     cap = np.repeat(np.reshape(cap, -1), per_row) if np.ndim(cap) else np.full(z.shape, cap)
-    batched = sym.theta.ndim > 0
     iters = np.full(z.shape, NEWTON_MAX_ITER)
     stopped = np.zeros(z.shape, dtype=bool)
     active = np.flatnonzero(np.isfinite(z))
@@ -388,8 +367,7 @@ def _newton(sym: SymbolMatrix, starts, cap, first=None):
         if it == 0 and first is not None:
             g, gp, e = (np.reshape(a, -1)[active] for a in first)
         else:
-            at = sym.take(active // per_row) if batched else sym
-            g, gp, e = at.det_and_derivative(za)
+            g, gp, e = sym.take(active // per_row).det_and_derivative(za)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             dz = -g / gp
             dz *= np.minimum(1.0, cap[active] / np.abs(dz))
@@ -541,23 +519,23 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     return z, iters, det, polished
 
 
-def _solve(sym: SymbolMatrix, zeta, starts):
+def _solve(sym: SymbolMatrix, zeta, init=None):
     """The certified root nearest ``zeta`` on every row of ``sym``.
 
-    ``sym`` has T rows (one when built on one set and a scalar theta),
-    ``zeta`` is one frequency or one per row, and ``starts`` holds one row
-    of starts per row.  A row's zeta sets its step cap, STEP_CAP * zeta,
-    and the distance its candidates are ranked by.  A batched Newton from
-    all starts of all rows at once (:func:`_newton`) produces the
-    candidate roots, the starts that stopped.  Candidates are restricted to
-    the first Brillouin zone of the row's direction (Re z > 0 and
-    max(|Re z cos theta|, |Re z sin theta|) <= pi, to BRILLOUIN_TOL).
-    det F is unchanged by a lattice shift k -> k + 2*pi*(m, n) of the wave
-    vector, so a root outside the zone is an alias: for the bilinear fem at
-    pi < zeta < sqrt(12) the alias 2*pi - z lies nearer zeta than the root
-    z.  On a row whose candidates all lie outside the
-    zone (zeta well above pi), Newton restarts from each one mirrored about
-    the zone edge along the ray.  The candidates are then certified
+    ``zeta`` is one frequency or one per row of ``sym``, and so is
+    ``init``, an extra start.  A row's starts are its zeta times
+    START_FACTORS, after ``init`` when given.  A row's zeta also sets its
+    step cap, STEP_CAP * zeta, and the distance its candidates are ranked
+    by.  A batched Newton from all starts of all rows at once
+    (:func:`_newton`) produces the candidate roots, the starts that
+    stopped.  Candidates are restricted to the first Brillouin zone of the
+    row's direction (Re z > 0 and max(|Re z cos theta|, |Re z sin theta|)
+    <= pi, to BRILLOUIN_TOL).  det F is unchanged by a lattice shift k ->
+    k + 2*pi*(m, n) of the wave vector, so a root outside the zone is an
+    alias: for the bilinear fem at pi < zeta < sqrt(12) the alias 2*pi - z
+    lies nearer zeta than the root z.  On a row whose candidates all lie
+    outside the zone (zeta well above pi), Newton restarts from each one
+    mirrored about the zone edge along the ray.  The candidates are then certified
     (:func:`_certify`), and on each row the certified root closest to its
     ``zeta`` wins.  Returns ``(z, iters, det_abs, scale, polished, rival)``
     arrays over the rows: ``scale`` is the largest |det F| over the row's
@@ -566,13 +544,15 @@ def _solve(sym: SymbolMatrix, zeta, starts):
     distance to ``zeta``, else NaN.  z is NaN on a row without a certified
     root in the zone.
     """
-    thetas = sym.theta.reshape(-1)
-    zeta = np.broadcast_to(np.asarray(zeta, dtype=float), thetas.shape)
+    zeta = np.broadcast_to(np.asarray(zeta, dtype=float), sym.theta.shape)
+    starts = zeta[:, None] * START_FACTORS
+    if init is not None:
+        starts = np.column_stack([np.broadcast_to(init, zeta.shape), starts])
     first = sym.det_and_derivative(starts)
     scale = np.abs(first[0]).max(axis=1)
     scale[scale == 0] = 1.0
     cap = STEP_CAP * zeta
-    edge = (np.pi / np.maximum(np.abs(np.cos(thetas)), np.abs(np.sin(thetas))))[:, None]
+    edge = (np.pi / np.maximum(np.abs(np.cos(sym.theta)), np.abs(np.sin(sym.theta))))[:, None]
     top = edge + BRILLOUIN_TOL
 
     def in_zone(z):
@@ -592,7 +572,7 @@ def _solve(sym: SymbolMatrix, zeta, starts):
     z, iters, det_abs, polished = _certify(sym, z, iters, keep)
     # NaN, where no root was certified, is in no zone
     dist = np.where(_distinct(z, in_zone(z)), np.abs(z - zeta[:, None]), np.inf)
-    t = np.arange(len(thetas))[:, None]
+    t = np.arange(len(zeta))[:, None]
     order = t, np.argsort(dist, axis=1, kind="stable")
     dist, z, iters, det_abs, polished = (a[order] for a in (dist, z, iters, det_abs, polished))
     found = np.isfinite(dist[:, 0])
@@ -664,11 +644,8 @@ def solve_root(
     """
     _require_zeta(zeta)
     _require_theta(theta)
-    starts = zeta * START_FACTORS
-    if init is not None:
-        starts = np.insert(starts, 0, init)
     sym = SymbolMatrix(stencils, theta)
-    z, iters, det_abs, scale, polished, rival = _solve(sym, zeta, starts[None])
+    z, iters, det_abs, scale, polished, rival = _solve(sym, zeta, init)
     _require_roots(z, theta, zeta, stencils.method)
     _warn_ambiguous([theta], zeta, z, rival)
     return RootResult(
@@ -765,14 +742,13 @@ def theta_sweep(
     if stencil_mod.xy_symmetric(stencils):
         source = np.minimum(source, n_theta - 1 - source)
     sym = SymbolMatrix(stencils, thetas[: source.max() + 1])
-    starts = np.broadcast_to(zeta * START_FACTORS, (len(sym.theta), len(START_FACTORS)))
-    solved = _solve(sym, zeta, starts)
+    solved = _solve(sym, zeta)
     z, rival = solved[0], solved[-1]
     # far above the resolved range (r = 4 at zeta = 2.5) the root can move
     # too far from zeta for the common starts to reach
     for t in np.flatnonzero(np.isnan(z)):
         if t and not np.isnan(z[t - 1]):
-            warm = _solve(sym.take([t]), zeta, np.insert(starts[t], 0, z[t - 1])[None])
+            warm = _solve(sym.take(t), zeta, z[t - 1])
             for a, b in zip(solved, warm):
                 a[t] = b[0]
     _require_roots(z, sym.theta, zeta, stencils.method)
@@ -830,7 +806,7 @@ def convergence_study(
         _method_stencils(method, zeta, None if eps is None else eps * h, r)
         for zeta, h in zip(zetas, hs)
     ]
-    roots, *_, rival = _solve(SymbolMatrix(sets, 0.0), zetas, zetas[:, None] * START_FACTORS)
+    roots, *_, rival = _solve(SymbolMatrix(sets, 0.0), zetas)
     _require_roots(roots, 0.0, zetas, method)
     _warn_ambiguous(0.0, zetas, roots, rival)
     errors = np.abs(roots - zetas)
@@ -894,17 +870,14 @@ def band_diagram(
     if not zetas.size:
         return BandDiagram(method, theta, zetas, np.empty(0, dtype=complex))
     sym = SymbolMatrix([_method_stencils(method, zeta, eps_n, r) for zeta in zetas], theta)
-    starts = zetas[:, None] * START_FACTORS
     step = np.diff(zetas)
-    seeds, *_, seed_rival = _solve(sym, zetas, starts)
+    seeds, *_, seed_rival = _solve(sym, zetas)
     z, rival = seeds.copy(), seed_rival.copy()
     # a point after one without a pass-1 root has no pass-2 start of its own
     later = np.flatnonzero(~np.isnan(seeds[:-1])) + 1
     if later.size:
         warm, *_, warm_rival = _solve(
-            sym.take(later),
-            zetas[later],
-            np.column_stack([seeds[later - 1] + step[later - 1], starts[later]]),
+            sym.take(later), zetas[later], seeds[later - 1] + step[later - 1]
         )
         found = ~np.isnan(warm)
         z[later[found]], rival[later[found]] = warm[found], warm_rival[found]
@@ -914,9 +887,7 @@ def band_diagram(
             break
         if abs(prev - seeds[i - 1]) <= DEDUP_TOL * max(1.0, abs(prev)):
             continue
-        again, *_, again_rival = _solve(
-            sym.take([i]), zetas[i], np.insert(starts[i], 0, prev + step[i - 1])[None]
-        )
+        again, *_, again_rival = _solve(sym.take(i), zetas[i], prev + step[i - 1])
         if not np.isnan(again[0]):
             z[i], rival[i] = again[0], again_rival[0]
         else:

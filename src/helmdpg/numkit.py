@@ -65,13 +65,6 @@ class Precision:
     def is_extended(self) -> bool:
         return self.kind == "extended"
 
-    def real(self, x) -> object:
-        """Convert a real number to this precision's real scalar type."""
-        if self.is_extended:
-            with mp.workdps(self.digits):
-                return mp.mpf(x)
-        return float(x)
-
 
 #: the one extended arithmetic of the package's 30-digit paths
 EXTENDED = Precision.extended(30)

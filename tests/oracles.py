@@ -140,6 +140,14 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ldlh_solve(L, d, b)
 
 
+def _real(precision: Precision, x):
+    """A real number as ``precision``'s real scalar: an mpf of its digits, or a float."""
+    if precision.is_extended:
+        with mp.workdps(precision.digits):
+            return mp.mpf(x)
+    return float(x)
+
+
 def _physical_images(r: int, omega, h, precision: Precision):
     """Rule, test tabulation and A-images on the square of side h.
 
@@ -149,8 +157,8 @@ def _physical_images(r: int, omega, h, precision: Precision):
     basis = refelem.build_test_basis(r)
     rule = element_rule(r, precision)
     tab = refelem.tabulate_test_basis(basis, rule)
-    hh = precision.real(h)
-    iw = 1j * precision.real(omega)
+    hh = _real(precision, h)
+    iw = 1j * _real(precision, omega)
     images = (iw * tab.vx + tab.eta_x / hh, iw * tab.vy + tab.eta_y / hh,
               iw * tab.eta + tab.div / hh)
     return basis, rule, tab, images, hh
@@ -166,7 +174,7 @@ def quadrature_gram(omega, eps, r: int, precision: Precision = DOUBLE, h=1.0):
     with working_context(precision):
         _, rule, tab, images, hh = _physical_images(r, omega, h, precision)
         w = rule.weights * (hh * hh)
-        ee = precision.real(eps)
+        ee = _real(precision, eps)
         G = None
         for ac in images:
             term = (ac.conj() * w[None, :]) @ ac.T
@@ -232,7 +240,7 @@ def quadrature_couplings(omega, r: int, precision: Precision = DOUBLE, h=1.0):
                 col = contrib if col is None else col + contrib
             Bb[:, 3 + a] = col
         for t, e in enumerate(EDGES):
-            Bb[:, 7 + t] = precision.real(EDGE_SIGNS[e]) * (eta[e] @ w1)
+            Bb[:, 7 + t] = _real(precision, EDGE_SIGNS[e]) * (eta[e] @ w1)
     return Bb
 
 
@@ -376,7 +384,7 @@ def min_eigenvalue_bound(h: np.ndarray, precision: Precision = DOUBLE) -> float:
 def _is_pd_shifted(h: np.ndarray, sigma: float, precision: Precision) -> bool:
     with working_context(precision):
         shifted = h.copy()
-        s = precision.real(sigma) if h.dtype == object else sigma
+        s = _real(precision, sigma) if h.dtype == object else sigma
         for i in range(h.shape[0]):
             shifted[i, i] = h[i, i] - s
         # strict positivity of every pivot, no relative tolerance: this is the

@@ -311,6 +311,13 @@ def _coverage(boxes, n):
     return count.cumsum(0).cumsum(1)[:n, :n]
 
 
+def _origins(n, shape):
+    # the first elements of the tree's boxes of ``shape``, in the order of
+    # their group's columns: the order of _box_levels
+    boxes = np.concatenate(assembly._box_levels(n))
+    return boxes[(boxes[:, 2] == shape[0]) & (boxes[:, 3] == shape[1]), :2]
+
+
 @pytest.mark.parametrize("n", TREE_NS)
 def test_box_tree_interfaces_decouple(n):
     # each level's boxes and the leaves above it tile the mesh, and a box's
@@ -324,7 +331,7 @@ def test_box_tree_interfaces_decouple(n):
     for g in assembly._topology(n).groups:
         axis = int(g.shape[1] > g.shape[0])
         across = g.shape[1 - axis]
-        local = pos2[g.inner[: 2 * across - 1]] - 2 * g.origins
+        local = pos2[g.inner[: 2 * across - 1]] - 2 * _origins(n, g.shape)
         assert np.all(local[..., axis] == 2 * (g.shape[axis] // 2))
         np.testing.assert_array_equal(local[:, 0, 1 - axis], np.arange(1, 2 * across))
 
@@ -350,14 +357,15 @@ def test_box_tree_groups_are_congruent(n):
     boxes = np.concatenate(levels)
     split = boxes[np.maximum(boxes[:, 2], boxes[:, 3]) >= 2]
     groups = assembly._topology(n).groups
-    grouped = np.concatenate([np.column_stack([g.origins, np.tile(g.shape, (len(g.origins), 1))])
-                              for g in groups])
-    np.testing.assert_array_equal(np.unique(grouped, axis=0), np.unique(split, axis=0))
-    assert len(grouped) == len(split)
+    assert len({g.shape for g in groups}) == len(groups)
+    grouped = np.concatenate([np.tile(g.shape, (g.inner.shape[1], 1)) for g in groups])
+    for got, want in zip(np.unique(grouped, axis=0, return_counts=True),
+                         np.unique(split[:, 2:], axis=0, return_counts=True)):
+        np.testing.assert_array_equal(got, want)
     pos2 = stencil.lattice(n)[2]
     for g in groups:
         for ids in (g.inner, g.outer):
-            local = pos2[ids] - 2 * g.origins
+            local = pos2[ids] - 2 * _origins(n, g.shape)
             assert np.all(local == local[:, :1])
 
 

@@ -409,10 +409,10 @@ def test_band_diagram_keeps_branch_the_common_starts_lose(monkeypatch):
     solve = dispersion._solve
     resolved = []
 
-    def spy(sym, zeta, starts):
+    def spy(sym, zeta, *rest):
         if np.size(zeta) == 1:
             resolved.append(float(zeta))
-        return solve(sym, zeta, starts)
+        return solve(sym, zeta, *rest)
 
     monkeypatch.setattr(dispersion, "_solve", spy)
     band = dispersion.band_diagram("custom", zeta_max=1.5, zeta_step=0.1)
@@ -449,11 +449,40 @@ def test_symbol_rows_of_several_stencil_sets():
     for p, st in enumerate(sets):
         one = dispersion.SymbolMatrix(st, 0.3)
         for got, want in zip((g[p], gp[p], e[p]), one.det_and_derivative(z[p])):
-            np.testing.assert_allclose(got, want, rtol=1e-13)
+            np.testing.assert_array_equal(got, want)
     sub = sym.take([2, 0])
-    np.testing.assert_allclose(sub.value(z[[2, 0]]), sym.value(z)[[2, 0]], rtol=0)
+    np.testing.assert_array_equal(sub.value(z[[2, 0]]), sym.value(z)[[2, 0]])
     with pytest.raises(ValueError, match="offset table"):
         dispersion.SymbolMatrix([sets[0], second_difference_stencils(0.5)], 0.0)
+
+
+def test_symbol_row_rule_rejects_other_shapes():
+    # rows pair sets with directions as np.broadcast_arrays does; any other
+    # combination names the counts or the shape it got
+    sets = [dispersion._method_stencils("fosls", zeta, None, None) for zeta in (0.4, 0.9, 1.3)]
+    with pytest.raises(ValueError, match=r"3 stencil sets on theta of shape \(2,\)"):
+        dispersion.SymbolMatrix(sets, [0.1, 0.2])
+    with pytest.raises(ValueError, match=r"1 stencil sets on theta of shape \(2, 2\)"):
+        dispersion.SymbolMatrix(sets[0], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"0 stencil sets on theta of shape \(\)"):
+        dispersion.SymbolMatrix([], 0.3)
+    for theta in (0.3, [0.3], [0.1, 0.2, 0.3]):
+        assert dispersion.SymbolMatrix(sets, theta).theta.shape == (3,)
+
+
+def test_symbol_take_of_one_row_is_that_direction():
+    # a take of one row of a one-set sweep evaluates bit for bit like the
+    # symbol built on that direction alone, at an array of z and at a scalar
+    st = stencil.extract_stencils("dpg", 0.8, 1e-2, 3, normalize=False)
+    thetas = np.linspace(0.0, np.pi / 2, 5)
+    sym = dispersion.SymbolMatrix(st, thetas)
+    assert sym.theta.shape == (5,)
+    z = 0.8 * np.array([1.05 + 0.02j, 0.9 - 0.1j, 1 + 1e-4j])
+    for t, theta in enumerate(thetas):
+        one = dispersion.SymbolMatrix(st, theta)
+        for got, want in zip(sym.take(t).det_and_derivative(z), one.det_and_derivative(z)):
+            np.testing.assert_array_equal(got, want)
+        assert sym.take(t).det(z[0]) == one.det(z[0])
 
 
 def test_dpg_limit_small_frequency_consistency():
