@@ -24,7 +24,9 @@ ROOT_ZTOL of |z|, and det F winds exactly once on a small circle around it
 that stays clear of that rounding error.  Every other candidate (a nearly
 double root, a close pair) is re-solved in extended precision to a step
 tolerance tight enough that the polished root does not depend on the
-start.  The ansatz residual gives an independent check.
+start; a Newton-Kantorovich bound from the double symbol spares the
+evaluation that would only confirm the last step.  The ansatz residual
+gives an independent check.
 
 A band diagram continues its branch from point to point, each point
 starting also from the previous root plus the grid step.  It takes two
@@ -360,6 +362,7 @@ def _newton(sym: SymbolMatrix, starts, cap, first=None):
     iters = np.full(z.shape, NEWTON_MAX_ITER)
     stopped = np.zeros(z.shape, dtype=bool)
     active = np.flatnonzero(np.isfinite(z))
+    part = None  # sym on the rows of the active starts, taken again as they stop
     for it in range(NEWTON_MAX_ITER):
         if not active.size:
             break
@@ -367,7 +370,10 @@ def _newton(sym: SymbolMatrix, starts, cap, first=None):
         if it == 0 and first is not None:
             g, gp, e = (np.reshape(a, -1)[active] for a in first)
         else:
-            g, gp, e = sym.take(active // per_row).det_and_derivative(za)
+            # active only shrinks, so an unchanged size is an unchanged set
+            if part is None or len(part.theta) != active.size:
+                part = sym.take(active // per_row)
+            g, gp, e = part.det_and_derivative(za)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             dz = -g / gp
             dz *= np.minimum(1.0, cap[active] / np.abs(dz))
@@ -382,7 +388,7 @@ def _newton(sym: SymbolMatrix, starts, cap, first=None):
     return z.reshape(shape), iters.reshape(shape), stopped.reshape(shape)
 
 
-def _polish(sym: SymbolMatrix, z0: complex):
+def _polish(sym: SymbolMatrix, z0: complex, curvature=np.inf, radius=0.0):
     """Newton in extended arithmetic, for roots double evaluation cannot pin.
 
     The weakly dissipative methods put the root at the bottom of a nearly
@@ -393,11 +399,28 @@ def _polish(sym: SymbolMatrix, z0: complex):
     double root) so the step tolerance POLISH_ZTOL bounds the remaining
     position error.  The tolerance sits far below the double resolution so
     that a nearly double root keeps stepping until its position no longer
-    depends on the start.  Each evaluation at z also gives |det F(z)|, so
-    after at least one step the polish returns z itself once the step it
-    would take is within tolerance: a simple root the double stage already
-    found costs two evaluations.  ``sym`` has one row.  Returns
-    (z, steps, |det F(z)|) or (None, steps, None).
+    depends on the start.  ``sym`` has one row.
+
+    Each evaluation at z_k gives g = det F(z_k), g' and the step dz_k.
+    After at least one step the polish returns z_k itself, with |g|, once
+    dz_k is within tolerance.  Otherwise, when ``curvature`` bounds |g''|
+    on the disc of radius ``radius``/2 around ``z0``
+    (:func:`_curvature_bounds`; inf bounds nothing), the Newton-Kantorovich
+    theorem (Kantorovich & Akilov, *Functional Analysis*, ch. XVIII) may
+    settle z_{k+1} = z_k + dz_k without evaluating there.  With eta =
+    |dz_k| and h = curvature * eta / |g'|, h <= 1/2 puts one root in the
+    disc of radius t* = 2 eta / (1 + s), s = sqrt(1 - 2h), around z_k, and
+    within t* - eta = 2 h eta / (1 + s)^2 of z_{k+1}.  The polish returns
+    z_{k+1} when that disc lies in the bounded one and the error bound is
+    within POLISH_ZTOL * max(1, |z_{k+1}|).  Its |det F| is then a Taylor
+    bound at the reported double point zr: |g + g' (zr - z_k)| plus
+    curvature / 2 times |zr - z_k|^2, where the step has cancelled all of
+    the linear term but the rounding of z_{k+1} to zr.  The stop on dz_k
+    is tested first, so z and the step count are those of the loop alone,
+    which evaluates once more only to find that step small: a simple root
+    the double stage found costs one evaluation where the bound covers it,
+    two where not.  Returns (z, steps, |det F(z)| or its bound) or
+    (None, steps, None).
     """
     with working_context(EXTENDED):
         z = mp.mpc(complex(z0))
@@ -408,7 +431,19 @@ def _polish(sym: SymbolMatrix, z0: complex):
             dz = -g / gp
             if it and abs(dz) <= POLISH_ZTOL * max(1.0, abs(z)):
                 return complex(z), it, float(abs(g))
-            z = z + dz
+            zk, z = z, z + dz
+            eta = float(abs(dz))
+            h = curvature * eta / float(abs(gp))
+            if h <= 0.5:
+                s = np.sqrt(1.0 - 2.0 * h)
+                if (
+                    float(abs(zk - z0)) + 2.0 * eta / (1.0 + s) <= radius / 2
+                    and 2.0 * h * eta / (1.0 + s) ** 2 <= POLISH_ZTOL * max(1.0, abs(z))
+                ):
+                    zr = complex(z)
+                    d = mp.mpc(zr) - zk
+                    bound = float(abs(g + gp * d)) + curvature / 2 * float(abs(d)) ** 2
+                    return zr, it + 1, bound
     return None, POLISH_MAX_ITER, None
 
 
@@ -437,6 +472,17 @@ def _distinct(zs, valid):
         keep = settled
 
 
+def _evaluate_blocks(sym: SymbolMatrix, points):
+    """``sym.det_and_derivative(points)``, one row of points per row of
+    ``sym``, evaluated CERT_BLOCK rows at a time."""
+    # one block at least, so that no rows still give empty arrays
+    blocks = [slice(i, i + CERT_BLOCK) for i in range(0, max(len(points), 1), CERT_BLOCK)]
+    return (
+        np.concatenate(parts)
+        for parts in zip(*(sym.take(b).det_and_derivative(points[b]) for b in blocks))
+    )
+
+
 def _double_certified(sym: SymbolMatrix, zs):
     """Which candidates double arithmetic certifies as simple roots.
 
@@ -461,12 +507,7 @@ def _double_certified(sym: SymbolMatrix, zs):
     ring = np.exp(2j * np.pi * np.arange(CERT_POINTS + 1) / CERT_POINTS)
     ring[0] = 0.0  # the centre itself, then the circle
     points = np.concatenate([zs[:, None], centre[:, None] + rho[:, None] * ring], axis=1)
-    # one block at least, so that no candidates still give empty arrays
-    blocks = [slice(i, i + CERT_BLOCK) for i in range(0, max(len(zs), 1), CERT_BLOCK)]
-    g, gp, e = (
-        np.concatenate(parts)
-        for parts in zip(*(sym.take(b).det_and_derivative(points[b]) for b in blocks))
-    )
+    g, gp, e = _evaluate_blocks(sym, points)
     w, bound = g[:, 2:], e[:, 2:]
     with np.errstate(divide="ignore", invalid="ignore"):
         err = (np.abs(g[:, 0]) + e[:, 0]) / np.abs(gp[:, 0])
@@ -478,6 +519,46 @@ def _double_certified(sym: SymbolMatrix, zs):
         & (np.abs(steps.sum(axis=1) / (2 * np.pi) - 1) < 0.5)
     )
     return ok, centre, np.abs(g[:, 1])
+
+
+def _curvature_bounds(sym: SymbolMatrix, zs):
+    """A bound on |g''|, g = det F, near each candidate, for :func:`_polish`.
+
+    ``sym`` has one row per candidate.  One batched double evaluation of
+    ``SymbolMatrix.det_and_derivative`` at CERT_POINTS = N points on a
+    circle of radius rho = 1e-3 |z0| around each candidate z0.  Where det F
+    is nearly linear the bound below is about 8 |g'| / rho, so a wide
+    circle keeps it small; a thousandth of |z0| still holds the polish's
+    steps from a double candidate, which sit within about 4e-10 |z0| of
+    the root, many times over.  Cauchy's estimate on the disc of radius
+    rho/2 around w, which the circle's disc holds, gives |g''(w)| <=
+    8 max |g| / rho^2 for |w - z0| <= rho/2, the maximum taken on the
+    circle (maximum modulus).  The samples' discrete Fourier coefficients
+    b_k, k = 0..N-1, bound that maximum: g is entire, so b_k sums its
+    Taylor terms of orders k, k + N, ..., and on the circle |g| is at most
+    sum |b_k| plus twice the Taylor terms of order N and up.  Those fall
+    like (rho d)^N / N!, d the longest projected offset of det F: below
+    1e-60 of the terms' magnitudes here.  Each sample is within its
+    rounding error e of g (rounding the weights and the point to double
+    included), which moves sum |b_k| by at most the sum of the e.  So
+    M = 8 (sum |b_k| + sum e) / rho^2.  The maximum on the circle is at
+    least |g''(z0)| rho^2 / 2 (Cauchy's inequality for the Taylor
+    coefficients), so M >= 4 |g''(z0)|: the polish's error bound exceeds
+    the true error of a covered step about fourfold, and the evaluation
+    it skips would have confirmed the stop.  M is inf, a bound that covers
+    nothing, where some sample fails to clear CERT_CLEARANCE times its e:
+    there the rounding estimate, not g, would set the bound.  Returns
+    ``(M, rho)``.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    rho = 1e-3 * np.abs(zs)
+    ring = np.exp(2j * np.pi * np.arange(CERT_POINTS) / CERT_POINTS)
+    g, _, e = _evaluate_blocks(sym, zs[:, None] + rho[:, None] * ring)
+    # N b_k = sum_j g_j ring_j^-k, as a product: numpy.fft would load a module
+    coefs = g @ np.vander(ring.conj(), increasing=True)
+    peak = np.abs(coefs).sum(axis=1) / CERT_POINTS + e.sum(axis=1)
+    clear = np.all(np.abs(g) >= CERT_CLEARANCE * e, axis=1)
+    return np.where(clear, 8 * peak / rho**2, np.inf), rho
 
 
 def _certify(sym: SymbolMatrix, zs, iters, keep):
@@ -494,9 +575,13 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     goes to the extended polish, whose steps are added; one the polish
     does not confirm is dropped, since near a nearly double root the
     double determinant is rounding noise and the double tests alone
-    certify nothing there.  The object copies of the polish are built once
-    per row.  Returns ``(z, iters, |det F(z)|, polished)`` arrays of
-    shape ``(T, S)``, z NaN where no root was certified.
+    certify nothing there.  The curvature bounds of all polished
+    candidates come from one more batched double evaluation
+    (:func:`_curvature_bounds`), and the object copies of the polish are
+    built once per row.  Returns ``(z, iters, |det F(z)|, polished)``
+    arrays of shape ``(T, S)``, z NaN where no root was certified;
+    |det F(z)| is a bound where the polish's last step was settled by
+    its Kantorovich bound (:func:`_polish`).
     """
     zs = np.where(zs.imag < 0, zs.conj(), zs)
     rows, cols = np.nonzero(_distinct(zs, keep))
@@ -506,11 +591,15 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     polished = np.zeros(zs.shape, dtype=bool)
     z[rows, cols], det[rows, cols] = np.where(certified, centre, np.nan), det_abs
     iters = np.array(iters)
+    tp, sp = rows[~certified], cols[~certified]
+    if not tp.size:  # spares the empty batch its 0.1 ms
+        return z, iters, det, polished
+    curvature, radius = _curvature_bounds(sym.take(tp), zs[tp, sp])
     one = {}  # the one-row symbol of each row polished, with its object copies
-    for t, s in zip(rows[~certified], cols[~certified]):
+    for t, s, m, rho in zip(tp, sp, curvature, radius):
         if t not in one:
             one[t] = sym.take(t)
-        zp, itp, g = _polish(one[t], zs[t, s])
+        zp, itp, g = _polish(one[t], zs[t, s], m, rho)
         polished[t, s] = True
         if zp is not None:
             z[t, s] = zp if zp.imag >= 0 else zp.conjugate()
@@ -636,7 +725,11 @@ def solve_root(
     recovers the root position lost to rounding in the nearly-double-root
     regime of the weakly dissipative methods, to a tolerance at which the
     result no longer depends on the start; candidates it does not confirm
-    are dropped.  ``RootResult.polished`` tells the two certificates apart.
+    are dropped.  Its last step is settled without evaluating at the new
+    point where a Newton-Kantorovich bound, from a bound on d^2(det F)/dz^2
+    by double evaluations on a circle, puts the root within tolerance of
+    it; ``det_abs`` is then a bound on |det F| at the reported z.
+    ``RootResult.polished`` tells the two certificates apart.
     A second certified root at nearly the same distance from ``zeta``
     triggers a BranchAmbiguity warning.  ``RootResult.scale``, the largest
     |det F| over the starts, is the scale to read ``det_abs`` against.

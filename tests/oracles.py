@@ -31,7 +31,9 @@ window-by-window route to ``assembly.amplitude_metric``.
 are the point-by-point routes to ``dispersion.band_diagram`` and
 ``dispersion.convergence_study``: one ``solve_root`` per frequency point,
 each band point continued from the previous root, where the package
-solves all points as rows of one symbol.
+solves all points as rows of one symbol.  :func:`polish_two_evaluations`
+is the 30-digit polish without its Newton-Kantorovich stop: it evaluates
+once more to confirm each root's last step.
 """
 
 import math
@@ -45,6 +47,7 @@ from mpmath.libmp import from_rational
 from helmdpg import dispersion, localforms, numkit, refelem
 from helmdpg.errors import DimensionMismatch, NoRootFound, NotHermitian
 from helmdpg.numkit import (
+    EXTENDED,
     Precision,
     QuadratureRule,
     as_complex128,
@@ -571,3 +574,24 @@ def convergence_roots_sequential(method, eps=None, r=None, levels=(3, 4, 5), ome
         roots.append(dispersion.solve_root(st, 0.0, zeta).z)
         zetas.append(zeta)
     return np.asarray(zetas), np.asarray(roots)
+
+
+def polish_two_evaluations(sym, z0, *bound):
+    """``dispersion._polish`` without the Newton-Kantorovich stop.
+
+    Newton on det F in 30 digits that, after at least one step, returns z
+    once the step it would take from z is within POLISH_ZTOL * max(1, |z|),
+    with |det F(z)|: a simple root costs two evaluations.  ``bound``, the
+    curvature bound and radius the package's polish takes, is ignored.
+    """
+    with working_context(EXTENDED):
+        z = mp.mpc(complex(z0))
+        for it in range(dispersion.POLISH_MAX_ITER):
+            g, gp = sym.det_and_derivative_exact(z)
+            if gp == 0 or not mp.isfinite(gp) or not mp.isfinite(g):
+                return None, it, None
+            dz = -g / gp
+            if it and abs(dz) <= dispersion.POLISH_ZTOL * max(1.0, abs(z)):
+                return complex(z), it, float(abs(g))
+            z = z + dz
+    return None, dispersion.POLISH_MAX_ITER, None

@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import band_diagram_sequential, convergence_roots_sequential
+from oracles import band_diagram_sequential, convergence_roots_sequential, polish_two_evaluations
 
 from helmdpg import dispersion, stencil
 from helmdpg.errors import BranchAmbiguity, NoRootFound
@@ -667,16 +667,92 @@ def _count_exact_evaluations(monkeypatch):
 def test_polish_only_where_double_cannot_resolve(method, eps_n, polished, monkeypatch):
     # the simple roots of fosls and of dpg at eps_n = 1e-2 are certified in
     # double; at eps_n = 1e-6 the double roots sit about 2e-11 off, above
-    # ROOT_ZTOL, so every direction still takes the extended polish
+    # ROOT_ZTOL, so every direction still takes the extended polish: one
+    # Newton step, which the Kantorovich bound settles without a second
+    # evaluation, on each of the 7 directions solved (up to pi/4)
     zeta = np.pi / 4
     st = dispersion._method_stencils(method, zeta, eps_n, 3)
     calls = _count_exact_evaluations(monkeypatch)
     sweep = dispersion.theta_sweep(st, n_theta=13)
     assert np.all(sweep.polished == polished)
-    if polished:
-        assert calls[0] >= sweep.z.size
-    else:
-        assert calls[0] == 0
+    assert calls[0] == (7 if polished else 0)
+
+
+def _with_polish(monkeypatch, polish, solve):
+    """``solve()`` with every polish done by ``polish``, and the (steps,
+    30-digit evaluations) of each polish."""
+    calls = _count_exact_evaluations(monkeypatch)
+    record = []
+
+    def spy(*args):
+        before = calls[0]
+        out = polish(*args)
+        record.append((out[1], calls[0] - before))
+        return out
+
+    monkeypatch.setattr(dispersion, "_polish", spy)
+    return solve(), record
+
+
+def _sweep_1e6():
+    sweep = dispersion.theta_sweep(dispersion._method_stencils("dpg", np.pi / 4, 1e-6, 3), 13)
+    return sweep.z, sweep.iters
+
+
+def _study_eps0():
+    # the eps = 0 convergence study at levels 3 and 5 (omega = 1)
+    zetas = 2 * np.pi / 2.0 ** np.array([3, 5])
+    sets = [dispersion._method_stencils("dpg", zeta, 0.0, 3) for zeta in zetas]
+    return dispersion._solve(dispersion.SymbolMatrix(sets, 0.0), zetas)[:2]
+
+
+@pytest.mark.parametrize("solve,steps", [(_sweep_1e6, 1), (_study_eps0, 2)])
+def test_polish_matches_two_evaluation_oracle(solve, steps, monkeypatch):
+    # the Kantorovich stop skips only the evaluation that would confirm the
+    # last step: z and the steps are the oracle's bit for bit, and a covered
+    # polish makes one evaluation per step.  Every eps_n = 1e-6 root is one
+    # step off; the level-5 eps = 0 candidates take two
+    polish = dispersion._polish
+    (z, iters), record = _with_polish(monkeypatch, polish, solve)
+    (want_z, want_iters), want = _with_polish(monkeypatch, polish_two_evaluations, solve)
+    assert z.tobytes() == want_z.tobytes()
+    assert iters.tobytes() == want_iters.tobytes()
+    assert [s for s, _ in record] == [s for s, _ in want]
+    assert all(n == s + 1 for s, n in want)
+    assert all(n in (s, s + 1) for s, n in record)
+    assert (steps, steps) in record
+
+
+def test_polish_falls_back_to_the_loop_on_nearly_double_root(monkeypatch):
+    # a pair split by 1e-14: Newton only halves the error per step there,
+    # so h = M |dz| / |g'| stays large and the bound covers no step of the
+    # reported root, though it is finite.  The root comes from the loop: the
+    # oracle's z, steps and 30-digit |det F|
+    st = planted_pair_stencils(1e-14)
+    res, _ = _with_polish(
+        monkeypatch, dispersion._polish, lambda: dispersion.solve_root(st, 0.0, 0.7)
+    )
+    want, _ = _with_polish(
+        monkeypatch, polish_two_evaluations, lambda: dispersion.solve_root(st, 0.0, 0.7)
+    )
+    assert res.polished and res == want
+    curvature, _ = dispersion._curvature_bounds(dispersion.SymbolMatrix(st, 0.0), [res.z])
+    assert np.isfinite(curvature[0])
+
+
+def test_covered_polish_bounds_det_at_reported_root(monkeypatch):
+    # where the bound settles the last step, det_abs is a Taylor bound on
+    # |det F| at the reported double root, not a 30-digit value: check it
+    # against det F there in 50 digits, on the 7 directions solved
+    st = dispersion._method_stencils("dpg", np.pi / 4, 1e-6, 3)
+    calls = _count_exact_evaluations(monkeypatch)
+    sweep = dispersion.theta_sweep(st, n_theta=13)
+    assert calls[0] == 7  # every polish covered
+    for t in range(7):
+        sym = dispersion.SymbolMatrix(st, sweep.thetas[t])
+        with mp.workdps(50):
+            g, _ = sym.det_and_derivative_exact(mp.mpc(complex(sweep.z[t])))
+        assert abs(g) <= sweep.det_abs[t] <= 1e-12 * sweep.scale[t]
 
 
 def planted_pair_stencils(split):
