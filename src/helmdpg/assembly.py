@@ -1,25 +1,26 @@
 """Global solves on uniform square meshes of the unit square.
 
 Every element contributes the same condensed matrix, scaled by the mesh
-size, on the lattice numbering of :func:`helmdpg.stencil.lattice`, the one
-numbering the stencil patches use too: vertices first, then
-horizontal-edge midpoints, then vertical-edge midpoints.  Its ``(n*n, 8)``
-element table drives the load scatter, products with the trace matrix and
-the recovery as array operations; no global matrix is formed.  Dirichlet
-data constrains boundary vertex values only; edge fluxes stay unknowns
-everywhere.  The trace system is Hermitian positive definite and real up
-to a diagonal phase: ``A = P A_R P^H``, with ``A_R`` real symmetric
-positive definite and ``P`` the trial phases of the trace DOFs (1 on
-vertex traces, -i on fluxes).  ``A_R`` is also translation-invariant, so
-in a geometric nested dissection of the mesh into boxes every box of one
-shape has the same Schur complement: the solve takes one dense LAPACK
-Cholesky factor per box shape, O(log n) of them, for both methods, and
-runs all boxes of one shape as one block.  After the trace solve the
-element interiors are recovered from the stored Schur data.  Each exact
-field is a short sum of products f(x) g(y), so on the mesh's tensor rules
-its values are outer products of per-axis tables (sum factorization,
-Orszag 1980): loads are two contractions per term, and the error fields
-are formed once per solve for the error and its best-approximation bound.
+size, on the lattice numbering of :func:`lattice`, in the element slots
+the stencils of :mod:`helmdpg.stencil` are read from: vertices first,
+then horizontal-edge midpoints, then vertical-edge midpoints.  Its
+``(n*n, 8)`` element table drives the load scatter, products with the
+trace matrix and the recovery as array operations; no global matrix is
+formed.  Dirichlet data constrains boundary vertex values only; edge
+fluxes stay unknowns everywhere.  The trace system is Hermitian positive
+definite and real up to a diagonal phase: ``A = P A_R P^H``, with ``A_R``
+real symmetric positive definite and ``P`` the trial phases of the trace
+DOFs (1 on vertex traces, -i on fluxes).  ``A_R`` is also
+translation-invariant, so in a geometric nested dissection of the mesh
+into boxes, walked by box shape, every box of one shape has the same
+Schur complement: the solve takes one dense LAPACK Cholesky factor per
+box shape, O(log n) of them, for both methods, and runs all boxes of one
+shape as one block.  After the trace solve the element interiors are
+recovered from the stored Schur data.  Each exact field is a short sum of
+products f(x) g(y), so on the mesh's tensor rules its values are outer
+products of per-axis tables (sum factorization, Orszag 1980): loads are
+two contractions per term, and the error fields are formed once per
+solve for the error and its best-approximation bound.
 """
 
 from __future__ import annotations
@@ -59,9 +60,33 @@ RESONANCE_OMEGA = np.pi * np.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 
+def lattice(n: int):
+    """The trace lattice of an n x n element mesh: ``(ndof, dofs, pos2)``.
+
+    Vertices come first, then horizontal-edge midpoints, then vertical-edge
+    midpoints, each numbered row by row.  Row ``e = ey*n + ex`` of the
+    ``(n*n, 8)`` table ``dofs`` holds the element's trace ids in the
+    condensed order, so ``dof_type[dofs] = stencil.TRACE_TYPES``;  ``pos2``
+    gives each id's position doubled so it stays an integer,
+    ``pos2[dofs] = 2*(ex, ey) + stencil.TRACE_POS2``.
+    """
+    nv = (n + 1) * (n + 1)
+    nhe = n * (n + 1)
+    e = np.arange(n * n)
+    ex, ey = e % n, e // n
+    v = ey * (n + 1) + ex
+    he = nv + ey * n + ex
+    ve = nv + nhe + ey * (n + 1) + ex
+    dofs = np.column_stack([v, v + 1, v + n + 2, v + n + 1, he, he + n, ve, ve + 1])
+    ndof = nv + 2 * nhe
+    pos2 = np.empty((ndof, 2), dtype=int)
+    pos2[dofs] = 2 * np.column_stack([ex, ey])[:, None, :] + stencil.TRACE_POS2
+    return ndof, dofs, pos2
+
+
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform n x n element mesh of (0,1)^2 on the lattice of :func:`stencil.lattice`.
+    """Uniform n x n element mesh of (0,1)^2 on the lattice of :func:`lattice`.
 
     Vertex (i, j) sits at (i*h, j*h).  The lattice numbers the vertices
     first, so vertex ids run from 0 to ``n_vertices - 1``.
@@ -75,7 +100,7 @@ class Mesh:
 
     @cached_property
     def _lattice(self):
-        ndof, dofs, pos2 = stencil.lattice(self.n)
+        ndof, dofs, pos2 = lattice(self.n)
         # build_mesh shares one Mesh per n among all its callers
         dofs.flags.writeable = pos2.flags.writeable = False
         return ndof, dofs, pos2
@@ -239,47 +264,22 @@ def dirichlet_values(mesh: Mesh, exact: ExactSolution) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _halves(boxes: np.ndarray):
-    """The two children of each box row ``(x0, y0, w, h)``, in two arrays.
-
-    Row ``(x0, y0, w, h)`` is a box of w x h elements whose first element
-    is (x0, y0).  It splits along its longer side (x on a tie) at the
-    vertex line ``w // 2`` (or ``h // 2``) elements in, the middle line or
-    the lower one of two; no element straddles a vertex line, so the line
-    decouples the two halves.
-    """
-    x0, y0, w, h = boxes.T
-    a = np.where(w >= h, w // 2, 0)
-    b = np.where(w >= h, 0, h // 2)
-    first = np.column_stack([x0, y0, np.where(a > 0, a, w), np.where(a > 0, h, b)])
-    return first, np.column_stack([x0 + a, y0 + b, w - a, h - b])
-
-
-def _box_levels(n: int) -> list[np.ndarray]:
-    """The nested-dissection box tree of an n x n mesh, one array per depth.
-
-    Geometric nested dissection of the lattice (George, SIAM J. Numer.
-    Anal. 1973): the root is the whole mesh, every box with a vertex line
-    inside splits by :func:`_halves`, and 1 x 1 boxes are leaves.
-    """
-    boxes = np.array([[0, 0, n, n]])
-    levels = []
-    while len(boxes):
-        levels.append(boxes)
-        boxes = np.concatenate(_halves(boxes[np.maximum(boxes[:, 2], boxes[:, 3]) >= 2]))
-    return levels
-
-
 def _split(w: int, h: int):
     """A w x h box's two child shapes, the second one's doubled offset and
-    the doubled positions strictly inside its split line."""
-    first, second = (c[0] for c in _halves(np.array([[0, 0, w, h]])))
-    offset = 2 * second[:2]
-    if offset[0]:
-        line = np.column_stack([np.full(2 * h - 1, offset[0]), np.arange(1, 2 * h)])
-    else:
-        line = np.column_stack([np.arange(1, 2 * w), np.full(2 * w - 1, offset[1])])
-    return (tuple(first[2:].tolist()), tuple(second[2:].tolist())), offset, line
+    the doubled positions strictly inside its split line.
+
+    The box splits along its longer side (x on a tie) at the vertex line
+    ``w // 2`` (or ``h // 2``) elements in, the middle line or the lower
+    one of two; no element straddles a vertex line, so the line decouples
+    the two halves.
+    """
+    if w >= h:
+        a = w // 2
+        line = np.column_stack([np.full(2 * h - 1, 2 * a), np.arange(1, 2 * h)])
+        return ((a, h), (w - a, h)), (2 * a, 0), line
+    b = h // 2
+    line = np.column_stack([np.arange(1, 2 * w), np.full(2 * w - 1, 2 * b)])
+    return ((w, b), (w, h - b)), (0, 2 * b), line
 
 
 def _perimeter(w: int, h: int) -> np.ndarray:
@@ -335,11 +335,11 @@ class _Topology:
     leaf: np.ndarray
 
 
-def _group(shape, origins, ids, is_root) -> _Group:
-    """The group of the boxes of ``shape`` at ``origins``; ``ids`` maps
-    doubled positions to global DOF ids."""
+def _group(shape, split, origins, ids, is_root) -> _Group:
+    """The group of the boxes of ``shape`` at ``origins``, split as
+    :func:`_split` gives; ``ids`` maps doubled positions to global DOF ids."""
     w, h = shape
-    children, offset, line = _split(w, h)
+    children, offset, line = split
     per = _perimeter(w, h)
     if is_root:
         inner, outer = np.concatenate([line, per[(per[:, 0] | per[:, 1]) % 2 == 1]]), per[:0]
@@ -364,32 +364,32 @@ def _group(shape, origins, ids, is_root) -> _Group:
 def _topology(n: int) -> _Topology:
     """The box tree of an n x n mesh grouped by shape, with global DOF ids.
 
-    The tree is built level by level as arrays (:func:`_box_levels`); the
-    ids come from ``stencil.lattice``'s doubled positions.  Boxes of one
-    shape have the same subtree, so ordering shapes by subtree height puts
-    every box after all of its descendants.
+    Geometric nested dissection of the lattice (George, SIAM J. Numer.
+    Anal. 1973): the root is the whole mesh, every box with a vertex line
+    inside splits by :func:`_split`, and 1 x 1 boxes are leaves.  Boxes of
+    one shape have the same subtree, so the tree is walked by shape, each
+    with the origins of its boxes.  A child is smaller than each of its
+    parents, so the pending shape of largest area (the wider one on a tie)
+    has all its boxes: it becomes a group and hands its origins to its two
+    child shapes.  Reversed, the groups run children first.  The ids come
+    from the doubled positions of ``build_mesh(n)``'s lattice.
     """
-    ndof, _, pos2 = stencil.lattice(n)
+    pos2 = build_mesh(n)._lattice[2]
     ids = np.full((2 * n + 1, 2 * n + 1), -1, dtype=np.int32)
-    ids[tuple(pos2.T)] = np.arange(ndof)
-    boxes = np.concatenate(_box_levels(n))
-    boxes = boxes[np.maximum(boxes[:, 2], boxes[:, 3]) >= 2]
-    keys, which = np.unique(boxes[:, 2] * (n + 1) + boxes[:, 3], return_inverse=True)
-    height = {(1, 1): 0}
-
-    def climb(w, h):
-        if (w, h) not in height:
-            height[w, h] = 1 + max(climb(*c) for c in _split(w, h)[0])
-        return height[w, h]
-
-    shapes = [divmod(int(key), n + 1) for key in keys]
-    groups = [
-        _group(s, boxes[which == i, :2], ids, s == (n, n))
-        for i, s in sorted(enumerate(shapes), key=lambda item: climb(*item[1]))
-    ]
+    ids[tuple(pos2.T)] = np.arange(len(pos2))
+    pending = {(n, n): [np.zeros((1, 2), dtype=int)]}
+    groups = []
+    while pending:
+        shape = max(pending, key=lambda s: (s[0] * s[1], s))
+        origins = np.concatenate(pending.pop(shape))
+        split = _split(*shape)
+        for child, offset in zip(split[0], ((0, 0), split[1])):
+            if max(child) >= 2:
+                pending.setdefault(child, []).append(origins + np.array(offset) // 2)
+        groups.append(_group(shape, split, origins, ids, shape == (n, n)))
     slot = np.empty((3, 3), dtype=int)
     slot[tuple(stencil.TRACE_POS2.T)] = np.arange(8)
-    return _Topology(tuple(groups), slot[tuple(_perimeter(1, 1).T)])
+    return _Topology(tuple(groups[::-1]), slot[tuple(_perimeter(1, 1).T)])
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,8 @@ class SymbolMatrix:
 
     The sets of one symbol must share the offset table: the same types and,
     per (t, s) entry, the same offsets in the same order.  Sets of one
-    method (and one r) do, since the offsets come from the patch's
-    structure and not from the weights.  Every array is per row: the
+    method (and one r) do, since the offsets come from the element's
+    slots and not from the weights.  Every array is per row: the
     offsets projected on the row's direction, ``(R, D)``, the coefficients
     and the derivative's factors ``i d_k c_k``, ``(R, n, n, K)``.  An
     evaluation takes one exponential per projected offset and gathers it,

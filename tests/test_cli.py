@@ -72,6 +72,29 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert b"# helm-dpg dispersion" in a
 
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    "dispersion_19": ["dispersion", "--n-theta", "19"],
+    "dispersion_exact": ["dispersion", "--eps", "0", "--h", "0.09817477042468103",
+                         "--n-theta", "7"],
+    "band": ["band", "--zeta-max", "1.5"],
+    "stencil_dump_raw": ["stencil-dump", "--raw"],
+    "stencil_dump_exact": ["stencil-dump", "--raw", "--eps-n", "0",
+                           "--omega-n", "0.09817477042468103"],
+    "solve": ["solve"],
+    "resonance_sweep": ["resonance-sweep", "--omega-start", "4.3", "--omega-stop", "4.5"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_golden_csv(name, capsys):
+    # the CSV of each run is byte for byte the recorded one; a change that
+    # moves bits regenerates tests/golden/<name>.csv and says why
+    code, out = run_cli(GOLDEN_RUNS[name], capsys)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
 def test_dispersion_row_matches_library(capsys):
     h = 0.5
     code, out = run_cli(

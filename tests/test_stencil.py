@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from helmdpg import localforms, stencil
+from helmdpg import assembly, localforms, stencil
 from helmdpg.errors import CenterRowDegenerate, MissingValue
+from helmdpg.numkit import EXTENDED, working_context
 from helmdpg.stencil import HEDGE, VEDGE, VERTEX
+
+import oracles
 
 DPG_KW = dict(eps_n=0.5, r=2)
 
@@ -72,7 +75,7 @@ def test_lattice_numbering():
     # vertices, then horizontal-edge midpoints, then vertical-edge
     # midpoints, each row by row; every id belongs to some element
     n = 3
-    ndof, dofs, pos2 = stencil.lattice(n)
+    ndof, dofs, pos2 = assembly.lattice(n)
     want = (
         [(2 * i, 2 * j) for j in range(n + 1) for i in range(n + 1)]
         + [(2 * i + 1, 2 * j) for j in range(n + 1) for i in range(n)]
@@ -91,7 +94,7 @@ def test_no_coupling_outside_patch_support():
     element = localforms.element_kit(
         localforms.NormalizedParams(0.8, 0.5, 2)
     ).S
-    a, touched, _, _, centers = stencil.assemble_patch(element)
+    a, touched, _, _, centers = oracles.assemble_patch(element)
     for c in centers.values():
         outside = a[c][~touched[c]]
         assert np.all(outside == 0)
@@ -100,12 +103,49 @@ def test_no_coupling_outside_patch_support():
 def test_translation_invariance_larger_patch():
     element = localforms.fosls_element(0.9).M
     s = stencil.extract_stencils("fosls", 0.9, normalize=False)
-    a, touched, dof_type, pos2, centers = stencil.assemble_patch(element, n=5)
+    a, touched, dof_type, pos2, centers = oracles.assemble_patch(element, n=5)
     for t, c in centers.items():
         for q in np.flatnonzero(touched[c]):
             off = (int(pos2[q, 0] - pos2[c, 0]), int(pos2[q, 1] - pos2[c, 1]))
             want = s.weights[(t, int(dof_type[q]))][off]
             assert a[c, q] == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+def _bits(rows):
+    # every weight in dict order, to the bit: repr of the real and imaginary
+    # parts of a double, the mantissa-exponent tuples of an mpmath value
+    return [
+        (key, off, getattr(v, "_mpc_", None) or (repr(v.real), repr(v.imag)))
+        for key, row in rows.items()
+        for off, v in row.items()
+    ]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize(
+    "method,omega_n,kw",
+    [("fem", 0.5, {}), ("fosls", 0.9, {}), ("dpg", 0.8, DPG_KW),
+     ("dpg", 2 * np.pi / 64, dict(eps_n=0.0, r=3))],
+)
+def test_slot_rows_match_patch_rows(method, omega_n, kw, normalize):
+    # the rows summed from the element's slots are the center rows of an
+    # assembled 3 x 3 and 5 x 5 patch, bit for bit and in the same order, on
+    # the double element and on the 30-digit one where the element has it
+    s = stencil.extract_stencils(method, omega_n, normalize=normalize, **kw)
+    element, element_exact = stencil._element_matrix(method, omega_n, kw.get("eps_n"), kw.get("r"))
+    assert (element_exact is not None) == (kw.get("eps_n") == 0.0)
+    for n in (3, 5):
+        assert _bits(s.weights) == _bits(oracles.patch_center_rows(element, n, normalize))
+        if element_exact is not None:
+            with working_context(EXTENDED):
+                want = oracles.patch_center_rows(element_exact, n, normalize)
+            assert _bits(s.exact) == _bits(want)
+    # a vanishing self weight is a degenerate center row in either arithmetic
+    for e in filter(lambda e: e is not None, (element, element_exact)):
+        e = e.copy()
+        e[range(4), range(4)] = 0
+        with working_context(EXTENDED), pytest.raises(CenterRowDegenerate, match="vertex"):
+            stencil._center_rows(e, True, method, omega_n)
 
 
 @pytest.mark.parametrize("method,kw", [("dpg", DPG_KW), ("fosls", {})])
