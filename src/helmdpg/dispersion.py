@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -112,10 +111,12 @@ class SymbolMatrix:
     through an index shared by all rows, into complex128 ``(n, n, K)`` term
     arrays padded with zeros to the longest entry.  :meth:`take` gives the
     same symbol on some of its rows.  ``det_and_derivative_exact`` takes one
-    z in the ambient mpmath precision on a symbol of one row and sums only
-    each entry's own terms, with the row's extended weights when its set
-    has them and its double weights otherwise.  Its object copies are built
-    on its first call, so callers that stay in double never pay for them.
+    z in the ambient mpmath precision and one row, of any symbol, and sums
+    only each entry's own terms, with the row's extended weights when its
+    set has them and its double weights otherwise.  Its object copies are
+    built on first use, once per stencil set and once per (set, direction),
+    and a symbol shares them with its takes, so callers that stay in double
+    never pay for them.
     """
 
     def __init__(self, stencils, theta):
@@ -158,18 +159,19 @@ class SymbolMatrix:
         self._dcoefs = 1j * self._proj[:, self._at] * self._coefs
         self._rows = rows
         self._sets = sets
-        self._shared = {}  # lazy per-set state, shared with every take
+        # object copies of the extended evaluation, per set and per (set,
+        # direction), built on first use and shared with every take
+        self._shared = {}
 
     def take(self, rows) -> SymbolMatrix:
         """The same symbol on its rows ``rows``: one row for an integer.
 
-        The per-row arrays are sliced; the per-set object copies of the
-        extended evaluation are shared.
+        The per-row arrays are sliced; the object copies of the extended
+        evaluation are shared.
         """
         rows = np.arange(len(self.theta))[rows].reshape(-1)
         sub = object.__new__(SymbolMatrix)
         sub.__dict__.update(self.__dict__)
-        sub.__dict__.pop("_exact_terms", None)
         for name in ("theta", "_which", "_proj", "_coefs", "_dcoefs"):
             setattr(sub, name, getattr(self, name)[rows])
         return sub
@@ -237,50 +239,44 @@ class SymbolMatrix:
             )
             return g, gp, FLOOR_ROUNDING * (permanent_small(np.abs(f)) + entries)
 
-    def _exact_coefs(self):
-        """The direction-independent object copies of a one-row symbol's
-        stencil set, built once per set for a symbol and every take of it:
-        flat arrays over the terms of all entries, entry by entry in
-        stencil order, of each term's column in the offset table and its
-        coefficient (an extended weight, or a double one converted to mpc
-        once), and the slice of each (t, s) entry.
+    def _exact_terms(self, row):
+        """Object copies for ``det_and_derivative_exact`` on ``row``, without
+        padding, kept in the dict a symbol shares with its takes.
+
+        Once per stencil set: flat arrays over the terms of all entries,
+        entry by entry in stencil order, of each term's column in the offset
+        table and its coefficient (an extended weight, or a double one
+        converted to mpc once), and the slice of each (t, s) entry.  Once
+        per (set, direction): the direction's distinct projected offsets as
+        mpf, the index of each term's offset among them and each term's
+        offset d.  Returns ``(offsets, at, coefs, d, spans)``.
         """
-        which = self._which[0]
+        which, theta = int(self._which[row]), float(self.theta[row])
         if which not in self._shared:
             exact = self._sets[which].exact
             at, coefs, spans = [], [], []
-            for (ti, si), row in self._rows.items():
-                if not row:
+            for (ti, si), terms in self._rows.items():
+                if not terms:
                     continue
-                k = len(row)
+                k = len(terms)
                 if exact is not None:
                     erow = exact.get((self.types[ti], self.types[si])) or {}
-                    coefs += [erow[o] for o in row]
+                    coefs += [erow[o] for o in terms]
                 else:
-                    coefs += [_exact_complex(c) for c in self._coefs[0, ti, si, :k]]
+                    coefs += [_exact_complex(c) for c in self._coefs[row, ti, si, :k]]
                 at += list(self._at[ti, si, :k])
                 spans.append((ti, si, slice(len(at) - k, len(at))))
             self._shared[which] = np.array(at), np.array(coefs, dtype=object), spans
-        return self._shared[which]
+        if (which, theta) not in self._shared:
+            column, coefs, spans = self._shared[which]
+            distinct, where = np.unique(self._proj[row], return_inverse=True)
+            at = where[column]
+            offsets = np.array([mp.mpf(d) for d in distinct], dtype=object)
+            self._shared[which, theta] = offsets, at, coefs, offsets[at], spans
+        return self._shared[which, theta]
 
-    @cached_property
-    def _exact_terms(self):
-        """Object copies for ``det_and_derivative_exact``, without padding.
-
-        The direction's distinct projected offsets as mpf, then over the
-        terms of :meth:`_exact_coefs`: the index of each term's offset, its
-        coefficient and its offset d; last the slice of each (t, s) entry.
-        """
-        if len(self.theta) != 1:
-            raise ValueError("the extended evaluation takes a symbol of one row")
-        column, coefs, spans = self._exact_coefs()
-        distinct, where = np.unique(self._proj[0], return_inverse=True)
-        at = where[column]
-        offsets = np.array([mp.mpf(d) for d in distinct], dtype=object)
-        return offsets, at, coefs, offsets[at], spans
-
-    def det_and_derivative_exact(self, z):
-        """det F and d(det F)/dz in the ambient mpmath precision.
+    def det_and_derivative_exact(self, z, row):
+        """det F and d(det F)/dz on ``row`` in the ambient mpmath precision.
 
         Summing the exponential series and expanding the determinant in
         extended arithmetic removes the cancellation noise that limits the
@@ -292,7 +288,7 @@ class SymbolMatrix:
         eps_n = 0 stencils, where 30 digits left 2.4e-22 of det F against
         1.3e-24 from rounding the entries.  Call inside mp.workdps.
         """
-        offsets, at, coefs, dots, spans = self._exact_terms
+        offsets, at, coefs, dots, spans = self._exact_terms(row)
         exps = np.array([mp.exp(a) for a in offsets * (1j * z)], dtype=object)
         terms = coefs * exps[at]
         dterms = dots * terms
@@ -333,14 +329,13 @@ class RootResult:
 def _newton(sym: SymbolMatrix, starts, cap, first=None):
     """Newton iteration on det F from every start at once.
 
-    ``starts`` holds one row of starts per row of ``sym`` (a 1-D array is
-    the one row of a symbol of one row); a start that is not finite is no
-    start.  Each start runs its own iteration; one batched symbol
-    evaluation serves all starts still active, on all rows.  ``cap`` is one step cap or one per
-    row of ``starts``.  A step longer than its cap is shortened to the cap
-    along its direction: where d(det F)/dz nearly vanishes the full step
-    would throw the start far from the region the starts cover, onto
-    another branch or an alias.
+    ``starts``, ``(R, S)``, holds S starts on each of the R rows of
+    ``sym``; a start that is not finite is no start.  Each start runs its
+    own iteration; one batched symbol evaluation serves all starts still
+    active, on all rows.  ``cap``, ``(R,)``, is each row's step cap.  A
+    step longer than its cap is shortened to the cap along its direction:
+    where d(det F)/dz nearly vanishes the full step would throw the start
+    far from the region the starts cover, onto another branch or an alias.
 
     A start stops where |det F| is at most the rounding error e of the
     double det F (``SymbolMatrix.det_and_derivative``): below it the
@@ -355,10 +350,9 @@ def _newton(sym: SymbolMatrix, starts, cap, first=None):
     first evaluation when the caller already made it.
     """
     z = np.array(starts, dtype=complex)
-    shape = z.shape
+    shape, per_row = z.shape, z.shape[1]
     z = z.reshape(-1)
-    per_row = shape[-1] if shape else 1
-    cap = np.repeat(np.reshape(cap, -1), per_row) if np.ndim(cap) else np.full(z.shape, cap)
+    cap = np.repeat(cap, per_row)
     iters = np.full(z.shape, NEWTON_MAX_ITER)
     stopped = np.zeros(z.shape, dtype=bool)
     active = np.flatnonzero(np.isfinite(z))
@@ -388,7 +382,7 @@ def _newton(sym: SymbolMatrix, starts, cap, first=None):
     return z.reshape(shape), iters.reshape(shape), stopped.reshape(shape)
 
 
-def _polish(sym: SymbolMatrix, z0: complex, curvature=np.inf, radius=0.0):
+def _polish(sym: SymbolMatrix, row, z0: complex, curvature=np.inf, radius=0.0):
     """Newton in extended arithmetic, for roots double evaluation cannot pin.
 
     The weakly dissipative methods put the root at the bottom of a nearly
@@ -399,7 +393,7 @@ def _polish(sym: SymbolMatrix, z0: complex, curvature=np.inf, radius=0.0):
     double root) so the step tolerance POLISH_ZTOL bounds the remaining
     position error.  The tolerance sits far below the double resolution so
     that a nearly double root keeps stepping until its position no longer
-    depends on the start.  ``sym`` has one row.
+    depends on the start.  It runs on row ``row`` of ``sym``.
 
     Each evaluation at z_k gives g = det F(z_k), g' and the step dz_k.
     After at least one step the polish returns z_k itself, with |g|, once
@@ -425,7 +419,7 @@ def _polish(sym: SymbolMatrix, z0: complex, curvature=np.inf, radius=0.0):
     with working_context(EXTENDED):
         z = mp.mpc(complex(z0))
         for it in range(POLISH_MAX_ITER):
-            g, gp = sym.det_and_derivative_exact(z)
+            g, gp = sym.det_and_derivative_exact(z, row)
             if gp == 0 or not mp.isfinite(gp) or not mp.isfinite(g):
                 return None, it, None
             dz = -g / gp
@@ -577,8 +571,9 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     double determinant is rounding noise and the double tests alone
     certify nothing there.  The curvature bounds of all polished
     candidates come from one more batched double evaluation
-    (:func:`_curvature_bounds`), and the object copies of the polish are
-    built once per row.  Returns ``(z, iters, |det F(z)|, polished)``
+    (:func:`_curvature_bounds`), and the polish evaluates each candidate's
+    row of ``sym``, whose object copies are built once per set and
+    direction.  Returns ``(z, iters, |det F(z)|, polished)``
     arrays of shape ``(T, S)``, z NaN where no root was certified;
     |det F(z)| is a bound where the polish's last step was settled by
     its Kantorovich bound (:func:`_polish`).
@@ -595,11 +590,8 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     if not tp.size:  # spares the empty batch its 0.1 ms
         return z, iters, det, polished
     curvature, radius = _curvature_bounds(sym.take(tp), zs[tp, sp])
-    one = {}  # the one-row symbol of each row polished, with its object copies
     for t, s, m, rho in zip(tp, sp, curvature, radius):
-        if t not in one:
-            one[t] = sym.take(t)
-        zp, itp, g = _polish(one[t], zs[t, s], m, rho)
+        zp, itp, g = _polish(sym, t, zs[t, s], m, rho)
         polished[t, s] = True
         if zp is not None:
             z[t, s] = zp if zp.imag >= 0 else zp.conjugate()

@@ -69,9 +69,9 @@ from .numkit import (
     EXTENDED,
     PIVOT_RTOL,
     Precision,
+    adjugate_small,
     as_complex128,
-    ldlh_factor,
-    ldlh_solve,
+    det_small,
     rounded,
     tensor_rule,
     working_context,
@@ -291,8 +291,8 @@ def _bareiss_solve(a: list, b: list):
     divides exactly too, since N is integral by Cramer's rule.  The ratio
     of two consecutive minors is the k-th LDL^T pivot: one not above
     ``PIVOT_RTOL`` times the largest diagonal entry raises
-    :class:`NotPositiveDefinite`, as :func:`~helmdpg.numkit.ldlh_factor`
-    does.
+    :class:`NotPositiveDefinite`, the test :func:`condense` applies to
+    the minors of its interior block.
     """
     n = len(a)
     rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
@@ -384,7 +384,12 @@ def condense(b: np.ndarray) -> CondensedElement:
 
     The arithmetic follows ``b.dtype``: 30-digit extended for object-dtype
     (mpmath) input, the rounding of every exact element here, and double
-    otherwise.
+    otherwise.  The 3x3 interior block is inverted in closed form, as its
+    adjugate over its determinant (:func:`~helmdpg.numkit.adjugate_small`,
+    :func:`~helmdpg.numkit.det_small`).  It must be positive definite: the
+    ratio of its leading k x k and (k-1) x (k-1) minors is its k-th LDL^H
+    pivot, and a pivot not above ``PIVOT_RTOL`` times the largest diagonal
+    entry raises :class:`InteriorBlockSingular` naming its index.
     """
     b = np.asarray(b)
     if b.shape != (TRIAL_DIM, TRIAL_DIM):
@@ -394,11 +399,18 @@ def condense(b: np.ndarray) -> CondensedElement:
         b_it = b[:3, 3:]
         b_ti = b[3:, :3]
         b_tt = b[3:, 3:]
-        try:
-            L, d = ldlh_factor(b_ii)
-        except NotPositiveDefinite as exc:
-            raise InteriorBlockSingular(f"interior 3x3 block not invertible: {exc}") from exc
-        interior_inv = ldlh_solve(L, d, np.eye(3, dtype=b.dtype))
+        tol = PIVOT_RTOL * max(float(abs(v.real)) for v in b_ii.diagonal())
+        prev = 1
+        for k in range(3):
+            minor = det_small(b_ii[: k + 1, : k + 1])
+            piv = float((minor / prev).real)
+            if not piv > tol:
+                raise InteriorBlockSingular(
+                    f"interior 3x3 block not invertible: pivot {piv:.3e} at index {k} "
+                    f"below tolerance {tol:.3e}"
+                )
+            prev = minor
+        interior_inv = adjugate_small(b_ii) / prev
         recovery = -(interior_inv @ b_it)
         s = b_tt + b_ti @ recovery
     s_exact = np.asarray(s, dtype=object) if b.dtype == object else None

@@ -16,9 +16,9 @@ entry to :func:`rounded` as a numerator and a denominator, which rounds it
 once into either arithmetic.  All functions are pure: identical inputs
 give bit-identical outputs.
 
-The Gauss-Legendre rules are double.  The factorization is an LDL^H
-decomposition without pivoting, appropriate for the Hermitian (or real
-symmetric) positive (semi)definite matrices this package produces.
+The Gauss-Legendre rules are double.  The closed-form kernels for stacks
+of n x n matrices, n <= 3 (determinant, permanent, adjugate), serve both
+the dispersion symbol and the condensation's 3x3 interior inverse.
 
 :func:`single_thread_blas` pins the process's OpenBLAS thread pools to one
 thread each.
@@ -37,7 +37,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_rational, fzero as mpf_zero, mpf_neg, mpf_shift
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch
 
 #: Relative pivot tolerance: pivots below this times the largest diagonal
 #: entry count as a positive-definiteness failure.
@@ -125,11 +125,6 @@ def as_complex128(a: np.ndarray) -> np.ndarray:
     and mpc provide.
     """
     return np.asarray(a).astype(complex)
-
-
-def _real_part(x):
-    # works for float, complex, mpf, mpc and Fraction
-    return x.real if hasattr(x, "real") else x
 
 
 def rounded(num, den, phases, precision: Precision) -> np.ndarray:
@@ -229,7 +224,7 @@ def tensor_rule(n: int) -> QuadratureRule:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian linear algebra
+# small dense matrices
 # ---------------------------------------------------------------------------
 
 
@@ -240,48 +235,6 @@ def hermitian_error(a: np.ndarray) -> float:
     scale = max((float(abs(v)) for v in a.ravel()), default=0.0)
     err = max((float(abs(v)) for v in diff.ravel()), default=0.0)
     return err / scale if scale > 0 else err
-
-
-def ldlh_factor(a: np.ndarray):
-    """LDL^H factorization of a Hermitian positive-definite matrix.
-
-    Returns ``(L, d)`` with unit-lower-triangular L and real positive pivots
-    d.  Raises :class:`NotPositiveDefinite` when a pivot falls below
-    ``PIVOT_RTOL`` times the largest diagonal entry.
-    """
-    n = a.shape[0]
-    L = a.astype(object) if a.dtype == object else a.astype(np.result_type(a, float))
-    d = np.empty(n, dtype=object if a.dtype == object else float)
-    maxdiag = max((float(abs(_real_part(a[i, i]))) for i in range(n)), default=0.0)
-    tol = PIVOT_RTOL * maxdiag
-    for j in range(n):
-        # at j = 0 the sums over the empty L[j, :j] are exact zeros
-        piv = _real_part(L[j, j] - (L[j, :j] * L[j, :j].conj() * d[:j]).sum())
-        if not float(piv) > tol:
-            raise NotPositiveDefinite(
-                f"pivot {float(piv):.3e} at index {j} below tolerance {tol:.3e}"
-            )
-        d[j] = piv
-        upd = L[j + 1 :, :j] @ (L[j, :j].conj() * d[:j])
-        L[j + 1 :, j] = (L[j + 1 :, j] - upd) / piv
-    for j in range(n):
-        L[j, j] = d[j] * 0 + 1
-        L[j, j + 1 :] = d[j] * 0
-    return L, d
-
-
-def ldlh_solve(L: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the LDL^H factors of A; b may have many columns."""
-    one_col = b.ndim == 1
-    y = (b[:, None] if one_col else b).copy()
-    n = L.shape[0]
-    for j in range(n - 1):
-        y[j + 1 :, :] = y[j + 1 :, :] - L[j + 1 :, j : j + 1] * y[j : j + 1, :]
-    for j in range(n):
-        y[j, :] = y[j, :] / d[j]
-    for j in range(n - 2, -1, -1):
-        y[j, :] = y[j, :] - L[j + 1 :, j].conj() @ y[j + 1 :, :]
-    return y[:, 0] if one_col else y
 
 
 def _require_small(f: np.ndarray, name: str) -> int:

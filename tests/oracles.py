@@ -15,8 +15,11 @@ rule of :func:`gauss_legendre_1d`, solving with :func:`hermitian_solve`.
 :func:`fraction_element` is the second route to the exact element, which
 the package solves in integers by fraction-free elimination: the realified
 Gram (:func:`real_gram`) and couplings (:func:`real_load`) in
-``fractions.Fraction``, solved by the LDL^T kernel on Fraction arrays and
-rounded entry by entry with :func:`round_fractions`.
+``fractions.Fraction``, solved by the LDL^H kernel :func:`ldlh_factor` on
+Fraction arrays and rounded entry by entry with :func:`round_fractions`.
+:func:`condense_ldl` is the second route to the condensation: where the
+package inverts the 3x3 interior block in closed form, it factors the
+block by the same LDL^H kernel.
 :func:`min_eigenvalue_bound` certifies positive semidefiniteness by shifted
 factorizations, and :func:`tabulate_test_at` tabulates the test basis at
 arbitrary points.  :func:`assemble_global` is the second route to the mesh
@@ -50,15 +53,20 @@ from mpmath.libmp import from_rational
 
 from helmdpg import dispersion, localforms, numkit, refelem
 from helmdpg.assembly import lattice
-from helmdpg.errors import DimensionMismatch, NoRootFound, NotHermitian
+from helmdpg.errors import (
+    DimensionMismatch,
+    InteriorBlockSingular,
+    NoRootFound,
+    NotHermitian,
+    NotPositiveDefinite,
+)
 from helmdpg.numkit import (
     EXTENDED,
+    PIVOT_RTOL,
     Precision,
     QuadratureRule,
     as_complex128,
     hermitian_error,
-    ldlh_factor,
-    ldlh_solve,
     working_context,
 )
 from helmdpg.refelem import BOTTOM, EDGE_SIGNS, LEFT, RIGHT, TOP, TRIAL_DIM
@@ -132,6 +140,53 @@ def require_hermitian(a: np.ndarray) -> None:
     err = hermitian_error(a)
     if err > HERMITIAN_RTOL:
         raise NotHermitian(f"relative conjugate-symmetry defect {err:.3e} exceeds {HERMITIAN_RTOL:.1e}")
+
+
+def _real_part(x):
+    # works for float, complex, mpf, mpc and Fraction
+    return x.real if hasattr(x, "real") else x
+
+
+def ldlh_factor(a: np.ndarray):
+    """LDL^H factorization of a Hermitian positive-definite matrix.
+
+    Returns ``(L, d)`` with unit-lower-triangular L and real positive pivots
+    d.  Raises :class:`NotPositiveDefinite` when a pivot falls below
+    ``PIVOT_RTOL`` times the largest diagonal entry.
+    """
+    n = a.shape[0]
+    L = a.astype(object) if a.dtype == object else a.astype(np.result_type(a, float))
+    d = np.empty(n, dtype=object if a.dtype == object else float)
+    maxdiag = max((float(abs(_real_part(a[i, i]))) for i in range(n)), default=0.0)
+    tol = PIVOT_RTOL * maxdiag
+    for j in range(n):
+        # at j = 0 the sums over the empty L[j, :j] are exact zeros
+        piv = _real_part(L[j, j] - (L[j, :j] * L[j, :j].conj() * d[:j]).sum())
+        if not float(piv) > tol:
+            raise NotPositiveDefinite(
+                f"pivot {float(piv):.3e} at index {j} below tolerance {tol:.3e}"
+            )
+        d[j] = piv
+        upd = L[j + 1 :, :j] @ (L[j, :j].conj() * d[:j])
+        L[j + 1 :, j] = (L[j + 1 :, j] - upd) / piv
+    for j in range(n):
+        L[j, j] = d[j] * 0 + 1
+        L[j, j + 1 :] = d[j] * 0
+    return L, d
+
+
+def ldlh_solve(L: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b given the LDL^H factors of A; b may have many columns."""
+    one_col = b.ndim == 1
+    y = (b[:, None] if one_col else b).copy()
+    n = L.shape[0]
+    for j in range(n - 1):
+        y[j + 1 :, :] = y[j + 1 :, :] - L[j + 1 :, j : j + 1] * y[j : j + 1, :]
+    for j in range(n):
+        y[j, :] = y[j, :] / d[j]
+    for j in range(n - 2, -1, -1):
+        y[j, :] = y[j, :] - L[j + 1 :, j].conj() @ y[j + 1 :, :]
+    return y[:, 0] if one_col else y
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -309,7 +364,7 @@ def real_load(params) -> np.ndarray:
 def fraction_element(params):
     """The exact realified element in Fractions: ``(G_R, Bb_R, X_R, B_R)``.
 
-    ``G_R X_R = Bb_R`` is solved by the LDL^T kernel of :mod:`helmdpg.numkit`
+    ``G_R X_R = Bb_R`` is solved by :func:`ldlh_factor` and :func:`ldlh_solve`
     on Fraction arrays, one block per reflection parity (G_R has no entry
     between members of different parities), and ``B_R = Bb_R^T X_R``.
     """
@@ -321,6 +376,28 @@ def fraction_element(params):
         L, d = ldlh_factor(G_R[np.ix_(idx, idx)])
         X_R[idx] = ldlh_solve(L, d, Bb_R[idx])
     return G_R, Bb_R, X_R, Bb_R.T @ X_R
+
+
+def condense_ldl(b: np.ndarray) -> localforms.CondensedElement:
+    """``localforms.condense`` by factoring the interior block instead of
+    inverting it in closed form: :func:`ldlh_factor` of the 3x3 block,
+    solved by :func:`ldlh_solve` against the identity, in the arithmetic of
+    ``b`` (30 digits for object input).  A failing pivot raises
+    :class:`InteriorBlockSingular`.
+    """
+    b = np.asarray(b)
+    with working_context(EXTENDED):
+        try:
+            L, d = ldlh_factor(b[:3, :3])
+        except NotPositiveDefinite as exc:
+            raise InteriorBlockSingular(f"interior 3x3 block not invertible: {exc}") from exc
+        interior_inv = ldlh_solve(L, d, np.eye(3, dtype=b.dtype))
+        recovery = -(interior_inv @ b[:3, 3:])
+        s = b[3:, 3:] + b[3:, :3] @ recovery
+    s_exact = np.asarray(s, dtype=object) if b.dtype == object else None
+    return localforms.CondensedElement(
+        as_complex128(s), as_complex128(recovery), as_complex128(interior_inv), s_exact
+    )
 
 
 def round_fractions(a: np.ndarray, phases: np.ndarray, precision: Precision) -> np.ndarray:
@@ -349,10 +426,6 @@ def max_abs(a: np.ndarray) -> float:
 def tabulate_test_at(basis: refelem.TestSpaceBasis, points: np.ndarray) -> dict:
     """Volume-type tables at arbitrary points (for derivative checks)."""
     return refelem._volume_tables(basis, np.asarray(points))
-
-
-def _real_part(x):
-    return x.real if hasattr(x, "real") else x
 
 
 def min_eigenvalue_bound(h: np.ndarray, precision: Precision = DOUBLE) -> float:
@@ -659,18 +732,19 @@ def convergence_roots_sequential(method, eps=None, r=None, levels=(3, 4, 5), ome
     return np.asarray(zetas), np.asarray(roots)
 
 
-def polish_two_evaluations(sym, z0, *bound):
+def polish_two_evaluations(sym, row, z0, *bound):
     """``dispersion._polish`` without the Newton-Kantorovich stop.
 
     Newton on det F in 30 digits that, after at least one step, returns z
     once the step it would take from z is within POLISH_ZTOL * max(1, |z|),
-    with |det F(z)|: a simple root costs two evaluations.  ``bound``, the
+    with |det F(z)|: a simple root costs two evaluations.  It runs on row
+    ``row`` of ``sym``.  ``bound``, the
     curvature bound and radius the package's polish takes, is ignored.
     """
     with working_context(EXTENDED):
         z = mp.mpc(complex(z0))
         for it in range(dispersion.POLISH_MAX_ITER):
-            g, gp = sym.det_and_derivative_exact(z)
+            g, gp = sym.det_and_derivative_exact(z, row)
             if gp == 0 or not mp.isfinite(gp) or not mp.isfinite(g):
                 return None, it, None
             dz = -g / gp

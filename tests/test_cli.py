@@ -1,5 +1,7 @@
 """Command line contract tests: schemas, determinism, config, exit codes."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -86,13 +88,64 @@ GOLDEN_RUNS = {
 }
 
 
+def _cells(line, header):
+    """(column, text) pairs of a CSV line; a ``# key=value`` line is one cell."""
+    if line.startswith("#"):
+        key, _, value = line[1:].strip().partition("=")
+        return [(f"# {key}", value)]
+    return list(zip(header, line.split(",")))
+
+
+def golden_changes(got, want):
+    """How CSV text ``got`` differs from ``want``: the first differing line,
+    the count of differing lines, and per column the largest relative
+    change of the numbers in it (inf where one side is not finite)."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    pairs = list(itertools.zip_longest(want_lines, got_lines, fillvalue="<no line>"))
+    moved = [i for i, (w, g) in enumerate(pairs) if w != g]
+    if not moved:
+        return "lines equal; the texts differ in line endings"
+    w, g = pairs[moved[0]]
+    report = [
+        f"{len(moved)} of {len(want_lines)} lines differ; first at line {moved[0] + 1}:",
+        f"  want {w}",
+        f"  got  {g}",
+    ]
+    header = next((l.split(",") for l in want_lines if not l.startswith("#")), [])
+    worst = {}
+    for w, g in zip(want_lines, got_lines):
+        for (col, a), (_, b) in zip(_cells(w, header), _cells(g, header)):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                continue
+            if a != b:
+                finite = math.isfinite(x) and math.isfinite(y)
+                rel = abs(y - x) / max(abs(x), abs(y)) if finite else math.inf
+                worst[col] = max(worst.get(col, 0.0), rel)
+    report += [f"  {col}: largest relative change {rel:.2e}" for col, rel in worst.items()]
+    return "\n".join(report)
+
+
+def test_golden_changes_names_line_and_columns():
+    want = "# h=0.5\na,b,c\nx,1.0,2.0\nx,3.0,4.0\n"
+    got = "# h=0.5\na,b,c\nx,1.0,2.0\nx,3.0000000000003,nan\n"
+    report = golden_changes(got, want)
+    assert report.splitlines()[:3] == [
+        "1 of 4 lines differ; first at line 4:", "  want x,3.0,4.0", "  got  x,3.0000000000003,nan",
+    ]
+    assert report.splitlines()[3:] == ["  b: largest relative change 1.00e-13", "  c: largest relative change inf"]
+
+
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
 def test_golden_csv(name, capsys):
     # the CSV of each run is byte for byte the recorded one; a change that
-    # moves bits regenerates tests/golden/<name>.csv and says why
+    # moves bits regenerates tests/golden/<name>.csv and says why, from the
+    # per-column changes the failure reports
     code, out = run_cli(GOLDEN_RUNS[name], capsys)
     assert code == 0
-    assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+    want = (GOLDEN / f"{name}.csv").read_bytes()
+    assert out.encode() == want, golden_changes(out, want.decode())
 
 
 def test_dispersion_row_matches_library(capsys):

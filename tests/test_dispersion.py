@@ -146,11 +146,44 @@ def test_exact_symbol_matches_direct_sum(method, theta):
     with mp.workdps(30):
         h = mp.mpf("1e-10")
         for z in (mp.mpc(zeta) * mp.mpc(1.05, 0.02), mp.mpc(zeta) * mp.mpc(0.9, -0.01)):
-            g, gp = sym.det_and_derivative_exact(z)
+            g, gp = sym.det_and_derivative_exact(z, 0)
             want = _direct_det(st, theta, z)
             fd = (_direct_det(st, theta, z + h) - _direct_det(st, theta, z - h)) / (2 * h)
             assert abs(g - want) <= mp.mpf("1e-22") * abs(want)
             assert abs(gp - fd) <= mp.mpf("1e-12") * abs(fd)
+
+
+def _sweep_and_band_symbols():
+    # 13 directions of one set, and 5 sets of a band grid on one direction,
+    # all at eps_n = 1e-6
+    st = dispersion._method_stencils("dpg", np.pi / 4, 1e-6, 3)
+    thetas = np.linspace(0.0, np.pi / 2, 13)
+    zetas = dispersion.band_grid(0.5, 0.1)
+    sets = [dispersion._method_stencils("dpg", zeta, 1e-6, 3) for zeta in zetas]
+    return (
+        (dispersion.SymbolMatrix(st, thetas), [(st, th, np.pi / 4) for th in thetas]),
+        (dispersion.SymbolMatrix(sets, 0.0), [(s, 0.0, zeta) for s, zeta in zip(sets, zetas)]),
+    )
+
+
+def test_exact_symbol_evaluates_every_row():
+    # row t of a many-row symbol is, exactly, the one-row symbol of its set
+    # and direction; a take reuses the copies its parent built, which are
+    # built once per set and once per (set, direction)
+    for sym, rows in _sweep_and_band_symbols():
+        with mp.workdps(30):
+            for t, (st, theta, zeta) in enumerate(rows):
+                z = mp.mpc(zeta) * mp.mpc(1.01, 0.02)
+                got = sym.det_and_derivative_exact(z, t)
+                want = dispersion.SymbolMatrix(st, theta).det_and_derivative_exact(z, 0)
+                assert got[0] == want[0] and got[1] == want[1]
+            built = dict(sym._shared)
+            assert len(built) == len({id(st) for st, _, _ in rows}) + len(rows)
+            sub = sym.take([len(rows) - 1, 1])
+            assert sub.det_and_derivative_exact(z, 0) == got
+            sub.det_and_derivative_exact(z, 1)
+        assert sub._shared is sym._shared and sym._shared.keys() == built.keys()
+        assert all(sym._shared[k] is v for k, v in built.items())
 
 
 def test_theta_reflection_symmetry():
@@ -510,8 +543,8 @@ def test_polish_rejects_double_stage_non_root(monkeypatch):
         return np.where(z == non_root, 0.0, g), gp, e
 
     monkeypatch.setattr(dispersion.SymbolMatrix, "det_and_derivative", noisy)
-    z, iters, stopped = dispersion._newton(dispersion.SymbolMatrix(st, 0.0), [non_root], 1.0)
-    assert stopped[0] and z[0] == non_root and iters[0] == 0
+    z, iters, stopped = dispersion._newton(dispersion.SymbolMatrix(st, 0.0), [[non_root]], [1.0])
+    assert stopped[0, 0] and z[0, 0] == non_root and iters[0, 0] == 0
     res = dispersion.solve_root(st, 0.0, zeta, init=non_root)
     assert res.z == pytest.approx(0.04908492133934228 + 3.5919e-8j, rel=1e-10)
     assert res.z.imag == pytest.approx(3.5919e-8, rel=1e-4)
@@ -527,7 +560,7 @@ def test_polish_is_start_independent():
     root = dispersion.solve_root(st, 0.0, zeta).z
     polished = []
     for z0 in (root, zeta * (1 + 0.02j), zeta * (1 + 0.1j), zeta * (1.001 + 0.001j)):
-        z, _, _ = dispersion._polish(sym, z0)
+        z, _, _ = dispersion._polish(sym, 0, z0)
         assert z is not None
         polished.append(z if z.imag >= 0 else z.conjugate())
     ref = polished[0]
@@ -652,9 +685,9 @@ def _count_exact_evaluations(monkeypatch):
     evaluate = dispersion.SymbolMatrix.det_and_derivative_exact
     calls = [0]
 
-    def counted(self, z):
+    def counted(self, z, row):
         calls[0] += 1
-        return evaluate(self, z)
+        return evaluate(self, z, row)
 
     monkeypatch.setattr(dispersion.SymbolMatrix, "det_and_derivative_exact", counted)
     return calls
@@ -751,7 +784,7 @@ def test_covered_polish_bounds_det_at_reported_root(monkeypatch):
     for t in range(7):
         sym = dispersion.SymbolMatrix(st, sweep.thetas[t])
         with mp.workdps(50):
-            g, _ = sym.det_and_derivative_exact(mp.mpc(complex(sweep.z[t])))
+            g, _ = sym.det_and_derivative_exact(mp.mpc(complex(sweep.z[t])), 0)
         assert abs(g) <= sweep.det_abs[t] <= 1e-12 * sweep.scale[t]
 
 

@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,8 +15,11 @@ from helmdpg.localforms import NormalizedParams
 from helmdpg.numkit import Precision, as_complex128, working_context
 
 from oracles import (
+    condense_ldl,
     dpg_element_physical,
     fraction_element,
+    ldlh_factor,
+    ldlh_solve,
     max_abs,
     min_eigenvalue_bound,
     quadrature_couplings,
@@ -250,9 +254,9 @@ def test_bareiss_solve_matches_fraction_ldl(seed):
     N, det = lf._bareiss_solve(a.tolist(), b.tolist())
     assert type(det) is int and det > 0
     assert all(type(v) is int for row in N for v in row)
-    L, d = numkit.ldlh_factor(a + Fraction(0))
+    L, d = ldlh_factor(a + Fraction(0))
     assert det == np.prod(d)
-    assert (np.array(N, dtype=object) / Fraction(det) == numkit.ldlh_solve(L, d, b + Fraction(0))).all()
+    assert (np.array(N, dtype=object) / Fraction(det) == ldlh_solve(L, d, b + Fraction(0))).all()
 
 
 @pytest.mark.parametrize("a,index", [
@@ -264,7 +268,7 @@ def test_bareiss_solve_matches_fraction_ldl(seed):
 def test_bareiss_solve_rejects_what_ldl_rejects(a, index):
     b = [[1] for _ in a]
     with pytest.raises(NotPositiveDefinite, match=f"at index {index} "):
-        numkit.ldlh_factor(np.array(a, dtype=object) + Fraction(0))
+        ldlh_factor(np.array(a, dtype=object) + Fraction(0))
     with pytest.raises(NotPositiveDefinite, match=f"at index {index} "):
         lf._bareiss_solve(a, b)
 
@@ -273,7 +277,7 @@ def test_bareiss_solve_keeps_pivots_above_tolerance():
     # pivot 1e-13 of the largest diagonal entry passes in both kernels
     a = np.array([[10**13, 0], [0, 1]], dtype=object)
     N, det = lf._bareiss_solve(a.tolist(), [[1], [1]])
-    L, d = numkit.ldlh_factor(a + Fraction(0))
+    L, d = ldlh_factor(a + Fraction(0))
     assert det == np.prod(d) and N == [[1], [10**13]]
 
 
@@ -363,6 +367,61 @@ def test_condense_shape_and_singular_checks():
     singular[3:, 3:] = np.eye(8)
     with pytest.raises(InteriorBlockSingular):
         lf.condense(singular)
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_condense_matches_ldl_route(r):
+    # the closed-form inverse of the interior block against its LDL^H
+    # factorization, on every double-route kit of a grid of frequencies and
+    # eps_n / omega_n (the largest changes seen are 1.9e-16, 3.9e-16, 3.1e-16)
+    kits = 0
+    for omega_n in (0.3, np.pi / 4, 1.7):
+        for ratio in (1.0, 1e-2, 1e-6, 0.0):
+            try:
+                *_, B, _, _ = lf._qr_riesz(NormalizedParams(omega_n, ratio * omega_n, r))
+            except OutsideEnvelope:
+                continue
+            if B is None:
+                continue
+            kits += 1
+            got, want = lf.condense(B), condense_ldl(B)
+            for name in ("S", "recovery", "interior_inv"):
+                assert _max_rel(getattr(got, name), getattr(want, name)) <= 1e-15, (omega_n, ratio, name)
+    assert kits >= 6
+
+
+def test_condense_exact_matches_ldl_route():
+    # the exact element's interior block is diagonal by reflection parity,
+    # so both inversions give the same 30-digit Schur complement
+    params = NormalizedParams(2 * np.pi / 64, 0.0, 3)
+    assert lf.element_kit(params).precision_used.is_extended
+    B = lf.dpg_element(params).B
+    got, want = lf.condense(B), condense_ldl(B)
+    assert got.S_exact.shape == (8, 8)
+    assert all(a == b for a, b in zip(got.S_exact.flat, want.S_exact.flat))
+
+
+@pytest.mark.parametrize("block,index", [
+    ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], 0),
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], 1),
+    ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], 2),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1e-15]], 2),   # pivot 1e-15 of the largest diagonal entry
+])
+@pytest.mark.parametrize("extended", [False, True])
+def test_condense_rejects_singular_interior_pivot(block, index, extended):
+    b = np.zeros((11, 11), dtype=complex)
+    b[:3, :3] = block
+    b[3:, 3:] = np.eye(8)
+    if extended:
+        with working_context(EXT30):
+            b = np.frompyfunc(mp.mpc, 1, 1)(b)
+    for route in (lf.condense, condense_ldl):
+        with pytest.raises(InteriorBlockSingular, match=f"at index {index} "):
+            route(b)
 
 
 def test_reconstruction_identity():
