@@ -22,10 +22,11 @@ certified, all rows together.  A well-resolved simple root is certified in
 double: its error estimate from the rounding error of det F is within
 ROOT_ZTOL of |z|, and det F winds exactly once on a small circle around it
 that stays clear of that rounding error.  Every other candidate (a nearly
-double root, a close pair) is re-solved in extended precision to a step
-tolerance tight enough that the polished root does not depend on the
-start; a Newton-Kantorovich bound from the double symbol spares the
-evaluation that would only confirm the last step.  The ansatz residual
+double root, a close pair) is re-solved in extended precision, the
+symbol summed and expanded in fixed-point integers, to a step tolerance
+tight enough that the polished root does not depend on the start; a
+Newton-Kantorovich bound from the double symbol spares the evaluation
+that would only confirm the last step.  The ansatz residual
 gives an independent check.
 
 A band diagram continues its branch from point to point, each point
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_float
+from mpmath.libmp import from_float, from_man_exp, mpc_exp, mpf_mul, mpf_neg, to_fixed
 
 from . import stencil as stencil_mod
 from .errors import BranchAmbiguity, NoRootFound
@@ -76,8 +77,11 @@ CERT_BLOCK = 32
 # error per step, so reaching POLISH_ZTOL takes 14 steps more than reaching
 # 1e-9; 55 confirms every root that 40 steps to 1e-9 would confirm
 POLISH_MAX_ITER = 55
-# extra digits for the cofactor expansion of the extended determinant
-JACOBI_GUARD_DIGITS = 10
+# fraction bits of the fixed-point extended symbol beyond the working
+# precision (SymbolMatrix.det_and_derivative_exact): 7 for the roundings an
+# entry collects, 9 for an entry's terms below its row's power of two, and
+# 32 to put the entries' error that far below the former mpmath route's
+FIXED_GUARD_BITS = 48
 # the starts of every direction, in units of zeta: off the real axis, where
 # det F is real and Newton from a real start cannot reach a complex root
 START_FACTORS = np.array(
@@ -105,18 +109,20 @@ class SymbolMatrix:
     per (t, s) entry, the same offsets in the same order.  Sets of one
     method (and one r) do, since the offsets come from the element's
     slots and not from the weights.  Every array is per row: the
-    offsets projected on the row's direction, ``(R, D)``, the coefficients
-    and the derivative's factors ``i d_k c_k``, ``(R, n, n, K)``.  An
+    direction's cosine and sine, ``(R, 2)``, the offsets projected on it,
+    ``(R, D)``, the coefficients and the derivative's factors ``i d_k
+    c_k``, ``(R, n, n, K)``.  An
     evaluation takes one exponential per projected offset and gathers it,
     through an index shared by all rows, into complex128 ``(n, n, K)`` term
     arrays padded with zeros to the longest entry.  :meth:`take` gives the
     same symbol on some of its rows.  ``det_and_derivative_exact`` takes one
     z in the ambient mpmath precision and one row, of any symbol, and sums
     only each entry's own terms, with the row's extended weights when its
-    set has them and its double weights otherwise.  Its object copies are
-    built on first use, once per stencil set and once per (set, direction),
-    and a symbol shares them with its takes, so callers that stay in double
-    never pay for them.
+    set has them and its double weights otherwise, in fixed-point integers.
+    Its integer copies are built on first use at two levels, the
+    coefficients once per stencil set and the projections once per (set,
+    direction), and a symbol shares them with its takes, so callers that
+    stay in double never pay for them.
     """
 
     def __init__(self, stencils, theta):
@@ -152,27 +158,29 @@ class SymbolMatrix:
                         f"of set 0 ({sets[0].method})"
                     )
                 coefs[p, ti, si, : len(own)] = list(own.values())
-        half = np.array(offsets, dtype=float) / 2.0
+        self._offsets = np.array(offsets)
+        half = self._offsets / 2.0
         th = self.theta[:, None]
-        self._proj = np.cos(th) * half[:, 0] + np.sin(th) * half[:, 1]
+        self._cs = np.concatenate([np.cos(th), np.sin(th)], axis=1)
+        self._proj = self._cs[:, :1] * half[:, 0] + self._cs[:, 1:] * half[:, 1]
         self._coefs = coefs[self._which]
         self._dcoefs = 1j * self._proj[:, self._at] * self._coefs
         self._rows = rows
         self._sets = sets
-        # object copies of the extended evaluation, per set and per (set,
+        # integer copies of the extended evaluation, per set and per (set,
         # direction), built on first use and shared with every take
         self._shared = {}
 
     def take(self, rows) -> SymbolMatrix:
         """The same symbol on its rows ``rows``: one row for an integer.
 
-        The per-row arrays are sliced; the object copies of the extended
+        The per-row arrays are sliced; the integer copies of the extended
         evaluation are shared.
         """
         rows = np.arange(len(self.theta))[rows].reshape(-1)
         sub = object.__new__(SymbolMatrix)
         sub.__dict__.update(self.__dict__)
-        for name in ("theta", "_which", "_proj", "_coefs", "_dcoefs"):
+        for name in ("theta", "_which", "_cs", "_proj", "_coefs", "_dcoefs"):
             setattr(sub, name, getattr(self, name)[rows])
         return sub
 
@@ -239,67 +247,161 @@ class SymbolMatrix:
             )
             return g, gp, FLOOR_ROUNDING * (permanent_small(np.abs(f)) + entries)
 
-    def _exact_terms(self, row):
-        """Object copies for ``det_and_derivative_exact`` on ``row``, without
-        padding, kept in the dict a symbol shares with its takes.
+    def _fixed_set(self, row, bits):
+        """The integer copy of ``row``'s stencil set at ``bits`` fraction
+        bits, kept in the dict a symbol shares with its takes and built
+        again only when ``bits`` changes.
 
-        Once per stencil set: flat arrays over the terms of all entries,
-        entry by entry in stencil order, of each term's column in the offset
-        table and its coefficient (an extended weight, or a double one
-        converted to mpc once), and the slice of each (t, s) entry.  Once
-        per (set, direction): the direction's distinct projected offsets as
-        mpf, the index of each term's offset among them and each term's
-        offset d.  Returns ``(offsets, at, coefs, d, spans)``.
+        Flat arrays over the terms of all entries, entry by entry in stencil
+        order: each term's column in the offset table, and its coefficient
+        (the set's extended weight, or its double one) as real and imaginary
+        integers C with c = C * 2**(top[t] - bits), 2**top[t] the power of
+        two above every coefficient of its row t.  With them the index of
+        each nonempty (t, s) entry and of its first term.  Returns ``(bits,
+        at, cr, ci, cells, starts, top)``.
         """
-        which, theta = int(self._which[row]), float(self.theta[row])
-        if which not in self._shared:
+        which = int(self._which[row])
+        if self._shared.get(which, (None,))[0] != bits:
             exact = self._sets[which].exact
-            at, coefs, spans = [], [], []
+            at, parts, rows, cells, starts = [], [], [], [], []
             for (ti, si), terms in self._rows.items():
                 if not terms:
                     continue
                 k = len(terms)
                 if exact is not None:
                     erow = exact.get((self.types[ti], self.types[si])) or {}
-                    coefs += [erow[o] for o in terms]
+                    parts += [mp.mpc(erow[o])._mpc_ for o in terms]
                 else:
-                    coefs += [_exact_complex(c) for c in self._coefs[row, ti, si, :k]]
-                at += list(self._at[ti, si, :k])
-                spans.append((ti, si, slice(len(at) - k, len(at))))
-            self._shared[which] = np.array(at), np.array(coefs, dtype=object), spans
-        if (which, theta) not in self._shared:
-            column, coefs, spans = self._shared[which]
-            distinct, where = np.unique(self._proj[row], return_inverse=True)
-            at = where[column]
-            offsets = np.array([mp.mpf(d) for d in distinct], dtype=object)
-            self._shared[which, theta] = offsets, at, coefs, offsets[at], spans
-        return self._shared[which, theta]
+                    parts += [
+                        (from_float(c.real), from_float(c.imag))
+                        for c in self._coefs[row, ti, si, :k].tolist()
+                    ]
+                cells.append((ti, si))
+                starts.append(len(at))
+                at += self._at[ti, si, :k].tolist()
+                rows += [ti] * k
+            # an mpf (sign, man, exp, bc) is below 2**(exp + bc)
+            sizes = [max((x[2] + x[3] for x in c if x[1]), default=None) for c in parts]
+            top = [
+                max((m for m, r in zip(sizes, rows) if r == t and m is not None), default=0)
+                for t in range(len(self.types))
+            ]
+            fixed = [[to_fixed(x, bits - top[r]) for x in c] for c, r in zip(parts, rows)]
+            cr, ci = np.array(fixed, dtype=object).T
+            self._shared[which] = (
+                bits, np.array(at), cr, ci, tuple(np.array(cells).T), np.array(starts), top
+            )
+        return self._shared[which]
+
+    def _fixed_direction(self, row):
+        """The integer copy of ``row``'s direction, kept in the shared dict.
+
+        With c and s the doubles cos(theta) and sin(theta) that ``_proj``
+        was built from, and d each column's double projection there, the
+        offsets (ox, oy) (doubled, as stored) project exactly to
+        (c ox + s oy)/2; d differs from that by a rounding gap delta of a
+        few ulps.  Every double is an integer over a power of two, so d and
+        delta are held exactly as integers over one power of two, 2**scale;
+        |delta| < 2**size, and size is None where every delta is 0.
+        Returns ``(c/2, s/2, d, delta, scale, size)``, c/2 and s/2 as mpf.
+        """
+        key = int(self._which[row]), float(self.theta[row])
+        if key not in self._shared:
+            c, s = self._cs[row].tolist()
+            ratios = [x.as_integer_ratio() for x in [c / 2, s / 2] + self._proj[row].tolist()]
+            scale = max(q for _, q in ratios).bit_length() - 1
+            hc, hs, *d = [p << (scale + 1 - q.bit_length()) for p, q in ratios]
+            d = np.array(d, dtype=object)
+            ox, oy = self._offsets.T.astype(object)
+            delta = d - hc * ox - hs * oy
+            # no gap at theta = 0, where every projection is exact
+            size = int(np.abs(delta).max()).bit_length() - scale if delta.any() else None
+            self._shared[key] = from_float(c / 2), from_float(s / 2), d, delta, scale, size
+        return self._shared[key]
 
     def det_and_derivative_exact(self, z, row):
         """det F and d(det F)/dz on ``row`` in the ambient mpmath precision.
 
-        Summing the exponential series and expanding the determinant in
-        extended arithmetic removes the cancellation noise that limits the
-        double evaluation near a nearly double root.  Each entry sums its
-        terms c*e, and i times the sum of d*(c*e), left to right; rounding
-        is symmetric, so that is the sum of the terms (i*d)*(c*e) bit for
-        bit, at half the real multiplications.  The cofactor expansion
-        takes JACOBI_GUARD_DIGITS more: perm(|F|) reaches 2e10 |det F| on raw
-        eps_n = 0 stencils, where 30 digits left 2.4e-22 of det F against
-        1.3e-24 from rounding the entries.  Call inside mp.workdps.
+        Summing the exponential series and expanding the determinant
+        without the double rounding noise resolves the root near a nearly
+        double root, where the double evaluation cannot.  The function is
+        the double one's, F(z) = sum c_k exp(i z d_k) over the double
+        projections d_k, with the row's extended weights when its set has
+        them and its double weights otherwise.  It is evaluated in fixed
+        point: Python integers scaled by 2**Q, Q = mp.prec +
+        FIXED_GUARD_BITS, so it follows the ambient precision.
+
+        Every offset (ox, oy) is a half-integer lattice vector, so exp(i z
+        d) = A**ox B**oy exp(i z delta), with A = exp(i z c/2), B = exp(i z
+        s/2) and the rounding gap delta of :meth:`_fixed_direction`.  An
+        evaluation takes two exponentials, A and B by ``mpc_exp`` at Q bits,
+        their reciprocals by integer division and their integer powers,
+        and per column exp(i z delta) by its Taylor series (|z delta| is
+        about 2**-50 |z|: three terms at 30 digits), each product rounded
+        down to Q bits.  The terms c e and d (c e), the entries and the
+        cofactor expansion of det F and tr(adj(F) dF), n <= 3, are exact in
+        integers; the two results are rounded once, to the ambient
+        precision.
+
+        Error.  With u = 2**-Q, rounding a coefficient moves it by at most
+        2 u 2**top[t] (its row's power of two); each exponential carries at
+        most about (|ox| + |oy| + 4) u E, E >= 1 bounding |e| and its
+        partial products (1 + O(Im z) near the real axis): A or B, each
+        power step, the Taylor factor and the products round once each.
+        An entry of K terms thus moves by at most about K (|ox| + |oy| + 6)
+        u 2**top[t] E, under 2**7 u 2**top[t] E for the 3 x 3 offsets of
+        every method here (K <= 9, |ox|, |oy| <= 2), and det F by the sum
+        over entries of |adj(F)_st| times that.  The former mpmath route
+        rounded each term to 2**-mp.prec of its size and expanded the
+        determinant with 10 guard digits: an error of about 2**-mp.prec
+        sum_ts |adj(F)_st| S_ts, S_ts the sum of an entry's term sizes,
+        plus about 1e-40 perm(|F|), which reaches 2e10 |det F| (2**34) on
+        raw eps_n = 0 stencils.  Here the expansion adds nothing, and the
+        largest coefficient of every entry lies within 2**-8 of its row's
+        (fem, fosls and dpg r = 2-4 at zeta = 2 pi/128 to 3, eps_n = 0 to
+        1), so FIXED_GUARD_BITS = 48 puts the entry error 2**-32 or more
+        below the former route's own.  Against a 50-digit direct sum on fem, fosls
+        and dpg rows at and off their roots, |g - g_50| / (|g'| |z|) is at
+        most 2.4e-32 and |g' - g'_50| / |g'| 9.4e-32, where the former
+        route reached 1.2e-18 and 3.5e-20 (dpg, eps_n = 0, zeta = 2 pi/128).
         """
-        offsets, at, coefs, dots, spans = self._exact_terms(row)
-        exps = np.array([mp.exp(a) for a in offsets * (1j * z)], dtype=object)
-        terms = coefs * exps[at]
-        dterms = dots * terms
+        bits = mp.mp.prec + FIXED_GUARD_BITS
+        _, at, cr, ci, cells, starts, top = self._fixed_set(row, bits)
+        hc, hs, d, delta, scale, size = self._fixed_direction(row)
+        zr, zi = mp.mpc(z)._mpc_
+        # exp(i z d) per column: A**ox B**oy, then times exp(i z delta)
+        a, b = (
+            _fixed_powers((mpf_neg(mpf_mul(zi, h, bits)), mpf_mul(zr, h, bits)), o, bits)
+            for h, o in zip((hc, hs), self._offsets.T)
+        )
+        er, ei = _fixed_mul(*a, *b, bits)
+        if size is not None:
+            # x = i z delta and exp(x) to the term x**k / k! that falls
+            # below 2**-bits: |x| < 2**-m, so the terms below K = ceil(bits / m)
+            xr = (-to_fixed(zi, bits) * delta) >> scale
+            xi = (to_fixed(zr, bits) * delta) >> scale
+            m = -size - max(x[2] + x[3] for x in (zr, zi))
+            tr, ti = xr, xi
+            sr, si = (1 << bits) + xr, xi
+            for k in range(2, -(-bits // m)):
+                tr, ti = (x // k for x in _fixed_mul(tr, ti, xr, xi, bits))
+                sr, si = sr + tr, si + ti
+            er, ei = _fixed_mul(er, ei, sr, si, bits)
+        # the terms c e and d c e, and the entries, exactly
+        er, ei, dk = er[at], ei[at], d[at]
+        tr, ti = cr * er - ci * ei, cr * ei + ci * er
         n = len(self.types)
-        f = np.zeros((n, n), dtype=object)
-        df = np.zeros((n, n), dtype=object)
-        for ti, si, span in spans:
-            f[ti, si] = terms[span].sum()
-            df[ti, si] = 1j * dterms[span].sum()
-        with mp.workdps(mp.mp.dps + JACOBI_GUARD_DIGITS):
-            return self._jacobi(f, df)[:2]
+        f, df = np.zeros((2, n, n), dtype=object), np.zeros((2, n, n), dtype=object)
+        f[0][cells], f[1][cells] = np.add.reduceat(tr, starts), np.add.reduceat(ti, starts)
+        df[0][cells] = -np.add.reduceat(dk * ti, starts)
+        df[1][cells] = np.add.reduceat(dk * tr, starts)
+        g, gp = _jacobi_fixed(f, df)
+        # F's row t is scaled by 2**(2 Q - top[t]), dF's by 2**scale more
+        exp = sum(top) - 2 * n * bits
+        return (
+            mp.make_mpc(tuple(from_man_exp(x, exp, mp.mp.prec, "n") for x in g)),
+            mp.make_mpc(tuple(from_man_exp(x, exp - scale, mp.mp.prec, "n") for x in gp)),
+        )
 
     def null_vector(self, z: complex) -> np.ndarray:
         """Unit amplitude vector minimizing |F(z) amp| (smallest singular)."""
@@ -307,14 +409,59 @@ class SymbolMatrix:
         return vh[-1].conj()
 
 
-def _exact_complex(x: complex):
-    """A double complex as an mpc, exactly at any working precision.
+def _cmul(ar, ai, br, bi):
+    """a * b of complex integers given as real and imaginary parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
-    Builds the mpc from its two binary fractions directly: three times
-    faster than the mpc constructor, which dominated building the object
-    copies.
-    """
-    return mp.make_mpc((from_float(x.real), from_float(x.imag)))
+
+def _fixed_mul(ar, ai, br, bi, bits):
+    """a * b of complex fixed-point integers with ``bits`` fraction bits,
+    given as real and imaginary parts, rounded down."""
+    return tuple(x >> bits for x in _cmul(ar, ai, br, bi))
+
+
+def _fixed_powers(w, m, bits):
+    """exp(m w) for each integer of the array ``m``, which holds 0, as the
+    real and imaginary object arrays of fixed-point integers with ``bits``
+    fraction bits: the exponential of w (an mpf pair) at ``bits``, its
+    reciprocal by one integer division, then products."""
+    e = mpc_exp(w, bits)
+    a = to_fixed(e[0], bits), to_fixed(e[1], bits)
+    norm = a[0] * a[0] + a[1] * a[1]
+    inverse = (a[0] << 2 * bits) // norm, (-a[1] << 2 * bits) // norm
+    powers = {0: (1 << bits, 0), 1: a, -1: inverse}
+    for k in range(2, m.max() + 1):
+        powers[k] = _fixed_mul(*powers[k - 1], *a, bits)
+    for k in range(-2, m.min() - 1, -1):
+        powers[k] = _fixed_mul(*powers[k + 1], *inverse, bits)
+    return (np.array([powers[k][i] for k in m.tolist()], dtype=object) for i in (0, 1))
+
+
+# a 3x3 cofactor takes rows and columns i+1 and i+2 (mod 3), as in numkit
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _jacobi_fixed(f, df):
+    """det F and tr(adj(F) dF) for complex integer matrices, n <= 3, given
+    as ``(2, n, n)`` object arrays of real and imaginary parts: the cofactor
+    expansion of ``numkit.adjugate_small``, exactly.  Returns two (real,
+    imaginary) pairs."""
+    (fr, fi), n = f, f.shape[-1]
+    if n == 1:
+        cr, ci = np.ones((1, 1), dtype=object), np.zeros((1, 1), dtype=object)
+    elif n == 2:
+        cr, ci = (
+            np.array([[x[1, 1], -x[1, 0]], [-x[0, 1], x[0, 0]]], dtype=object) for x in (fr, fi)
+        )
+    else:
+        a, b, ta, tb = _NEXT[:, None], _AFTER[:, None], _NEXT, _AFTER
+        pr, pi = _cmul(fr[a, ta], fi[a, ta], fr[b, tb], fi[b, tb])
+        qr, qi = _cmul(fr[a, tb], fi[a, tb], fr[b, ta], fi[b, ta])
+        cr, ci = pr - qr, pi - qi
+    # cr + i ci is the cofactor matrix, adj(F) transposed
+    det = _cmul(fr[0], fi[0], cr[0], ci[0])
+    deriv = _cmul(df[0], df[1], cr, ci)
+    return tuple(x.sum() for x in det), tuple(x.sum() for x in deriv)
 
 
 @dataclass(frozen=True)
@@ -572,7 +719,7 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     certify nothing there.  The curvature bounds of all polished
     candidates come from one more batched double evaluation
     (:func:`_curvature_bounds`), and the polish evaluates each candidate's
-    row of ``sym``, whose object copies are built once per set and
+    row of ``sym``, whose integer copies are built once per set and
     direction.  Returns ``(z, iters, |det F(z)|, polished)``
     arrays of shape ``(T, S)``, z NaN where no root was certified;
     |det F(z)| is a bound where the polish's last step was settled by

@@ -1,10 +1,16 @@
+import itertools
 import re
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import band_diagram_sequential, convergence_roots_sequential, polish_two_evaluations
+from oracles import (
+    band_diagram_sequential,
+    convergence_roots_sequential,
+    polish_two_evaluations,
+    symbol_exact_mpmath,
+)
 
 from helmdpg import dispersion, stencil
 from helmdpg.errors import BranchAmbiguity, NoRootFound
@@ -184,6 +190,153 @@ def test_exact_symbol_evaluates_every_row():
             sub.det_and_derivative_exact(z, 1)
         assert sub._shared is sym._shared and sym._shared.keys() == built.keys()
         assert all(sym._shared[k] is v for k, v in built.items())
+
+
+def _leibniz_det(f):
+    """det of an mpmath matrix by the Leibniz sum over permutations."""
+    n = f.rows
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * mp.fprod(f[i, perm[i]] for i in range(n))
+    return total
+
+
+def _direct_symbol(st, theta, z):
+    """det F(z) and its z-derivative (Jacobi's formula, one row of F
+    replaced by its derivative's at a time), summed term by term from the
+    StencilSet dicts in mpmath at the ambient precision, at the double
+    projections c (ox/2) + s (oy/2) the symbol sums over."""
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    weights = st.exact if st.exact is not None else st.weights
+    n = len(st.types)
+    f, df = mp.matrix(n, n), mp.matrix(n, n)
+    for i, t in enumerate(st.types):
+        for j, u in enumerate(st.types):
+            for (ox, oy), w in (weights.get((t, u)) or {}).items():
+                d = mp.mpf(c * (ox / 2) + s * (oy / 2))
+                term = mp.mpc(w) * mp.exp(mp.mpc(0, 1) * z * d)
+                f[i, j] += term
+                df[i, j] += mp.mpc(0, 1) * d * term
+    deriv = 0
+    for i in range(n):
+        g = f.copy()
+        for j in range(n):
+            g[i, j] = df[i, j]
+        deriv += _leibniz_det(g)
+    return _leibniz_det(f), deriv
+
+
+# (method, zeta, eps_n): the 30-digit route at eps_n = 0 (S_exact weights)
+# and the double weights at eps_n = 1e-6, fosls and fem
+_SYMBOL_SETS = [
+    ("fem", np.pi / 4, None),
+    ("fosls", np.pi / 4, None),
+    ("dpg", np.pi / 4, 1e-6),
+    ("dpg", 2 * np.pi / 64, 0.0),
+    ("dpg", 2 * np.pi / 128, 0.0),
+]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 8, np.pi / 4, 1.2])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("method,zeta,eps_n", _SYMBOL_SETS)
+def test_fixed_point_symbol_matches_50_digit_sum_and_mpmath_route(
+    method, zeta, eps_n, normalize, theta
+):
+    # the integer route against a 50-digit direct sum of the same function
+    # (measured: g within 2.4e-32 of |g'| |z| and g' within 9.4e-32 of
+    # itself, the 30-digit rounding) and against the former mpmath route
+    # (whose own errors measured 1.2e-18 and 3.5e-20)
+    st = stencil.extract_stencils(method, zeta, eps_n, 3 if eps_n is not None else None, normalize)
+    assert (st.exact is not None) == (eps_n == 0.0)
+    sym = dispersion.SymbolMatrix(st, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchAmbiguity)  # 2 pi/128 at pi/4
+        root = dispersion.solve_root(st, theta, zeta).z
+    for z0 in (root, root * (1.01 + 0.02j)):
+        with mp.workdps(30):
+            z = mp.mpc(z0)
+            g, gp = sym.det_and_derivative_exact(z, 0)
+            g_mp, gp_mp = symbol_exact_mpmath(sym, z, 0)
+        with mp.workdps(50):
+            want, dwant = _direct_symbol(st, theta, z)
+            scale = abs(dwant) * abs(z)
+            assert abs(g - want) <= 1e-30 * scale
+            assert abs(gp - dwant) <= 1e-30 * abs(dwant)
+            assert abs(g - g_mp) <= 1e-17 * scale
+            assert abs(gp - gp_mp) <= 1e-18 * abs(dwant)
+
+
+def test_fixed_point_symbol_follows_working_precision():
+    # Q = mp.prec + FIXED_GUARD_BITS: in 50 digits the same symbol meets a
+    # 70-digit sum 18 digits closer than in 30, and rebuilds its per-set
+    # copy in place, so the shared copies keep one entry per set and one
+    # per (set, direction)
+    st = stencil.extract_stencils("dpg", 2 * np.pi / 128, 0.0, 3, normalize=False)
+    sym = dispersion.SymbolMatrix(st, 0.3)
+    z0 = 2 * np.pi / 128 * (1.01 + 0.02j)
+    with mp.workdps(70):
+        want, dwant = _direct_symbol(st, 0.3, mp.mpc(z0))
+        scale = abs(dwant) * abs(z0)
+    errors = []
+    for dps in (30, 50):
+        with mp.workdps(dps):
+            g, gp = sym.det_and_derivative_exact(mp.mpc(z0), 0)
+            assert sym._shared[0][0] == mp.mp.prec + dispersion.FIXED_GUARD_BITS
+        errors.append(float(abs(g - want) / scale))
+        assert abs(gp - dwant) <= 10.0 ** (2 - dps) * abs(dwant)
+    assert errors[1] <= 1e-48 and errors[0] > 1e18 * errors[1]
+    assert set(sym._shared) == {0, (0, 0.3)}
+
+
+def test_fixed_point_symbol_on_two_types():
+    # n = 2, which no method makes: the dpg vertex and hedge equations alone
+    st = stencil.extract_stencils("dpg", np.pi / 4, 1e-6, 3, normalize=False)
+    weights = {k: v for k, v in st.weights.items() if stencil.VEDGE not in k}
+    pair = StencilSet("pair", st.omega_n, None, None, (VERTEX, stencil.HEDGE), weights)
+    sym = dispersion.SymbolMatrix(pair, 0.3)
+    z0 = np.pi / 4 * (1.01 + 0.02j)
+    with mp.workdps(30):
+        g, gp = sym.det_and_derivative_exact(mp.mpc(z0), 0)
+        g_mp, gp_mp = symbol_exact_mpmath(sym, mp.mpc(z0), 0)
+    with mp.workdps(50):
+        want, dwant = _direct_symbol(pair, 0.3, mp.mpc(z0))
+        assert abs(g - want) <= 1e-30 * abs(dwant) * abs(z0)
+        assert abs(gp - dwant) <= 1e-30 * abs(dwant)
+        assert abs(g - g_mp) <= 1e-17 * abs(dwant) * abs(z0)
+
+
+def _solve_with(monkeypatch, sym, zeta, oracle):
+    """``_solve`` on ``sym``, its polish on the mpmath route when ``oracle``."""
+    with monkeypatch.context() as m:
+        if oracle:
+            m.setattr(dispersion.SymbolMatrix, "det_and_derivative_exact", symbol_exact_mpmath)
+        return dispersion._solve(sym, zeta)
+
+
+def test_fixed_point_symbol_gives_the_mpmath_route_roots(monkeypatch):
+    # the polish on either route: bit for bit at eps_n = 1e-6, where the
+    # polished roots are simple; to 1e-13 at eps_n = 0, where they are
+    # nearly double and the routes' noise can move the last steps
+    # (measured 4.3e-21, with equal step counts)
+    (sweep, _), (band, band_rows) = _sweep_and_band_symbols()
+    raw = stencil.extract_stencils("dpg", 2 * np.pi / 64, 0.0, 3, normalize=False)
+    cases = [
+        (sweep, np.pi / 4, 0.0),
+        (band, np.array([zeta for _, _, zeta in band_rows]), 0.0),
+        (dispersion.SymbolMatrix(raw, np.linspace(0.0, np.pi / 4, 5)), 2 * np.pi / 64, 1e-13),
+    ]
+    for sym, zeta, rtol in cases:
+        z, iters, _, _, polished, _ = _solve_with(monkeypatch, sym, zeta, oracle=False)
+        z_mp, iters_mp, _, _, polished_mp, _ = _solve_with(monkeypatch, sym, zeta, oracle=True)
+        assert polished.any()
+        np.testing.assert_array_equal(polished, polished_mp)
+        if rtol:
+            assert np.all(np.abs(z - z_mp) <= rtol * np.abs(z))
+        else:
+            np.testing.assert_array_equal(z, z_mp)
+            np.testing.assert_array_equal(iters, iters_mp)
 
 
 def test_theta_reflection_symmetry():
