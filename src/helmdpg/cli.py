@@ -337,34 +337,25 @@ def _cmd_plane_wave(cfg: dict, out: _CsvOut):
 def _cmd_dispersion(cfg: dict, out: _CsvOut):
     method, h = cfg["method"], cfg["h"]
     zeta = cfg["omega"] * h
-    eps_n = cfg["eps"] * h if method == "dpg" else None
-    r = cfg["r"] if method == "dpg" else None
-    st = dispersion._method_stencils(method, zeta, eps_n, r)
-    out.header("method,r,eps,omega,h,theta,re_wh,im_wh,abs_detF,iters")
+    st = dispersion._method_stencils(method, zeta, cfg["eps"] * h, cfg["r"])
+    eps, r = (cfg["eps"], cfg["r"]) if method == "dpg" else (None, None)
     if cfg["n_theta"] > 1:
         sweep = dispersion.theta_sweep(st, cfg["n_theta"])
-        for th, z, it, da in zip(sweep.thetas, sweep.z, sweep.iters, sweep.det_abs):
-            out.row(
-                method, r, cfg["eps"] if method == "dpg" else None,
-                cfg["omega"], h, th, z.real / h, z.imag / h, da, it,
-            )
-        rho, eta = sweep.rho, sweep.eta
-        worst = int(np.argmax(sweep.det_abs / sweep.scale))
-        theta, det_abs, scale = sweep.thetas[worst], sweep.det_abs[worst], sweep.scale[worst]
     else:
         res = dispersion.solve_root(st, cfg["theta"], zeta)
-        out.row(
-            method, r, cfg["eps"] if method == "dpg" else None,
-            cfg["omega"], h, cfg["theta"],
-            res.z.real / h, res.z.imag / h, res.det_abs, res.iters,
+        found = res.z, res.iters, res.det_abs, res.polished, res.scale
+        sweep = dispersion.ThetaSweep(
+            method, zeta, np.array([cfg["theta"]]), *(np.array([v]) for v in found)
         )
-        rho = abs(res.z.real - zeta) / zeta
-        eta = abs(res.z.imag) / zeta
-        theta, det_abs, scale = cfg["theta"], res.det_abs, res.scale
-    out.comment(f"rho={_fmt(rho)}")
-    out.comment(f"eta={_fmt(eta)}")
+    out.header("method,r,eps,omega,h,theta,re_wh,im_wh,abs_detF,iters")
+    for th, z, it, da in zip(sweep.thetas, sweep.z, sweep.iters, sweep.det_abs):
+        out.row(method, r, eps, cfg["omega"], h, th, z.real / h, z.imag / h, da, it)
+    out.comment(f"rho={_fmt(sweep.rho)}")
+    out.comment(f"eta={_fmt(sweep.eta)}")
     # abs_detF is a certificate only against the scale of |det F| over the
     # starts; a sweep reports its weakest direction
+    worst = int(np.argmax(sweep.det_abs / sweep.scale))
+    theta, det_abs, scale = sweep.thetas[worst], sweep.det_abs[worst], sweep.scale[worst]
     print(
         f"scale: {_fmt(scale)} abs_detF/scale: {_fmt(det_abs / scale)} theta: {_fmt(theta)}",
         file=sys.stderr,
@@ -373,10 +364,8 @@ def _cmd_dispersion(cfg: dict, out: _CsvOut):
 
 def _cmd_band(cfg: dict, out: _CsvOut):
     method = cfg["method"]
-    eps_n = cfg["eps_n"] if method == "dpg" else None
-    r = cfg["r"] if method == "dpg" else None
     diagram = dispersion.band_diagram(
-        method, eps_n, r, theta=cfg["theta"],
+        method, cfg["eps_n"], cfg["r"], theta=cfg["theta"],
         zeta_max=cfg["zeta_max"], zeta_step=cfg["zeta_step"],
     )
     out.header("method,omega_h_norm,re,im")
@@ -398,14 +387,9 @@ def _cmd_eps_r_sweep(cfg: dict, out: _CsvOut):
 
 
 def _cmd_stencil_dump(cfg: dict, out: _CsvOut):
-    method = cfg["method"]
-    kwargs = {"normalize": not cfg["raw"]}
-    if method == "dpg":
-        st = stencil.extract_stencils(
-            "dpg", cfg["omega_n"], cfg["eps_n"], cfg["r"], **kwargs
-        )
-    else:
-        st = stencil.extract_stencils(method, cfg["omega_n"], **kwargs)
+    st = stencil.extract_stencils(
+        cfg["method"], cfg["omega_n"], cfg["eps_n"], cfg["r"], normalize=not cfg["raw"]
+    )
     out.header("t,s,two_lx,two_ly,re_D,im_D")
     for t in st.types:
         for s in st.types:

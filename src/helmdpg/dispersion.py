@@ -23,7 +23,8 @@ double: its error estimate from the rounding error of det F is within
 ROOT_ZTOL of |z|, and det F winds exactly once on a small circle around it
 that stays clear of that rounding error.  Every other candidate (a nearly
 double root, a close pair) is re-solved in extended precision, the
-symbol summed and expanded in fixed-point integers, to a step tolerance
+symbol summed on the double evaluation's padded term table and expanded
+in fixed-point integers, to a step tolerance
 tight enough that the polished root does not depend on the start; a
 Newton-Kantorovich bound from the double symbol spares the evaluation
 that would only confirm the last step.  The ansatz residual
@@ -82,6 +83,9 @@ POLISH_MAX_ITER = 55
 # entry collects, 9 for an entry's terms below its row's power of two, and
 # 32 to put the entries' error that far below the former mpmath route's
 FIXED_GUARD_BITS = 48
+# the padding of the extended weights, and the size of a zero coefficient
+_ZERO = mp.mpc(0)
+_NO_SIZE = np.iinfo(int).min
 # the starts of every direction, in units of zeta: off the real axis, where
 # det F is real and Newton from a real start cannot reach a complex root
 START_FACTORS = np.array(
@@ -117,12 +121,15 @@ class SymbolMatrix:
     arrays padded with zeros to the longest entry.  :meth:`take` gives the
     same symbol on some of its rows.  ``det_and_derivative_exact`` takes one
     z in the ambient mpmath precision and one row, of any symbol, and sums
-    only each entry's own terms, with the row's extended weights when its
+    the same padded term table, with the row's extended weights when its
     set has them and its double weights otherwise, in fixed-point integers.
-    Its integer copies are built on first use at two levels, the
-    coefficients once per stencil set and the projections once per (set,
-    direction), and a symbol shares them with its takes, so callers that
-    stay in double never pay for them.
+    A set's extended weights, mpc values, are gathered into that padded
+    order here, and a set that lacks one for an offset of its double
+    weights is rejected.  The integer copies are built on first use at two
+    levels, the coefficients once per stencil set (one padded array each
+    for the real and the imaginary parts) and the projections once per
+    (set, direction), and a symbol shares them with its takes, so callers
+    that stay in double never pay for them.
     """
 
     def __init__(self, stencils, theta):
@@ -149,15 +156,26 @@ class SymbolMatrix:
         for (ti, si), row in rows.items():
             self._at[ti, si, : len(row)] = [index[off] for off in row]
         coefs = np.zeros((len(sets), n, n, width), dtype=complex)
+        # a set's extended weights in the same padded order, zeros padding
+        self._exact = [None if st.exact is None else np.full(self._at.shape, _ZERO) for st in sets]
         for p, st in enumerate(sets):
             for (ti, si), row in rows.items():
-                own = st.weights.get((self.types[ti], self.types[si])) or {}
+                key = self.types[ti], self.types[si]
+                own = st.weights.get(key) or {}
                 if st.types != self.types or list(own) != list(row):
                     raise ValueError(
                         f"stencil set {p} ({st.method}) does not share the offset table "
                         f"of set 0 ({sets[0].method})"
                     )
                 coefs[p, ti, si, : len(own)] = list(own.values())
+                if st.exact is not None:
+                    erow = st.exact.get(key) or {}
+                    if not own.keys() <= erow.keys():
+                        raise ValueError(
+                            f"stencil set {p} ({st.method}) has no extended weight "
+                            "for an offset of its double weights"
+                        )
+                    self._exact[p][ti, si, : len(own)] = [erow[off] for off in own]
         self._offsets = np.array(offsets)
         half = self._offsets / 2.0
         th = self.theta[:, None]
@@ -165,8 +183,6 @@ class SymbolMatrix:
         self._proj = self._cs[:, :1] * half[:, 0] + self._cs[:, 1:] * half[:, 1]
         self._coefs = coefs[self._which]
         self._dcoefs = 1j * self._proj[:, self._at] * self._coefs
-        self._rows = rows
-        self._sets = sets
         # integer copies of the extended evaluation, per set and per (set,
         # direction), built on first use and shared with every take
         self._shared = {}
@@ -252,45 +268,33 @@ class SymbolMatrix:
         bits, kept in the dict a symbol shares with its takes and built
         again only when ``bits`` changes.
 
-        Flat arrays over the terms of all entries, entry by entry in stencil
-        order: each term's column in the offset table, and its coefficient
-        (the set's extended weight, or its double one) as real and imaginary
+        The coefficients (the set's extended weights, or its double ones)
+        in the padded ``(n, n, K)`` order of ``_at``, as real and imaginary
         integers C with c = C * 2**(top[t] - bits), 2**top[t] the power of
-        two above every coefficient of its row t.  With them the index of
-        each nonempty (t, s) entry and of its first term.  Returns ``(bits,
-        at, cr, ci, cells, starts, top)``.
+        two above every coefficient of its row t; the padding is 0.
+        Returns ``(bits, cr, ci, top)``.
         """
         which = int(self._which[row])
         if self._shared.get(which, (None,))[0] != bits:
-            exact = self._sets[which].exact
-            at, parts, rows, cells, starts = [], [], [], [], []
-            for (ti, si), terms in self._rows.items():
-                if not terms:
-                    continue
-                k = len(terms)
-                if exact is not None:
-                    erow = exact.get((self.types[ti], self.types[si])) or {}
-                    parts += [mp.mpc(erow[o])._mpc_ for o in terms]
-                else:
-                    parts += [
-                        (from_float(c.real), from_float(c.imag))
-                        for c in self._coefs[row, ti, si, :k].tolist()
-                    ]
-                cells.append((ti, si))
-                starts.append(len(at))
-                at += self._at[ti, si, :k].tolist()
-                rows += [ti] * k
-            # an mpf (sign, man, exp, bc) is below 2**(exp + bc)
-            sizes = [max((x[2] + x[3] for x in c if x[1]), default=None) for c in parts]
-            top = [
-                max((m for m, r in zip(sizes, rows) if r == t and m is not None), default=0)
-                for t in range(len(self.types))
-            ]
-            fixed = [[to_fixed(x, bits - top[r]) for x in c] for c, r in zip(parts, rows)]
-            cr, ci = np.array(fixed, dtype=object).T
-            self._shared[which] = (
-                bits, np.array(at), cr, ci, tuple(np.array(cells).T), np.array(starts), top
-            )
+            exact = self._exact[which]
+            if exact is None:
+                parts = np.stack([self._coefs[row].real, self._coefs[row].imag], axis=-1)
+                # a double m 2**e, 1/2 <= |m| < 1, is below 2**e
+                size = np.where(parts != 0, np.frexp(parts)[1].astype(int), _NO_SIZE)
+            else:
+                parts = [x for c in exact.flat for x in c._mpc_]
+                # an mpf (sign, man, exp, bc) is below 2**(exp + bc)
+                size = np.array([x[2] + x[3] if x[1] else _NO_SIZE for x in parts])
+                size = size.reshape(exact.shape + (2,))
+            top = size.max(axis=(1, 2, 3))
+            top[top == _NO_SIZE] = 0
+            shift = np.broadcast_to((bits - top)[:, None, None, None], size.shape)
+            if exact is None:
+                fixed = _fixed_floats(parts, shift)
+            else:
+                fixed = np.array(list(map(to_fixed, parts, shift.ravel().tolist())), dtype=object)
+                fixed = fixed.reshape(size.shape)
+            self._shared[which] = bits, fixed[..., 0], fixed[..., 1], top.tolist()
         return self._shared[which]
 
     def _fixed_direction(self, row):
@@ -338,17 +342,18 @@ class SymbolMatrix:
         their reciprocals by integer division and their integer powers,
         and per column exp(i z delta) by its Taylor series (|z delta| is
         about 2**-50 |z|: three terms at 30 digits), each product rounded
-        down to Q bits.  The terms c e and d (c e), the entries and the
-        cofactor expansion of det F and tr(adj(F) dF), n <= 3, are exact in
-        integers; the two results are rounded once, to the ambient
-        precision.
+        down to Q bits.  The terms c e and d (c e) on the padded ``(n, n,
+        K)`` table, the entries and the cofactor expansion of det F and
+        tr(adj(F) dF), n <= 3, are exact in integers; the two results are
+        rounded once, to the ambient precision.
 
         Error.  With u = 2**-Q, rounding a coefficient moves it by at most
         2 u 2**top[t] (its row's power of two); each exponential carries at
         most about (|ox| + |oy| + 4) u E, E >= 1 bounding |e| and its
         partial products (1 + O(Im z) near the real axis): A or B, each
         power step, the Taylor factor and the products round once each.
-        An entry of K terms thus moves by at most about K (|ox| + |oy| + 6)
+        The padded terms, whose coefficient is 0, add exact zeros; an
+        entry of K terms thus moves by at most about K (|ox| + |oy| + 6)
         u 2**top[t] E, under 2**7 u 2**top[t] E for the 3 x 3 offsets of
         every method here (K <= 9, |ox|, |oy| <= 2), and det F by the sum
         over entries of |adj(F)_st| times that.  The former mpmath route
@@ -366,7 +371,7 @@ class SymbolMatrix:
         route reached 1.2e-18 and 3.5e-20 (dpg, eps_n = 0, zeta = 2 pi/128).
         """
         bits = mp.mp.prec + FIXED_GUARD_BITS
-        _, at, cr, ci, cells, starts, top = self._fixed_set(row, bits)
+        _, cr, ci, top = self._fixed_set(row, bits)
         hc, hs, d, delta, scale, size = self._fixed_direction(row)
         zr, zi = mp.mpc(z)._mpc_
         # exp(i z d) per column: A**ox B**oy, then times exp(i z delta)
@@ -387,17 +392,14 @@ class SymbolMatrix:
                 tr, ti = (x // k for x in _fixed_mul(tr, ti, xr, xi, bits))
                 sr, si = sr + tr, si + ti
             er, ei = _fixed_mul(er, ei, sr, si, bits)
-        # the terms c e and d c e, and the entries, exactly
-        er, ei, dk = er[at], ei[at], d[at]
-        tr, ti = cr * er - ci * ei, cr * ei + ci * er
-        n = len(self.types)
-        f, df = np.zeros((2, n, n), dtype=object), np.zeros((2, n, n), dtype=object)
-        f[0][cells], f[1][cells] = np.add.reduceat(tr, starts), np.add.reduceat(ti, starts)
-        df[0][cells] = -np.add.reduceat(dk * ti, starts)
-        df[1][cells] = np.add.reduceat(dk * tr, starts)
-        g, gp = _jacobi_fixed(f, df)
+        # the terms c e on the padded table, real and imaginary parts, and
+        # the entries of F and of dF/i = sum d c e, exactly: d(det F)/dz =
+        # tr(adj(F) dF) is i times tr(adj(F) dF/i)
+        terms = np.stack(_cmul(cr, ci, er[self._at], ei[self._at]))
+        g, (dr, di) = _jacobi_fixed(terms.sum(-1), (d[self._at] * terms).sum(-1))
+        gp = -di, dr
         # F's row t is scaled by 2**(2 Q - top[t]), dF's by 2**scale more
-        exp = sum(top) - 2 * n * bits
+        exp = sum(top) - 2 * len(self.types) * bits
         return (
             mp.make_mpc(tuple(from_man_exp(x, exp, mp.mp.prec, "n") for x in g)),
             mp.make_mpc(tuple(from_man_exp(x, exp - scale, mp.mp.prec, "n") for x in gp)),
@@ -407,6 +409,14 @@ class SymbolMatrix:
         """Unit amplitude vector minimizing |F(z) amp| (smallest singular)."""
         _, _, vh = np.linalg.svd(self.value(z))
         return vh[-1].conj()
+
+
+def _fixed_floats(x, shift):
+    """floor(x * 2**shift) for a float array and integer shifts, as Python
+    ints in an object array: ``to_fixed(from_float(x), shift)``, which
+    rounds toward -inf where int() would truncate.  Exact while x *
+    2**shift stays below 2**1024 and does not underflow to 0."""
+    return np.frompyfunc(int, 1, 1)(np.floor(np.ldexp(x, shift)))
 
 
 def _cmul(ar, ai, br, bi):
@@ -913,9 +923,7 @@ def ansatz_residual(stencils: StencilSet, theta: float, z: complex):
 
 
 def _method_stencils(method, zeta, eps_n, r):
-    if method == "dpg":
-        return extract_stencils("dpg", zeta, eps_n, r, normalize=False)
-    return extract_stencils(method, zeta, normalize=False)
+    return extract_stencils(method, zeta, eps_n, r, normalize=False)
 
 
 @dataclass(frozen=True)

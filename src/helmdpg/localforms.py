@@ -458,18 +458,45 @@ class FoslsElement:
     tab: refelem.Tabulation
 
 
+@lru_cache(maxsize=None)
+def _conforming_tabulation(n: int) -> refelem.Tabulation:
+    """The conforming pair tabulated under the n x n Gauss rule, cached per
+    n and read-only."""
+    tab = refelem.tabulate_conforming_basis(tensor_rule(n))
+    rule = tab.rule
+    for a in (rule.points, rule.weights, tab.vx, tab.vy, tab.eta, tab.eta_x, tab.eta_y, tab.div):
+        a.setflags(write=False)
+    return tab
+
+
 def fosls_element(omega_n: float) -> FoslsElement:
-    """First-order-system least-squares element matrix on the unit square."""
+    """First-order-system least-squares element matrix on the unit square.
+
+    The rule and tabulation, shared by every call, are read-only.
+    """
     if not (omega_n > 0 and math.isfinite(omega_n)):
         raise ValueError(f"omega_n must be positive and finite, got {omega_n}")
-    rule = tensor_rule(4)
-    tab = refelem.tabulate_conforming_basis(rule)
+    tab = _conforming_tabulation(4)
     a1, a2, a3 = conforming_a_images(tab, omega_n)
-    w = rule.weights
+    w = tab.rule.weights
     m = np.zeros((8, 8), dtype=complex)
     for ac in (a1, a2, a3):
         m += (ac.conj() * w[None, :]) @ ac.T
     return FoslsElement(omega_n, m, a1, a2, a3, tab)
+
+
+@lru_cache(maxsize=None)
+def _fem_parts():
+    """Stiffness and mass of the bilinear element under the 3 x 3 Gauss
+    rule, ``(stiff, mass)``, cached and read-only."""
+    tab = _conforming_tabulation(3)
+    w = tab.rule.weights
+    gx, gy, q = tab.eta_x[:4], tab.eta_y[:4], tab.eta[:4]
+    stiff = (gx * w[None, :]) @ gx.T + (gy * w[None, :]) @ gy.T
+    mass = (q * w[None, :]) @ q.T
+    for m in (stiff, mass):
+        m.setflags(write=False)
+    return stiff, mass
 
 
 def fem_element(omega_n: float):
@@ -480,12 +507,7 @@ def fem_element(omega_n: float):
     """
     if not (omega_n > 0 and math.isfinite(omega_n)):
         raise ValueError(f"omega_n must be positive and finite, got {omega_n}")
-    rule = tensor_rule(3)
-    tab = refelem.tabulate_conforming_basis(rule)
-    w = rule.weights
-    gx, gy, q = tab.eta_x[:4], tab.eta_y[:4], tab.eta[:4]
-    stiff = (gx * w[None, :]) @ gx.T + (gy * w[None, :]) @ gy.T
-    mass = (q * w[None, :]) @ q.T
+    stiff, mass = _fem_parts()
     return (stiff - omega_n**2 * mass).astype(complex)
 
 

@@ -57,9 +57,10 @@ class StencilSet:
     equation.  ``types`` lists the unknown types present (all three for the
     interface methods, vertices only for the bilinear FEM).  When the
     element was assembled in extended precision, ``exact`` mirrors
-    ``weights`` with mpmath values at full digit count; root finders use it
-    to escape the double-precision floor near nearly double roots, where
-    the root position is more sensitive than the weights themselves.
+    ``weights`` with mpmath complex values (mpc) at full digit count; root
+    finders use it to escape the double-precision floor near nearly double
+    roots, where the root position is more sensitive than the weights
+    themselves.
     """
 
     method: str
@@ -119,9 +120,12 @@ def extract_stencils(
     the diagonal entry at offset zero equals one; a vanishing self weight
     (a resonance of the center equation) raises CenterRowDegenerate.  When
     the element carries an extended-precision copy, the same rows are summed
-    from its slots at full digit count and kept alongside.
+    from its slots at full digit count and kept alongside.  Only dpg reads
+    ``eps_n`` and ``r``; fem and fosls ignore them and record None.
     """
     element, element_exact = _element_matrix(method, omega_n, eps_n, r)
+    if method != "dpg":
+        eps_n = r = None
     weights = _center_rows(element, normalize, method, omega_n)
     exact = None
     if element_exact is not None:

@@ -773,41 +773,28 @@ def _exact_complex(x: complex):
 
 
 def _exact_terms(sym, row):
-    """Object copies for :func:`symbol_exact_mpmath` on ``row``, without
-    padding, kept in a dict of their own that a symbol shares with its
-    takes (not in the package's integer copies).
+    """Object copies for :func:`symbol_exact_mpmath` on ``row``, on the
+    symbol's padded term table, kept in a dict of their own that a symbol
+    shares with its takes (not in the package's integer copies).
 
-    Once per stencil set: flat arrays over the terms of all entries,
-    entry by entry in stencil order, of each term's column in the offset
-    table and its coefficient (an extended weight, or a double one
-    converted to mpc once), and the slice of each (t, s) entry.  Once
-    per (set, direction): the direction's distinct projected offsets as
-    mpf, the index of each term's offset among them and each term's
-    offset d.  Returns ``(offsets, at, coefs, d, spans)``.
+    Once per stencil set: the coefficients, ``(n, n, K)`` (the extended
+    weights, or the double ones converted to mpc once), zero in the
+    padding.  Once per (set, direction): the direction's distinct projected
+    offsets as mpf, the index of each term's offset among them and each
+    term's offset d.  Returns ``(offsets, at, coefs, d)``.
     """
     shared = sym.__dict__.setdefault("_mpmath_shared", {})
     which, theta = int(sym._which[row]), float(sym.theta[row])
     if which not in shared:
-        exact = sym._sets[which].exact
-        at, coefs, spans = [], [], []
-        for (ti, si), terms in sym._rows.items():
-            if not terms:
-                continue
-            k = len(terms)
-            if exact is not None:
-                erow = exact.get((sym.types[ti], sym.types[si])) or {}
-                coefs += [erow[o] for o in terms]
-            else:
-                coefs += [_exact_complex(c) for c in sym._coefs[row, ti, si, :k]]
-            at += list(sym._at[ti, si, :k])
-            spans.append((ti, si, slice(len(at) - k, len(at))))
-        shared[which] = np.array(at), np.array(coefs, dtype=object), spans
+        coefs = sym._exact[which]
+        if coefs is None:
+            coefs = np.array([_exact_complex(c) for c in sym._coefs[row].flat], dtype=object)
+        shared[which] = coefs.reshape(sym._at.shape)
     if (which, theta) not in shared:
-        column, coefs, spans = shared[which]
         distinct, where = np.unique(sym._proj[row], return_inverse=True)
-        at = where[column]
+        at = where[sym._at]
         offsets = np.array([mp.mpf(d) for d in distinct], dtype=object)
-        shared[which, theta] = offsets, at, coefs, offsets[at], spans
+        shared[which, theta] = offsets, at, shared[which], offsets[at]
     return shared[which, theta]
 
 
@@ -816,22 +803,17 @@ def symbol_exact_mpmath(sym, z, row):
     precision, term by term in mpmath numbers.
 
     Each entry sums its terms c*e, and i times the sum of d*(c*e), left to
-    right; rounding is symmetric, so that is the sum of the terms
+    right, the padding adding exact zeros; rounding is symmetric, so that is the sum of the terms
     (i*d)*(c*e) bit for bit, at half the real multiplications.  The
     cofactor expansion takes JACOBI_GUARD_DIGITS more: perm(|F|) reaches
     2e10 |det F| on raw eps_n = 0 stencils, where 30 digits left 2.4e-22 of
     det F against 1.3e-24 from rounding the entries.  Call inside
     mp.workdps.
     """
-    offsets, at, coefs, dots, spans = _exact_terms(sym, row)
+    offsets, at, coefs, dots = _exact_terms(sym, row)
     exps = np.array([mp.exp(a) for a in offsets * (1j * z)], dtype=object)
     terms = coefs * exps[at]
-    dterms = dots * terms
-    n = len(sym.types)
-    f = np.zeros((n, n), dtype=object)
-    df = np.zeros((n, n), dtype=object)
-    for ti, si, span in spans:
-        f[ti, si] = terms[span].sum()
-        df[ti, si] = 1j * dterms[span].sum()
+    f = terms.sum(-1)
+    df = 1j * (dots * terms).sum(-1)
     with mp.workdps(mp.mp.dps + JACOBI_GUARD_DIGITS):
         return sym._jacobi(f, df)[:2]

@@ -5,6 +5,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import from_float, to_fixed
 from oracles import (
     band_diagram_sequential,
     convergence_roots_sequential,
@@ -305,6 +306,89 @@ def test_fixed_point_symbol_on_two_types():
         assert abs(g - want) <= 1e-30 * abs(dwant) * abs(z0)
         assert abs(gp - dwant) <= 1e-30 * abs(dwant)
         assert abs(g - g_mp) <= 1e-17 * abs(dwant) * abs(z0)
+
+
+def test_fixed_floats_round_toward_minus_infinity():
+    # the double weights' integer copy is floor(c * 2**k), to_fixed's
+    # rounding: negative values, subnormals, zeros and large doubles
+    tiny = np.nextafter(0.0, 1.0)
+    values = [
+        0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1 / 3, -1 / 3, tiny, -tiny, 3 * tiny, -3 * tiny,
+        1e-310, -1e-310, 1e300, -1e300, np.finfo(float).max, -np.finfo(float).max,
+        -2.5, 2.5, np.pi, -np.e,
+    ]
+    x = np.array(values)
+    for shift in (0, 1, 52, 53, 151, 218, 1100, -1, -60, -1000):
+        # within the range where x 2**shift is a finite, nonzero double
+        top = np.frexp(x)[1] + shift
+        fits = x[(top <= 1024) & ((x == 0) | (top > -1073))]
+        got = dispersion._fixed_floats(fits, shift)
+        assert got.dtype == object and all(type(v) is int for v in got)
+        assert got.tolist() == [to_fixed(from_float(v), shift) for v in fits.tolist()]
+        assert len(fits) >= 5
+
+
+def test_fixed_set_copy_is_padded_like_the_table():
+    # the per-set integer copy: (bits, cr, ci, top) with cr and ci shaped
+    # like the offset table, zero in its padding, for double and for
+    # 30-digit weights, also where a row's power of two is below 1; c =
+    # C 2**(top - bits) within one unit of C
+    double, raw = (
+        stencil.extract_stencils("dpg", zeta, eps_n, 3, normalize=False)
+        for eps_n, zeta in ((1e-6, np.pi / 4), (0.0, 2 * np.pi / 64))
+    )
+    with mp.workdps(30):
+        small = [
+            {k: {off: w / 10**24 for off, w in row.items()} for k, row in weights.items()}
+            for weights in (raw.weights, raw.exact)
+        ]
+    sets = [double, raw] + [
+        StencilSet("custom", raw.omega_n, None, None, raw.types, small[0], exact)
+        for exact in (None, small[1])
+    ]
+    for st in sets:
+        sym = dispersion.SymbolMatrix(st, 0.3)
+        with mp.workdps(30):
+            sym.det_and_derivative_exact(mp.mpc(st.omega_n), 0)
+            bits = mp.mp.prec + dispersion.FIXED_GUARD_BITS
+        entry = sym._shared[0]
+        assert len(entry) == 4
+        got_bits, cr, ci, top = entry
+        assert got_bits == bits and len(top) == 3
+        assert cr.shape == ci.shape == sym._at.shape
+        own = np.zeros(sym._at.shape, dtype=bool)
+        for ti, t in enumerate(st.types):
+            for si, s in enumerate(st.types):
+                own[ti, si, : len(st.weights.get((t, s)) or {})] = True
+        assert not own.all()
+        assert all(v == 0 for v in cr[~own]) and all(v == 0 for v in ci[~own])
+        weights = st.exact if st.exact is not None else st.weights
+        for ti, t in enumerate(st.types):
+            # 2**top is the least power of two above every part of the row
+            largest = 0
+            for si, s in enumerate(st.types):
+                for k, w in enumerate((weights.get((t, s)) or {}).values()):
+                    w = mp.mpc(w)
+                    largest = max(largest, abs(w.real), abs(w.imag))
+                    unit = mp.mpf(2) ** (top[ti] - bits)
+                    assert 0 <= w.real - cr[ti, si, k] * unit < unit
+                    assert 0 <= w.imag - ci[ti, si, k] * unit < unit
+            assert 2 ** (top[ti] - 1) <= largest < 2 ** top[ti]
+
+
+def test_symbol_rejects_extended_weights_missing_an_offset():
+    # every offset of a set's double rows needs an extended weight, checked
+    # at construction like a mismatched offset table
+    st = stencil.extract_stencils("dpg", 2 * np.pi / 64, 0.0, 3, normalize=False)
+    assert st.exact is not None
+    key = (VERTEX, VERTEX)
+    exact = dict(st.exact)
+    exact[key] = {off: w for off, w in exact[key].items() if off != (2, 2)}
+    short = StencilSet(st.method, st.omega_n, st.eps_n, st.r, st.types, st.weights, exact)
+    with pytest.raises(ValueError, match="extended weight"):
+        dispersion.SymbolMatrix(short, 0.3)
+    with pytest.raises(ValueError, match="extended weight"):
+        dispersion.SymbolMatrix([st, short], 0.3)
 
 
 def _solve_with(monkeypatch, sym, zeta, oracle):

@@ -486,6 +486,40 @@ def test_fem_element_closed_form():
     assert np.allclose(lf.fem_element(1e-8).sum(axis=1), 0.0, atol=1e-14)
 
 
+def test_baseline_elements_fresh_from_cached_parts():
+    # fem and fosls elements come from cached, read-only rule tables, yet
+    # every call returns new arrays, bit for bit the quadrature formula
+    w = 1.3
+    rule = numkit.tensor_rule(3)
+    tab = refelem.tabulate_conforming_basis(rule)
+    gx, gy, q, wt = tab.eta_x[:4], tab.eta_y[:4], tab.eta[:4], rule.weights[None, :]
+    stiff = (gx * wt) @ gx.T + (gy * wt) @ gy.T
+    mass = (q * wt) @ q.T
+    first, second = lf.fem_element(w), lf.fem_element(w)
+    np.testing.assert_array_equal(first, (stiff - w**2 * mass).astype(complex))
+    np.testing.assert_array_equal(first, second)
+    first[0, 0] = 7.0
+    assert not np.shares_memory(first, second) and second[0, 0] != 7.0
+    np.testing.assert_array_equal(lf.fem_element(w), second)
+
+    rule = numkit.tensor_rule(4)
+    tab = refelem.tabulate_conforming_basis(rule)
+    images = lf.conforming_a_images(tab, w)
+    m = np.zeros((8, 8), dtype=complex)
+    for ac in images:
+        m += (ac.conj() * rule.weights[None, :]) @ ac.T
+    first, second = lf.fosls_element(w), lf.fosls_element(w)
+    for got in (first, second):
+        np.testing.assert_array_equal(got.M, m)
+        for a, b in zip((got.a1, got.a2, got.a3), images):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got.tab.rule.points, rule.points)
+        np.testing.assert_array_equal(got.tab.eta, tab.eta)
+    for name in ("M", "a1", "a2", "a3"):
+        assert not np.shares_memory(getattr(first, name), getattr(second, name))
+    assert not first.tab.eta.flags.writeable and not first.tab.rule.weights.flags.writeable
+
+
 def test_element_kit_cached_and_downcast():
     p = NormalizedParams(0.77, 0.4, 2)
     k1 = lf.element_kit(p)
