@@ -38,7 +38,7 @@ from scipy.linalg import blas, lapack
 from . import localforms, refelem, stencil
 from .errors import BCInconsistent, MeshTooSmall, OutsideEnvelope, PhaseMismatch, SolveFailure
 from .localforms import NormalizedParams
-from .numkit import single_thread_blas, tensor_rule
+from .numkit import single_thread_blas
 
 # scipy.sparse.linalg has just loaded scipy's OpenBLAS beside numpy's; pin
 # both pools before any solve runs
@@ -568,13 +568,6 @@ def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _error_rule():
-    rule = tensor_rule(ERROR_QUAD_1D)
-    rule.points.flags.writeable = rule.weights.flags.writeable = False
-    return rule
-
-
 def _tables(field: Separable, mesh: Mesh, points: np.ndarray):
     """Each term's gx and gy at the 1-D nodes of the unit-square tensor rule ``points``
     (x running fastest) on every element, two ``(terms, n, q)`` arrays."""
@@ -606,7 +599,7 @@ def _errors(mesh: Mesh, exact: ExactSolution, approx) -> tuple[float, float]:
     of its per-axis tables, row ey*n + ex and column iy*q + ix, and feeds
     both sums.  The best constants are the element means.
     """
-    rule = _error_rule()
+    rule = refelem.conforming_tabulation(ERROR_QUAD_1D).rule
     sw = np.sqrt(rule.weights)
 
     def sq(d):
@@ -689,8 +682,9 @@ def solve_dpg(
     h = mesh.h
     kit = localforms.element_kit(NormalizedParams(omega * h, eps * h, r))
     # xh folds in first: the contraction runs over the 11 trial loads
-    tests = [kit.xh.conj() @ t for t in (kit.test_vx, kit.test_vy, kit.test_eta)]
-    loads = h**3 * _moments(mesh, exact, kit.quad_points, kit.quad_weights, tests)
+    tab = kit.tab
+    tests = [kit.xh.conj() @ t for t in (tab.vx, tab.vy, tab.eta)]
+    loads = h**3 * _moments(mesh, exact, tab.rule.points, tab.rule.weights, tests)
     b = _scatter(mesh, loads[:, 3:] + loads[:, :3] @ kit.recovery.conj())
     interior = loads[:, :3] @ kit.interior_inv.T / h**2
     del loads  # only b and the interior part are needed through the trace solve
@@ -730,11 +724,10 @@ def solve_fosls(
     g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
     x, rel, fill, steps = _constrained_solve(mesh, elem.M, b, g)
 
-    erule = _error_rule()
-    etab = refelem.tabulate_conforming_basis(erule)
+    etab = refelem.conforming_tabulation(ERROR_QUAD_1D)
     xe = x[mesh.dofs]
     u_h = (xe @ etab.vx, xe @ etab.vy, xe @ etab.eta)
-    fields = np.column_stack([c @ erule.weights for c in u_h])
+    fields = np.column_stack([c @ etab.rule.weights for c in u_h])
     e_r, a = _errors(mesh, exact, u_h)
     ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
     return SolveReport(

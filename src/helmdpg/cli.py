@@ -13,9 +13,12 @@ selftest         quick invariant checks, exit status reports the outcome
 
 Output is CSV with '#'-prefixed metadata lines (fully determined by the
 configuration, so identical invocations produce byte-identical files).
-Floats are written with repr, the shortest round-trip form.  Options may
-come from a flat key=value file via --config; explicit flags win over the
-file, the file wins over built-in defaults.
+Floats are written with repr, the shortest round-trip form.  One table,
+``_SPECS``, gives each subcommand its handler and its options with their
+types, defaults and choices.  Options may also come from a flat key=value
+file via --config, whose values are checked against the same choices and
+become the parser's defaults: explicit flags win over the file, the file
+wins over built-in defaults.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -70,105 +73,42 @@ def _fmt(value) -> str:
 # option plumbing
 # ---------------------------------------------------------------------------
 
-# dest -> (type converter, default); argparse defaults stay None so that a
-# given flag is distinguishable from an omitted one when merging with the
-# config file
-_SPECS = {
-    "solve": {
-        "method": (str, "dpg"),
-        "n": (int, 16),
-        "omega": (float, 2.0),
-        "eps": (float, 1e-2),
-        "r": (int, 3),
-        "exact": (str, "manufactured"),
-        "theta": (float, 0.0),
-        "sign": (int, 1),
-    },
-    "resonance-sweep": {
-        "omega_start": (float, 3.0),
-        "omega_stop": (float, 6.0),
-        "omega_step": (float, 0.05),
-        "eps": (_floats, (1.0, 1e-1, 1e-2, 1e-3, 1e-4)),
-        "n": (int, 16),
-        "r": (int, 3),
-    },
-    "plane-wave": {
-        "method": (str, "dpg"),
-        "theta": (float, float(np.pi / 8)),
-        "n": (int, 48),
-        "omega": (float, float(6 * np.pi)),
-        "eps": (float, 1e-6),
-        "r": (int, 3),
-    },
-    "dispersion": {
-        "method": (str, "dpg"),
-        "r": (int, 3),
-        "eps": (float, 1e-6),
-        "omega": (float, 1.0),
-        "h": (float, float(2 * np.pi / 8)),
-        "theta": (float, 0.0),
-        "n_theta": (int, 1),
-    },
-    "band": {
-        "method": (str, "dpg"),
-        "eps_n": (float, 1e-6),
-        "r": (int, 3),
-        "theta": (float, 0.0),
-        "zeta_max": (float, 6.0),
-        "zeta_step": (float, 0.05),
-    },
-    "eps-r-sweep": {
-        "zeta": (float, float(np.pi / 4)),
-        "eps": (_floats, (1.0, 1e-1, 1e-2, 1e-4, 1e-6)),
-        "r": (_ints, (2, 3, 4)),
-        "n_theta": (int, dispersion.DEFAULT_N_THETA),
-        "no_baselines": (_bool, False),
-    },
-    "stencil-dump": {
-        "method": (str, "dpg"),
-        "omega_n": (float, float(np.pi / 4)),
-        "eps_n": (float, 1e-6),
-        "r": (int, 3),
-        "raw": (_bool, False),
-    },
-    "selftest": {},
-}
 
-_CHOICES = {
-    ("solve", "method"): ("dpg", "fosls"),
-    ("solve", "exact"): ("manufactured", "plane-wave", "zero"),
-    ("plane-wave", "method"): ("dpg", "fosls"),
-    ("dispersion", "method"): ("dpg", "fem", "fosls"),
-    ("band", "method"): ("dpg", "fem", "fosls"),
-    ("stencil-dump", "method"): ("dpg", "fem", "fosls"),
-}
+def _parse(argv):
+    """Parse ``argv`` under the subcommand table :data:`_SPECS`.
 
-
-def _build_parser() -> argparse.ArgumentParser:
+    Each option's default and choices come from the table.  A ``--config``
+    file's values become the subcommand's defaults and ``argv`` is parsed
+    again, so a flag wins over the file and the file over the table.
+    Returns ``(args, parser)``.
+    """
     parser = argparse.ArgumentParser(
         prog="helm-dpg",
         description="Dispersion and solver toolkit for the eps-scaled "
         "interface method on uniform square meshes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, spec in _SPECS.items():
+    for cmd, (_handler, spec) in _SPECS.items():
         p = sub.add_parser(cmd)
-        for dest, (conv, _default) in spec.items():
-            flag = "--" + dest.replace("_", "-")
-            kwargs = {"dest": dest, "default": None, "type": conv}
+        for dest, (conv, default, *choices) in spec.items():
+            kwargs = {"type": conv, "default": default, "choices": next(iter(choices), None)}
             if conv is _bool:
                 # a bare --raw means yes; --raw=no overrides a config's yes
                 kwargs.update(nargs="?", const=True)
-            choices = _CHOICES.get((cmd, dest))
-            if choices is not None:
-                kwargs["choices"] = choices
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--config", default=None)
-        p.add_argument("--output", default=None)
-    return parser
+            p.add_argument("--" + dest.replace("_", "-"), **kwargs)
+        p.add_argument("--config")
+        p.add_argument("--output")
+    args = parser.parse_args(argv)
+    if args.config:
+        spec = _SPECS[args.command][1]
+        sub.choices[args.command].set_defaults(**_load_config(args.config, spec, parser))
+        args = parser.parse_args(argv)
+    return args, parser
 
 
 def _load_config(path: str, spec: dict, parser: argparse.ArgumentParser) -> dict:
+    """The ``key=value`` lines of ``path``, converted by the options' types
+    and checked against their choices; any fault is a usage error."""
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -182,14 +122,16 @@ def _load_config(path: str, spec: dict, parser: argparse.ArgumentParser) -> dict
         if "=" not in text:
             parser.error(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, _, raw = text.partition("=")
-        dest = key.strip().replace("-", "_")
+        key, dest = key.strip(), key.strip().replace("-", "_")
         if dest not in spec:
-            parser.error(f"{path}:{lineno}: unknown option {key.strip()!r}")
-        conv = spec[dest][0]
+            parser.error(f"{path}:{lineno}: unknown option {key!r}")
+        conv, _default, *choices = spec[dest]
         try:
             values[dest] = conv(raw.strip())
         except ValueError as exc:
-            parser.error(f"{path}:{lineno}: bad value for {key.strip()!r}: {exc}")
+            parser.error(f"{path}:{lineno}: bad value for {key!r}: {exc}")
+        if choices and values[dest] not in choices[0]:
+            parser.error(f"{path}:{lineno}: {key!r} must be one of {', '.join(choices[0])}")
     return values
 
 
@@ -213,22 +155,12 @@ _GRIDS = {
 
 
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge flag, config-file, and default values (in that precedence).
+    """The subcommand's option values from the parsed namespace.
 
     A grid step that is not positive, a direction count below one and an
     empty frequency grid are usage errors.
     """
-    spec = _SPECS[args.command]
-    config = _load_config(args.config, spec, parser) if args.config else {}
-    out = {}
-    for dest, (_conv, default) in spec.items():
-        given = getattr(args, dest)
-        if given is not None:
-            out[dest] = given
-        elif dest in config:
-            out[dest] = config[dest]
-        else:
-            out[dest] = default
+    out = {dest: getattr(args, dest) for dest in _SPECS[args.command][1]}
     for dest, value in out.items():
         flag = "--" + dest.replace("_", "-")
         if dest.endswith("_step") and not value > 0:
@@ -454,14 +386,68 @@ def _cmd_selftest(cfg: dict, out: _CsvOut) -> int:
     return 1 if failures else 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "resonance-sweep": _cmd_resonance,
-    "plane-wave": _cmd_plane_wave,
-    "dispersion": _cmd_dispersion,
-    "band": _cmd_band,
-    "eps-r-sweep": _cmd_eps_r_sweep,
-    "stencil-dump": _cmd_stencil_dump,
+#: per subcommand, its handler and its options as dest -> (type, default[,
+#: choices]); every string option's type is str, which argparse applies to
+#: string defaults as a no-op
+_SPECS = {
+    "solve": (_cmd_solve, {
+        "method": (str, "dpg", ("dpg", "fosls")),
+        "n": (int, 16),
+        "omega": (float, 2.0),
+        "eps": (float, 1e-2),
+        "r": (int, 3),
+        "exact": (str, "manufactured", ("manufactured", "plane-wave", "zero")),
+        "theta": (float, 0.0),
+        "sign": (int, 1),
+    }),
+    "resonance-sweep": (_cmd_resonance, {
+        "omega_start": (float, 3.0),
+        "omega_stop": (float, 6.0),
+        "omega_step": (float, 0.05),
+        "eps": (_floats, (1.0, 1e-1, 1e-2, 1e-3, 1e-4)),
+        "n": (int, 16),
+        "r": (int, 3),
+    }),
+    "plane-wave": (_cmd_plane_wave, {
+        "method": (str, "dpg", ("dpg", "fosls")),
+        "theta": (float, float(np.pi / 8)),
+        "n": (int, 48),
+        "omega": (float, float(6 * np.pi)),
+        "eps": (float, 1e-6),
+        "r": (int, 3),
+    }),
+    "dispersion": (_cmd_dispersion, {
+        "method": (str, "dpg", ("dpg", "fem", "fosls")),
+        "r": (int, 3),
+        "eps": (float, 1e-6),
+        "omega": (float, 1.0),
+        "h": (float, float(2 * np.pi / 8)),
+        "theta": (float, 0.0),
+        "n_theta": (int, 1),
+    }),
+    "band": (_cmd_band, {
+        "method": (str, "dpg", ("dpg", "fem", "fosls")),
+        "eps_n": (float, 1e-6),
+        "r": (int, 3),
+        "theta": (float, 0.0),
+        "zeta_max": (float, 6.0),
+        "zeta_step": (float, 0.05),
+    }),
+    "eps-r-sweep": (_cmd_eps_r_sweep, {
+        "zeta": (float, float(np.pi / 4)),
+        "eps": (_floats, (1.0, 1e-1, 1e-2, 1e-4, 1e-6)),
+        "r": (_ints, (2, 3, 4)),
+        "n_theta": (int, dispersion.DEFAULT_N_THETA),
+        "no_baselines": (_bool, False),
+    }),
+    "stencil-dump": (_cmd_stencil_dump, {
+        "method": (str, "dpg", ("dpg", "fem", "fosls")),
+        "omega_n": (float, float(np.pi / 4)),
+        "eps_n": (float, 1e-6),
+        "r": (int, 3),
+        "raw": (_bool, False),
+    }),
+    "selftest": (_cmd_selftest, {}),
 }
 
 
@@ -469,14 +455,14 @@ def main(argv=None) -> int:
     # numpy's pool is pinned here for every subcommand; importing assembly
     # pins scipy's as it loads it
     single_thread_blas()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, parser = _parse(argv)
     cfg = _resolve(args, parser)
+    handler = _SPECS[args.command][0]
     if args.command == "selftest":
-        return _cmd_selftest(cfg, None)
+        return handler(cfg, None)
     out = _CsvOut(args.command, cfg)
     try:
-        _COMMANDS[args.command](cfg, out)
+        handler(cfg, out)
     except HelmDpgError as exc:
         print(f"helm-dpg: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -563,10 +563,15 @@ def _polish(sym: SymbolMatrix, row, z0: complex, curvature=np.inf, radius=0.0):
     disc of radius t* = 2 eta / (1 + s), s = sqrt(1 - 2h), around z_k, and
     within t* - eta = 2 h eta / (1 + s)^2 of z_{k+1}.  The polish returns
     z_{k+1} when that disc lies in the bounded one and the error bound is
-    within POLISH_ZTOL * max(1, |z_{k+1}|).  Its |det F| is then a Taylor
-    bound at the reported double point zr: |g + g' (zr - z_k)| plus
-    curvature / 2 times |zr - z_k|^2, where the step has cancelled all of
-    the linear term but the rounding of z_{k+1} to zr.  The stop on dz_k
+    within POLISH_ZTOL * max(1, |z_{k+1}|).  The root is the only one in
+    the disc of radius 2 eta / (1 - s) around z_k, within the bounded one;
+    det F(conj z) = conj det F(z), so where that region also holds the disc
+    of radius 2 h eta / (1 + s)^2 around conj(z_{k+1}), the root is its own
+    conjugate, and zr = Re z_{k+1} + 0j is reported, else zr = z_{k+1}
+    rounded to double.  Its |det F| is then a Taylor bound at zr:
+    |g + g' (zr - z_k)| plus curvature / 2 times |zr - z_k|^2, where the
+    step has cancelled all of the linear term but the move from z_{k+1}
+    to zr.  The stop on dz_k
     is tested first, so z and the step count are those of the loop alone,
     which evaluates once more only to find that step small: a simple root
     the double stage found costs one evaluation where the bound covers it,
@@ -587,11 +592,18 @@ def _polish(sym: SymbolMatrix, row, z0: complex, curvature=np.inf, radius=0.0):
             h = curvature * eta / float(abs(gp))
             if h <= 0.5:
                 s = np.sqrt(1.0 - 2.0 * h)
+                err = 2.0 * h * eta / (1.0 + s) ** 2
                 if (
                     float(abs(zk - z0)) + 2.0 * eta / (1.0 + s) <= radius / 2
-                    and 2.0 * h * eta / (1.0 + s) ** 2 <= POLISH_ZTOL * max(1.0, abs(z))
+                    and err <= POLISH_ZTOL * max(1.0, abs(z))
                 ):
-                    zr = complex(z)
+                    zr, zc = complex(z), mp.conj(z)
+                    unique = (1.0 + s) * float(abs(gp)) / curvature  # 2 eta / (1 - s)
+                    if (
+                        float(abs(zc - zk)) + err < unique
+                        and float(abs(zc - z0)) + err <= radius / 2
+                    ):
+                        zr = complex(zr.real, 0.0)
                     d = mp.mpc(zr) - zk
                     bound = float(abs(g + gp * d)) + curvature / 2 * float(abs(d)) ** 2
                     return zr, it + 1, bound
@@ -733,7 +745,8 @@ def _certify(sym: SymbolMatrix, zs, iters, keep):
     direction.  Returns ``(z, iters, |det F(z)|, polished)``
     arrays of shape ``(T, S)``, z NaN where no root was certified;
     |det F(z)| is a bound where the polish's last step was settled by
-    its Kantorovich bound (:func:`_polish`).
+    its Kantorovich bound (:func:`_polish`).  A root proven real, by the
+    double certificate or by that bound, is reported with Im z = 0.0.
     """
     zs = np.where(zs.imag < 0, zs.conj(), zs)
     rows, cols = np.nonzero(_distinct(zs, keep))

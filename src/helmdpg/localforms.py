@@ -73,7 +73,6 @@ from .numkit import (
     as_complex128,
     det_small,
     rounded,
-    tensor_rule,
     working_context,
 )
 from .refelem import TRIAL_DIM
@@ -458,17 +457,6 @@ class FoslsElement:
     tab: refelem.Tabulation
 
 
-@lru_cache(maxsize=None)
-def _conforming_tabulation(n: int) -> refelem.Tabulation:
-    """The conforming pair tabulated under the n x n Gauss rule, cached per
-    n and read-only."""
-    tab = refelem.tabulate_conforming_basis(tensor_rule(n))
-    rule = tab.rule
-    for a in (rule.points, rule.weights, tab.vx, tab.vy, tab.eta, tab.eta_x, tab.eta_y, tab.div):
-        a.setflags(write=False)
-    return tab
-
-
 def fosls_element(omega_n: float) -> FoslsElement:
     """First-order-system least-squares element matrix on the unit square.
 
@@ -476,7 +464,7 @@ def fosls_element(omega_n: float) -> FoslsElement:
     """
     if not (omega_n > 0 and math.isfinite(omega_n)):
         raise ValueError(f"omega_n must be positive and finite, got {omega_n}")
-    tab = _conforming_tabulation(4)
+    tab = refelem.conforming_tabulation(4)
     a1, a2, a3 = conforming_a_images(tab, omega_n)
     w = tab.rule.weights
     m = np.zeros((8, 8), dtype=complex)
@@ -489,7 +477,7 @@ def fosls_element(omega_n: float) -> FoslsElement:
 def _fem_parts():
     """Stiffness and mass of the bilinear element under the 3 x 3 Gauss
     rule, ``(stiff, mass)``, cached and read-only."""
-    tab = _conforming_tabulation(3)
+    tab = refelem.conforming_tabulation(3)
     w = tab.rule.weights
     gx, gy, q = tab.eta_x[:4], tab.eta_y[:4], tab.eta[:4]
     stiff = (gx * w[None, :]) @ gx.T + (gy * w[None, :]) @ gy.T
@@ -528,7 +516,8 @@ class ElementKit:
     ``ENVELOPE_COND_LIMIT`` :class:`OutsideEnvelope` is raised before any
     exact work.  The accuracy of ``S`` is inherited from the element
     computation.  ``xh = X^H`` maps moment vectors of f against the test
-    basis to the 11 trial load entries.  ``S_exact`` carries the 30-digit
+    basis, tabulated in ``tab`` under its rule, to the 11 trial load
+    entries.  ``S_exact`` carries the 30-digit
     Schur complement of the exact element, and is None on the double
     route.
     """
@@ -541,16 +530,12 @@ class ElementKit:
     recovery: np.ndarray
     interior_inv: np.ndarray
     xh: np.ndarray
-    test_vx: np.ndarray
-    test_vy: np.ndarray
-    test_eta: np.ndarray
-    quad_points: np.ndarray
-    quad_weights: np.ndarray
+    tab: refelem.Tabulation
     S_exact: np.ndarray | None = None
 
 
 def _qr_riesz(params: NormalizedParams):
-    """Double Riesz solve by QR: ``(rule, tab, B, X, cond)``.
+    """Double Riesz solve by QR: ``(tab, B, X, cond)``.
 
     With K the quadrature-weighted stack of the test basis' A-images and
     eps_n-scaled values, G = K^H K = R^H R, so solving ``R^H Y = Bb``, the
@@ -576,9 +561,9 @@ def _qr_riesz(params: NormalizedParams):
             "the supported envelope; raise eps_n or lower r"
         )
     if cond > DOUBLE_COND_LIMIT:
-        return rule, tab, None, None, cond
+        return tab, None, None, cond
     Y = np.linalg.solve(R.conj().T, _double_load(params))
-    return rule, tab, Y.conj().T @ Y, np.linalg.solve(R, Y), cond
+    return tab, Y.conj().T @ Y, np.linalg.solve(R, Y), cond
 
 
 @lru_cache(maxsize=64)
@@ -593,7 +578,7 @@ def element_kit(params: NormalizedParams) -> ElementKit:
             f"element_kit picks its own arithmetic, got precision={params.precision}; "
             "call dpg_element for an element in a pinned precision"
         )
-    rule, tab, B, X, cond = _qr_riesz(params)
+    tab, B, X, cond = _qr_riesz(params)
     precision_used = Precision.double()
     if B is None:
         precision_used = EXTENDED
@@ -609,10 +594,6 @@ def element_kit(params: NormalizedParams) -> ElementKit:
         recovery=cond_elem.recovery,
         interior_inv=cond_elem.interior_inv,
         xh=as_complex128(X).conj().T,
-        test_vx=tab.vx,
-        test_vy=tab.vy,
-        test_eta=tab.eta,
-        quad_points=rule.points,
-        quad_weights=rule.weights,
+        tab=tab,
         S_exact=cond_elem.S_exact,
     )

@@ -234,6 +234,18 @@ def tabulate_conforming_basis(rule: QuadratureRule) -> Tabulation:
     return Tabulation(rule, vx, vy, eta, eta_x, eta_y, div)
 
 
+@lru_cache(maxsize=None)
+def conforming_tabulation(n: int) -> Tabulation:
+    """The conforming pair tabulated under the n x n Gauss rule, cached per
+    n and read-only: the FEM and FOSLS elements and the mesh error
+    quadrature share it."""
+    tab = tabulate_conforming_basis(tensor_rule(n))
+    rule = tab.rule
+    for a in (rule.points, rule.weights, tab.vx, tab.vy, tab.eta, tab.eta_x, tab.eta_y, tab.div):
+        a.setflags(write=False)
+    return tab
+
+
 def default_rule(r: int) -> QuadratureRule:
     """The (r+2)-point-per-direction tensor rule used for element forms."""
     return tensor_rule(r + 2)

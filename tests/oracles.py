@@ -658,8 +658,9 @@ def pointwise_moments(mesh, fields: dict, points, weights, tables) -> np.ndarray
 
 def pointwise_dpg_loads(mesh, kit, fields: dict) -> np.ndarray:
     """The scattered DPG trace loads, moments against the whole test basis first."""
-    tests = (kit.test_vx, kit.test_vy, kit.test_eta)
-    moments = pointwise_moments(mesh, fields, kit.quad_points, kit.quad_weights, tests)
+    tab = kit.tab
+    tests = (tab.vx, tab.vy, tab.eta)
+    moments = pointwise_moments(mesh, fields, tab.rule.points, tab.rule.weights, tests)
     loads = mesh.h**3 * (moments @ kit.xh.T)
     return _scatter(mesh, loads[:, 3:] + loads[:, :3] @ kit.recovery.conj())
 

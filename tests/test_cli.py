@@ -1,5 +1,6 @@
 """Command line contract tests: schemas, determinism, config, exit codes."""
 
+import inspect
 import itertools
 import math
 import os
@@ -360,6 +361,63 @@ def test_config_unknown_key_usage_error(tmp_path, capsys):
         cli.main(["stencil-dump", "--config", str(cfgfile)])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command,line,message",
+    [
+        ("solve", "exact=planewave", "'exact' must be one of manufactured, plane-wave, zero"),
+        ("stencil-dump", "method=spectral", "'method' must be one of dpg, fem, fosls"),
+    ],
+)
+def test_config_value_outside_choices_is_usage_error(command, line, message, tmp_path, capsys):
+    # the same value as a flag is a usage error; from a file it must not
+    # run, say, the zero solution under an unknown exact name
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"# comment\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{cfgfile}:2: {message}" in captured.err
+
+
+#: per subcommand, each option whose default the library declares too, with
+#: the library function and parameter that declare it
+LIBRARY_DEFAULTS = {
+    "resonance-sweep": [
+        ("omega_step", assembly.default_resonance_grid, "step"),
+        ("omega_start", assembly.default_resonance_grid, "start"),
+        ("omega_stop", assembly.default_resonance_grid, "stop"),
+        ("eps", assembly.resonance_sweep, "eps_values"),
+        ("n", assembly.resonance_sweep, "n"),
+        ("r", assembly.resonance_sweep, "r"),
+    ],
+    "plane-wave": [
+        (dest, assembly.plane_wave_demo, dest)
+        for dest in ("method", "theta", "n", "omega", "eps", "r")
+    ],
+    "eps-r-sweep": [
+        ("zeta", dispersion.epsilon_r_sweep, "zeta"),
+        ("eps", dispersion.epsilon_r_sweep, "eps_values"),
+        ("r", dispersion.epsilon_r_sweep, "r_values"),
+        ("n_theta", dispersion.epsilon_r_sweep, "n_theta"),
+    ],
+    "band": [(dest, dispersion.band_diagram, dest) for dest in ("theta", "zeta_max", "zeta_step")],
+}
+
+
+@pytest.mark.parametrize("command", LIBRARY_DEFAULTS)
+def test_cli_defaults_match_library(command):
+    # the parser's defaults are the table's, which repeats the library's
+    args, _ = cli._parse([command])
+    for dest, fn, param in LIBRARY_DEFAULTS[command]:
+        want = inspect.signature(fn).parameters[param].default
+        assert getattr(args, dest) == want, (dest, fn.__name__, param)
+    if command == "eps-r-sweep":
+        include = inspect.signature(fn).parameters["include_baselines"].default
+        assert args.no_baselines is (not include)
 
 
 def test_usage_error_exit_2(capsys):

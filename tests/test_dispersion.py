@@ -1025,6 +1025,22 @@ def test_covered_polish_bounds_det_at_reported_root(monkeypatch):
         assert abs(g) <= sweep.det_abs[t] <= 1e-12 * sweep.scale[t]
 
 
+def test_covered_polish_reports_real_root_real():
+    # fem is lossless: where the Kantorovich bound settles the last step and
+    # the conjugate of the bounded root lies in the same uniqueness disc,
+    # the root is real and is reported with Im z = 0.0, as a double-certified
+    # root near the axis is; its polish left Im z about 1e-30 to 1e-28
+    band = dispersion.band_diagram("fem", zeta_max=0.15, zeta_step=0.05)
+    assert np.all(band.z.imag == 0.0)
+    st = dispersion._method_stencils("fem", 2 * np.pi / 128, None, None)
+    sweep = dispersion.theta_sweep(st, 7)
+    assert sweep.polished.any()
+    assert np.all(sweep.z.imag == 0.0) and sweep.eta == 0.0
+    # the dpg eps = 0 roots are complex, and polished, and stay complex
+    z, _ = _study_eps0()
+    assert np.all(z.imag > 0)
+
+
 def planted_pair_stencils(split):
     # symbol (2 cos z - 2 cos 0.7)(2 cos z - 2 cos(0.7 + split)): a double
     # root at z = 0.7 for split = 0, two simple real roots otherwise
