@@ -19,8 +19,11 @@ shape as one block.  After the trace solve the element interiors are
 recovered from the stored Schur data.  Each exact field is a short sum of
 products f(x) g(y), so on the mesh's tensor rules its values are outer
 products of per-axis tables (sum factorization, Orszag 1980): loads are
-two contractions per term, and the error fields are formed once per
-solve for the error and its best-approximation bound.
+two contractions per term.  The error and its best-approximation bound
+split by the error rule's projection onto Q1, which holds every
+approximation: the remainder is a sum of products of per-axis norms, and
+the rest a difference of 4 coefficients per element, so no array over
+all error points is formed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 import scipy.sparse.linalg  # noqa: F401  unused; bench/spans.py patches its splu in traced runs
 from scipy.linalg import blas, lapack
 
-from . import localforms, refelem, stencil
+from . import localforms, numkit, refelem, stencil
 from .errors import BCInconsistent, MeshTooSmall, OutsideEnvelope, PhaseMismatch, SolveFailure
 from .localforms import NormalizedParams
 from .numkit import single_thread_blas
@@ -592,27 +595,87 @@ def _moments(mesh: Mesh, exact: ExactSolution, points, weights, tables) -> np.nd
     return out.reshape(mesh.n**2, -1)
 
 
+@lru_cache(maxsize=None)
+def _q1_basis():
+    """The error rule's 1-D weights ``w``, the two rows ``legendre`` of
+    L_0 = 1 and L_1 = sqrt(3)(2x - 1) at its 1-D nodes, and the map ``M``
+    of the 8 conforming trace values to Q1 coefficients, all read-only.
+
+    L_0 and L_1 are orthonormal under the rule, so the products
+    L_i(x) L_j(y) are an orthonormal basis of Q1 under its tensor square.
+    A Q1 field's coefficients are an ``(..., 2, 2)`` array, entry
+    ``[i, j]`` that of L_i(x) L_j(y).  ``M[k]``, ``(8, 4)``, maps trace
+    values to those of component k (u1, u2, phi), flattened: the error-rule
+    tabulation of the conforming pair projected onto the basis.
+    """
+    etab = refelem.conforming_tabulation(ERROR_QUAD_1D)
+    rule = etab.rule
+
+    def orthonormal(x):
+        return np.sqrt([[1.0], [3.0]]) * refelem.shifted_legendre_table(1, x)[0]
+
+    q1 = (orthonormal(rule.points[:, 0])[:, None] * orthonormal(rule.points[:, 1])).reshape(4, -1)
+    m = np.stack([t @ (rule.weights * q1).T for t in (etab.vx, etab.vy, etab.eta)])
+    w = numkit.gauss_legendre_1d(ERROR_QUAD_1D)[1]
+    legendre = orthonormal(rule.points[:ERROR_QUAD_1D, 0])
+    for a in (w, legendre, m):
+        a.setflags(write=False)
+    return w, legendre, m
+
+
+def _axis_split(table: np.ndarray, w: np.ndarray, legendre: np.ndarray):
+    """One axis of a factor-form field, ``(terms, n, q)``, split by the
+    rule's projection onto span{L_0, L_1}: the coefficients ``(terms, n,
+    2)`` and three ``(terms, terms)`` Gram matrices summed over the n
+    elements of the axis, of the L_0 parts, of the L_1 parts and of the
+    remainders."""
+    c = table @ (w * legendre).T
+    rest = table - c @ legendre
+    grams = np.einsum("sni,tni->ist", c, c.conj())
+    return c, np.concatenate([grams, np.einsum("sna,tna->st", w * rest, rest.conj())[None]])
+
+
+def _remainder_sq(gx: np.ndarray, gy: np.ndarray, k: int) -> float:
+    """|f - P f|^2 summed over the mesh, P the projection onto the span of
+    L_i(x) L_j(y) with i, j < k, from the per-axis Grams of :func:`_axis_split`.
+
+    f - P f = (I - Px) gx * gy + Px gx * (I - Py) gy for one term, and the
+    two parts are orthogonal, so each pair of terms contributes the
+    product of an x- and a y-Gram entry for each part.  Each part sums the
+    entries of a Hadamard product of two Gram matrices, which is positive
+    semidefinite, so the sum is nonnegative; terms that cancel can leave
+    a rounding residue below zero, which is clipped.
+    """
+    proj_x, rest_x = gx[:k].sum(0), gx[k:].sum(0)
+    return max(float(np.sum(rest_x * gy.sum(0) + proj_x * gy[k:].sum(0)).real), 0.0)
+
+
 def _errors(mesh: Mesh, exact: ExactSolution, approx) -> tuple[float, float]:
     """L2 distances of the exact (u1, u2, phi) to ``approx`` and to constants.
 
-    Each exact field is formed once on the error rule as the outer products
-    of its per-axis tables, row ey*n + ex and column iy*q + ix, and feeds
-    both sums.  The best constants are the element means.
+    ``approx`` gives per component the ``(n*n, 2, 2)`` Q1 coefficients of
+    :func:`_q1_basis` on every element, or 0.  With P the error rule's
+    orthogonal projection onto Q1, in which every approximation lies,
+    |f - u_h|^2 = |f - Pf|^2 + |Pf - u_h|^2.  The rule is a tensor
+    product, so |f - Pf|^2 summed over the mesh is a sum of products of
+    per-axis Gram entries (:func:`_remainder_sq`), O(n q T^2) work for T
+    terms, and |Pf - u_h|^2 the distance of 4 coefficients per element,
+    O(n^2 T).  The best constants are the element means, the projection
+    onto L_0(x) L_0(y), so the bound is the remainder of that projection
+    alone.  No array over all n^2 q^2 points is formed.  For a one-term
+    field every summand is a product of nonnegative norms and nothing
+    cancels; for T > 1 the cross terms of the Grams can be negative, and
+    a remainder much smaller than the terms loses relative accuracy: its
+    norm is then known only to about 1e-8 of the terms' norms.
     """
-    rule = refelem.conforming_tabulation(ERROR_QUAD_1D).rule
-    sw = np.sqrt(rule.weights)
-
-    def sq(d):
-        d *= sw
-        d = d.view(float).ravel()
-        return d @ d
-
+    w, legendre, _ = _q1_basis()
+    points = refelem.conforming_tabulation(ERROR_QUAD_1D).rule.points
     err = best = 0.0
     for field, near in zip((exact.u1, exact.u2, exact.phi), approx):
-        tx, ty = _tables(field, mesh, rule.points)
-        comp = np.einsum("tyb,txa->yxba", ty, tx).reshape(mesh.n**2, -1)
-        err += sq(comp - near)
-        best += sq(comp - (comp @ rule.weights)[:, None])
+        (cx, gx), (cy, gy) = (_axis_split(t, w, legendre) for t in _tables(field, mesh, points))
+        d = (np.einsum("txi,tyj->yxij", cx, cy).reshape(mesh.n**2, 2, 2) - near).ravel()
+        err += _remainder_sq(gx, gy, 2) + np.vdot(d, d).real
+        best += _remainder_sq(gx, gy, 1)
     return float(np.sqrt(err * mesh.h**2)), float(np.sqrt(best * mesh.h**2))
 
 
@@ -693,7 +756,7 @@ def solve_dpg(
     x, rel, fill, steps = _constrained_solve(mesh, h**2 * kit.S, b, g)
 
     fields = x[mesh.dofs] @ kit.recovery.T + interior
-    e_r, a = _errors(mesh, exact, fields.T[:, :, None])
+    e_r, a = _errors(mesh, exact, fields.T[..., None, None] * [[1, 0], [0, 0]])
     ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
     return SolveReport(
         "dpg", mesh.n, omega, eps, r, x, fields, e_r, a, ratio, rel, fill, steps,
@@ -724,10 +787,8 @@ def solve_fosls(
     g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
     x, rel, fill, steps = _constrained_solve(mesh, elem.M, b, g)
 
-    etab = refelem.conforming_tabulation(ERROR_QUAD_1D)
-    xe = x[mesh.dofs]
-    u_h = (xe @ etab.vx, xe @ etab.vy, xe @ etab.eta)
-    fields = np.column_stack([c @ etab.rule.weights for c in u_h])
+    u_h = (x[mesh.dofs] @ _q1_basis()[2]).reshape(3, -1, 2, 2)
+    fields = u_h[..., 0, 0].T
     e_r, a = _errors(mesh, exact, u_h)
     ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
     return SolveReport(

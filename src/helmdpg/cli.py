@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import dispersion, stencil
-from .errors import HelmDpgError
+from .errors import HelmDpgError, MeshTooSmall, REnrichmentTooSmall
 from .numkit import single_thread_blas, tensor_rule
 
 
@@ -463,15 +463,14 @@ def main(argv=None) -> int:
     out = _CsvOut(args.command, cfg)
     try:
         handler(cfg, out)
+    except (ValueError, REnrichmentTooSmall, MeshTooSmall) as exc:
+        # parameters the library rejects as out of range (a negative,
+        # infinite or NaN eps, a frequency that is not positive and finite,
+        # a non-finite theta, r < 2, n < 2), which the parser cannot see
+        parser.error(str(exc))
     except HelmDpgError as exc:
         print(f"helm-dpg: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # the library raises ValueError only for parameters it rejects
-        # (a negative, infinite or NaN eps, a frequency that is not
-        # positive and finite, a non-finite theta), which the parser
-        # cannot see
-        parser.error(str(exc))
     out.flush(args.output)
     return 0
 

@@ -1,7 +1,9 @@
 """Exception and warning types shared across the package.
 
 Errors carry enough context in their message to be actionable from the CLI;
-the CLI maps any :class:`HelmDpgError` to exit code 1.
+the CLI maps any :class:`HelmDpgError` to exit code 1, except the
+out-of-range parameters :class:`REnrichmentTooSmall` and
+:class:`MeshTooSmall`, which are usage errors (exit code 2).
 """
 
 from __future__ import annotations

@@ -517,9 +517,10 @@ class ElementKit:
     exact work.  The accuracy of ``S`` is inherited from the element
     computation.  ``xh = X^H`` maps moment vectors of f against the test
     basis, tabulated in ``tab`` under its rule, to the 11 trial load
-    entries.  ``S_exact`` carries the 30-digit
-    Schur complement of the exact element, and is None on the double
-    route.
+    entries; ``tab`` is :func:`~helmdpg.refelem.tabulated_test_basis`, one
+    read-only table per r that all kits share.  ``S_exact`` carries the
+    30-digit Schur complement of the exact element, and is None on the
+    double route.
     """
 
     params: NormalizedParams
@@ -545,9 +546,8 @@ def _qr_riesz(params: NormalizedParams):
     ``DOUBLE_COND_LIMIT`` B and X are None, above ``ENVELOPE_COND_LIMIT``
     the element is rejected.
     """
-    rule = refelem.default_rule(params.r)
-    tab = refelem.tabulate_test_basis(refelem.build_test_basis(params.r), rule)
-    sw = np.sqrt(rule.weights)[:, None]
+    tab = refelem.tabulated_test_basis(params.r)
+    sw = np.sqrt(tab.rule.weights)[:, None]
     K = np.concatenate(
         [sw * ac.T for ac in conforming_a_images(tab, params.omega_n)]
         + [(params.eps_n * sw) * vc.T for vc in (tab.vx, tab.vy, tab.eta)]

@@ -234,16 +234,26 @@ def tabulate_conforming_basis(rule: QuadratureRule) -> Tabulation:
     return Tabulation(rule, vx, vy, eta, eta_x, eta_y, div)
 
 
+def _read_only(tab: Tabulation) -> Tabulation:
+    rule = tab.rule
+    for a in (rule.points, rule.weights, tab.vx, tab.vy, tab.eta, tab.eta_x, tab.eta_y, tab.div):
+        a.setflags(write=False)
+    return tab
+
+
 @lru_cache(maxsize=None)
 def conforming_tabulation(n: int) -> Tabulation:
     """The conforming pair tabulated under the n x n Gauss rule, cached per
     n and read-only: the FEM and FOSLS elements and the mesh error
     quadrature share it."""
-    tab = tabulate_conforming_basis(tensor_rule(n))
-    rule = tab.rule
-    for a in (rule.points, rule.weights, tab.vx, tab.vy, tab.eta, tab.eta_x, tab.eta_y, tab.div):
-        a.setflags(write=False)
-    return tab
+    return _read_only(tabulate_conforming_basis(tensor_rule(n)))
+
+
+@lru_cache(maxsize=None)
+def tabulated_test_basis(r: int) -> Tabulation:
+    """The order-r test basis tabulated under :func:`default_rule`, cached
+    per r and read-only: every double element of that r shares it."""
+    return _read_only(tabulate_test_basis(build_test_basis(r), default_rule(r)))
 
 
 def default_rule(r: int) -> QuadratureRule:

@@ -211,6 +211,101 @@ def test_separable_loads_and_errors_match_pointwise_route(method, name, monkeypa
             assert rep.e_r == rep.a == 0.0
 
 
+def _q1_values(coef, points):
+    # a Q1 field from its coefficients [e, i, j] of L_i(x) L_j(y), with
+    # L_0 = 1 and L_1 = sqrt(3)(2t - 1), at the element's local points
+    lx = np.stack([np.ones(len(points)), np.sqrt(3.0) * (2 * points[:, 0] - 1)])
+    ly = np.stack([np.ones(len(points)), np.sqrt(3.0) * (2 * points[:, 1] - 1)])
+    return np.einsum("eij,ip,jp->ep", coef, lx, ly)
+
+
+# u1 has two terms, u2 none, phi one
+TWO_TERM = assembly.ExactSolution(
+    "two-term", 1.0,
+    u1=((lambda t: np.exp(2j * t), lambda t: np.cos(3 * t)),
+        (lambda t: t**2 + 0j, lambda t: 1 - t)),
+    u2=(),
+    phi=((lambda t: np.sin(np.pi * t) + 0j, np.exp),),
+    f1=(), f2=(), f3=(),
+)
+TWO_TERM_POINTWISE = {
+    "u1": lambda x, y: np.exp(2j * x) * np.cos(3 * y) + x**2 * (1 - y),
+    "u2": lambda x, y: np.zeros(np.shape(x), complex),
+    "phi": lambda x, y: np.sin(np.pi * x) * np.exp(y) + 0j,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_projection_split_errors_match_pointwise_route(n):
+    # e_r and a of random Q1 approximants, not solver output, against every
+    # field evaluated at every point of the error rule; the u2 approximant
+    # is 0 in the second case
+    m = assembly.build_mesh(n)
+    rule = tensor_rule(assembly.ERROR_QUAD_1D)
+    rng = np.random.default_rng(n)
+    coef = rng.standard_normal((3, n * n, 2, 2)) + 1j * rng.standard_normal((3, n * n, 2, 2))
+    for approx in (list(coef), [coef[0], 0, coef[2]]):
+        near = [0 if np.isscalar(c) else _q1_values(c, rule.points) for c in approx]
+        want = oracles.pointwise_errors(m, TWO_TERM_POINTWISE, rule, near)
+        np.testing.assert_allclose(assembly._errors(m, TWO_TERM, approx), want, rtol=1e-13)
+    best = oracles.pointwise_errors(m, TWO_TERM_POINTWISE, rule, (0, 0, 0))[1]
+    np.testing.assert_allclose(assembly.best_approx_error(m, TWO_TERM), best, rtol=1e-13)
+
+
+def test_bilinear_field_with_its_own_q1_coefficients_has_no_error():
+    # phi = (1 + x)(2 - y)(0.8 - 0.6i)/4, of modulus 1/4 to 1, is in Q1 on
+    # every element: in local coordinates s, a + b*x = a + b*(k + 1/2)h +
+    # b*h/(2 sqrt 3) L_1(s) on element column k; e_r is rounding alone
+    n = 5
+    m = assembly.build_mesh(n)
+    mid = (np.arange(n) + 0.5) * m.h
+    slope = m.h / (2 * np.sqrt(3.0))
+    cx = np.column_stack([1 + mid, np.full(n, slope)])
+    cy = (0.2 - 0.15j) * np.column_stack([2 - mid, np.full(n, -slope)])
+    coef = np.einsum("xi,yj->yxij", cx, cy).reshape(n * n, 2, 2)
+    bilinear = assembly.ExactSolution(
+        "bilinear", 1.0, u1=(), u2=(),
+        phi=((lambda t: 1 + t + 0j, lambda t: (2 - t) * (0.2 - 0.15j)),),
+        f1=(), f2=(), f3=(),
+    )
+    e_r, a = assembly._errors(m, bilinear, (0, 0, coef))
+    assert e_r <= 1e-15
+    assert a > 0.01 * m.h
+
+
+def test_cancelling_terms_give_zero_errors_not_nan():
+    # phi = s e^{ikx} cos(y)/s - e^{ikx} cos(y) is 0 written as two terms
+    # of norm about 1: its squared remainders cancel to a rounding residue
+    # of either sign, so the norms are 0 or about sqrt(1e-16), never NaN
+    rng = np.random.default_rng(0)
+    m = assembly.build_mesh(3)
+    for s, k in rng.uniform((0.1, 0.1), (3.0, 5.0), (20, 2)):
+        zero = assembly.ExactSolution(
+            "cancelling", 1.0, u1=(), u2=(),
+            phi=((lambda t: s * np.exp(1j * k * t), lambda t: np.cos(t) / s + 0j),
+                 (lambda t: -np.exp(1j * k * t), lambda t: np.cos(t) + 0j)),
+            f1=(), f2=(), f3=(),
+        )
+        e_r, a = assembly._errors(m, zero, (0, 0, 0))
+        assert 0 <= e_r <= 1e-7 and 0 <= a <= 1e-7, (s, k, e_r, a)
+
+
+def test_best_approx_error_forms_no_array_over_the_error_points():
+    # n^2 q^2 complex values at n = 128 are 9.4 MB; the per-axis route
+    # needs a few (n^2, 2, 2) coefficient arrays
+    import tracemalloc
+
+    m, ex = assembly.build_mesh(128), assembly.manufactured_solution(2.0)
+    assembly.best_approx_error(m, ex)
+    tracemalloc.start()
+    try:
+        assembly.best_approx_error(m, ex)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak
+
+
 # ---------------------------------------------------------------------------
 # best-approximation distance
 # ---------------------------------------------------------------------------

@@ -488,6 +488,26 @@ def test_non_finite_parameter_is_usage_error(args, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["dispersion", "--r", "1", "--n-theta", "1"], "test-space order r=1 < 2"),
+        (["band", "--r", "1"], "test-space order r=1 < 2"),
+        (["eps-r-sweep", "--r", "1", "--n-theta", "1"], "test-space order r=1 < 2"),
+        (["solve", "--n", "0"], "need at least 2 elements per side, got n=0"),
+        (["solve", "--n", "1"], "need at least 2 elements per side, got n=1"),
+    ],
+)
+def test_out_of_range_order_or_mesh_is_usage_error(args, message, capsys):
+    # r < 2 and n < 2 are parameters out of range, not numerical failures
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_bad_step_from_config_is_usage_error(tmp_path, capsys):
     cfgfile = tmp_path / "band.cfg"
     cfgfile.write_text("zeta_step=0\n")

@@ -527,6 +527,9 @@ def test_element_kit_cached_and_downcast():
     assert k1 is k2
     assert k1.S.dtype == complex and k1.S.shape == (8, 8)
     assert k1.xh.shape == (11, 21)
+    # the kits of one r share one read-only test tabulation
+    k3 = lf.element_kit(NormalizedParams(0.5, 0.3, 2))
+    assert k3.tab is k1.tab and not k1.tab.vx.flags.writeable
 
 
 # ------------------------------------------------------- kit against 30 digits
