@@ -24,6 +24,20 @@ split by the error rule's projection onto Q1, which holds every
 approximation: the remainder is a sum of products of per-axis norms, and
 the rest a difference of 4 coefficients per element, so no array over
 all error points is formed.
+
+Frequency is a leading array axis F.  The loads, their scatter, the
+right-hand side and residual of the trace solve, the interior recovery,
+the boundary data and the error norms each run once for a block of F
+frequencies of one mesh, as batched ``matmul`` and ``np.bincount`` over
+``(F, ...)`` stacks; each frequency's slice is computed as it would be
+alone.  The element kit, the box-shape Cholesky factor and its solves
+stay per frequency, where a stack gains nothing, and so does iterative
+refinement, masked to the frequencies whose residual needs it.  A
+frequency whose factor breaks down or misses the residual contract fails
+alone.  :func:`solve_dpg` and :func:`solve_fosls` are the F = 1 case;
+:func:`resonance_sweep` runs blocks of :func:`_block_size` frequencies,
+as many as ``BLOCK_BYTES`` of stacked temporaries allow at its mesh size
+(one at large n).
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg  # noqa: F401  unused; bench/spans.py patches its splu in traced runs
@@ -256,10 +270,15 @@ def _pointwise(field, x, y) -> np.ndarray:
     return sum((gx(x) * gy(y) for gx, gy in field), np.zeros(np.broadcast(x, y).shape, complex))
 
 
+def _boundary_data(mesh: Mesh, exacts) -> np.ndarray:
+    """Trace of each of F exact scalars at the boundary vertices, ``(F, nb)``."""
+    xy = mesh.vertex_coords()[mesh.boundary_vertex_ids()]
+    return np.stack([_pointwise(exact.phi, xy[:, 0], xy[:, 1]) for exact in exacts])
+
+
 def dirichlet_values(mesh: Mesh, exact: ExactSolution) -> np.ndarray:
     """Trace of the exact scalar at the boundary vertices."""
-    xy = mesh.vertex_coords()[mesh.boundary_vertex_ids()]
-    return _pointwise(exact.phi, xy[:, 0], xy[:, 1])
+    return _boundary_data(mesh, (exact,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,101 +488,140 @@ def _factor(topo: _Topology, e_r: np.ndarray) -> _Factor:
 
 
 def _apply(dofs: np.ndarray, e_r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A_R x`` for an ``(ndof, 2)`` block x, element by element.
+    """``A_R x`` for F ``(ndof, 2)`` blocks x, ``(F, ndof, 2)``, with F real
+    elements ``e_r``, ``(F, 8, 8)``, element by element.
 
-    One ``(2 * elements, 8)`` product with ``e_r`` and one ``np.bincount``
-    over the element table; no global matrix is formed.
+    One ``(2 * elements, 8)`` product with ``e_r`` per frequency, batched,
+    and one ``np.bincount`` over the element table; no global matrix is
+    formed.
     """
-    local = x[dofs].transpose(0, 2, 1).reshape(-1, 8) @ e_r.T
-    idx = (2 * dofs[:, None, :] + np.arange(2)[:, None]).ravel()
-    return np.bincount(idx, local.ravel(), x.size).reshape(x.shape)
+    f, ndof = x.shape[:2]
+    local = x[:, dofs].transpose(0, 1, 3, 2).reshape(f, 2 * len(dofs), 8) @ e_r.transpose(0, 2, 1)
+    idx = 2 * (dofs[:, None, :] + ndof * np.arange(f)[:, None, None, None]) + np.arange(2)[:, None]
+    return np.bincount(idx.ravel(), local.ravel(), x.size).reshape(x.shape)
 
 
 def _scatter(mesh: Mesh, loads: np.ndarray) -> np.ndarray:
-    """Sum the per-element rows of ``loads`` into a global vector.
+    """Sum the per-element rows of F loads, ``(F, n*n, 8)``, into F global
+    vectors, ``(F, ndof)``.
 
     ``np.bincount`` adds in element order, as a per-element ``np.add.at``
-    would, on the real and the imaginary parts separately.
+    would, on the real and the imaginary parts separately; each frequency
+    has its own range of bins.
     """
-    idx = mesh.dofs.ravel()
-    b = np.bincount(idx, loads.real.ravel(), mesh.n_dofs).astype(complex)
-    b.imag = np.bincount(idx, loads.imag.ravel(), mesh.n_dofs)
-    return b
+    f, ndof = len(loads), mesh.n_dofs
+    idx = (mesh.dofs.ravel() + ndof * np.arange(f)[:, None]).ravel()
+    b = np.bincount(idx, loads.real.ravel(), f * ndof).astype(complex)
+    b.imag = np.bincount(idx, loads.imag.ravel(), f * ndof)
+    return b.reshape(f, ndof)
 
 
-def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
-                       g: np.ndarray):
-    """Fix the boundary vertex traces to ``g`` and solve for the rest.
+def _sum_sq(a: np.ndarray) -> np.ndarray:
+    """The sum of the squared moduli of the entries of each of F stacked
+    double arrays: one BLAS dot per frequency, and no temporary the size
+    of ``a``."""
+    flat = a.reshape(len(a), -1).view(np.float64)
+    return (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
 
-    The trace element ``E`` is Hermitian and real up to the trial phases
+
+def _constrained_solve(mesh: Mesh, elements: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """Fix the boundary vertex traces to ``g`` and solve for the rest, for F
+    frequencies at once: ``elements`` ``(F, 8, 8)``, ``b`` ``(F, ndof)`` and
+    ``g`` ``(F, nb)``.
+
+    A trace element ``E`` is Hermitian and real up to the trial phases
     ``T_t = TRIAL_PHASES[3:]`` (1 on vertex traces, -i on fluxes), so the
     global matrix is ``A = P A_R P^H``, with ``P`` those phases per DOF and
-    ``A_R`` real symmetric positive definite.  The real element
-    ``E_R = T_t^H E T_t`` is formed here once; an imaginary part above
-    ``PHASE_RTOL * max|E|`` is a defect and raises :class:`PhaseMismatch`.
-    Boundary vertices have ``P = 1``, so ``g`` enters as is: the real and
-    imaginary parts of ``P^H b_f - A_R[:, fixed] g`` are one two-column
-    right-hand side ``Y``, and the free traces are ``P Y``.  Every element
-    is the same, so every box of one shape in the nested dissection of
-    :func:`_topology` has the same Schur complement: :func:`_factor` takes
-    one dense Cholesky per shape, and a system that is not positive
-    definite raises :class:`SolveFailure` there.  Products with ``A_R`` run
-    element by element (:func:`_apply`).  P is unitary, so the residual of
-    the real system is that of the complex one.  If the relative residual
-    misses the contract, iterative refinement retries a bounded number of
-    times before the solve is declared failed.  Returns the full trace
-    vector, the relative residual, the entries the factor stores and the
-    number of refinement steps taken.
+    ``A_R`` real symmetric positive definite.  The real elements
+    ``E_R = T_t^H E T_t`` are formed here once; an imaginary part above
+    ``PHASE_RTOL * max|E|`` in any of them is a defect and raises
+    :class:`PhaseMismatch` for the whole block.  Boundary vertices have
+    ``P = 1``, so ``g`` enters as is: the real and imaginary parts of
+    ``P^H b_f - A_R[:, fixed] g`` are one two-column right-hand side ``Y``
+    per frequency, and the free traces are ``P Y``.  Every element of one
+    frequency is the same, so every box of one shape in the nested
+    dissection of :func:`_topology` has the same Schur complement:
+    :func:`_factor` takes one dense Cholesky per shape and frequency.
+    Products with ``A_R`` run element by element (:func:`_apply`), for all
+    frequencies at once.  P is unitary, so the residual of the real system
+    is that of the complex one.  A frequency whose relative residual misses
+    the contract is refined a bounded number of times, alone, before its
+    solve is declared failed.
+
+    Returns the full trace vectors ``(F, ndof)``, the relative residuals,
+    the entries each factor stores, the refinement steps taken, and per
+    frequency the :class:`SolveFailure` of a factor that broke down or a
+    missed contract, or None; a failed frequency's traces are no solution.
     """
     fixed = mesh.boundary_vertex_ids()
-    if len(g) != len(fixed):
+    if g.shape[-1] != len(fixed):
         raise BCInconsistent(
-            f"{len(fixed)} constrained DOFs but {len(g)} boundary values"
+            f"{len(fixed)} constrained DOFs but {g.shape[-1]} boundary values"
         )
     if not np.all(np.isfinite(g)):
         raise BCInconsistent("boundary values contain non-finite entries")
     t = localforms.TRIAL_PHASES[3:]
-    e_r = t.conj()[:, None] * element * t
-    imag, scale = np.max(np.abs(e_r.imag)), np.max(np.abs(element))
-    if imag > PHASE_RTOL * scale:
+    e_r = t.conj()[:, None] * elements * t
+    imag, scale = np.max(np.abs(e_r.imag), axis=(1, 2)), np.max(np.abs(elements), axis=(1, 2))
+    bad = np.flatnonzero(imag > PHASE_RTOL * scale)
+    if bad.size:
+        f = bad[0]
         raise PhaseMismatch(
             f"trace element is not real under the trial phases: max |Im E_R| "
-            f"{imag:.2e} against max |E| {scale:.2e}"
+            f"{imag[f]:.2e} against max |E| {scale[f]:.2e}"
         )
-    e_r = e_r.real
-    phase = np.empty(mesh.n_dofs, dtype=complex)
+    # contiguous, so that products with it run in BLAS
+    e_r = np.ascontiguousarray(e_r.real)
+    nf, ndof = b.shape
+    phase = np.empty(ndof, dtype=complex)
     phase[mesh.dofs] = t
     pb = phase.conj() * b
-    x_fixed = np.zeros((mesh.n_dofs, 2))
-    x_fixed[fixed] = np.column_stack([g.real, g.imag])
-    b_f = np.column_stack([pb.real, pb.imag]) - _apply(mesh.dofs, e_r, x_fixed)
-    b_f[fixed] = 0.0
+    x_fixed = np.zeros((nf, ndof, 2))
+    x_fixed[:, fixed] = np.stack([g.real, g.imag], axis=-1)
+    b_f = np.stack([pb.real, pb.imag], axis=-1) - _apply(mesh.dofs, e_r, x_fixed)
+    b_f[:, fixed] = 0.0
 
-    def residual(y):
-        r = b_f - _apply(mesh.dofs, e_r, y)
-        r[fixed] = 0.0
+    topo = _topology(mesh.n)
+    factors, failed = [None] * nf, [None] * nf
+    for f in range(nf):
+        try:
+            factors[f] = _factor(topo, e_r[f])
+        except SolveFailure as exc:
+            failed[f] = exc
+    live = np.array([factor is not None for factor in factors])
+    fill = np.array([0 if factor is None else factor.nnz for factor in factors])
+    y = np.zeros_like(b_f)
+    for f in np.flatnonzero(live):
+        y[f] = factors[f].solve(b_f[f])
+
+    def residual(rows):
+        r = b_f[rows] - _apply(mesh.dofs, e_r[rows], y[rows])
+        r[:, fixed] = 0.0
         return r
 
-    factor = _factor(_topology(mesh.n), e_r)
-    y = factor.solve(b_f)
-    norm_b = np.linalg.norm(b_f)
-    r = residual(y)
-    resid = np.linalg.norm(r)
-    steps = 0
-    while steps < REFINEMENT_STEPS and resid > RESIDUAL_RTOL * max(norm_b, 1e-300):
-        y = y + factor.solve(r)
-        r = residual(y)
-        resid = np.linalg.norm(r)
-        steps += 1
-    rel = resid / norm_b if norm_b > 0 else resid
-    if norm_b > 0 and rel > RESIDUAL_RTOL:
-        raise SolveFailure(
-            f"linear solve residual {rel:.3e} exceeds contract "
-            f"{RESIDUAL_RTOL:.1e} (system size {mesh.n_dofs - len(fixed)})"
-        )
-    x = phase * (y[:, 0] + 1j * y[:, 1])
-    x[fixed] = g
-    return x, rel, factor.nnz, steps
+    norm_b = np.sqrt(_sum_sq(b_f))
+    r = residual(slice(None))
+    resid = np.sqrt(_sum_sq(r))
+    steps = np.zeros(nf, dtype=int)
+    for _ in range(REFINEMENT_STEPS):
+        rows = np.flatnonzero(live & (resid > RESIDUAL_RTOL * np.maximum(norm_b, 1e-300)))
+        if not rows.size:
+            break
+        for f in rows:
+            y[f] = y[f] + factors[f].solve(r[f])
+        steps[rows] += 1
+        r[rows] = residual(rows)
+        resid[rows] = np.sqrt(_sum_sq(r[rows]))
+    rel = resid / np.where(norm_b > 0, norm_b, 1.0)
+    for f in np.flatnonzero((norm_b > 0) & (rel > RESIDUAL_RTOL)):
+        if failed[f] is None:
+            failed[f] = SolveFailure(
+                f"linear solve residual {rel[f]:.3e} exceeds contract "
+                f"{RESIDUAL_RTOL:.1e} (system size {ndof - len(fixed)})"
+            )
+    x = phase * (y[..., 0] + 1j * y[..., 1])
+    x[:, fixed] = g
+    return x, rel, fill, steps, failed
 
 
 # ---------------------------------------------------------------------------
@@ -571,28 +629,41 @@ def _constrained_solve(mesh: Mesh, element: np.ndarray, b: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _tables(field: Separable, mesh: Mesh, points: np.ndarray):
-    """Each term's gx and gy at the 1-D nodes of the unit-square tensor rule ``points``
-    (x running fastest) on every element, two ``(terms, n, q)`` arrays."""
+def _tables(fields, mesh: Mesh, points: np.ndarray):
+    """Each term's gx and gy at the 1-D nodes of the unit-square tensor rule
+    ``points`` (x running fastest) on every element, for F factor-form
+    fields: two ``(F, terms, n, q)`` arrays, zero-padded to the longest field."""
     q = math.isqrt(len(points))
     x = (np.arange(mesh.n)[:, None] + points[:q, 0]) * mesh.h
-    return [np.array([pair[k](x) for pair in field], dtype=complex).reshape(-1, *x.shape)
-            for k in (0, 1)]
+    out = np.zeros((2, len(fields), max(map(len, fields))) + x.shape, dtype=complex)
+    for f, field in enumerate(fields):
+        for t, (gx, gy) in enumerate(field):
+            out[0, f, t], out[1, f, t] = gx(x), gy(x)
+    return out
 
 
-def _moments(mesh: Mesh, exact: ExactSolution, points, weights, tables) -> np.ndarray:
-    """Per-element integrals of f1, f2 and f3 against the rows of three tables.
+def _moments(mesh: Mesh, exacts, points, weights, tables) -> np.ndarray:
+    """Per-element integrals of f1, f2 and f3 of F exact solutions against
+    the rows of three ``(F, m, q*q)`` tables, ``(F, n*n, m)``.
 
     Each term of f contracts with the weighted table through its x-, then
-    its y-table: two ``tensordot``s, and no array over all n^2 q^2 points.
+    its y-table: two batched products, and no array over all n^2 q^2
+    points.
     """
-    q = math.isqrt(len(points))
+    q, n, nf = math.isqrt(len(points)), mesh.n, len(exacts)
     out = 0.0
-    for field, table in zip((exact.f1, exact.f2, exact.f3), tables):
-        tx, ty = _tables(field, mesh, points)
-        along_x = np.tensordot(tx, (weights[:, None] * table.T.conj()).reshape(q, q, -1), (2, 1))
-        out = out + np.tensordot(ty, along_x, ((0, 2), (0, 2)))
-    return out.reshape(mesh.n**2, -1)
+    for k, table in enumerate(tables):
+        tx, ty = _tables([(ex.f1, ex.f2, ex.f3)[k] for ex in exacts], mesh, points)
+        terms = tx.shape[1]
+        m = table.shape[1]
+        # [f, qx, (qy, m)] and [f, (term, ex), qx] -> [f, term, ex, qy, m]
+        wt = (weights * table.conj()).reshape(nf, m, q, q).transpose(0, 3, 2, 1).reshape(nf, q, q * m)
+        along_x = tx.reshape(nf, terms * n, q) @ wt
+        along_x = along_x.reshape(nf, terms, n, q, m).transpose(0, 1, 3, 2, 4)
+        # [f, ey, (term, qy)] @ [f, (term, qy), (ex, m)]
+        ty = ty.transpose(0, 2, 1, 3).reshape(nf, n, terms * q)
+        out = out + ty @ along_x.reshape(nf, terms * q, n * m)
+    return out.reshape(nf, n * n, -1)
 
 
 @lru_cache(maxsize=None)
@@ -624,20 +695,25 @@ def _q1_basis():
 
 
 def _axis_split(table: np.ndarray, w: np.ndarray, legendre: np.ndarray):
-    """One axis of a factor-form field, ``(terms, n, q)``, split by the
-    rule's projection onto span{L_0, L_1}: the coefficients ``(terms, n,
-    2)`` and three ``(terms, terms)`` Gram matrices summed over the n
-    elements of the axis, of the L_0 parts, of the L_1 parts and of the
-    remainders."""
+    """One axis of F factor-form fields, ``(F, terms, n, q)``, split by the
+    rule's projection onto span{L_0, L_1}: the coefficients ``(F, terms, n,
+    2)`` and three ``(terms, terms)`` Gram matrices per frequency, ``(F, 3,
+    terms, terms)``, summed over the n elements of the axis, of the L_0
+    parts, of the L_1 parts and of the remainders."""
+    nf, terms = table.shape[:2]
     c = table @ (w * legendre).T
     rest = table - c @ legendre
-    grams = np.einsum("sni,tni->ist", c, c.conj())
-    return c, np.concatenate([grams, np.einsum("sna,tna->st", w * rest, rest.conj())[None]])
+    by_coef = c.transpose(0, 3, 1, 2)
+    grams = by_coef @ by_coef.conj().transpose(0, 1, 3, 2)
+    flat = (nf, terms, rest.shape[2] * rest.shape[3])
+    rest_gram = (w * rest).reshape(flat) @ rest.conj().reshape(flat).transpose(0, 2, 1)
+    return c, np.concatenate([grams, rest_gram[:, None]], axis=1)
 
 
-def _remainder_sq(gx: np.ndarray, gy: np.ndarray, k: int) -> float:
-    """|f - P f|^2 summed over the mesh, P the projection onto the span of
-    L_i(x) L_j(y) with i, j < k, from the per-axis Grams of :func:`_axis_split`.
+def _remainder_sq(gx: np.ndarray, gy: np.ndarray, k: int) -> np.ndarray:
+    """|f - P f|^2 summed over the mesh for each of F fields, P the
+    projection onto the span of L_i(x) L_j(y) with i, j < k, from the
+    per-axis Grams of :func:`_axis_split`.
 
     f - P f = (I - Px) gx * gy + Px gx * (I - Py) gy for one term, and the
     two parts are orthogonal, so each pair of terms contributes the
@@ -646,15 +722,16 @@ def _remainder_sq(gx: np.ndarray, gy: np.ndarray, k: int) -> float:
     semidefinite, so the sum is nonnegative; terms that cancel can leave
     a rounding residue below zero, which is clipped.
     """
-    proj_x, rest_x = gx[:k].sum(0), gx[k:].sum(0)
-    return max(float(np.sum(rest_x * gy.sum(0) + proj_x * gy[k:].sum(0)).real), 0.0)
+    proj_x, rest_x = gx[:, :k].sum(1), gx[:, k:].sum(1)
+    return np.maximum(np.sum(rest_x * gy.sum(1) + proj_x * gy[:, k:].sum(1), axis=(1, 2)).real, 0.0)
 
 
-def _errors(mesh: Mesh, exact: ExactSolution, approx) -> tuple[float, float]:
-    """L2 distances of the exact (u1, u2, phi) to ``approx`` and to constants.
+def _errors(mesh: Mesh, exacts, approx) -> tuple[np.ndarray, np.ndarray]:
+    """L2 distances of the exact (u1, u2, phi) of F solutions to ``approx``
+    and to constants, two ``(F,)`` arrays.
 
-    ``approx`` gives per component the ``(n*n, 2, 2)`` Q1 coefficients of
-    :func:`_q1_basis` on every element, or 0.  With P the error rule's
+    ``approx`` gives per component the ``(F, n*n, 2, 2)`` Q1 coefficients
+    of :func:`_q1_basis` on every element, or 0.  With P the error rule's
     orthogonal projection onto Q1, in which every approximation lies,
     |f - u_h|^2 = |f - Pf|^2 + |Pf - u_h|^2.  The rule is a tensor
     product, so |f - Pf|^2 summed over the mesh is a sum of products of
@@ -670,13 +747,19 @@ def _errors(mesh: Mesh, exact: ExactSolution, approx) -> tuple[float, float]:
     """
     w, legendre, _ = _q1_basis()
     points = refelem.conforming_tabulation(ERROR_QUAD_1D).rule.points
+    n, nf = mesh.n, len(exacts)
     err = best = 0.0
-    for field, near in zip((exact.u1, exact.u2, exact.phi), approx):
-        (cx, gx), (cy, gy) = (_axis_split(t, w, legendre) for t in _tables(field, mesh, points))
-        d = (np.einsum("txi,tyj->yxij", cx, cy).reshape(mesh.n**2, 2, 2) - near).ravel()
-        err += _remainder_sq(gx, gy, 2) + np.vdot(d, d).real
-        best += _remainder_sq(gx, gy, 1)
-    return float(np.sqrt(err * mesh.h**2)), float(np.sqrt(best * mesh.h**2))
+    for k, near in enumerate(approx):
+        tables = _tables([(ex.u1, ex.u2, ex.phi)[k] for ex in exacts], mesh, points)
+        (cx, gx), (cy, gy) = (_axis_split(t, w, legendre) for t in tables)
+        # P f's coefficient [f, ey, j, ex, i] sums cy[f, t, ey, j] cx[f, t, ex, i]
+        # over terms t; near's [f, e, i, j] is read in that order
+        terms = cx.shape[1]
+        pf = cy.reshape(nf, terms, 2 * n).transpose(0, 2, 1) @ cx.reshape(nf, terms, 2 * n)
+        near = np.broadcast_to(near, (nf, n * n, 2, 2)).reshape(nf, n, n, 2, 2).transpose(0, 1, 4, 2, 3)
+        err = err + _remainder_sq(gx, gy, 2) + _sum_sq(pf.reshape(nf, n, 2, n, 2) - near)
+        best = best + _remainder_sq(gx, gy, 1)
+    return np.sqrt(err * mesh.h**2), np.sqrt(best * mesh.h**2)
 
 
 def best_approx_error(mesh: Mesh, exact: ExactSolution) -> float:
@@ -685,7 +768,7 @@ def best_approx_error(mesh: Mesh, exact: ExactSolution) -> float:
     The minimizing constant per element and component is the element mean,
     computed with the same quadrature used for the error integral.
     """
-    return _errors(mesh, exact, (0.0, 0.0, 0.0))[1]
+    return float(_errors(mesh, (exact,), (0.0, 0.0, 0.0))[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +809,70 @@ class SolveReport:
         return grid
 
 
+def _ratio(e_r: float, a: float) -> float:
+    return e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
+
+
+class _Solved(NamedTuple):
+    """The solves of a block of F frequencies, every field with leading
+    axis F; ``failed`` holds per frequency the :class:`SolveFailure` of a
+    solve that failed, whose other fields are no result, or None."""
+
+    trace: np.ndarray
+    fields: np.ndarray
+    e_r: np.ndarray
+    a: np.ndarray
+    residual_rel: np.ndarray
+    fill_nnz: np.ndarray
+    refinement_steps: np.ndarray
+    failed: list
+
+
+def _dpg_block(mesh: Mesh, kits, exacts, g: np.ndarray) -> _Solved:
+    """Condensed-trace solves of F frequencies of one mesh, one element kit,
+    exact solution and row of boundary data ``g`` each, as one stacked pass.
+
+    Assembles h^2 times each normalized condensed element everywhere,
+    eliminates boundary vertex traces, solves, recovers the element
+    interior constants, and measures the field error against the exact
+    solution together with its best-approximation lower bound.
+    """
+    h = mesh.h
+    tab = kits[0].tab
+    recovery = np.stack([kit.recovery for kit in kits])
+    # xh folds in first: the contraction runs over the 11 trial loads
+    xh = np.stack([kit.xh for kit in kits]).conj()
+    tests = [xh @ t for t in (tab.vx, tab.vy, tab.eta)]
+    loads = h**3 * _moments(mesh, exacts, tab.rule.points, tab.rule.weights, tests)
+    b = _scatter(mesh, loads[..., 3:] + loads[..., :3] @ recovery.conj())
+    interior_inv = np.stack([kit.interior_inv for kit in kits])
+    interior = loads[..., :3] @ interior_inv.transpose(0, 2, 1) / h**2
+    del loads  # only b and the interior part are needed through the trace solve
+
+    elements = h**2 * np.stack([kit.S for kit in kits])
+    x, *solve = _constrained_solve(mesh, elements, b, g)
+    fields = x[:, mesh.dofs] @ recovery.transpose(0, 2, 1) + interior
+    e_r, a = _errors(mesh, exacts, fields.transpose(2, 0, 1)[..., None, None] * [[1, 0], [0, 0]])
+    return _Solved(x, fields, e_r, a, *solve)
+
+
+def _report(method, mesh, omega, eps, r, solved: _Solved, t0) -> SolveReport:
+    """The one frequency of a block as a report; a failed solve raises its error."""
+    if solved.failed[0] is not None:
+        raise solved.failed[0]
+    e_r, a = float(solved.e_r[0]), float(solved.a[0])
+    return SolveReport(
+        method, mesh.n, omega, eps, r, solved.trace[0], solved.fields[0], e_r, a, _ratio(e_r, a),
+        float(solved.residual_rel[0]), int(solved.fill_nnz[0]), int(solved.refinement_steps[0]),
+        time.perf_counter() - t0,
+    )
+
+
+def _boundary(mesh: Mesh, exact: ExactSolution, bc) -> np.ndarray:
+    """One row of boundary data: ``bc`` if given, else the exact trace."""
+    return _boundary_data(mesh, (exact,)) if bc is None else np.asarray(bc, dtype=complex)[None]
+
+
 def solve_dpg(
     mesh: Mesh,
     omega: float,
@@ -736,32 +883,15 @@ def solve_dpg(
 ) -> SolveReport:
     """Condensed-trace solve of the eps-scaled method on the given mesh.
 
-    Assembles h^2 times the normalized condensed element everywhere,
-    eliminates boundary vertex traces, solves, recovers the element
-    interior constants, and measures the field error against ``exact``
-    together with its best-approximation lower bound.
+    The one-frequency block of :func:`_dpg_block`: h^2 times the
+    normalized condensed element everywhere, boundary vertex traces
+    eliminated, interior constants recovered, and the field error against
+    ``exact`` with its best-approximation lower bound.
     """
     t0 = time.perf_counter()
-    h = mesh.h
-    kit = localforms.element_kit(NormalizedParams(omega * h, eps * h, r))
-    # xh folds in first: the contraction runs over the 11 trial loads
-    tab = kit.tab
-    tests = [kit.xh.conj() @ t for t in (tab.vx, tab.vy, tab.eta)]
-    loads = h**3 * _moments(mesh, exact, tab.rule.points, tab.rule.weights, tests)
-    b = _scatter(mesh, loads[:, 3:] + loads[:, :3] @ kit.recovery.conj())
-    interior = loads[:, :3] @ kit.interior_inv.T / h**2
-    del loads  # only b and the interior part are needed through the trace solve
-
-    g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
-    x, rel, fill, steps = _constrained_solve(mesh, h**2 * kit.S, b, g)
-
-    fields = x[mesh.dofs] @ kit.recovery.T + interior
-    e_r, a = _errors(mesh, exact, fields.T[..., None, None] * [[1, 0], [0, 0]])
-    ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
-    return SolveReport(
-        "dpg", mesh.n, omega, eps, r, x, fields, e_r, a, ratio, rel, fill, steps,
-        time.perf_counter() - t0,
-    )
+    kit = localforms.element_kit(NormalizedParams(omega * mesh.h, eps * mesh.h, r))
+    solved = _dpg_block(mesh, [kit], [exact], _boundary(mesh, exact, bc))
+    return _report("dpg", mesh, omega, eps, r, solved, t0)
 
 
 def solve_fosls(
@@ -776,25 +906,20 @@ def solve_fosls(
     pair f against the operator images of the conforming basis, scaled by
     one factor of h.  Errors are measured on the conforming fields; the
     best-approximation value reported is the same piecewise-constant bound
-    used for the interface method, for side-by-side reading.
+    used for the interface method, for side-by-side reading.  Every stage
+    runs on the stacked forms with one frequency.
     """
     t0 = time.perf_counter()
     h = mesh.h
     elem = localforms.fosls_element(omega * h)
-    rule, images = elem.tab.rule, (elem.a1, elem.a2, elem.a3)
-    b = _scatter(mesh, h * _moments(mesh, exact, rule.points, rule.weights, images))
+    rule, images = elem.tab.rule, [a[None] for a in (elem.a1, elem.a2, elem.a3)]
+    b = _scatter(mesh, h * _moments(mesh, [exact], rule.points, rule.weights, images))
+    x, *solve = _constrained_solve(mesh, elem.M[None], b, _boundary(mesh, exact, bc))
 
-    g = dirichlet_values(mesh, exact) if bc is None else np.asarray(bc, dtype=complex)
-    x, rel, fill, steps = _constrained_solve(mesh, elem.M, b, g)
-
-    u_h = (x[mesh.dofs] @ _q1_basis()[2]).reshape(3, -1, 2, 2)
-    fields = u_h[..., 0, 0].T
-    e_r, a = _errors(mesh, exact, u_h)
-    ratio = e_r / a if a > 0 else (1.0 if e_r == 0 else np.inf)
-    return SolveReport(
-        "fosls", mesh.n, omega, None, None, x, fields, e_r, a, ratio, rel, fill, steps,
-        time.perf_counter() - t0,
-    )
+    u_h = (x[:, mesh.dofs] @ _q1_basis()[2][:, None]).reshape(3, 1, -1, 2, 2)
+    fields = u_h[..., 0, 0].transpose(1, 2, 0)
+    e_r, a = _errors(mesh, [exact], u_h)
+    return _report("fosls", mesh, omega, None, None, _Solved(x, fields, e_r, a, *solve), t0)
 
 
 def solve_method(
@@ -837,14 +962,19 @@ def default_resonance_grid(step: float = 0.05, start: float = 3.0, stop: float =
     return grid[np.abs(grid - RESONANCE_OMEGA) >= 1e-3]
 
 
-def _resonance_row(omega: float, eps: float, n: int, r: int) -> ResonanceRow:
-    mesh = build_mesh(n)
-    exact = manufactured_solution(omega)
-    try:
-        rep = solve_dpg(mesh, omega, eps, r, exact)
-    except (OutsideEnvelope, SolveFailure) as exc:
-        return ResonanceRow(omega, eps, np.nan, np.nan, np.nan, str(exc))
-    return ResonanceRow(omega, eps, rep.e_r, rep.a, rep.ratio)
+#: bytes of stacked temporaries one block of frequencies may hold
+BLOCK_BYTES = 3 << 20
+#: stacked temporaries of one frequency per mesh element: the ``tracemalloc``
+#: peak of a resonance-sweep block grows by 996 to 1482 bytes per element
+#: and frequency at n = 32 to 8, mostly the ``(n*n, 8, 2)`` products and
+#: their bincount indices in :func:`_apply` and the ``(n*n, 11)`` loads
+BLOCK_BYTES_PER_ELEMENT = 1536
+
+
+def _block_size(n: int) -> int:
+    """Frequencies per stacked block on an n x n mesh: as many as
+    ``BLOCK_BYTES`` hold, and one at large n."""
+    return max(1, BLOCK_BYTES // (BLOCK_BYTES_PER_ELEMENT * n * n))
 
 
 def resonance_sweep(
@@ -855,15 +985,39 @@ def resonance_sweep(
 ) -> list[ResonanceRow]:
     """Optimality-ratio table over a frequency grid crossing a resonance.
 
-    Rows that fail to solve, or whose element lies outside the supported
-    envelope, are reported with their error message instead of aborting
-    the sweep.
+    The manufactured solution at each frequency, solved by the dpg
+    method on the n x n mesh, one stacked :func:`_dpg_block` per
+    :func:`_block_size` frequencies of one eps.  Rows that fail to solve,
+    or whose element lies outside the supported envelope, are reported
+    with their error message instead of aborting the sweep; a
+    :class:`PhaseMismatch` aborts it.
     """
     if omegas is None:
         omegas = default_resonance_grid()
-    return [
-        _resonance_row(float(om), float(eps), n, r) for eps in eps_values for om in omegas
-    ]
+    omegas = [float(om) for om in omegas]
+    mesh = build_mesh(n)
+    size = _block_size(n)
+    rows = []
+    for eps in map(float, eps_values):
+        for start in range(0, len(omegas), size):
+            block = omegas[start:start + size]
+            done, kits = {}, {}
+            for k, om in enumerate(block):
+                try:
+                    kits[k] = localforms.element_kit(NormalizedParams(om * mesh.h, eps * mesh.h, r))
+                except OutsideEnvelope as exc:
+                    done[k] = ResonanceRow(om, eps, np.nan, np.nan, np.nan, str(exc))
+            if kits:
+                exacts = [manufactured_solution(block[k]) for k in kits]
+                solved = _dpg_block(mesh, list(kits.values()), exacts, _boundary_data(mesh, exacts))
+                for k, e_r, a, failure in zip(kits, solved.e_r, solved.a, solved.failed):
+                    if failure is None:
+                        e_r, a = float(e_r), float(a)
+                        done[k] = ResonanceRow(block[k], eps, e_r, a, _ratio(e_r, a))
+                    else:
+                        done[k] = ResonanceRow(block[k], eps, np.nan, np.nan, np.nan, str(failure))
+            rows += [done[k] for k in range(len(block))]
+    return rows
 
 
 @dataclass(frozen=True)

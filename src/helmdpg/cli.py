@@ -13,7 +13,10 @@ selftest         quick invariant checks, exit status reports the outcome
 
 Output is CSV with '#'-prefixed metadata lines (fully determined by the
 configuration, so identical invocations produce byte-identical files).
-Floats are written with repr, the shortest round-trip form.  One table,
+Floats are written with repr, the shortest round-trip form; the one
+exception is ``solve``'s ``residual_rel``, rounding noise that any
+reordering of the trace solve's sums moves by several percent, which is
+rounded to 2 significant digits first.  One table,
 ``_SPECS``, gives each subcommand its handler and its options with their
 types, defaults and choices.  Options may also come from a flat key=value
 file via --config, whose values are checked against the same choices and
@@ -233,7 +236,7 @@ def _cmd_solve(cfg: dict, out: _CsvOut):
     out.header("method,n,omega,eps,r,exact,e_r,a,ratio,residual_rel")
     out.row(
         rep.method, rep.n, rep.omega, rep.eps, rep.r, cfg["exact"],
-        rep.e_r, rep.a, rep.ratio, rep.residual_rel,
+        rep.e_r, rep.a, rep.ratio, float(f"{rep.residual_rel:.1e}"),
     )
     print(
         f"wall time: {rep.wall_time:.3f}s fill_nnz: {rep.fill_nnz} "

@@ -247,7 +247,8 @@ def test_projection_split_errors_match_pointwise_route(n):
     for approx in (list(coef), [coef[0], 0, coef[2]]):
         near = [0 if np.isscalar(c) else _q1_values(c, rule.points) for c in approx]
         want = oracles.pointwise_errors(m, TWO_TERM_POINTWISE, rule, near)
-        np.testing.assert_allclose(assembly._errors(m, TWO_TERM, approx), want, rtol=1e-13)
+        got = assembly._errors(m, [TWO_TERM], [c if np.isscalar(c) else c[None] for c in approx])
+        np.testing.assert_allclose(np.ravel(got), want, rtol=1e-13)
     best = oracles.pointwise_errors(m, TWO_TERM_POINTWISE, rule, (0, 0, 0))[1]
     np.testing.assert_allclose(assembly.best_approx_error(m, TWO_TERM), best, rtol=1e-13)
 
@@ -268,7 +269,7 @@ def test_bilinear_field_with_its_own_q1_coefficients_has_no_error():
         phi=((lambda t: 1 + t + 0j, lambda t: (2 - t) * (0.2 - 0.15j)),),
         f1=(), f2=(), f3=(),
     )
-    e_r, a = assembly._errors(m, bilinear, (0, 0, coef))
+    (e_r,), (a,) = assembly._errors(m, [bilinear], (0, 0, coef[None]))
     assert e_r <= 1e-15
     assert a > 0.01 * m.h
 
@@ -286,7 +287,7 @@ def test_cancelling_terms_give_zero_errors_not_nan():
                  (lambda t: -np.exp(1j * k * t), lambda t: np.cos(t) + 0j)),
             f1=(), f2=(), f3=(),
         )
-        e_r, a = assembly._errors(m, zero, (0, 0, 0))
+        (e_r,), (a,) = assembly._errors(m, [zero], (0, 0, 0))
         assert 0 <= e_r <= 1e-7 and 0 <= a <= 1e-7, (s, k, e_r, a)
 
 
@@ -547,6 +548,26 @@ def test_solve_failure_when_refinement_cannot_converge(monkeypatch):
                            assembly.manufactured_solution(2.0))
 
 
+def test_refinement_runs_only_on_the_frequencies_that_need_it(monkeypatch):
+    # a block of three frequencies whose second first solve is off by 1e-8:
+    # only that frequency is refined
+    m = assembly.build_mesh(4)
+    M = localforms.fosls_element(2.0 * m.h).M
+    b = np.zeros((3, m.n_dofs), dtype=complex)
+    g = np.tile(assembly.dirichlet_values(m, assembly.plane_wave(2.0, 0.3)), (3, 1))
+    solve, calls = assembly._Factor.solve, []
+
+    def skewed(self, rhs):
+        calls.append(1)
+        return solve(self, rhs) * (1 + 1e-8 if len(calls) == 2 else 1)
+
+    monkeypatch.setattr(assembly._Factor, "solve", skewed)
+    _, rel, _, steps, failed = assembly._constrained_solve(m, np.stack([M, M, M]), b, g)
+    assert failed == [None] * 3 and np.all(rel <= assembly.RESIDUAL_RTOL)
+    assert steps[0] == steps[2] == 0 and steps[1] >= 1
+    assert len(calls) == 3 + steps[1]
+
+
 @pytest.mark.parametrize("method", ["dpg", "fosls"])
 def test_trace_system_is_factored_in_real_arithmetic(method, monkeypatch):
     dtypes = []
@@ -579,22 +600,30 @@ def test_phase_check_passes_fosls_and_rejects_a_non_phase_part():
     M = localforms.fosls_element(omega * m.h).M
     t = localforms.TRIAL_PHASES[3:]
     assert np.max(np.abs((t.conj()[:, None] * M * t).imag)) == 0.0
-    b = np.zeros(m.n_dofs, dtype=complex)
-    g = assembly.dirichlet_values(m, assembly.plane_wave(omega, 0.3))
-    assembly._constrained_solve(m, M, b, g)
+    b = np.zeros((2, m.n_dofs), dtype=complex)
+    g = np.tile(assembly.dirichlet_values(m, assembly.plane_wave(omega, 0.3)), (2, 1))
+    *_, failed = assembly._constrained_solve(m, np.stack([M, M]), b, g)
+    assert failed == [None, None]
+    # one skewed element in a block aborts the whole block
     with pytest.raises(PhaseMismatch, match="not real under the trial phases"):
-        assembly._constrained_solve(m, _hermitian_vertex_skew(M, 1e-6), b, g)
+        assembly._constrained_solve(m, np.stack([M, _hermitian_vertex_skew(M, 1e-6)]), b, g)
 
 
-def test_indefinite_system_raises_solve_failure_naming_the_box():
+def test_indefinite_system_raises_solve_failure_naming_the_box(monkeypatch):
     # -M is negative definite: the first interface block, the shared
-    # horizontal edge of a 1 x 2 box, has a negative pivot
+    # horizontal edge of a 1 x 2 box, has a negative pivot; in a block, the
+    # frequency of M still solves
     m = assembly.build_mesh(4)
     M = localforms.fosls_element(2.0 * m.h).M
-    b = np.zeros(m.n_dofs, dtype=complex)
-    g = assembly.dirichlet_values(m, assembly.plane_wave(2.0, 0.3))
+    b = np.zeros((2, m.n_dofs), dtype=complex)
+    g = np.tile(assembly.dirichlet_values(m, assembly.plane_wave(2.0, 0.3)), (2, 1))
+    _, rel, _, _, failed = assembly._constrained_solve(m, np.stack([M, -M]), b, g)
+    assert failed[0] is None and rel[0] <= assembly.RESIDUAL_RTOL
+    assert "not positive definite" in str(failed[1]) and "1 x 2 box's interface block" in str(failed[1])
+    fosls = localforms.fosls_element
+    monkeypatch.setattr(localforms, "fosls_element", lambda w: replace(fosls(w), M=-fosls(w).M))
     with pytest.raises(SolveFailure, match="not positive definite: .* 1 x 2 box's interface block"):
-        assembly._constrained_solve(m, -M, b, g)
+        assembly.solve_fosls(m, 2.0, assembly.zero_solution(2.0), bc=g[0])
 
 
 def test_resonance_sweep_reports_an_indefinite_system_as_a_row_error(monkeypatch):
@@ -773,6 +802,73 @@ def test_resonance_sweep_reports_envelope_rows():
         assert row.eps == 0.0
         assert "Gram condition estimate" in row.error
         assert np.isnan(row.ratio)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-4])
+def test_resonance_sweep_rows_match_one_at_a_time_solves(eps):
+    # 11 frequencies across the resonance in blocks of 8: the last block is
+    # partial; each row against solve_dpg on its own
+    n, r = 16, 3
+    omegas = 3.9 + 0.1 * np.arange(11)
+    assert len(omegas) % assembly._block_size(n) != 0
+    rows = assembly.resonance_sweep(omegas, (eps,), n=n, r=r)
+    assert [row.omega for row in rows] == list(omegas)
+    for row in rows:
+        rep = assembly.solve_dpg(assembly.build_mesh(n), row.omega, eps, r,
+                                 assembly.manufactured_solution(row.omega))
+        assert row.error is None and row.eps == eps
+        np.testing.assert_allclose([row.e_r, row.a, row.ratio], [rep.e_r, rep.a, rep.ratio],
+                                   rtol=1e-12, atol=0)
+
+
+def test_a_failing_row_leaves_the_rest_of_its_block_unchanged(monkeypatch):
+    # blocks of 3 frequencies at n = 4, eps = 0: omega_n = 0.0125 lies outside
+    # the envelope, and the factor of the fourth solve, omega = 3.2's, breaks
+    # down; the other rows equal those of a sweep without both, bit for bit,
+    # though they sit at other places in other blocks there
+    n, r, eps = 4, 3, 0.0
+    monkeypatch.setattr(assembly, "BLOCK_BYTES", 3 * assembly.BLOCK_BYTES_PER_ELEMENT * n * n)
+    assert assembly._block_size(n) == 3
+    omegas = [2.6, 2.8, 3.0, 0.05, 3.2, 3.4, 3.6]
+    want = {row.omega: row for row in
+            assembly.resonance_sweep([om for om in omegas if om not in (0.05, 3.2)], (eps,), n=n, r=r)}
+    factor, calls = assembly._factor, []
+
+    def failing_factor(topo, e_r):
+        calls.append(1)
+        if len(calls) == 4:
+            raise SolveFailure("forced breakdown")
+        return factor(topo, e_r)
+
+    monkeypatch.setattr(assembly, "_factor", failing_factor)
+    rows = assembly.resonance_sweep(omegas, (eps,), n=n, r=r)
+    assert [row.omega for row in rows] == omegas and len(calls) == 6
+    for row in rows:
+        if row.omega == 0.05:
+            assert "Gram condition estimate" in row.error and np.isnan(row.ratio)
+        elif row.omega == 3.2:
+            assert row.error == "forced breakdown" and np.isnan(row.e_r)
+        else:
+            assert row == want[row.omega]
+
+
+def test_resonance_sweep_stacks_blocks_within_its_memory_budget():
+    # one eps of the default 61-frequency grid at n = 16, after a warm-up
+    # that caches its kits: blocks of 8 peak at 2.7 MB of Python-visible
+    # allocations, one-at-a-time solves at 0.6 MB and one 61-frequency block
+    # at 17.9 MB; the bound leaves a 1.3 MB margin over blocks of 8
+    import tracemalloc
+
+    assert assembly._block_size(16) == 8 and assembly._block_size(46) == 1
+    grid = assembly.default_resonance_grid()
+    assembly.resonance_sweep(grid, (1.0,))
+    tracemalloc.start()
+    try:
+        assembly.resonance_sweep(grid, (1.0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_amplitude_metric_synthetic():

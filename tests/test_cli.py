@@ -237,6 +237,8 @@ def test_solve_reports_fill_and_refinement_on_stderr(capsys):
     header, rows = data_rows(captured.out)
     assert header == "method,n,omega,eps,r,exact,e_r,a,ratio,residual_rel"
     assert len(rows) == 1
+    # the residual is rounding noise, printed to 2 significant digits
+    assert rows[0].split(",")[9] == repr(float(f"{rep.residual_rel:.1e}"))
 
 
 def test_dispersion_reports_certificate_scale_on_stderr(capsys):
